@@ -566,22 +566,8 @@ class SchwartzBruhat:
     def __add__(self, other: "SchwartzBruhat") -> "SchwartzBruhat":
         return SchwartzBruhat(self.elements + other.elements)
 
-    def union_prime_set(self) -> list[int]:
-        ps: set[int] = set()
-        for _, e in self.elements:
-            ps.update(e.prime_set)
-        return sorted(ps)
-
     def __repr__(self):
         return f"SchwartzBruhat({len(self.elements)} elementary terms)"
-
-
-def fourier_elementary(phi: ElementaryFunction) -> ElementaryFunction:
-    return phi.fourier()
-
-
-def fourier_p(f: PAdicTestFunction) -> PAdicTestFunction:
-    return f.fourier()
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,14 @@ check, 2 a usage error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 import time
 from fractions import Fraction
 
-from .suite import ALL_CHECKS, CheckReport, run_suite
+from .primes import is_prime
+from .suite import ALL_CHECKS, CheckReport, make_report, run_suite
 
 F = Fraction
 
@@ -69,34 +71,50 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational literal: {text!r}") from exc
 
 
+def _prime(text: str) -> int:
+    try:
+        p = int(text)
+    except ValueError:
+        p = 0
+    if not is_prime(p):
+        raise argparse.ArgumentTypeError(f"not a prime: {text!r}")
+    return p
+
+
+def _rationals(text: str) -> list[Fraction]:
+    return [_rational(s) for s in text.split(",")] if text else []
+
+
 def _alpha(text: str) -> complex:
     try:
         if "," in text:
             re, im = text.split(",", 1)
-            return complex(float(re), float(im))
-        return complex(float(text), 0.0)
+            alpha = complex(float(re), float(im))
+        else:
+            alpha = complex(float(text), 0.0)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"alpha must be 're,im': {text!r}") from exc
+    if not cmath.isfinite(alpha):
+        raise argparse.ArgumentTypeError(f"alpha must be finite: {text!r}")
+    return alpha
 
 
-def _check(name: str, inputs: dict, value, expected, tol: float, t0: float,
-           exact: bool = False) -> CheckReport:
-    if exact:
-        err = 0.0 if value == expected else float("inf")
-    else:
-        err = abs(complex(value) - complex(expected))
-    return CheckReport(name, inputs, value, expected, err, err <= tol,
-                       (time.perf_counter() - t0) * 1000.0)
-
-
-def _load_phi(source: str):
+def _phi(source: str):
+    """A test function from inline JSON or, for ``@path``, from a file."""
     from .bruhat import parse_schwartz_bruhat
 
     text = source
     if source.startswith("@"):
-        with open(source[1:], "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return parse_schwartz_bruhat(text)
+        try:
+            with open(source[1:], "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise argparse.ArgumentTypeError(f"cannot read test function: {exc}") from exc
+    try:
+        return parse_schwartz_bruhat(text)
+    except (ValueError, TypeError, AttributeError, KeyError, IndexError,
+            ArithmeticError) as exc:
+        raise argparse.ArgumentTypeError(f"not a test function: {exc}") from exc
 
 
 def cmd_norm(args) -> list[CheckReport]:
@@ -104,8 +122,8 @@ def cmd_norm(args) -> list[CheckReport]:
 
     t0 = time.perf_counter()
     value = padic_norm(args.r, args.p)
-    return [_check("padic-norm", {"r": str(args.r), "p": args.p}, value, value,
-                   0.0, t0, exact=True)]
+    return [make_report("padic-norm", {"r": str(args.r), "p": args.p}, value, value,
+                        t0, passed=True)]
 
 
 def cmd_frac(args) -> list[CheckReport]:
@@ -115,9 +133,8 @@ def cmd_frac(args) -> list[CheckReport]:
     q = frac_part(args.r, args.p)
     v = valuation(args.r - q, args.p)
     ok = (not v.is_infinite and v.value >= 0) or v.is_infinite
-    rep = _check("frac-part", {"r": str(args.r), "p": args.p}, q, q, 0.0, t0, exact=True)
-    rep.passed = ok
-    return [rep]
+    return [make_report("frac-part", {"r": str(args.r), "p": args.p}, q, q, t0,
+                        passed=ok)]
 
 
 def cmd_chi(args) -> list[CheckReport]:
@@ -126,10 +143,11 @@ def cmd_chi(args) -> list[CheckReport]:
     t0 = time.perf_counter()
     if args.p is not None:
         ph = chi_p(args.r, args.p).phase
-        return [_check("chi-p", {"r": str(args.r), "p": args.p},
-                       ph, ph, 0.0, t0, exact=True)]
+        return [make_report("chi-p", {"r": str(args.r), "p": args.p}, ph, ph, t0,
+                            passed=True)]
     ph = chi_principal_phase(args.r).phase
-    return [_check("chi-principal", {"r": str(args.r)}, ph, F(0), 0.0, t0, exact=True)]
+    return [make_report("chi-principal", {"r": str(args.r)}, ph, F(0), t0,
+                        passed=ph == 0)]
 
 
 def cmd_pair(args) -> list[CheckReport]:
@@ -142,7 +160,6 @@ def cmd_pair(args) -> list[CheckReport]:
         pi_alpha_distribution,
     )
 
-    phi = _load_phi(args.phi)
     t0 = time.perf_counter()
     if args.dist == "delta":
         dist = delta_distribution()
@@ -157,40 +174,39 @@ def cmd_pair(args) -> list[CheckReport]:
         dist = pi_alpha_distribution(args.alpha if args.alpha is not None else 2.0)
     else:  # pragma: no cover - argparse restricts choices
         raise SystemExit(2)
-    value = pair(dist, phi)
-    rep = _check("pair", {"dist": args.dist}, value, value, float("inf"), t0)
-    rep.passed = True
-    rep.abs_error = 0.0
-    rep.expected = "n/a"
-    return [rep]
+    value = pair(dist, args.phi)
+    return [make_report("pair", {"dist": args.dist}, value, "n/a", t0, passed=True)]
 
 
 def cmd_gauss(args) -> list[CheckReport]:
     from .gauss import REAL_PLACE, gauss_integral_p_exact, gauss_integral_v
-    from .integrate import SphereDecompositionPlan, fresnel_regularized, integrate_qp
+    from .integrate import SphereDecompositionPlan, integrate_qp
+    from .quadrature import fresnel_regularized
 
     t0 = time.perf_counter()
     if args.p is None:
         value = gauss_integral_v(REAL_PLACE, float(args.a), float(args.b))
         oracle, est = fresnel_regularized(float(args.a), float(args.b))
-        return [_check("gauss-real", {"a": str(args.a), "b": str(args.b)},
-                       value, oracle, max(args.tolerance, est * 4), t0)]
+        err = abs(value - oracle)
+        return [make_report("gauss-real", {"a": str(args.a), "b": str(args.b)},
+                            value, oracle, t0,
+                            passed=err <= max(args.tolerance, est * 4), error=err)]
     plan = SphereDecompositionPlan(
         j_high=args.sphere_range, refinement_cap=args.refinement_cap
     )
     oracle = integrate_qp(args.p, quad=(args.a, args.b), plan=plan)
     closed = gauss_integral_p_exact(args.p, args.a, args.b)
-    rep = _check(
+    value, expected = closed.to_complex(), oracle.value.to_complex()
+    ok = oracle.stabilized and (oracle.value == closed)
+    return [make_report(
         "gauss-p",
         {"p": args.p, "a": str(args.a), "b": str(args.b)},
-        closed.to_complex(),
-        oracle.value.to_complex(),
-        args.tolerance,
+        value,
+        expected,
         t0,
-    )
-    rep.passed = oracle.stabilized and (oracle.value == closed)
-    rep.abs_error = 0.0 if rep.passed else rep.abs_error
-    return [rep]
+        passed=ok,
+        error=0.0 if ok else abs(value - expected),
+    )]
 
 
 def cmd_product_check(args) -> list[CheckReport]:
@@ -198,8 +214,9 @@ def cmd_product_check(args) -> list[CheckReport]:
 
     t0 = time.perf_counter()
     value = product_formula_check(args.a, args.b)
-    return [_check("product-check", {"a": str(args.a), "b": str(args.b)},
-                   value, 1 + 0j, args.tolerance, t0)]
+    err = abs(value - 1)
+    return [make_report("product-check", {"a": str(args.a), "b": str(args.b)},
+                        value, 1 + 0j, t0, passed=err <= args.tolerance, error=err)]
 
 
 def cmd_lambda_check(args) -> list[CheckReport]:
@@ -207,34 +224,31 @@ def cmd_lambda_check(args) -> list[CheckReport]:
 
     t0 = time.perf_counter()
     value = lambda_product_check(args.a)
-    return [_check("lambda-check", {"a": str(args.a)}, value, 1 + 0j,
-                   args.tolerance, t0)]
+    err = abs(value - 1)
+    return [make_report("lambda-check", {"a": str(args.a)}, value, 1 + 0j, t0,
+                        passed=err <= args.tolerance, error=err)]
 
 
 def cmd_mellin(args) -> list[CheckReport]:
     from .mellin import phi_p
 
-    phi = _load_phi(args.phi)
     t0 = time.perf_counter()
     total = 0j
-    for coeff, elem in phi.elements:
+    for coeff, elem in args.phi.elements:
         total += coeff.to_complex() * phi_p(elem, args.alpha).value
-    return [CheckReport(
-        "mellin", {"alpha": format_complex(args.alpha)}, total, "n/a",
-        0.0, True, (time.perf_counter() - t0) * 1000.0,
-    )]
+    return [make_report("mellin", {"alpha": format_complex(args.alpha)}, total, "n/a",
+                        t0, passed=True)]
 
 
 def cmd_tate(args) -> list[CheckReport]:
     from .mellin import tate_check
 
-    phi = _load_phi(args.phi)
     t0 = time.perf_counter()
     worst = 0.0
-    for _, elem in phi.elements:
+    for _, elem in args.phi.elements:
         worst = max(worst, tate_check(elem, args.alpha))
-    return [_check("tate", {"alpha": format_complex(args.alpha)}, worst, 0.0,
-                   args.tolerance, t0)]
+    return [make_report("tate", {"alpha": format_complex(args.alpha)}, worst, 0.0, t0,
+                        passed=worst <= args.tolerance, error=worst)]
 
 
 def cmd_zeta_fe(args) -> list[CheckReport]:
@@ -242,8 +256,8 @@ def cmd_zeta_fe(args) -> list[CheckReport]:
 
     t0 = time.perf_counter()
     residual = functional_equation_residual(args.alpha)
-    return [_check("zeta-fe", {"alpha": format_complex(args.alpha)},
-                   residual, 0.0, args.tolerance, t0)]
+    return [make_report("zeta-fe", {"alpha": format_complex(args.alpha)}, residual,
+                        0.0, t0, passed=residual <= args.tolerance, error=residual)]
 
 
 def cmd_oscillator_check(args) -> list[CheckReport]:
@@ -253,15 +267,13 @@ def cmd_oscillator_check(args) -> list[CheckReport]:
 
     t0 = time.perf_counter()
     t = from_rational(args.t, args.p, args.precision)
-    samples = [Fraction(s) for s in args.samples.split(",")] if args.samples else [
-        F(0), F(1), F(1, args.p), F(args.p),
-    ]
+    samples = args.samples or [F(0), F(1), F(1, args.p), F(args.p)]
     dev = eigen_check(args.p, t, PAdicTestFunction.omega(args.p), args.energy, samples)
-    return [_check(
+    return [make_report(
         "oscillator-check",
         {"p": args.p, "t": str(args.t), "precision": args.precision,
          "energy": str(args.energy)},
-        dev, 0.0, args.tolerance, t0,
+        dev, 0.0, t0, passed=dev <= args.tolerance, error=dev,
     )]
 
 
@@ -273,15 +285,13 @@ def cmd_calibrate_lambda(args) -> list[CheckReport]:
     reports = []
     for a, measured in sorted(table.items()):
         frozen = lambda_p(args.p, a).as_cyclo()
-        ok = measured == frozen
-        reports.append(CheckReport(
+        reports.append(make_report(
             "calibrate-lambda",
             {"p": args.p, "a": str(a)},
             format_complex(measured.to_complex()),
             format_complex(frozen.to_complex()),
-            0.0 if ok else float("inf"),
-            ok,
-            (time.perf_counter() - t0) * 1000.0,
+            t0,
+            passed=measured == frozen,
         ))
         t0 = time.perf_counter()
     return reports
@@ -300,32 +310,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, tol=1e-10):
         sp.add_argument("--tolerance", type=float, default=tol)
-        sp.add_argument("--json", action="store_true", help="JSON lines (default)")
         sp.add_argument("--timings", action="store_true",
                         help="include runtime_ms (breaks byte-determinism)")
 
     sp = sub.add_parser("norm", help="p-adic norm of a rational")
     sp.add_argument("-r", type=_rational, required=True)
-    sp.add_argument("-p", type=int, required=True)
+    sp.add_argument("-p", type=_prime, required=True)
     common(sp)
     sp.set_defaults(fn=cmd_norm)
 
     sp = sub.add_parser("frac", help="p-adic fractional part")
     sp.add_argument("-r", type=_rational, required=True)
-    sp.add_argument("-p", type=int, required=True)
+    sp.add_argument("-p", type=_prime, required=True)
     common(sp)
     sp.set_defaults(fn=cmd_frac)
 
     sp = sub.add_parser("chi", help="additive character phase")
     sp.add_argument("-r", type=_rational, required=True)
-    sp.add_argument("-p", type=int, default=None)
+    sp.add_argument("-p", type=_prime, default=None)
     common(sp)
     sp.set_defaults(fn=cmd_chi)
 
     sp = sub.add_parser("pair", help="pair a distribution with a test function")
     sp.add_argument("--dist", choices=["delta", "chi", "chi-quad", "pi-alpha"],
                     required=True)
-    sp.add_argument("--phi", required=True,
+    sp.add_argument("--phi", type=_phi, required=True,
                     help="JSON test function, or @file to read one")
     sp.add_argument("-a", type=_rational, default=None)
     sp.add_argument("-b", type=_rational, default=None)
@@ -334,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_pair)
 
     sp = sub.add_parser("gauss", help="local Gauss integral vs oracle")
-    sp.add_argument("-p", type=int, default=None, help="prime; omit for the real place")
+    sp.add_argument("-p", type=_prime, default=None, help="prime; omit for the real place")
     sp.add_argument("-a", type=_rational, required=True)
     sp.add_argument("-b", type=_rational, default=F(0))
     sp.add_argument("--sphere-range", type=int, default=None,
@@ -356,13 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_lambda_check)
 
     sp = sub.add_parser("mellin", help="Mellin transform of a test function")
-    sp.add_argument("--phi", required=True)
+    sp.add_argument("--phi", type=_phi, required=True)
     sp.add_argument("--alpha", type=_alpha, required=True)
     common(sp)
     sp.set_defaults(fn=cmd_mellin)
 
     sp = sub.add_parser("tate", help="Tate formula residual")
-    sp.add_argument("--phi", required=True)
+    sp.add_argument("--phi", type=_phi, required=True)
     sp.add_argument("--alpha", type=_alpha, required=True)
     common(sp, tol=1e-6)
     sp.set_defaults(fn=cmd_tate)
@@ -373,17 +382,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_zeta_fe)
 
     sp = sub.add_parser("oscillator-check", help="p-adic vacuum invariance")
-    sp.add_argument("-p", type=int, required=True)
+    sp.add_argument("-p", type=_prime, required=True)
     sp.add_argument("--t", type=_rational, required=True)
     sp.add_argument("--precision", type=int, default=10)
     sp.add_argument("--energy", type=_rational, default=F(0))
-    sp.add_argument("--samples", type=str, default=None,
+    sp.add_argument("--samples", type=_rationals, default=None,
                     help="comma-separated rational sample points")
     common(sp, tol=0.0)
     sp.set_defaults(fn=cmd_oscillator_check)
 
     sp = sub.add_parser("calibrate-lambda", help="re-derive the lambda table")
-    sp.add_argument("-p", type=int, required=True)
+    sp.add_argument("-p", type=_prime, required=True)
     common(sp)
     sp.set_defaults(fn=cmd_calibrate_lambda)
 
@@ -405,9 +414,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     for rep in reports:
         emit(rep, timings=getattr(args, "timings", False))
-    if not args.json:
-        passed = sum(1 for r in reports if r.passed)
-        print(f"# {passed}/{len(reports)} checks passed", file=sys.stderr)
+    passed = sum(1 for r in reports if r.passed)
+    print(f"# {passed}/{len(reports)} checks passed", file=sys.stderr)
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -289,22 +289,8 @@ def sqrt_prime(p: int) -> Cyclo:
     return out
 
 
-def sqrt_positive_rational(r: Fraction) -> tuple[Fraction, Cyclo]:
-    """sqrt(r) for r > 0 rational as (rational factor, cyclotomic surd).
-
-    Returns (c, s) with sqrt(r) = c * s and s a product of sqrt(p) over the
-    primes appearing to odd exponent in r.
-    """
-    if r <= 0:
-        raise ValueError("need r > 0")
-    c = Fraction(1)
-    s = Cyclo(1)
-    for p, e in factorize(r.numerator).items():
-        c *= Fraction(p) ** (e // 2)
-        if e % 2:
-            s = s * sqrt_prime(p)
-    for p, e in factorize(r.denominator).items():
-        c /= Fraction(p) ** ((e + 1) // 2)
-        if e % 2:
-            s = s * sqrt_prime(p)  # sqrt(1/p) = sqrt(p)/p
-    return c, s
+def sqrt_prime_power(p: int, w: int) -> Cyclo:
+    """p**(w/2) exactly: a power of p, times sqrt(p) when w is odd."""
+    if w % 2 == 0:
+        return Cyclo(Fraction(p) ** (w // 2))
+    return sqrt_prime(p) * Fraction(p) ** ((w - 1) // 2)

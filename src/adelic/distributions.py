@@ -21,7 +21,6 @@ import numpy as np
 from .adeles import Adele, Idele
 from .bruhat import (
     ElementaryFunction,
-    HermiteGaussian,
     PAdicTestFunction,
     SchwartzBruhat,
     omega,
@@ -148,9 +147,6 @@ def chi_distribution() -> AdelicDistribution:
     """
 
     def real_rule(rf) -> complex:
-        if isinstance(rf, HermiteGaussian):
-            vec = lambda xs: np.array([rf.evaluate(float(x)) for x in xs])
-            return gauss_character_integral(0.0, 1.0, vec, radius=rf.decay_radius())
         vec = lambda xs: np.array([rf.evaluate(float(x)) for x in xs])
         return gauss_character_integral(0.0, 1.0, vec, radius=rf.decay_radius())
 

@@ -26,9 +26,9 @@ from fractions import Fraction
 
 from .adeles import Adele, Idele
 from .bruhat import Ball, ElementaryFunction, PAdicTestFunction, omega
-from .cyclotomic import Cyclo, UnitPhase, phase, sqrt_prime
+from .cyclotomic import Cyclo, UnitPhase, phase, sqrt_prime_power
 from .integrate import integrate_qp, stabilized_ball_sum
-from .padic import frac_part, unit_part_mod, valuation
+from .padic import frac_part, padic_norm, unit_part_mod, valuation
 from .primes import legendre_symbol, rational_primes, require_prime
 
 F = Fraction
@@ -36,17 +36,16 @@ F = Fraction
 REAL_PLACE = "inf"
 
 
-def lambda_inf(a: Fraction | float) -> complex:
+def lambda_inf_phase(a: Fraction | float) -> UnitPhase:
     """lam at the real place: the Fresnel phase e^(-i pi sign(a)/4)."""
     if a == 0:
         raise ValueError("lambda_v requires a != 0")
-    return UnitPhase(F(-1, 8) if a > 0 else F(1, 8)).value
-
-
-def lambda_inf_phase(a: Fraction | float) -> UnitPhase:
-    if a == 0:
-        raise ValueError("lambda_v requires a != 0")
     return UnitPhase(F(-1, 8) if a > 0 else F(1, 8))
+
+
+def lambda_inf(a: Fraction | float) -> complex:
+    """``lambda_inf_phase`` as a complex number."""
+    return lambda_inf_phase(a).value
 
 
 def lambda_p(p: int, a: Fraction | int) -> UnitPhase:
@@ -77,12 +76,20 @@ def lambda_v(v, a: Fraction | float):
 
 
 def sqrt_norm_2a_inv(p: int, a: Fraction) -> Cyclo:
-    """|2a|_p^(-1/2) as an exact cyclotomic (integer power of p times
-    sqrt(p) when the valuation of 2a is odd)."""
-    v = valuation(2 * a, p).value
-    if v % 2 == 0:
-        return Cyclo(F(p) ** (v // 2))
-    return sqrt_prime(p) * (F(p) ** ((v - 1) // 2))
+    """|2a|_p^(-1/2) = p**(v(2a)/2) as an exact cyclotomic."""
+    return sqrt_prime_power(p, valuation(2 * a, p).value)
+
+
+def class_representatives(
+    p: int, valuations: tuple[int, ...] = (-2, -1, 0, 1, 2)
+) -> list[Fraction]:
+    """One a = u p**v per (valuation, unit class) cell, valuation-major.
+
+    The unit classes are those that fix lam_p: u mod 8 for p = 2, u mod p
+    otherwise.
+    """
+    units = (1, 3, 5, 7) if p == 2 else range(1, p)
+    return [F(u) * F(p) ** v for v in valuations for u in units]
 
 
 def gauss_integral_p_exact(p: int, a: Fraction | int, b: Fraction | int = 0) -> Cyclo:
@@ -326,19 +333,11 @@ def calibrate_lambda_p(
     suite asserts this, keeping the frozen table honest.
     """
     require_prime(p)
-    units = (1, 3, 5, 7) if p == 2 else tuple(range(1, p))
     out: dict[Fraction, Cyclo] = {}
-    for v in valuations:
-        for u in units:
-            a = F(u) * F(p) ** v
-            res = integrate_qp(p, quad=(a, F(0)))
-            if not res.stabilized:
-                raise ArithmeticError(f"oracle did not stabilize for a={a}")
-            # |2a|^{+1/2} as exact cyclotomic
-            v2a = valuation(2 * a, p).value
-            if v2a % 2 == 0:
-                inv_mod = Cyclo(F(p) ** (-(v2a // 2)))
-            else:
-                inv_mod = sqrt_prime(p) * (F(p) ** (-(v2a + 1) // 2))
-            out[a] = res.value * inv_mod
+    for a in class_representatives(p, valuations):
+        res = integrate_qp(p, quad=(a, F(0)))
+        if not res.stabilized:
+            raise ArithmeticError(f"oracle did not stabilize for a={a}")
+        # |2a|^(1/2) = |2a| * |2a|^(-1/2)
+        out[a] = res.value * (padic_norm(2 * a, p) * sqrt_norm_2a_inv(p, a))
     return out

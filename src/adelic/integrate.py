@@ -270,90 +270,12 @@ def measure_of_ball(p: int, level: int) -> Fraction:
     return F(p) ** (-level)
 
 
-def multiplicative_measure_factor(p: int) -> Fraction:
-    """d*x = (1 - 1/p)^-1 |x|_p^-1 dx: the unit-sphere normalizer."""
-    return 1 / (1 - F(1, p))
-
-
-# re-exported real-line oracle
-from .quadrature import (  # noqa: E402  (deliberate re-export)
-    QuadratureConfig,
-    RealIntegral,
-    fresnel_regularized,
-    gauss_character_integral,
-    integrate_real_function,
-)
-
-
-def integrate_real(phi, quad: tuple[float, float] | None = None,
-                   cfg: QuadratureConfig | None = None) -> RealIntegral:
-    """int phi(x) chi_inf(a x^2 + b x) dx on the real line.
-
-    Hermite-Gaussian inputs take the closed-form route (the plain integral
-    through the gamma closed form; the pure-Gaussian quadratic case by
-    completing the square) with quadrature demoted to a cross-check whose
-    disagreement is the reported error estimate.  Anything else is numeric.
-    """
-    import cmath
-    import math as _math
-
-    from .bruhat import HermiteGaussian
-
-    cfg = cfg or QuadratureConfig()
-    if isinstance(phi, HermiteGaussian):
-        closed = None
-        if quad is None:
-            from .mellin import mellin_real
-
-            closed = mellin_real(phi, 1.0)
-            numeric = integrate_real_function(phi.evaluate, cfg)
-        elif set(phi.coeffs) <= {0}:
-            a, b = float(quad[0]), float(quad[1])
-            c0 = phi.coeffs.get(0)
-            scale = c0.to_complex() if c0 is not None else 0j
-            tau = complex(1.0, 2.0 * a)
-            closed = scale * tau**-0.5 * cmath.exp(-_math.pi * b * b / tau)
-            numeric = RealIntegral(
-                gauss_character_integral(a, b, lambda xs: _np_eval(phi, xs),
-                                         radius=cfg.radius),
-                0.0,
-            )
-        if closed is not None:
-            err = abs(numeric.value - closed)
-            return RealIntegral(closed, err, flagged=err > cfg.err_budget)
-    if quad is None:
-        return integrate_real_function(phi.evaluate if hasattr(phi, "evaluate") else phi, cfg)
-    a, b = float(quad[0]), float(quad[1])
-    f = phi.evaluate if hasattr(phi, "evaluate") else phi
-    value = gauss_character_integral(a, b, lambda xs: _np_eval_callable(f, xs),
-                                     radius=getattr(phi, "radius", cfg.radius))
-    return RealIntegral(value, cfg.err_budget, flagged=False)
-
-
-def _np_eval(phi, xs):
-    import numpy as np
-
-    return np.array([phi.evaluate(float(x)) for x in xs], dtype=complex)
-
-
-def _np_eval_callable(f, xs):
-    import numpy as np
-
-    return np.array([complex(f(float(x))) for x in xs], dtype=complex)
-
 __all__ = [
     "SphereDecompositionPlan",
     "QpIntegral",
-    "QuadratureConfig",
-    "RealIntegral",
     "stabilized_ball_sum",
     "integrate_ball_character",
     "integrate_qp",
-    "integrate_real",
     "sphere_provably_zero",
     "measure_of_ball",
-    "multiplicative_measure_factor",
-    "fresnel_regularized",
-    "gauss_character_integral",
-    "integrate_real_function",
 ]

@@ -29,7 +29,7 @@ from .bruhat import (
     hermite_coefficients,
 )
 from .characters import chi_p
-from .cyclotomic import Cyclo, UnitPhase, phase
+from .cyclotomic import Cyclo, UnitPhase, phase, sqrt_prime_power
 from .distributions import delta_distribution, pair
 from .gauss import lambda_p
 from .integrate import integrate_qp
@@ -59,14 +59,6 @@ def _trig_domain_check(t: PAdicApprox):
         raise DomainError(
             f"p-adic trig series needs |t|_p <= p^-{need}, got valuation {v.value}"
         )
-
-
-def _factorial_valuation(n: int, p: int) -> int:
-    v, q = 0, p
-    while q <= n:
-        v += n // q
-        q *= p
-    return v
 
 
 def _trig_series(t: PAdicApprox, odd_powers: bool, target: int | None) -> PAdicAnalyticValue:
@@ -137,13 +129,18 @@ def _require_nonzero_sin(t: PAdicApprox, sin_t: PAdicApprox):
     )
 
 
-def kernel_kt_p(p: int, t: PAdicApprox, x: PAdicApprox, y: PAdicApprox) -> complex:
-    """The local oscillator kernel K_t(x, y) at a finite place."""
+def _kernel_constants(p: int, t: PAdicApprox) -> tuple[PAdicApprox, PAdicApprox, UnitPhase]:
+    """sin t, cos t and lam_p(2 sin t): the t-dependent kernel constants."""
     require_prime(p)
     sin_t = padic_sin(t).result
     _require_nonzero_sin(t, sin_t)
     cos_t = padic_cos(t).result
-    lam = _lambda_p_checked(p, sin_t * 2)
+    return sin_t, cos_t, _lambda_p_checked(p, sin_t * 2)
+
+
+def kernel_kt_p(p: int, t: PAdicApprox, x: PAdicApprox, y: PAdicApprox) -> complex:
+    """The local oscillator kernel K_t(x, y) at a finite place."""
+    sin_t, cos_t, lam = _kernel_constants(p, t)
     v_sin = sin_t.valuation().value
     modulus = float(p) ** (v_sin / 2.0)  # |sin t|^(-1/2) = p^(v/2)
     # chi argument: x y / sin t - (x^2 + y^2) cos t / (2 sin t)
@@ -160,21 +157,12 @@ def kernel_kt_p_exact(
     plus the rational character argument's fractional part, for exact
     eigenvalue comparisons.
     """
-    sin_t = padic_sin(t).result
-    cos_t = padic_cos(t).result
-    _require_nonzero_sin(t, sin_t)
-    lam = _lambda_p_checked(p, sin_t * 2)
+    sin_t, cos_t, lam = _kernel_constants(p, t)
     s, c = sin_t.approximant, cos_t.approximant
     arg = x * y / s - (x * x + y * y) * c / (2 * s)
     fp = frac_part(arg, p)
-    v_sin = sin_t.valuation().value
     # |sin t|^(-1/2) = p^(v/2) exactly
-    if v_sin % 2 == 0:
-        mag = Cyclo(F(p) ** (v_sin // 2))
-    else:
-        from .cyclotomic import sqrt_prime
-
-        mag = sqrt_prime(p) * F(p) ** ((v_sin - 1) // 2)
+    mag = sqrt_prime_power(p, sin_t.valuation().value)
     return lam.as_cyclo() * mag * phase(fp), fp
 
 
@@ -196,19 +184,9 @@ def eigen_check(
     with the default precision the congruence class pins down every
     character value that appears, so the approximant substitution is exact.
     """
-    require_prime(p)
-    sin_t = padic_sin(t).result
-    cos_t = padic_cos(t).result
-    _require_nonzero_sin(t, sin_t)
-    lam = _lambda_p_checked(p, sin_t * 2)
+    sin_t, cos_t, lam = _kernel_constants(p, t)
     s, c = sin_t.approximant, cos_t.approximant
-    v_sin = sin_t.valuation().value
-    if v_sin % 2 == 0:
-        mag = Cyclo(F(p) ** (v_sin // 2))
-    else:
-        from .cyclotomic import sqrt_prime
-
-        mag = sqrt_prime(p) * F(p) ** ((v_sin - 1) // 2)
+    mag = sqrt_prime_power(p, sin_t.valuation().value)
     a_quad = -c / (2 * s)
     phase_e = phase(frac_part(energy * t.approximant, p))
     worst = 0.0

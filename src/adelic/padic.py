@@ -168,12 +168,6 @@ def digits(r: Rat | int, p: int, count: int) -> tuple[Valuation, list[int]]:
     return v, out
 
 
-def leading_digit(r: Rat | int, p: int) -> int:
-    """x0 of the canonical expansion; the unit part of r modulo p."""
-    _, ds = digits(r, p, 1)
-    return ds[0]
-
-
 def unit_part_mod(r: Rat | int, p: int, modulus_exp: int) -> int:
     """The unit part u of r = p**v * u reduced modulo p**modulus_exp."""
     v, ds = digits(r, p, modulus_exp)

@@ -87,13 +87,6 @@ def real_fourier_transform(f: Callable[[float], complex], radius: float,
     return quad_scalar(g, -radius, radius, panels)
 
 
-def real_fourier_grid(sample_values: np.ndarray, xs: np.ndarray, ws: np.ndarray,
-                      xis: np.ndarray) -> np.ndarray:
-    """Vectorized transform of tabulated f at many frequencies."""
-    kernel = np.exp(-2j * np.pi * np.outer(xis, xs))
-    return kernel @ (sample_values * ws)
-
-
 def gauss_character_integral(a: float, b: float, phi_vals: Callable[[np.ndarray], np.ndarray],
                              radius: float = 8.0, panels: int | None = None) -> complex:
     """int phi(x) chi_inf(a x^2 + b x) dx with chi_inf(z) = e^(-2 pi i z).

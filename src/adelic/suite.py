@@ -25,12 +25,13 @@ from .characters import chi_principal_phase
 from .cyclotomic import Cyclo, phase
 from .distributions import chi_distribution, delta_distribution, pair
 from .gauss import (
+    class_representatives,
     gauss_integral_inf,
     gauss_integral_p_exact,
     lambda_product_check,
     product_formula_check,
 )
-from .integrate import fresnel_regularized, integrate_qp
+from .integrate import integrate_qp
 from .mellin import (
     functional_equation_residual,
     gamma_fn,
@@ -46,6 +47,7 @@ from .oscillator import (
     vacuum_fourier_check,
 )
 from .padic import from_rational
+from .quadrature import fresnel_regularized
 
 F = Fraction
 
@@ -63,21 +65,17 @@ class CheckReport:
     runtime_ms: float = 0.0
 
 
-def _report(check: str, inputs: dict, value, expected, tol: float, t0: float,
-            exact: bool = False) -> CheckReport:
-    if exact:
-        err = 0.0 if value == expected else float("inf")
-    else:
-        err = abs(complex(value) - complex(expected))
-    return CheckReport(
-        check=check,
-        inputs=inputs,
-        value=value,
-        expected=expected,
-        abs_error=err,
-        passed=err <= tol,
-        runtime_ms=(time.perf_counter() - t0) * 1000.0,
-    )
+def make_report(check: str, inputs: dict, value, expected, t0: float, *,
+                passed: bool, error: float | None = None) -> CheckReport:
+    """The one constructor of report rows, timed from ``t0``.
+
+    The caller decides ``passed`` with the row's own comparison.  Without an
+    ``error`` the row is exact: its error is 0.0 on pass and inf on fail.
+    """
+    if error is None:
+        error = 0.0 if passed else float("inf")
+    return CheckReport(check, inputs, value, expected, error, passed,
+                       (time.perf_counter() - t0) * 1000.0)
 
 
 # -- 1. norm product formula -------------------------------------------------
@@ -93,14 +91,13 @@ def norm_product_checks(count: int = 1000, seed: int = DEFAULT_SEED) -> list[Che
             worst = r
             break
     return [
-        CheckReport(
+        make_report(
             "norm-product-formula",
             {"count": count, "seed": seed},
             "1 (exact)" if worst is None else f"failed at r={worst}",
             "1",
-            0.0 if worst is None else float("inf"),
-            worst is None,
-            (time.perf_counter() - t0) * 1000.0,
+            t0,
+            passed=worst is None,
         )
     ]
 
@@ -118,14 +115,13 @@ def chi_principal_checks(count: int = 1000, seed: int = DEFAULT_SEED) -> list[Ch
             worst = r
             break
     return [
-        CheckReport(
+        make_report(
             "chi-principal-trivial",
             {"count": count, "seed": seed},
             "phase 0 (exact)" if worst is None else f"failed at r={worst}",
             "phase 0",
-            0.0 if worst is None else float("inf"),
-            worst is None,
-            (time.perf_counter() - t0) * 1000.0,
+            t0,
+            passed=worst is None,
         )
     ]
 
@@ -137,29 +133,25 @@ def gauss_grid_checks(primes=(2, 3, 5, 7)) -> list[CheckReport]:
     out = []
     for p in primes:
         t0 = time.perf_counter()
-        units = (1, 3, 5, 7) if p == 2 else tuple(range(1, p))
         bad = None
         cells = 0
-        for v in range(-2, 3):
-            for u in units:
-                a = F(u) * F(p) ** v
-                for b in (F(0), F(1), F(1, p), F(3, p * p)):
-                    cells += 1
-                    oracle = integrate_qp(p, quad=(a, b))
-                    if not oracle.stabilized or not (
-                        oracle.value == gauss_integral_p_exact(p, a, b)
-                    ):
-                        bad = (a, b)
-                        break
+        for a in class_representatives(p):
+            for b in (F(0), F(1), F(1, p), F(3, p * p)):
+                cells += 1
+                oracle = integrate_qp(p, quad=(a, b))
+                if not oracle.stabilized or not (
+                    oracle.value == gauss_integral_p_exact(p, a, b)
+                ):
+                    bad = (a, b)
+                    break
         out.append(
-            CheckReport(
+            make_report(
                 f"gauss-oracle-p{p}",
                 {"p": p, "cells": cells},
                 "exact agreement" if bad is None else f"mismatch at {bad}",
                 "exact agreement",
-                0.0 if bad is None else float("inf"),
-                bad is None,
-                (time.perf_counter() - t0) * 1000.0,
+                t0,
+                passed=bad is None,
             )
         )
     t0 = time.perf_counter()
@@ -169,14 +161,14 @@ def gauss_grid_checks(primes=(2, 3, 5, 7)) -> list[CheckReport]:
             oracle, _ = fresnel_regularized(a, b)
             worst = max(worst, abs(oracle - gauss_integral_inf(a, b)))
     out.append(
-        CheckReport(
+        make_report(
             "gauss-oracle-real",
             {"cases": 12},
             f"max deviation {worst:.3e}",
             "<= 1e-6",
-            worst,
-            worst <= 1e-6,
-            (time.perf_counter() - t0) * 1000.0,
+            t0,
+            passed=worst <= 1e-6,
+            error=worst,
         )
     )
     return out
@@ -193,28 +185,28 @@ def product_formula_checks(count: int = 100, seed: int = DEFAULT_SEED) -> list[C
         a = F(rng.randint(1, 60) * rng.choice([-1, 1]), rng.randint(1, 60))
         b = F(rng.randint(0, 60) * rng.choice([-1, 1]), rng.randint(1, 60))
         worst = max(worst, abs(product_formula_check(a, b) - 1))
-    rep1 = CheckReport(
+    rep1 = make_report(
         "gauss-product-formula",
         {"count": count, "seed": seed},
         f"max |prod - 1| = {worst:.3e}",
         "1",
-        worst,
-        worst < 1e-10,
-        (time.perf_counter() - t0) * 1000.0,
+        t0,
+        passed=worst < 1e-10,
+        error=worst,
     )
     t0 = time.perf_counter()
     worst_l = 0.0
     for _ in range(count):
         a = F(rng.randint(1, 80) * rng.choice([-1, 1]), rng.randint(1, 80))
         worst_l = max(worst_l, abs(lambda_product_check(a) - 1))
-    rep2 = CheckReport(
+    rep2 = make_report(
         "lambda-product-formula",
         {"count": count, "seed": seed},
         f"max |prod - 1| = {worst_l:.3e}",
         "1",
-        worst_l,
-        worst_l < 1e-12,
-        (time.perf_counter() - t0) * 1000.0,
+        t0,
+        passed=worst_l < 1e-12,
+        error=worst_l,
     )
     return [rep1, rep2]
 
@@ -248,28 +240,26 @@ def fourier_checks(count: int = 100, seed: int = DEFAULT_SEED) -> list[CheckRepo
         if f.l2_norm_sq() != f.fourier().l2_norm_sq():
             bad = ("plancherel", i)
             break
-    rep1 = CheckReport(
+    rep1 = make_report(
         "fourier-involution-plancherel",
         {"count": count, "seed": seed},
         "exact" if bad is None else f"failed: {bad}",
         "exact",
-        0.0 if bad is None else float("inf"),
-        bad is None,
-        (time.perf_counter() - t0) * 1000.0,
+        t0,
+        passed=bad is None,
     )
     t0 = time.perf_counter()
     ok = all(
         PAdicTestFunction.omega(p).fourier() == PAdicTestFunction.omega(p)
         for p in (2, 3, 5, 7, 11)
     )
-    rep2 = CheckReport(
+    rep2 = make_report(
         "omega-self-dual",
         {"primes": [2, 3, 5, 7, 11]},
         "exact" if ok else "failed",
         "exact",
-        0.0 if ok else float("inf"),
-        ok,
-        (time.perf_counter() - t0) * 1000.0,
+        t0,
+        passed=ok,
     )
     return [rep1, rep2]
 
@@ -308,14 +298,14 @@ def tate_checks(n_functions: int = 20, n_alphas: int = 10,
         for alpha in alphas:
             worst = max(worst, tate_check(phi, alpha))
     return [
-        CheckReport(
+        make_report(
             "tate-formula",
             {"functions": n_functions, "alphas": n_alphas, "seed": seed},
             f"max residual {worst:.3e}",
             "< 1e-6",
-            worst,
-            worst < 1e-6,
-            (time.perf_counter() - t0) * 1000.0,
+            t0,
+            passed=worst < 1e-6,
+            error=worst,
         )
     ]
 
@@ -330,25 +320,25 @@ def functional_equation_checks(count: int = 20, seed: int = DEFAULT_SEED) -> lis
     for _ in range(count):
         alpha = complex(rng.uniform(0.05, 0.95), rng.uniform(-5, 5))
         worst = max(worst, functional_equation_residual(alpha))
-    rep1 = CheckReport(
+    rep1 = make_report(
         "zeta-functional-equation",
         {"count": count, "seed": seed},
         f"max residual {worst:.3e}",
         "< 1e-10",
-        worst,
-        worst < 1e-10,
-        (time.perf_counter() - t0) * 1000.0,
+        t0,
+        passed=worst < 1e-10,
+        error=worst,
     )
     t0 = time.perf_counter()
     z = abs(zeta(0.5 + 14.134725j))
-    rep2 = CheckReport(
+    rep2 = make_report(
         "zeta-first-zero-probe",
         {"alpha": "0.5 + 14.134725i"},
         f"|zeta| = {z:.3e}",
         "< 1e-3",
-        z,
-        z < 1e-3,
-        (time.perf_counter() - t0) * 1000.0,
+        t0,
+        passed=z < 1e-3,
+        error=z,
     )
     return [rep1, rep2]
 
@@ -368,14 +358,14 @@ def vacuum_mellin_checks() -> list[CheckReport]:
     c0 = consts[0]
     spread = max(abs(c - c0) / abs(c0) for c in consts)
     return [
-        CheckReport(
+        make_report(
             "vacuum-mellin-constant",
             {"alphas": [2, 3, 4]},
             f"measured c = {c0.real:.12f} (2^0.25 = {2**0.25:.12f}), spread {spread:.2e}",
             "single constant within 1e-8 relative",
-            spread,
-            spread < 1e-8,
-            (time.perf_counter() - t0) * 1000.0,
+            t0,
+            passed=spread < 1e-8,
+            error=spread,
         )
     ]
 
@@ -395,14 +385,13 @@ def oscillator_checks() -> list[CheckReport]:
             if not ident.congruent(from_rational(1, p, ident.precision)):
                 bad = (p, tval)
     out.append(
-        CheckReport(
+        make_report(
             "oscillator-trig-identity",
             {"primes": [3, 5, 7], "precision": 12},
             "exact mod p^N" if bad is None else f"failed {bad}",
             "exact",
-            0.0 if bad is None else float("inf"),
-            bad is None,
-            (time.perf_counter() - t0) * 1000.0,
+            t0,
+            passed=bad is None,
         )
     )
     t0 = time.perf_counter()
@@ -414,40 +403,40 @@ def oscillator_checks() -> list[CheckReport]:
         )
         worst = max(worst, dev)
     out.append(
-        CheckReport(
+        make_report(
             "oscillator-vacuum-invariance",
             {"primes": [3, 5, 7], "|t|": "1/p"},
             f"max deviation {worst}",
             "exactly 0",
-            worst,
-            worst == 0.0,
-            (time.perf_counter() - t0) * 1000.0,
+            t0,
+            passed=worst == 0.0,
+            error=worst,
         )
     )
     t0 = time.perf_counter()
     exact_ok, sup_err = vacuum_fourier_check()
     out.append(
-        CheckReport(
+        make_report(
             "oscillator-vacuum-fourier",
             {"primes": [2, 3, 5, 7, 11], "grid": 1000},
             f"p-adic exact: {exact_ok}, real sup-error {sup_err:.3e}",
             "exact and < 1e-10",
-            sup_err if exact_ok else float("inf"),
-            exact_ok and sup_err < 1e-10,
-            (time.perf_counter() - t0) * 1000.0,
+            t0,
+            passed=exact_ok and sup_err < 1e-10,
+            error=sup_err if exact_ok else float("inf"),
         )
     )
     t0 = time.perf_counter()
     gram_dev = real_state_orthonormality(8)
     out.append(
-        CheckReport(
+        make_report(
             "oscillator-hermite-gram",
             {"max_degree": 8},
             f"max |G - I| = {gram_dev:.3e}",
             "< 1e-9",
-            gram_dev,
-            gram_dev < 1e-9,
-            (time.perf_counter() - t0) * 1000.0,
+            t0,
+            passed=gram_dev < 1e-9,
+            error=gram_dev,
         )
     )
     return out
@@ -468,14 +457,13 @@ def pairing_checks(count: int = 50, seed: int = DEFAULT_SEED) -> list[CheckRepor
         if pair(delta, phi) != phi.evaluate(zero_adele()):
             bad = i
             break
-    rep1 = CheckReport(
+    rep1 = make_report(
         "delta-sifting",
         {"count": count, "seed": seed},
         "exact" if bad is None else f"failed at {bad}",
         "exact",
-        0.0 if bad is None else float("inf"),
-        bad is None,
-        (time.perf_counter() - t0) * 1000.0,
+        t0,
+        passed=bad is None,
     )
     t0 = time.perf_counter()
     chi_d = chi_distribution()
@@ -485,14 +473,14 @@ def pairing_checks(count: int = 50, seed: int = DEFAULT_SEED) -> list[CheckRepor
         got = pair(chi_d, phi)
         expect = phi.fourier().evaluate(principal_adele(1))
         worst = max(worst, abs(got - expect))
-    rep2 = CheckReport(
+    rep2 = make_report(
         "chi-pairing-vs-fourier",
         {"count": 15, "seed": seed},
         f"max deviation {worst:.3e}",
         "< 1e-10",
-        worst,
-        worst < 1e-10,
-        (time.perf_counter() - t0) * 1000.0,
+        t0,
+        passed=worst < 1e-10,
+        error=worst,
     )
     return [rep1, rep2]
 

@@ -127,6 +127,28 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
+_PHI = json.dumps({"real": [[0, "1"]], "primes": {}})
+
+
+@pytest.mark.parametrize("argv", [
+    ["pair", "--dist", "delta", "--phi", "[1,2]"],
+    ["pair", "--dist", "delta", "--phi", "@no-such-dir/phi.json"],
+    ["norm", "-r", "3", "-p", "4"],
+    ["mellin", "--phi", _PHI, "--alpha", "nan,0"],
+    ["mellin", "--phi", _PHI, "--alpha", "inf,0"],
+    ["zeta-fe", "--alpha", "0.5,nan"],
+], ids=["phi-not-object", "phi-file-missing", "p-not-prime", "alpha-nan",
+        "alpha-inf", "alpha-imag-nan"])
+def test_usage_errors_exit_2_without_traceback(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len([l for l in captured.err.splitlines() if "error:" in l]) == 1
+    assert "Traceback" not in captured.err
+
+
 def test_domain_error_maps_to_exit_1():
     code, _, err = run_cli("zeta-fe", "--alpha", "1,0")
     assert code == 1

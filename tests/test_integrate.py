@@ -8,15 +8,17 @@ from adelic.bruhat import Ball, PAdicTestFunction
 from adelic.characters import chi_p
 from adelic.cyclotomic import Cyclo
 from adelic.integrate import (
-    QuadratureConfig,
     SphereDecompositionPlan,
-    fresnel_regularized,
-    gauss_character_integral,
     integrate_ball_character,
     integrate_qp,
-    integrate_real_function,
     measure_of_ball,
     sphere_provably_zero,
+)
+from adelic.quadrature import (
+    QuadratureConfig,
+    fresnel_regularized,
+    gauss_character_integral,
+    integrate_real_function,
 )
 
 F = Fraction
