@@ -27,7 +27,7 @@ from fractions import Fraction
 from .adeles import Adele, Idele
 from .bruhat import Ball, ElementaryFunction, PAdicTestFunction, omega
 from .cyclotomic import Cyclo, UnitPhase, phase, sqrt_prime_power
-from .integrate import integrate_qp, stabilized_ball_sum
+from .integrate import integrate_qp, sphere_balls, stabilized_ball_sum
 from .padic import frac_part, padic_norm, unit_part_mod, valuation
 from .primes import legendre_symbol, rational_primes, require_prime
 
@@ -80,15 +80,20 @@ def sqrt_norm_2a_inv(p: int, a: Fraction) -> Cyclo:
     return sqrt_prime_power(p, valuation(2 * a, p).value)
 
 
+def lambda_class_depth(p: int) -> int:
+    """lam_p(u p**v) is fixed by the unit class u mod p**d, with d = 3 for
+    p = 2 (u mod 8) and d = 1 otherwise."""
+    return 3 if p == 2 else 1
+
+
 def class_representatives(
     p: int, valuations: tuple[int, ...] = (-2, -1, 0, 1, 2)
 ) -> list[Fraction]:
     """One a = u p**v per (valuation, unit class) cell, valuation-major.
 
-    The unit classes are those that fix lam_p: u mod 8 for p = 2, u mod p
-    otherwise.
+    The unit classes are those that fix lam_p (``lambda_class_depth``).
     """
-    units = (1, 3, 5, 7) if p == 2 else range(1, p)
+    units = [u for u in range(1, p ** lambda_class_depth(p)) if u % p]
     return [F(u) * F(p) ** v for v in valuations for u in units]
 
 
@@ -195,23 +200,28 @@ def _lambda_point_value(p: int, a: Fraction, beta: Fraction, mod: Fraction) -> C
     return out
 
 
-def _lambda_constancy_level(p: int, ball: Ball, beta: Fraction, mod: Fraction) -> int:
-    """Sound constancy level for the Lambda integrand on a ball away from 0.
+def _lambda_ball(p: int, ball: Ball, beta: Fraction, mod: Fraction) -> Cyclo:
+    """The Lambda integrand over a ball away from 0, as a stabilized residue sum.
 
-    lam_p and |2a| are fixed by the unit part mod p (mod 8 for p = 2);
-    chi(beta/a) moves by beta*y/(a(a+y)), chi(mod*a) by mod*y.
+    The sum starts at a sound constancy level: lam_p and |2a| are fixed by
+    the unit class (``lambda_class_depth``); chi(beta/a) moves by
+    beta*y/(a(a+y)), chi(mod*a) by mod*y.
     """
     k = ball.radius_exp
     vc = valuation(ball.center, p).value
-    lvl = max(k, vc + (3 if p == 2 else 1))
+    lvl = max(k, vc + lambda_class_depth(p))
     if beta != 0:
-        w = valuation(beta, p).value
-        lvl = max(lvl, 2 * vc - w)
+        lvl = max(lvl, 2 * vc - valuation(beta, p).value)
     if mod != 0:
         vm = valuation(mod, p).value
         if vm < 0:
             lvl = max(lvl, -vm)
-    return lvl
+    part = stabilized_ball_sum(
+        p, ball, lambda c: _lambda_point_value(p, c, beta, mod), cap=8, start_level=lvl
+    )
+    if not part.stabilized:
+        raise ArithmeticError("Lambda transform local integral did not stabilize")
+    return part.value
 
 
 def lambda_local_transform(p: int, f: PAdicTestFunction, b_p: Fraction) -> Cyclo:
@@ -230,16 +240,7 @@ def lambda_local_transform(p: int, f: PAdicTestFunction, b_p: Fraction) -> Cyclo
     total = Cyclo()
     for (ball, mod), coeff in f.terms.items():
         if not ball.contains(F(0)):
-            part = stabilized_ball_sum(
-                p,
-                ball,
-                lambda c: _lambda_point_value(p, c, beta, mod),
-                cap=8,
-                start_level=_lambda_constancy_level(p, ball, beta, mod),
-            )
-            if not part.stabilized:
-                raise ArithmeticError("Lambda transform local integral did not stabilize")
-            total = total + coeff * part.value
+            total = total + coeff * _lambda_ball(p, ball, beta, mod)
         else:
             total = total + coeff * _lambda_ball_at_zero(p, ball.radius_exp, beta, mod)
     return total
@@ -249,30 +250,17 @@ def _lambda_ball_at_zero(p: int, k: int, beta: Fraction, mod: Fraction) -> Cyclo
     """The Lambda integrand over p**k Z_p: finite spheres + certified tail.
 
     The Moebius substitution argument kills spheres beyond v(beta) plus the
-    level where lam_p is constant on a class ball: one level for odd p,
-    three for p = 2 (mod 8 classes).
+    level where lam_p is constant on a class ball (``lambda_class_depth``).
     """
-    w = valuation(beta, p).value if beta != 0 else None
-    vm = valuation(mod, p).value if mod != 0 else None
     v_cut = k
-    if w is not None:
-        v_cut = max(v_cut, w + (3 if p == 2 else 1))
-    if vm is not None:
-        v_cut = max(v_cut, -vm)
+    if beta != 0:
+        v_cut = max(v_cut, valuation(beta, p).value + lambda_class_depth(p))
+    if mod != 0:
+        v_cut = max(v_cut, -valuation(mod, p).value)
     total = Cyclo()
     for v in range(k, v_cut + 1):
-        for u in range(1, p):
-            piece_ball = Ball(p, F(u) * F(p) ** v, v + 1)
-            part = stabilized_ball_sum(
-                p,
-                piece_ball,
-                lambda c: _lambda_point_value(p, c, beta, mod),
-                cap=8,
-                start_level=_lambda_constancy_level(p, piece_ball, beta, mod),
-            )
-            if not part.stabilized:
-                raise ArithmeticError("Lambda transform sphere did not stabilize")
-            total = total + part.value
+        for piece in sphere_balls(p, -v):
+            total = total + _lambda_ball(p, piece, beta, mod)
     if beta == 0:
         # remaining spheres: odd ones cancel inside the lambda table, even
         # ones sum geometrically to p**(-V/2) for the first even V > v_cut

@@ -19,6 +19,7 @@ tail-vanishing index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -38,7 +39,6 @@ _COSET_BUDGET = 500_000  # residue points per refinement level before flagging
 class SphereDecompositionPlan:
     """Controls sphere range and refinement depth of the p-adic oracle."""
 
-    j_low: int | None = None  # innermost sphere; None = automatic cutoff
     j_high: int | None = None  # outermost sphere; None = certified tail index
     refinement_cap: int = 12  # extra refinement levels before flagging
 
@@ -51,8 +51,29 @@ class QpIntegral:
     stabilized: bool
     tail_vanished_at: int | None = None
 
-    def to_complex(self) -> complex:
-        return self.value.to_complex()
+
+def _refine(p: int, k: int, m: int, cap: int, level_sum: Callable) -> QpIntegral:
+    """The one refinement loop over a ball of radius p**(-k), from level m.
+
+    ``level_sum(level)`` yields the (phase, coefficient) pairs summed over
+    the cosets of p**level Z_p.  Past ``cap`` levels or the coset budget
+    the result is flagged.
+    """
+    if m > k + cap:
+        # stabilization cannot be reached within the cap (|a|_p too large)
+        return QpIntegral(Cyclo(), False)
+    prev: dict | None = None
+    for level in range(m, m + cap + 1):
+        if p ** (level - k) > _COSET_BUDGET:
+            break
+        scale = F(p) ** (-level)
+        total = {q: coeff * scale for q, coeff in level_sum(level)}
+        # formal agreement of the normalized phase sums; at local constancy
+        # the refined sum reproduces the coarse one term by term
+        if prev is not None and total == prev:
+            return QpIntegral(Cyclo(total), True)
+        prev = total
+    return QpIntegral(Cyclo(prev or {}), False)
 
 
 def stabilized_ball_sum(
@@ -69,14 +90,9 @@ def stabilized_ball_sum(
     """
     require_prime(p)
     k = ball.radius_exp
-    m = k if start_level is None else max(k, start_level)
-    if m > k + cap or p ** (m - k) > _COSET_BUDGET:
-        # stabilization cannot be reached within the cap (|a|_p too large)
-        return QpIntegral(Cyclo(), False)
-    limit = m + cap
-    prev: dict | None = None
     step = F(p) ** k
-    while m <= limit and p ** (m - k) <= _COSET_BUDGET:
+
+    def level_sum(m: int):
         acc: dict = {}
         for t in range(p ** (m - k)):
             val = point_value(ball.center + t * step)
@@ -86,15 +102,10 @@ def stabilized_ball_sum(
                     acc[q] = s
                 else:
                     acc.pop(q, None)
-        scale = F(p) ** (-m)
-        total = {q: coeff * scale for q, coeff in acc.items()}
-        # formal agreement of the normalized phase sums; at local constancy
-        # the refined sum reproduces the coarse one term by term
-        if prev is not None and total == prev:
-            return QpIntegral(Cyclo(total), True)
-        prev = total
-        m += 1
-    return QpIntegral(Cyclo(prev or {}), False)
+        return acc.items()
+
+    m = k if start_level is None else max(k, start_level)
+    return _refine(p, k, m, cap, level_sum)
 
 
 def integrate_ball_character(
@@ -114,27 +125,18 @@ def integrate_ball_character(
     C = a * s * s
 
     # split the common denominator into its p-part p**dd and coprime part mm
-    den = (A.denominator * B.denominator * C.denominator)
-    dd, mm = 0, den
-    while mm % p == 0:
-        mm //= p
-        dd += 1
-    pd = p**dd
+    den = math.lcm(A.denominator, B.denominator, C.denominator)
+    dd = valuation(den, p).value
+    pd, mm = p**dd, den // p**dd
     if dd == 0:
         # the argument is p-integral on the whole ball: character is 1
         return QpIntegral(Cyclo(ball.measure), True)
-    lcm_den = pd * mm
     inv_m = pow(mm, -1, pd)
-    ai = A.numerator * (lcm_den // A.denominator) * inv_m % pd
-    bi = B.numerator * (lcm_den // B.denominator) * inv_m % pd
-    ci = C.numerator * (lcm_den // C.denominator) * inv_m % pd
+    ai = A.numerator * (den // A.denominator) * inv_m % pd
+    bi = B.numerator * (den // B.denominator) * inv_m % pd
+    ci = C.numerator * (den // C.denominator) * inv_m % pd
 
-    m = _quadratic_constancy_level(p, ball, a, b)
-    if m > k + cap or p ** (m - k) > _COSET_BUDGET:
-        return QpIntegral(Cyclo(), False)
-    limit = m + cap
-    prev: dict | None = None
-    while m <= limit and p ** (m - k) <= _COSET_BUDGET:
+    def level_sum(m: int):
         counts: dict[int, int] = {}
         val = ai
         d1 = (bi + ci) % pd
@@ -143,13 +145,9 @@ def integrate_ball_character(
             counts[val] = counts.get(val, 0) + 1
             val = (val + d1) % pd
             d1 = (d1 + d2) % pd
-        scale = F(p) ** (-m)
-        total = {F(r, pd) % 1: F(n) * scale for r, n in counts.items()}
-        if prev is not None and total == prev:
-            return QpIntegral(Cyclo(total), True)
-        prev = total
-        m += 1
-    return QpIntegral(Cyclo(prev or {}), False)
+        return ((F(r, pd) % 1, F(n)) for r, n in counts.items())
+
+    return _refine(p, k, _quadratic_constancy_level(p, ball, a, b), cap, level_sum)
 
 
 def _quadratic_constancy_level(p, ball, a, b) -> int:
@@ -182,7 +180,7 @@ def _quadratic_constancy_level(p, ball, a, b) -> int:
     return lvl
 
 
-def _sphere_balls(p: int, j: int) -> list[Ball]:
+def sphere_balls(p: int, j: int) -> list[Ball]:
     """The sphere |x|_p = p**j tiled by its p-1 leading-digit balls."""
     return [Ball(p, F(u) * F(p) ** (-j), -j + 1) for u in range(1, p)]
 
@@ -237,8 +235,6 @@ def integrate_qp(
 
     # inner cutoff: on p**K Z_p the integrand is identically 1
     k_inner = max(0, -(va // 2), (-vb if vb is not None else 0))
-    if plan.j_low is not None:
-        k_inner = max(k_inner, -plan.j_low)
 
     # outermost sphere that can be nonzero, from the pruning certificate
     j_stop = max(v2a - va // 2, 1)
@@ -257,17 +253,11 @@ def integrate_qp(
     for j in range(-k_inner + 1, j_max + 1):
         if sphere_provably_zero(p, a, b, j):
             continue
-        for piece in _sphere_balls(p, j):
+        for piece in sphere_balls(p, j):
             part = integrate_ball_character(p, piece, a, b, cap=plan.refinement_cap)
             ok = ok and part.stabilized
             total = total + part.value
     return QpIntegral(total, ok, tail_vanished_at=j_stop + 1)
-
-
-def measure_of_ball(p: int, level: int) -> Fraction:
-    """vol(p**level Z_p) = p**(-level) under the unit-ball normalization."""
-    require_prime(p)
-    return F(p) ** (-level)
 
 
 __all__ = [
@@ -277,5 +267,5 @@ __all__ = [
     "integrate_ball_character",
     "integrate_qp",
     "sphere_provably_zero",
-    "measure_of_ball",
+    "sphere_balls",
 ]

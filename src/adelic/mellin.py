@@ -358,24 +358,21 @@ def tate_check(phi: ElementaryFunction, alpha: complex) -> float:
     return abs(lhs - rhs)
 
 
+def _completed_zeta_mp(s):
+    """Lambda(s) = pi^(-s/2) Gamma(s/2) zeta(s) in the working context."""
+    ctx = _CTX
+    return ctx.power(ctx.pi, -s / 2) * gamma_mp(s / 2, ctx) * zeta_mp(s, ctx)
+
+
 def functional_equation_residual(alpha: complex) -> float:
-    """|pi^(-a/2) Gamma(a/2) zeta(a) - pi^((a-1)/2) Gamma((1-a)/2) zeta(1-a)|."""
+    """|Lambda(a) - Lambda(1 - a)| for the completed zeta Lambda."""
     a = complex(alpha)
     if not 0 < a.real < 1:
         raise DomainError("functional equation check needs 0 < Re alpha < 1")
-    ctx = _CTX
-    s = _to_mpc(ctx, a)
-    lhs = ctx.power(ctx.pi, -s / 2) * gamma_mp(s / 2, ctx) * zeta_mp(s, ctx)
-    rhs = (
-        ctx.power(ctx.pi, (s - 1) / 2)
-        * gamma_mp((1 - s) / 2, ctx)
-        * zeta_mp(1 - s, ctx)
-    )
-    return float(abs(lhs - rhs))
+    s = _to_mpc(_CTX, a)
+    return float(abs(_completed_zeta_mp(s) - _completed_zeta_mp(1 - s)))
 
 
 def completed_zeta_side(alpha: complex) -> complex:
     """pi^(-a/2) Gamma(a/2) zeta(a), one side of the functional equation."""
-    ctx = _CTX
-    s = _to_mpc(ctx, complex(alpha))
-    return complex(ctx.power(ctx.pi, -s / 2) * gamma_mp(s / 2, ctx) * zeta_mp(s, ctx))
+    return complex(_completed_zeta_mp(_to_mpc(_CTX, complex(alpha))))

@@ -31,7 +31,7 @@ from .bruhat import (
 from .characters import chi_p
 from .cyclotomic import Cyclo, UnitPhase, phase, sqrt_prime_power
 from .distributions import delta_distribution, pair
-from .gauss import lambda_p
+from .gauss import lambda_class_depth, lambda_p
 from .integrate import integrate_qp
 from .mellin import DomainError
 from .padic import PAdicApprox, PrecisionError, frac_part
@@ -111,7 +111,7 @@ def _lambda_p_checked(p: int, z: PAdicApprox) -> UnitPhase:
     v = z.valuation()
     if v.is_infinite:
         raise PrecisionError("cannot take lambda of a value indistinguishable from 0")
-    need = v.value + (3 if p == 2 else 1)
+    need = v.value + lambda_class_depth(p)
     if z.precision < need:
         raise PrecisionError(
             f"lambda_{p} needs the unit class mod p^{need}, precision is {z.precision}"

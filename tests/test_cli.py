@@ -149,6 +149,19 @@ def test_usage_errors_exit_2_without_traceback(argv, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gauss", "-p", "2", "-a", "1/2", "-b", "1/2", "--sphere-range", "0"],
+    ["gauss", "-p", "2", "-a", "1/2", "-b", "1/2", "--refinement-cap", "0"],
+    ["gauss", "-p", "5", "-a", "1/5", "-b", "1", "--sphere-range", "-5"],
+], ids=["sphere-range-0", "refinement-cap-0", "sphere-range-negative"])
+def test_gauss_unstabilized_oracle_is_inconclusive(argv):
+    code, lines, _ = run_cli(*argv)
+    assert code == 1
+    assert lines[0]["expected"] == "inconclusive: oracle did not stabilize"
+    assert lines[0]["abs_error"] == "inf"
+    assert lines[0]["pass"] is False
+
+
 def test_domain_error_maps_to_exit_1():
     code, _, err = run_cli("zeta-fe", "--alpha", "1,0")
     assert code == 1

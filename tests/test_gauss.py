@@ -12,6 +12,7 @@ from adelic.gauss import (
     REAL_PLACE,
     calibrate_lambda_p,
     gauss_integral_inf,
+    gauss_integral_p_exact,
     gauss_integral_v,
     kernel_k,
     lambda_inf,
@@ -208,3 +209,23 @@ class TestSqrtNorm:
             exact = sqrt_norm_2a_inv(p, a)
             expect = float(padic_norm(2 * a, p)) ** -0.5
             assert abs(exact.to_complex() - expect) < 1e-9
+
+
+def test_gauss_grid_reports_first_cell_without_agreement(monkeypatch):
+    # an unstabilized cell reads "inconclusive", and a later mismatch in
+    # another unit class must not overwrite it
+    from adelic import suite
+    from adelic.integrate import QpIntegral
+
+    first, later = (F(3, 2), F(1)), (F(4), F(0))
+
+    def oracle(p, quad):
+        if quad == first:
+            return QpIntegral(Cyclo(), False)
+        exact = gauss_integral_p_exact(p, *quad)
+        return QpIntegral(exact + 1 if quad == later else exact, True)
+
+    monkeypatch.setattr(suite, "integrate_qp", oracle)
+    rep = suite.gauss_grid_checks(primes=(2,))[0]
+    assert not rep.passed
+    assert rep.value == f"inconclusive at {first}"

@@ -1,19 +1,22 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from adelic.bruhat import Ball, PAdicTestFunction
 from adelic.characters import chi_p
-from adelic.cyclotomic import Cyclo
+from adelic.cyclotomic import Cyclo, phase
 from adelic.integrate import (
     SphereDecompositionPlan,
+    _quadratic_constancy_level,
     integrate_ball_character,
     integrate_qp,
-    measure_of_ball,
     sphere_provably_zero,
+    stabilized_ball_sum,
 )
+from adelic.padic import frac_part
 from adelic.quadrature import (
     QuadratureConfig,
     fresnel_regularized,
@@ -51,7 +54,7 @@ class TestBallCharacter:
     def test_ball_measure_scaling(self, k):
         p = 3
         res = integrate_ball_character(p, Ball(p, F(0), k), 0, 0)
-        assert res.value == Cyclo(measure_of_ball(p, k))
+        assert res.value == Cyclo(Ball(p, 0, k).measure)
 
     def test_translation_invariance(self):
         # int over c + p^k Z_p of chi(b x) = chi(b c) * int over p^k Z_p
@@ -84,6 +87,29 @@ class TestBallCharacter:
     def test_non_stabilization_flags(self):
         res = integrate_ball_character(3, Ball(3, F(0), 0), F(1, 3**40), 0, cap=3)
         assert not res.stabilized
+
+    def test_point_values_and_residue_recurrence_agree(self):
+        # both integrands run the one refinement loop; from the same start
+        # level they must agree on the flag and on the value.  cap >= 1: at
+        # cap 0 only the residue path has the exact p-integral shortcut.
+        rng = random.Random(20260810)
+        for _ in range(80):
+            p = rng.choice([2, 3, 5])
+            ball = Ball(p, F(rng.randint(0, p * p), p ** rng.randint(0, 1)), rng.randint(-1, 1))
+            a = F(rng.randint(1, 9) * rng.choice([-1, 1]), p ** rng.randint(0, 2))
+            b = F(rng.randint(0, 9), p ** rng.randint(0, 2))
+            cap = rng.choice([1, 12])
+            direct = integrate_ball_character(p, ball, a, b, cap=cap)
+            summed = stabilized_ball_sum(
+                p,
+                ball,
+                lambda x: phase(frac_part(a * x * x + b * x, p)),
+                cap=cap,
+                start_level=_quadratic_constancy_level(p, ball, a, b),
+            )
+            case = (p, ball, a, b, cap)
+            assert summed.stabilized == direct.stabilized, case
+            assert summed.value == direct.value, case
 
 
 class TestSphereSums:
