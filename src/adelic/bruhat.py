@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 from .adeles import Adele
 from .cyclotomic import Cyclo, Scalar, phase
-from .padic import PAdicApprox, PrecisionError, frac_part, reduce_mod, valuation
+from .padic import frac_part, reduce_mod, valuation
 from .primes import require_prime
 
 F = Fraction
@@ -183,32 +183,12 @@ class PAdicTestFunction:
 
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate(self, x: Fraction | int | PAdicApprox) -> Cyclo:
-        if isinstance(x, PAdicApprox):
-            return self._evaluate_approx(x)
+    def evaluate(self, x: Fraction | int) -> Cyclo:
         x = Fraction(x)
         total = Cyclo()
         for (ball, mod), coeff in self.terms.items():
             if ball.contains(x):
                 total = total + coeff * phase(frac_part(mod * x, self.prime))
-        return total
-
-    def _evaluate_approx(self, x: PAdicApprox) -> Cyclo:
-        if x.prime != self.prime:
-            raise ValueError("mixed primes")
-        total = Cyclo()
-        for (ball, mod), coeff in self.terms.items():
-            # membership needs the class mod p^k to be determined
-            if x.precision < ball.radius_exp:
-                raise PrecisionError(
-                    f"precision {x.precision} cannot decide membership in level "
-                    f"{ball.radius_exp} ball"
-                )
-            if ball.contains(x.approximant):
-                vm = valuation(mod, self.prime)
-                if not vm.is_infinite and x.precision + vm.value < 0:
-                    raise PrecisionError("modulation phase undetermined at this precision")
-                total = total + coeff * phase(frac_part(mod * x.approximant, self.prime))
         return total
 
     # -- exact integrals -----------------------------------------------------
@@ -434,15 +414,12 @@ class HermiteGaussian:
 class GenericReal:
     """A sampled real Schwartz profile with a declared decay bound.
 
-    ``func`` must be negligible (below ``tail_bound``) outside
-    [-radius, radius]; transforms of generic profiles are numeric and carry
-    a quadrature error budget instead of a closed form.
+    ``func`` must be negligible outside [-radius, radius]; transforms of
+    generic profiles are numeric (quadrature) instead of a closed form.
     """
 
     func: Callable[[float], complex]
     radius: float
-    tail_bound: float = 1e-15
-    err_budget: float = 1e-8
 
     def evaluate(self, x: float) -> complex:
         return complex(self.func(float(x)))
@@ -458,8 +435,6 @@ class GenericReal:
         return GenericReal(
             func=lambda xi: real_fourier_transform(src, radius, xi),
             radius=self.radius,
-            tail_bound=self.tail_bound,
-            err_budget=self.err_budget,
         )
 
     def decay_radius(self) -> float:

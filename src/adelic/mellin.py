@@ -14,14 +14,13 @@ acceleration, valid for Re alpha > 0; the functional equation is *never*
 used internally because it is precisely the identity under test.  gamma
 uses Spouge's rational approximation with reflection, with coefficients
 generated at the working precision rather than transcribed.  Both run on
-an mpmath context with >= 30 significant digits so that strip residuals
-near 1e-10 have headroom.
+a private mpmath context with ``WORKING_DPS`` = 50 significant digits so
+that strip residuals near 1e-10 have headroom.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 import mpmath
@@ -34,8 +33,8 @@ from .primes import require_prime
 
 F = Fraction
 
-# default working precision; overridable through the environment
-WORKING_DPS = max(30, int(os.environ.get("ADELIC_WORKING_DPS", "50")))
+# working precision (significant digits); every strip tolerance assumes it
+WORKING_DPS = 50
 
 _CTX = mp.clone()
 _CTX.dps = WORKING_DPS

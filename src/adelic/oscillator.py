@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -41,14 +40,6 @@ from .quadrature import panel_nodes
 F = Fraction
 
 
-@dataclass(frozen=True)
-class PAdicAnalyticValue:
-    """A truncated power-series value with a certified tail valuation."""
-
-    result: PAdicApprox
-    truncation_valuation: int
-
-
 def _trig_domain_check(t: PAdicApprox):
     p = t.prime
     v = t.valuation()
@@ -61,15 +52,14 @@ def _trig_domain_check(t: PAdicApprox):
         )
 
 
-def _trig_series(t: PAdicApprox, odd_powers: bool, target: int | None) -> PAdicAnalyticValue:
+def _trig_series(t: PAdicApprox, odd_powers: bool, target: int | None) -> PAdicApprox:
     """sum (-1)^k t^(2k+1)/(2k+1)! (sine) or even counterpart (cosine)."""
     _trig_domain_check(t)
     p = t.prime
     n_target = t.precision if target is None else min(target, t.precision)
     vt = t.valuation()
     if vt.is_infinite:
-        approx = PAdicApprox(p, F(1) if not odd_powers else F(0), n_target)
-        return PAdicAnalyticValue(approx, n_target)
+        return PAdicApprox(p, F(1) if not odd_powers else F(0), n_target)
     vt = vt.value
     x = t.approximant
     total = F(0)
@@ -86,24 +76,19 @@ def _trig_series(t: PAdicApprox, odd_powers: bool, target: int | None) -> PAdicA
         total += sign * x**k / math.factorial(k)
         sign = -sign
         k += 2
-    approx = PAdicApprox(p, total, min(n_target, tail_val))
-    return PAdicAnalyticValue(approx, tail_val)
+    return PAdicApprox(p, total, min(n_target, tail_val))
 
 
-def padic_sin(t: PAdicApprox, target: int | None = None) -> PAdicAnalyticValue:
+def padic_sin(t: PAdicApprox, target: int | None = None) -> PAdicApprox:
     return _trig_series(t, odd_powers=True, target=target)
 
 
-def padic_cos(t: PAdicApprox, target: int | None = None) -> PAdicAnalyticValue:
+def padic_cos(t: PAdicApprox, target: int | None = None) -> PAdicApprox:
     return _trig_series(t, odd_powers=False, target=target)
 
 
-def padic_tan(t: PAdicApprox, target: int | None = None) -> PAdicAnalyticValue:
-    s = padic_sin(t, target)
-    c = padic_cos(t, target)
-    return PAdicAnalyticValue(
-        s.result / c.result, min(s.truncation_valuation, c.truncation_valuation)
-    )
+def padic_tan(t: PAdicApprox, target: int | None = None) -> PAdicApprox:
+    return padic_sin(t, target) / padic_cos(t, target)
 
 
 def _lambda_p_checked(p: int, z: PAdicApprox) -> UnitPhase:
@@ -132,9 +117,9 @@ def _require_nonzero_sin(t: PAdicApprox, sin_t: PAdicApprox):
 def _kernel_constants(p: int, t: PAdicApprox) -> tuple[PAdicApprox, PAdicApprox, UnitPhase]:
     """sin t, cos t and lam_p(2 sin t): the t-dependent kernel constants."""
     require_prime(p)
-    sin_t = padic_sin(t).result
+    sin_t = padic_sin(t)
     _require_nonzero_sin(t, sin_t)
-    cos_t = padic_cos(t).result
+    cos_t = padic_cos(t)
     return sin_t, cos_t, _lambda_p_checked(p, sin_t * 2)
 
 

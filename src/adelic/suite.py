@@ -381,7 +381,7 @@ def oscillator_checks() -> list[CheckReport]:
         for tval in (F(p), F(2 * p)):
             t = from_rational(tval, p, 12)
             s, c = padic_sin(t), padic_cos(t)
-            ident = s.result * s.result + c.result * c.result
+            ident = s * s + c * c
             if not ident.congruent(from_rational(1, p, ident.precision)):
                 bad = (p, tval)
     out.append(

@@ -1,10 +1,14 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from adelic.adeles import principal_adele
+from adelic.bruhat import parse_elementary
 from adelic.cli import build_parser, format_complex, main
+from adelic.mellin import phi_p
 
 
 def run_cli(*argv) -> tuple[int, list[dict], str]:
@@ -76,12 +80,31 @@ def test_gauss_command_real():
     assert lines[0]["pass"] is True
 
 
-def test_pair_command():
-    phi = json.dumps({"real": [[0, "1"]], "primes": {}})
-    code, lines, _ = run_cli("pair", "--dist", "delta", "--phi", phi)
+_GAUSSIAN = json.dumps({"real": [[0, "1"]], "primes": {}})
+_GAUSSIAN_2Z2 = json.dumps({"real": [[0, "1"]], "primes": {"2": [["1", "0", 1]]}})
+_GAUSSIAN_OMEGA3 = json.dumps({"real": [[0, "1"]], "primes": {"3": [["1", "0", 0]]}})
+
+
+# (arguments, phi, expected value of phi, tolerance); tolerance 0 means the
+# printed value must be exactly format_complex(expected)
+@pytest.mark.parametrize("args, phi, expect, tol", [
+    (["--dist", "delta"], _GAUSSIAN, lambda phi: 1.0, 1e-12),
+    (["--dist", "chi"], _GAUSSIAN_2Z2,
+     lambda phi: phi.fourier().evaluate(principal_adele(1)), 1e-10),
+    # int_{Z_2} chi_2(x^2/2 + 3x) dx = 0 kills the product exactly
+    (["--dist", "chi-quad", "-a", "1/2", "-b", "3"], _GAUSSIAN_OMEGA3,
+     lambda phi: 0j, 0),
+    (["--dist", "pi-alpha"], _GAUSSIAN_2Z2, lambda phi: phi_p(phi, 2).value, 0),
+], ids=["delta", "chi", "chi-quad", "pi-alpha"])
+def test_pair_command(args, phi, expect, tol):
+    code, lines, _ = run_cli("pair", *args, "--phi", phi)
     assert code == 0
     assert lines[0]["check"] == "pair"
-    assert abs(float(lines[0]["value"].split("+")[0]) - 1.0) < 1e-12
+    expected = expect(parse_elementary(json.loads(phi)))
+    if tol == 0:
+        assert lines[0]["value"] == format_complex(expected)
+    else:
+        assert abs(complex(lines[0]["value"].replace("i", "j")) - expected) < tol
 
 
 def test_mellin_command():
@@ -190,4 +213,16 @@ def test_entry_point_subprocess():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
+    assert json.loads(proc.stdout.splitlines()[0])["value"] == "1/4"
+
+
+def test_working_precision_is_not_read_from_the_environment():
+    # the mpmath precision is a constant: a malformed value in the
+    # environment variable that once set it must not break any command
+    env = dict(os.environ, ADELIC_WORKING_DPS="abc")
+    proc = subprocess.run(
+        [sys.executable, "-m", "adelic.cli", "norm", "-r", "12", "-p", "2"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[0])["value"] == "1/4"
