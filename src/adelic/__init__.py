@@ -10,7 +10,6 @@ checks; and the adelic harmonic oscillator.
 from .adeles import (
     Adele,
     Idele,
-    idele_norm_product,
     norm_product,
     principal_adele,
     principal_idele,
@@ -46,7 +45,6 @@ __all__ = [
     "chi_principal",
     "digits",
     "frac_part",
-    "idele_norm_product",
     "norm_product",
     "omega",
     "padic_norm",

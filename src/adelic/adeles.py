@@ -155,29 +155,3 @@ def norm_product(r: Fraction | int) -> Fraction:
     for p in rational_primes(r):
         prod *= padic_norm(r, p)
     return prod
-
-
-def idele_norm_product(r: Fraction | int, alpha: complex = 1) -> complex:
-    """(|r|_inf * prod |r|_p) ** alpha; exactly 1 on the exact path."""
-    base = norm_product(r)
-    if alpha == 1:
-        return complex(base)
-    return complex(base) ** alpha
-
-
-def adele_norm_alpha(lam: Idele, alpha: complex) -> complex:
-    """|lam_inf|^alpha * prod over listed primes of |lam_p|_p^alpha.
-
-    Tail factors are 1 by the unit-norm guarantee.  When the real part is
-    an exact rational the norm product is accumulated exactly before the
-    single complex power, so principal ideles give exactly 1 for any alpha.
-    """
-    if isinstance(lam.real, Fraction):
-        prod = abs(lam.real)
-        for p in lam.listed_primes:
-            prod *= padic_norm(lam.component(p), p)
-        return complex(prod) ** alpha if alpha != 1 else complex(prod)
-    prod_c = abs(lam.real)
-    for p in lam.listed_primes:
-        prod_c *= float(padic_norm(lam.component(p), p))
-    return complex(prod_c) ** alpha

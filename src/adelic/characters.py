@@ -14,9 +14,9 @@ import cmath
 import math
 from fractions import Fraction
 
-from .adeles import Adele, Idele, adele_norm_alpha
+from .adeles import Adele, Idele
 from .cyclotomic import UnitPhase
-from .padic import frac_part
+from .padic import frac_part, padic_norm
 from .primes import rational_primes
 
 
@@ -68,5 +68,19 @@ def chi_adele(x: Adele) -> complex:
 
 
 def pi_alpha(lam: Idele, alpha: complex) -> complex:
-    """The multiplicative character |lam|^alpha on the ideles."""
-    return adele_norm_alpha(lam, alpha)
+    """The multiplicative character |lam|^alpha on the ideles:
+    |lam_inf|^alpha * prod over listed primes of |lam_p|_p^alpha.
+
+    Tail factors are 1 by the unit-norm guarantee.  When the real part is
+    an exact rational the norm product is accumulated exactly before the
+    single complex power, so principal ideles give exactly 1 for any alpha.
+    """
+    if isinstance(lam.real, Fraction):
+        prod = abs(lam.real)
+        for p in lam.listed_primes:
+            prod *= padic_norm(lam.component(p), p)
+        return complex(prod) ** alpha if alpha != 1 else complex(prod)
+    prod_c = abs(lam.real)
+    for p in lam.listed_primes:
+        prod_c *= float(padic_norm(lam.component(p), p))
+    return complex(prod_c) ** alpha

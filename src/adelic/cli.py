@@ -179,14 +179,15 @@ def cmd_pair(args) -> list[CheckReport]:
 
 
 def cmd_gauss(args) -> list[CheckReport]:
-    from .gauss import REAL_PLACE, gauss_integral_p_exact, gauss_integral_v
+    from .gauss import gauss_integral_inf, gauss_integral_p_exact
     from .integrate import SphereDecompositionPlan, integrate_qp
     from .quadrature import fresnel_regularized
 
     t0 = time.perf_counter()
     if args.p is None:
-        value = gauss_integral_v(REAL_PLACE, float(args.a), float(args.b))
-        oracle, est = fresnel_regularized(float(args.a), float(args.b))
+        af, bf = float(args.a), float(args.b)
+        value = gauss_integral_inf(af, bf)
+        oracle, est = fresnel_regularized(af, bf)
         err = abs(value - oracle)
         return [make_report("gauss-real", {"a": str(args.a), "b": str(args.b)},
                             value, oracle, t0,
@@ -209,10 +210,11 @@ def cmd_gauss(args) -> list[CheckReport]:
 
 
 def cmd_product_check(args) -> list[CheckReport]:
-    from .gauss import product_formula_check
+    from .adeles import principal_adele, principal_idele
+    from .gauss import kernel_k
 
     t0 = time.perf_counter()
-    value = product_formula_check(args.a, args.b)
+    value = kernel_k(principal_idele(args.a), principal_adele(args.b))
     err = abs(value - 1)
     return [make_report("product-check", {"a": str(args.a), "b": str(args.b)},
                         value, 1 + 0j, t0, passed=err <= args.tolerance, error=err)]
@@ -229,12 +231,10 @@ def cmd_lambda_check(args) -> list[CheckReport]:
 
 
 def cmd_mellin(args) -> list[CheckReport]:
-    from .mellin import phi_p
+    from .distributions import pair, pi_alpha_distribution
 
     t0 = time.perf_counter()
-    total = 0j
-    for coeff, elem in args.phi.elements:
-        total += coeff.to_complex() * phi_p(elem, args.alpha).value
+    total = pair(pi_alpha_distribution(args.alpha), args.phi)
     return [make_report("mellin", {"alpha": format_complex(args.alpha)}, total, "n/a",
                         t0, passed=True)]
 

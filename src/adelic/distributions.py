@@ -167,4 +167,4 @@ def pi_alpha_distribution(alpha: complex) -> AdelicDistribution:
     product zeta(alpha), so evaluation is delegated to the Mellin module
     (poles at alpha = 0, 1 raise).
     """
-    return AdelicDistribution("pi-alpha", lambda phi: phi_p(phi, alpha).value)
+    return AdelicDistribution("pi-alpha", lambda phi: phi_p(phi, alpha))

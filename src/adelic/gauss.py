@@ -22,24 +22,24 @@ rational a, which pins down the phase convention globally.
 
 from __future__ import annotations
 
+import cmath
+import math
 from fractions import Fraction
 
-from .adeles import Adele, Idele
+from .adeles import Adele, Idele, principal_adele, principal_idele
 from .bruhat import Ball, ElementaryFunction, PAdicTestFunction, omega
 from .cyclotomic import Cyclo, UnitPhase, phase, sqrt_prime_power
 from .integrate import integrate_qp, sphere_balls, stabilized_ball_sum
 from .padic import frac_part, padic_norm, unit_part_mod, valuation
-from .primes import legendre_symbol, rational_primes, require_prime
+from .primes import legendre_symbol, require_prime
 
 F = Fraction
-
-REAL_PLACE = "inf"
 
 
 def lambda_inf_phase(a: Fraction | float) -> UnitPhase:
     """lam at the real place: the Fresnel phase e^(-i pi sign(a)/4)."""
     if a == 0:
-        raise ValueError("lambda_v requires a != 0")
+        raise ValueError("lambda requires a != 0")
     return UnitPhase(F(-1, 8) if a > 0 else F(1, 8))
 
 
@@ -53,7 +53,7 @@ def lambda_p(p: int, a: Fraction | int) -> UnitPhase:
     require_prime(p)
     a = Fraction(a)
     if a == 0:
-        raise ValueError("lambda_v requires a != 0")
+        raise ValueError("lambda requires a != 0")
     v = valuation(a, p).value
     if p == 2:
         u8 = unit_part_mod(a, 2, 3)
@@ -66,13 +66,6 @@ def lambda_p(p: int, a: Fraction | int) -> UnitPhase:
     if p % 4 == 1:
         return UnitPhase(F(0) if leg == 1 else F(1, 2))
     return UnitPhase(F(1, 4) if leg == 1 else F(3, 4))
-
-
-def lambda_v(v, a: Fraction | float):
-    """Dispatch on the place: v = REAL_PLACE or a prime number."""
-    if v == REAL_PLACE:
-        return lambda_inf(a)
-    return lambda_p(v, Fraction(a))
 
 
 def sqrt_norm_2a_inv(p: int, a: Fraction) -> Cyclo:
@@ -110,12 +103,8 @@ def gauss_integral_p_exact(p: int, a: Fraction | int, b: Fraction | int = 0) -> 
 
 def gauss_integral_inf(a: Fraction | float, b: Fraction | float = 0) -> complex:
     """lam_inf(a) |2a|^(-1/2) chi_inf(-b^2/4a) at the real place."""
-    a = float(a) if not isinstance(a, Fraction) else a
     if a == 0:
         raise ValueError("Gauss integral requires a != 0")
-    import cmath
-    import math
-
     af, bf = float(a), float(b)
     return (
         lambda_inf(a)
@@ -124,42 +113,19 @@ def gauss_integral_inf(a: Fraction | float, b: Fraction | float = 0) -> complex:
     )
 
 
-def gauss_integral_v(v, a, b=0) -> complex:
-    """Closed-form local Gauss integral as a complex number."""
-    if v == REAL_PLACE:
-        return gauss_integral_inf(a, b)
-    return gauss_integral_p_exact(v, Fraction(a), Fraction(b)).to_complex()
-
-
-def relevant_primes(a: Fraction, b: Fraction) -> list[int]:
-    """Primes where a local Gauss factor can differ from 1: divisors of the
-    numerators/denominators of a and b, always including 2."""
-    ps = {2}
-    ps.update(rational_primes(a))
-    if b != 0:
-        ps.update(rational_primes(b))
-    return sorted(ps)
-
-
-def product_formula_check(a: Fraction | int, b: Fraction | int = 0) -> complex:
-    """The finite product of all local Gauss integrals; contract: equals 1."""
-    a, b = Fraction(a), Fraction(b)
-    if a == 0:
-        raise ValueError("product formula requires a != 0")
-    total = complex(gauss_integral_inf(a, b))
-    locals_exact = Cyclo(1)
-    for p in relevant_primes(a, b):
-        locals_exact = locals_exact * gauss_integral_p_exact(p, a, b)
-    return total * locals_exact.to_complex()
+def _places(a: Idele, b: Adele) -> list[int]:
+    """The primes where a local Gauss factor of (a, b) can differ from 1,
+    sorted: 2 and the listed primes of a and b.  Elsewhere |a_p|_p = 1 and
+    |b_p|_p <= 1 make the factor exactly 1."""
+    return sorted({2} | set(a.listed_primes) | set(b.listed_primes))
 
 
 def lambda_product_check(a: Fraction | int) -> complex:
-    """lam_inf(a) * prod_p lam_p(a) over the relevant primes; contract: 1."""
+    """lam_inf(a) * prod_p lam_p(a) over the places of the principal idele a;
+    contract: 1."""
     a = Fraction(a)
-    if a == 0:
-        raise ValueError("lambda product requires a != 0")
     total = lambda_inf_phase(a)
-    for p in relevant_primes(a, F(0)):
+    for p in _places(principal_idele(a), principal_adele(0)):
         total = total * lambda_p(p, a)
     return total.value
 
@@ -167,23 +133,14 @@ def lambda_product_check(a: Fraction | int) -> complex:
 def kernel_k(a: Idele, b: Adele) -> complex:
     """K(a, b) = prod_v lam_v(a_v) |2 a_v|_v^(-1/2) chi_v(-b_v^2/(4 a_v)).
 
-    A finite product: at unlisted primes |a_p|_p = 1 and |b_p|_p <= 1 make
-    the factor exactly 1 for p != 2, so only the listed places and p = 2
-    contribute.
+    A finite product over the real place and ``_places(a, b)``.  Its value
+    on principal points is the adelic product formula for Gauss integrals:
+    K(r, s) = 1 for all rationals r != 0 and s.
     """
-    places = {2} | set(a.listed_primes) | set(b.listed_primes)
-    total = complex(gauss_integral_inf(_real_of(a), _real_of(b)))
     exact = Cyclo(1)
-    for p in sorted(places):
-        ap, bp = a.component(p), b.component(p)
-        if ap == 0:
-            raise ValueError("kernel requires nonzero idele components")
-        exact = exact * gauss_integral_p_exact(p, ap, bp)
-    return total * exact.to_complex()
-
-
-def _real_of(x: Adele):
-    return x.real if isinstance(x.real, Fraction) else float(x.real)
+    for p in _places(a, b):
+        exact = exact * gauss_integral_p_exact(p, a.component(p), b.component(p))
+    return gauss_integral_inf(a.real, b.real) * exact.to_complex()
 
 
 # ---------------------------------------------------------------------------
@@ -191,33 +148,27 @@ def _real_of(x: Adele):
 # ---------------------------------------------------------------------------
 
 
-def _lambda_point_value(p: int, a: Fraction, beta: Fraction, mod: Fraction) -> Cyclo:
-    """Pointwise integrand lam_p(a) |2a|^(-1/2) chi_p(beta/a) chi_p(mod*a)."""
-    out = lambda_p(p, a).as_cyclo() * sqrt_norm_2a_inv(p, a)
-    arg = beta / a + mod * a if beta != 0 else mod * a
-    if arg != 0:
-        out = out * phase(frac_part(arg, p))
-    return out
+def _lambda_ball(p: int, ball: Ball, b: Fraction, mod: Fraction) -> Cyclo:
+    """The Lambda integrand gamma_p(c, b) chi_p(mod*c) over a ball away from 0,
+    as a stabilized residue sum (gamma_p = ``gauss_integral_p_exact``).
 
-
-def _lambda_ball(p: int, ball: Ball, beta: Fraction, mod: Fraction) -> Cyclo:
-    """The Lambda integrand over a ball away from 0, as a stabilized residue sum.
-
-    The sum starts at a sound constancy level: lam_p and |2a| are fixed by
-    the unit class (``lambda_class_depth``); chi(beta/a) moves by
-    beta*y/(a(a+y)), chi(mod*a) by mod*y.
+    The sum starts at a sound constancy level: lam_p and |2c| are fixed by
+    the unit class (``lambda_class_depth``); chi(beta/c), beta = -b^2/4,
+    moves by beta*y/(c(c+y)), chi(mod*c) by mod*y.
     """
     k = ball.radius_exp
     vc = valuation(ball.center, p).value
     lvl = max(k, vc + lambda_class_depth(p))
-    if beta != 0:
-        lvl = max(lvl, 2 * vc - valuation(beta, p).value)
+    if b != 0:
+        lvl = max(lvl, 2 * vc - valuation(-b * b / 4, p).value)
     if mod != 0:
         vm = valuation(mod, p).value
         if vm < 0:
             lvl = max(lvl, -vm)
     part = stabilized_ball_sum(
-        p, ball, lambda c: _lambda_point_value(p, c, beta, mod), cap=8, start_level=lvl
+        p, ball,
+        lambda c: gauss_integral_p_exact(p, c, b) * phase(frac_part(mod * c, p)),
+        cap=8, start_level=lvl,
     )
     if not part.stabilized:
         raise ArithmeticError("Lambda transform local integral did not stabilize")
@@ -236,32 +187,32 @@ def lambda_local_transform(p: int, f: PAdicTestFunction, b_p: Fraction) -> Cyclo
     """
     require_prime(p)
     b_p = Fraction(b_p)
-    beta = -b_p * b_p / 4 if b_p != 0 else F(0)
     total = Cyclo()
     for (ball, mod), coeff in f.terms.items():
         if not ball.contains(F(0)):
-            total = total + coeff * _lambda_ball(p, ball, beta, mod)
+            total = total + coeff * _lambda_ball(p, ball, b_p, mod)
         else:
-            total = total + coeff * _lambda_ball_at_zero(p, ball.radius_exp, beta, mod)
+            total = total + coeff * _lambda_ball_at_zero(p, ball.radius_exp, b_p, mod)
     return total
 
 
-def _lambda_ball_at_zero(p: int, k: int, beta: Fraction, mod: Fraction) -> Cyclo:
+def _lambda_ball_at_zero(p: int, k: int, b: Fraction, mod: Fraction) -> Cyclo:
     """The Lambda integrand over p**k Z_p: finite spheres + certified tail.
 
-    The Moebius substitution argument kills spheres beyond v(beta) plus the
-    level where lam_p is constant on a class ball (``lambda_class_depth``).
+    The Moebius substitution argument kills spheres beyond v(beta),
+    beta = -b^2/4, plus the level where lam_p is constant on a class ball
+    (``lambda_class_depth``).
     """
     v_cut = k
-    if beta != 0:
-        v_cut = max(v_cut, valuation(beta, p).value + lambda_class_depth(p))
+    if b != 0:
+        v_cut = max(v_cut, valuation(-b * b / 4, p).value + lambda_class_depth(p))
     if mod != 0:
         v_cut = max(v_cut, -valuation(mod, p).value)
     total = Cyclo()
     for v in range(k, v_cut + 1):
         for piece in sphere_balls(p, -v):
-            total = total + _lambda_ball(p, piece, beta, mod)
-    if beta == 0:
+            total = total + _lambda_ball(p, piece, b, mod)
+    if b == 0:
         # remaining spheres: odd ones cancel inside the lambda table, even
         # ones sum geometrically to p**(-V/2) for the first even V > v_cut
         v_even = v_cut + 1 if (v_cut + 1) % 2 == 0 else v_cut + 2

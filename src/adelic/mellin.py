@@ -36,6 +36,10 @@ F = Fraction
 # working precision (significant digits); every strip tolerance assumes it
 WORKING_DPS = 50
 
+# largest |Im alpha| for zeta: the eta series takes about 0.9 |Im alpha|
+# terms, with exact integer coefficients of about 0.7 |Im alpha| digits each
+ZETA_MAX_HEIGHT = 1000
+
 _CTX = mp.clone()
 _CTX.dps = WORKING_DPS
 
@@ -85,6 +89,8 @@ def zeta_mp(alpha, ctx=None):
     if s == 1:
         raise DomainError("zeta has its pole at alpha = 1")
     t = abs(float(s.imag))
+    if t > ZETA_MAX_HEIGHT:
+        raise DomainError(f"zeta is computed only for |Im alpha| <= {ZETA_MAX_HEIGHT}")
     # error ~ (3+sqrt8)^-n * (1+2|t|) e^(pi |t| / 2): solve for n with margin
     digits = ctx.dps + 10
     n = int((2.302585 * digits + 1.5708 * t + 12.0) / 1.7627) + 5
@@ -298,18 +304,7 @@ def mellin_real(phi_inf, alpha: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MellinResult:
-    """Phi_P(alpha) together with its factors."""
-
-    value: complex
-    real_factor: complex
-    local_factors: dict[int, complex]
-    zeta_factor: complex
-    alpha: complex
-
-
-def phi_p(phi: ElementaryFunction, alpha: complex) -> MellinResult:
+def phi_p(phi: ElementaryFunction, alpha: complex) -> complex:
     """The multiplicative pairing Phi_P(alpha) of an elementary function.
 
     Defined by the product for Re alpha > 1 and continued into
@@ -324,22 +319,11 @@ def phi_p(phi: ElementaryFunction, alpha: complex) -> MellinResult:
         raise DomainError("Phi has simple poles at alpha = 0 and alpha = 1")
     if s.real <= 0:
         raise DomainError("Phi is evaluated on Re alpha > 0")
-    real_f = mellin_real_mp(phi.real_factor, alpha, ctx)
-    locals_mp = {}
-    product = real_f
+    product = mellin_real_mp(phi.real_factor, alpha, ctx)
     for p, f in phi.prime_factors.items():
-        lf = mellin_local(f, p).evaluate_mp(alpha, ctx)
-        locals_mp[p] = lf
-        product *= lf
-    zf = zeta_mp(alpha, ctx)
-    product *= zf
-    return MellinResult(
-        value=complex(product),
-        real_factor=complex(real_f),
-        local_factors={p: complex(v) for p, v in locals_mp.items()},
-        zeta_factor=complex(zf),
-        alpha=complex(alpha),
-    )
+        product *= mellin_local(f, p).evaluate_mp(alpha, ctx)
+    product *= zeta_mp(alpha, ctx)
+    return complex(product)
 
 
 def tate_check(phi: ElementaryFunction, alpha: complex) -> float:
@@ -352,8 +336,8 @@ def tate_check(phi: ElementaryFunction, alpha: complex) -> float:
     a = complex(alpha)
     if not 0 < a.real < 1:
         raise DomainError("tate_check needs 0 < Re alpha < 1")
-    lhs = phi_p(phi, a).value
-    rhs = phi_p(phi.fourier(), 1 - a).value
+    lhs = phi_p(phi, a)
+    rhs = phi_p(phi.fourier(), 1 - a)
     return abs(lhs - rhs)
 
 

@@ -1,7 +1,7 @@
 """The adelic harmonic oscillator: p-adic trig, the evolution kernel, and
 eigenstate/invariance checks.
 
-p-adic sine, cosine and tangent are truncated factorial series with exact
+p-adic sine and cosine are truncated factorial series with exact
 tail-valuation bookkeeping, convergent for |t|_p <= 1/p (odd p) and
 |t|_2 <= 1/4.  The evolution kernel
 
@@ -52,11 +52,11 @@ def _trig_domain_check(t: PAdicApprox):
         )
 
 
-def _trig_series(t: PAdicApprox, odd_powers: bool, target: int | None) -> PAdicApprox:
+def _trig_series(t: PAdicApprox, odd_powers: bool) -> PAdicApprox:
     """sum (-1)^k t^(2k+1)/(2k+1)! (sine) or even counterpart (cosine)."""
     _trig_domain_check(t)
     p = t.prime
-    n_target = t.precision if target is None else min(target, t.precision)
+    n_target = t.precision
     vt = t.valuation()
     if vt.is_infinite:
         return PAdicApprox(p, F(1) if not odd_powers else F(0), n_target)
@@ -79,16 +79,12 @@ def _trig_series(t: PAdicApprox, odd_powers: bool, target: int | None) -> PAdicA
     return PAdicApprox(p, total, min(n_target, tail_val))
 
 
-def padic_sin(t: PAdicApprox, target: int | None = None) -> PAdicApprox:
-    return _trig_series(t, odd_powers=True, target=target)
+def padic_sin(t: PAdicApprox) -> PAdicApprox:
+    return _trig_series(t, odd_powers=True)
 
 
-def padic_cos(t: PAdicApprox, target: int | None = None) -> PAdicApprox:
-    return _trig_series(t, odd_powers=False, target=target)
-
-
-def padic_tan(t: PAdicApprox, target: int | None = None) -> PAdicApprox:
-    return padic_sin(t, target) / padic_cos(t, target)
+def padic_cos(t: PAdicApprox) -> PAdicApprox:
+    return _trig_series(t, odd_powers=False)
 
 
 def _lambda_p_checked(p: int, z: PAdicApprox) -> UnitPhase:

@@ -7,13 +7,12 @@ from hypothesis import given, strategies as st
 from adelic.adeles import (
     Adele,
     Idele,
-    adele_norm_alpha,
-    idele_norm_product,
     norm_product,
     principal_adele,
     principal_idele,
     zero_adele,
 )
+from adelic.characters import pi_alpha
 
 F = Fraction
 
@@ -68,9 +67,9 @@ def test_idele_inverse():
 def test_norm_product_examples():
     assert norm_product(F(3, 2)) == 1
     assert norm_product(-7) == 1
-    assert idele_norm_product(F(3, 2), 1) == 1
-    assert idele_norm_product(-7, 1) == 1
-    assert idele_norm_product(10, 2) == 1  # 100 * (1/4) * (1/25)
+    assert pi_alpha(principal_idele(F(3, 2)), 1) == 1
+    assert pi_alpha(principal_idele(-7), 1) == 1
+    assert pi_alpha(principal_idele(10), 2) == 1  # 100 * (1/4) * (1/25)
     with pytest.raises(ValueError):
         norm_product(0)
 
@@ -90,13 +89,13 @@ def test_norm_product_thousand_random():
 
 def test_adele_norm_alpha_principal_exact():
     lam = principal_idele(10)
-    assert adele_norm_alpha(lam, 0.5 + 1j) == 1
-    assert adele_norm_alpha(lam, 2) == 1
+    assert pi_alpha(lam, 0.5 + 1j) == 1
+    assert pi_alpha(lam, 2) == 1
 
 
 def test_adele_norm_alpha_generic():
     lam = Idele(real=2.0, components={}, tail=F(1))
-    assert abs(adele_norm_alpha(lam, 2) - 4) < 1e-14
+    assert abs(pi_alpha(lam, 2) - 4) < 1e-14
 
 
 def test_adele_norm_alpha_multiplicative():
@@ -107,8 +106,8 @@ def test_adele_norm_alpha_multiplicative():
         a, b = principal_idele(r1), principal_idele(r2)
         prod = principal_idele(r1 * r2)
         alpha = 0.7 + 0.3j
-        lhs = adele_norm_alpha(prod, alpha)
-        rhs = adele_norm_alpha(a, alpha) * adele_norm_alpha(b, alpha)
+        lhs = pi_alpha(prod, alpha)
+        rhs = pi_alpha(a, alpha) * pi_alpha(b, alpha)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 

@@ -94,7 +94,7 @@ _GAUSSIAN_OMEGA3 = json.dumps({"real": [[0, "1"]], "primes": {"3": [["1", "0", 0
     # int_{Z_2} chi_2(x^2/2 + 3x) dx = 0 kills the product exactly
     (["--dist", "chi-quad", "-a", "1/2", "-b", "3"], _GAUSSIAN_OMEGA3,
      lambda phi: 0j, 0),
-    (["--dist", "pi-alpha"], _GAUSSIAN_2Z2, lambda phi: phi_p(phi, 2).value, 0),
+    (["--dist", "pi-alpha"], _GAUSSIAN_2Z2, lambda phi: phi_p(phi, 2), 0),
 ], ids=["delta", "chi", "chi-quad", "pi-alpha"])
 def test_pair_command(args, phi, expect, tol):
     code, lines, _ = run_cli("pair", *args, "--phi", phi)
@@ -170,6 +170,18 @@ def test_usage_errors_exit_2_without_traceback(argv, capsys):
     assert captured.out == ""
     assert len([l for l in captured.err.splitlines() if "error:" in l]) == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeta-fe", "--alpha", "0.5,1e300"],
+    ["product-check", "-a", "0"],
+], ids=["zeta-height", "product-check-zero"])
+def test_domain_errors_exit_1_without_traceback(argv):
+    code, lines, err = run_cli(*argv)
+    assert code == 1
+    assert lines == []
+    assert len([l for l in err.splitlines() if "error:" in l]) == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,19 +9,15 @@ from adelic.adeles import Adele, principal_adele, principal_idele
 from adelic.bruhat import Ball, ElementaryFunction, HermiteGaussian, PAdicTestFunction
 from adelic.cyclotomic import Cyclo
 from adelic.gauss import (
-    REAL_PLACE,
     calibrate_lambda_p,
     gauss_integral_inf,
     gauss_integral_p_exact,
-    gauss_integral_v,
     kernel_k,
     lambda_inf,
     lambda_local_transform,
     lambda_p,
     lambda_product_check,
     lambda_transform,
-    lambda_v,
-    product_formula_check,
     sqrt_norm_2a_inv,
 )
 from adelic.padic import padic_norm
@@ -70,10 +66,6 @@ class TestLambdaTable:
             c = F(rng.randint(1, 30), rng.randint(1, 30))
             assert lambda_p(p, a * c * c) == lambda_p(p, a)
 
-    def test_lambda_v_dispatch(self):
-        assert lambda_v(REAL_PLACE, 1) == lambda_inf(1)
-        assert lambda_v(5, F(5)) == lambda_p(5, F(5))
-
     def test_unit_modulus(self):
         rng = random.Random(8)
         for _ in range(20):
@@ -92,22 +84,27 @@ class TestClosedFormVsOracle:
 
     def test_gauss_integral_v_modulus(self):
         # |closed form| = |2a|_v^{-1/2}: |10|_5 = 1/5 so the factor is sqrt 5
-        assert abs(abs(gauss_integral_v(5, F(5), F(2))) - 5**0.5) < 1e-9
-        assert abs(abs(gauss_integral_v(REAL_PLACE, 2.0, 1.0)) - 0.5) < 1e-12
+        assert abs(abs(gauss_integral_p_exact(5, F(5), F(2)).to_complex()) - 5**0.5) < 1e-9
+        assert abs(abs(gauss_integral_inf(2.0, 1.0)) - 0.5) < 1e-12
+
+
+def product_formula(a, b):
+    """The Gauss kernel K(a, b) at the principal points a and b."""
+    return kernel_k(principal_idele(a), principal_adele(b))
 
 
 class TestProductFormula:
     def test_simple_cases(self):
-        assert abs(product_formula_check(1, 0) - 1) < 1e-12
-        assert abs(product_formula_check(F(3, 4), F(1, 2)) - 1) < 1e-10
-        assert abs(product_formula_check(-5, 7) - 1) < 1e-10
+        assert abs(product_formula(1, 0) - 1) < 1e-12
+        assert abs(product_formula(F(3, 4), F(1, 2)) - 1) < 1e-10
+        assert abs(product_formula(-5, 7) - 1) < 1e-10
 
     def test_random_pairs(self):
         rng = random.Random(20260810)
         for _ in range(100):
             a = F(rng.randint(1, 60) * rng.choice([-1, 1]), rng.randint(1, 60))
             b = F(rng.randint(0, 60) * rng.choice([-1, 1]), rng.randint(1, 60))
-            assert abs(product_formula_check(a, b) - 1) < 1e-10, (a, b)
+            assert abs(product_formula(a, b) - 1) < 1e-10, (a, b)
 
     def test_lambda_product(self):
         assert abs(lambda_product_check(1) - 1) < 1e-14

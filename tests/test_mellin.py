@@ -6,7 +6,14 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from adelic.bruhat import Ball, ElementaryFunction, HermiteGaussian, PAdicTestFunction, vacuum_state
+from adelic.bruhat import (
+    Ball,
+    ElementaryFunction,
+    GenericReal,
+    HermiteGaussian,
+    PAdicTestFunction,
+    vacuum_state,
+)
 from adelic.cyclotomic import Cyclo
 from adelic.mellin import (
     DomainError,
@@ -50,6 +57,13 @@ class TestZeta:
             zeta(-0.5)
         with pytest.raises(DomainError):
             zeta(0)
+
+    def test_zeta_height_bound(self):
+        # without the bound the eta series would build about 1e300 terms
+        with pytest.raises(DomainError):
+            zeta(0.5 + 1e300j)
+        with pytest.raises(DomainError):
+            zeta(0.5 - 1001j)
 
     def test_euler_product_consistency(self):
         for alpha in (3.0, 4.0, 5.0):
@@ -186,13 +200,21 @@ class TestRealMellin:
         with pytest.raises(DomainError):
             mellin_real(HermiteGaussian.gaussian(), -1)
 
+    @pytest.mark.parametrize("alpha", [2, 0.3 + 1.5j])
+    def test_generic_profile_quadrature_matches_closed_form(self, alpha):
+        # a sampled profile takes the mpmath.quad branch, the Gaussian the
+        # gamma closed form
+        sampled = GenericReal(func=lambda x: math.exp(-math.pi * x * x), radius=8.0)
+        closed = mellin_real(HermiteGaussian.gaussian(), alpha)
+        assert abs(mellin_real(sampled, alpha) - closed) < 1e-12
+
 
 class TestPhiP:
     def test_vacuum_value_at_two(self):
         psi0 = vacuum_state()
         res = phi_p(psi0, 2)
         expect = 2**0.25 * math.pi / 6
-        assert abs(res.value - expect) / expect < 1e-12
+        assert abs(res - expect) / expect < 1e-12
 
     def test_poles(self):
         psi0 = vacuum_state()
@@ -206,7 +228,7 @@ class TestPhiP:
         res = phi_p(phi, 2)
         base = phi_p(vacuum_state(), 2)
         # local factor for 1_{2Z_2} is u = 2^-alpha = 1/4 at alpha = 2
-        assert abs(res.value - base.value * 0.25) < 1e-12
+        assert abs(res - base * 0.25) < 1e-12
 
     def test_measured_vacuum_constant(self):
         psi0 = vacuum_state()
@@ -214,7 +236,7 @@ class TestPhiP:
         for alpha in (2.0, 3.0, 4.0):
             res = phi_p(psi0, alpha)
             denom = complex(gamma_fn(alpha / 2)) * math.pi ** (-alpha / 2) * zeta(alpha)
-            consts.append(res.value / denom)
+            consts.append(res / denom)
         c0 = consts[0]
         assert abs(c0 - 2**0.25) < 1e-10
         for c in consts[1:]:

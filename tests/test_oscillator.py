@@ -11,7 +11,6 @@ from adelic.oscillator import (
     kernel_kt_p_exact,
     padic_cos,
     padic_sin,
-    padic_tan,
     real_state_orthonormality,
     unitarity_probe,
     vacuum_fourier_check,
@@ -63,12 +62,6 @@ class TestPAdicTrig:
         lhs = padic_sin(t2)
         rhs = padic_sin(t) * padic_cos(t) * 2
         assert lhs.congruent(rhs)
-
-    def test_tan_ratio(self):
-        t = from_rational(5, 5, 10)
-        tan = padic_tan(t)
-        s, c = padic_sin(t), padic_cos(t)
-        assert tan.congruent(s / c)
 
 
 class TestKernel:
