@@ -512,7 +512,10 @@ class ElementaryFunction:
 
 
 def vacuum_state() -> ElementaryFunction:
-    """2^(1/4) e^(-pi x^2) times the unit-ball indicator at every prime."""
+    """2^(1/4) e^(-pi x^2) times the unit-ball indicator at every prime.
+
+    The coefficient ``F(2) ** F(1, 4)`` is the float 2**0.25 turned into a
+    rational, not an exact 2^(1/4), which lies in no cyclotomic field."""
     return ElementaryFunction(HermiteGaussian.gaussian(F(2) ** F(1, 4)))
 
 

@@ -99,6 +99,16 @@ def _alpha(text: str) -> complex:
     return alpha
 
 
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = float("nan")
+    if not 0.0 <= tol < float("inf"):
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0: {text!r}")
+    return tol
+
+
 def _phi(source: str):
     """A test function from inline JSON or, for ``@path``, from a file."""
     from .bruhat import parse_schwartz_bruhat
@@ -224,7 +234,7 @@ def cmd_lambda_check(args) -> list[CheckReport]:
     from .gauss import lambda_product_check
 
     t0 = time.perf_counter()
-    value = lambda_product_check(args.a)
+    value = lambda_product_check(args.a).value
     err = abs(value - 1)
     return [make_report("lambda-check", {"a": str(args.a)}, value, 1 + 0j, t0,
                         passed=err <= args.tolerance, error=err)]
@@ -308,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(sp, tol=1e-10):
-        sp.add_argument("--tolerance", type=float, default=tol)
+        sp.add_argument("--tolerance", type=_tolerance, default=tol)
         sp.add_argument("--timings", action="store_true",
                         help="include runtime_ms (breaks byte-determinism)")
 

@@ -4,9 +4,11 @@ The closed form at every place is
 
     int chi_v(a x^2 + b x) dx = lam_v(a) |2a|_v^(-1/2) chi_v(-b^2/(4a)),
 
-with lam_v(a) a unit-modulus constant.  The tables below were derived by
-running the residue-sum oracle over all residue classes (the calibration
-is re-runnable, see ``calibrate_lambda_p``) and then frozen:
+with lam_v(a) a unit-modulus constant.  For rational a and b that is an
+exact phase times sqrt(|2a|_v^(-1)), the polar form ``_gauss_polar``; every
+closed form below and the product formula are read off it.  The lambda
+tables were derived by running the residue-sum oracle over all residue
+classes (re-runnable, see ``calibrate_lambda_p``) and then frozen:
 
 real place:    lam_inf(a) = e^(-i pi sign(a)/4)
 odd p, v(a) even:  lam_p = 1
@@ -22,15 +24,15 @@ rational a, which pins down the phase convention globally.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 
 from .adeles import Adele, Idele, principal_adele, principal_idele
 from .bruhat import Ball, ElementaryFunction, PAdicTestFunction, omega
-from .cyclotomic import Cyclo, UnitPhase, phase, sqrt_prime_power
+from .characters import chi_inf_phase, chi_p
+from .cyclotomic import Cyclo, UnitPhase, sqrt_prime_power
 from .integrate import integrate_qp, sphere_balls, stabilized_ball_sum
-from .padic import frac_part, padic_norm, unit_part_mod, valuation
+from .padic import padic_norm, unit_part_mod, valuation
 from .primes import legendre_symbol, require_prime
 
 F = Fraction
@@ -41,11 +43,6 @@ def lambda_inf_phase(a: Fraction | float) -> UnitPhase:
     if a == 0:
         raise ValueError("lambda requires a != 0")
     return UnitPhase(F(-1, 8) if a > 0 else F(1, 8))
-
-
-def lambda_inf(a: Fraction | float) -> complex:
-    """``lambda_inf_phase`` as a complex number."""
-    return lambda_inf_phase(a).value
 
 
 def lambda_p(p: int, a: Fraction | int) -> UnitPhase:
@@ -90,27 +87,27 @@ def class_representatives(
     return [F(u) * F(p) ** v for v in valuations for u in units]
 
 
-def gauss_integral_p_exact(p: int, a: Fraction | int, b: Fraction | int = 0) -> Cyclo:
-    """The exact closed form lam_p(a) |2a|_p^(-1/2) chi_p(-b^2/4a)."""
+def _gauss_polar(p: int | None, a, b) -> tuple[UnitPhase, Fraction]:
+    """The Gauss factor at p (p = None: the real place) as its exact phase
+    and squared modulus.  A float a or b is taken as the rational it is."""
     a, b = Fraction(a), Fraction(b)
     if a == 0:
         raise ValueError("Gauss integral requires a != 0")
-    out = lambda_p(p, a).as_cyclo() * sqrt_norm_2a_inv(p, a)
-    if b != 0:
-        out = out * phase(frac_part(-b * b / (4 * a), p))
-    return out
+    c = -b * b / (4 * a)
+    if p is None:
+        return lambda_inf_phase(a) * chi_inf_phase(c), 1 / abs(2 * a)
+    return lambda_p(p, a) * chi_p(c, p), 1 / padic_norm(2 * a, p)
+
+
+def gauss_integral_p_exact(p: int, a: Fraction | int, b: Fraction | int = 0) -> Cyclo:
+    """The exact closed form lam_p(a) |2a|_p^(-1/2) chi_p(-b^2/4a)."""
+    return _gauss_polar(p, a, b)[0].as_cyclo() * sqrt_norm_2a_inv(p, Fraction(a))
 
 
 def gauss_integral_inf(a: Fraction | float, b: Fraction | float = 0) -> complex:
     """lam_inf(a) |2a|^(-1/2) chi_inf(-b^2/4a) at the real place."""
-    if a == 0:
-        raise ValueError("Gauss integral requires a != 0")
-    af, bf = float(a), float(b)
-    return (
-        lambda_inf(a)
-        * abs(2.0 * af) ** -0.5
-        * cmath.exp(-2j * math.pi * (-bf * bf / (4.0 * af)))
-    )
+    ph, m2 = _gauss_polar(None, a, b)
+    return ph.value * math.sqrt(m2)
 
 
 def _places(a: Idele, b: Adele) -> list[int]:
@@ -120,27 +117,26 @@ def _places(a: Idele, b: Adele) -> list[int]:
     return sorted({2} | set(a.listed_primes) | set(b.listed_primes))
 
 
-def lambda_product_check(a: Fraction | int) -> complex:
-    """lam_inf(a) * prod_p lam_p(a) over the places of the principal idele a;
-    contract: 1."""
-    a = Fraction(a)
-    total = lambda_inf_phase(a)
-    for p in _places(principal_idele(a), principal_adele(0)):
-        total = total * lambda_p(p, a)
-    return total.value
+def kernel_k_polar(a: Idele, b: Adele) -> tuple[UnitPhase, Fraction]:
+    """K(a, b) = prod_v lam_v(a_v) |2 a_v|_v^(-1/2) chi_v(-b_v^2/(4 a_v)) in
+    polar form, over the real place and ``_places(a, b)``.  On principal
+    points it is the product formula: K(r, s) = (UnitPhase(0), 1)."""
+    ph, m2 = _gauss_polar(None, a.real, b.real)
+    for p in _places(a, b):
+        q, n = _gauss_polar(p, a.component(p), b.component(p))
+        ph, m2 = ph * q, m2 * n
+    return ph, m2
 
 
 def kernel_k(a: Idele, b: Adele) -> complex:
-    """K(a, b) = prod_v lam_v(a_v) |2 a_v|_v^(-1/2) chi_v(-b_v^2/(4 a_v)).
+    """``kernel_k_polar`` as a complex number."""
+    ph, m2 = kernel_k_polar(a, b)
+    return ph.value * math.sqrt(m2)
 
-    A finite product over the real place and ``_places(a, b)``.  Its value
-    on principal points is the adelic product formula for Gauss integrals:
-    K(r, s) = 1 for all rationals r != 0 and s.
-    """
-    exact = Cyclo(1)
-    for p in _places(a, b):
-        exact = exact * gauss_integral_p_exact(p, a.component(p), b.component(p))
-    return gauss_integral_inf(a.real, b.real) * exact.to_complex()
+
+def lambda_product_check(a: Fraction | int) -> UnitPhase:
+    """lam_inf(a) * prod_p lam_p(a), the phase of K(a, 0); contract: 0."""
+    return kernel_k_polar(principal_idele(a), principal_adele(0))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +148,10 @@ def _lambda_ball(p: int, ball: Ball, b: Fraction, mod: Fraction) -> Cyclo:
     """The Lambda integrand gamma_p(c, b) chi_p(mod*c) over a ball away from 0,
     as a stabilized residue sum (gamma_p = ``gauss_integral_p_exact``).
 
-    The sum starts at a sound constancy level: lam_p and |2c| are fixed by
-    the unit class (``lambda_class_depth``); chi(beta/c), beta = -b^2/4,
-    moves by beta*y/(c(c+y)), chi(mod*c) by mod*y.
+    Only the phase is summed; the surd |2c|_p^(-1/2) is constant on a ball
+    without 0.  The sum starts at a sound constancy level: lam_p and |2c|
+    are fixed by the unit class (``lambda_class_depth``); chi(beta/c),
+    beta = -b^2/4, moves by beta*y/(c(c+y)), chi(mod*c) by mod*y.
     """
     k = ball.radius_exp
     vc = valuation(ball.center, p).value
@@ -167,12 +164,12 @@ def _lambda_ball(p: int, ball: Ball, b: Fraction, mod: Fraction) -> Cyclo:
             lvl = max(lvl, -vm)
     part = stabilized_ball_sum(
         p, ball,
-        lambda c: gauss_integral_p_exact(p, c, b) * phase(frac_part(mod * c, p)),
+        lambda c: (_gauss_polar(p, c, b)[0] * chi_p(mod * c, p)).as_cyclo(),
         cap=8, start_level=lvl,
     )
     if not part.stabilized:
         raise ArithmeticError("Lambda transform local integral did not stabilize")
-    return part.value
+    return part.value * sqrt_norm_2a_inv(p, ball.center)
 
 
 def lambda_local_transform(p: int, f: PAdicTestFunction, b_p: Fraction) -> Cyclo:

@@ -22,13 +22,13 @@ from .bruhat import (
     vacuum_state,
 )
 from .characters import chi_principal_phase
-from .cyclotomic import Cyclo, phase
+from .cyclotomic import ONE_PHASE, Cyclo, phase
 from .distributions import chi_distribution, delta_distribution, pair
 from .gauss import (
     class_representatives,
     gauss_integral_inf,
     gauss_integral_p_exact,
-    kernel_k,
+    kernel_k_polar,
     lambda_product_check,
 )
 from .integrate import integrate_qp
@@ -180,35 +180,23 @@ def gauss_grid_checks(primes=(2, 3, 5, 7)) -> list[CheckReport]:
 def product_formula_checks(count: int = 100, seed: int = DEFAULT_SEED) -> list[CheckReport]:
     rng = random.Random(seed)
     t0 = time.perf_counter()
-    worst = 0.0
+    bad = None
     for _ in range(count):
         a = F(rng.randint(1, 60) * rng.choice([-1, 1]), rng.randint(1, 60))
         b = F(rng.randint(0, 60) * rng.choice([-1, 1]), rng.randint(1, 60))
-        worst = max(worst, abs(kernel_k(principal_idele(a), principal_adele(b)) - 1))
-    rep1 = make_report(
-        "gauss-product-formula",
-        {"count": count, "seed": seed},
-        f"max |prod - 1| = {worst:.3e}",
-        "1",
-        t0,
-        passed=worst < 1e-10,
-        error=worst,
-    )
+        if kernel_k_polar(principal_idele(a), principal_adele(b)) != (ONE_PHASE, 1):
+            bad = bad or f"failed at a={a}, b={b}"
+    out = [make_report("gauss-product-formula", {"count": count, "seed": seed},
+                       bad or "1 (exact)", "1", t0, passed=bad is None)]
     t0 = time.perf_counter()
-    worst_l = 0.0
+    bad = None
     for _ in range(count):
         a = F(rng.randint(1, 80) * rng.choice([-1, 1]), rng.randint(1, 80))
-        worst_l = max(worst_l, abs(lambda_product_check(a) - 1))
-    rep2 = make_report(
-        "lambda-product-formula",
-        {"count": count, "seed": seed},
-        f"max |prod - 1| = {worst_l:.3e}",
-        "1",
-        t0,
-        passed=worst_l < 1e-12,
-        error=worst_l,
-    )
-    return [rep1, rep2]
+        if lambda_product_check(a) != ONE_PHASE:
+            bad = bad or f"failed at a={a}"
+    out.append(make_report("lambda-product-formula", {"count": count, "seed": seed},
+                           bad or "1 (exact)", "1", t0, passed=bad is None))
+    return out
 
 
 # -- 5. Fourier calculus --------------------------------------------------------

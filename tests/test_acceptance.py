@@ -47,8 +47,8 @@ def test_acceptance_3_gauss_closed_form_vs_oracle():
 
 
 def test_acceptance_4_product_formulas():
-    # |product - 1| < 1e-10 over 100 pairs; lambda product < 1e-12
-    _verdict(4, "adelic Gauss product formula", product_formula_checks(count=100))
+    # exact over 100 pairs: phase 0 and squared modulus 1; lambda phase 0
+    _verdict(4, "adelic Gauss product formula, exact", product_formula_checks(count=100))
 
 
 def test_acceptance_5_fourier_calculus():

@@ -53,6 +53,9 @@ def test_product_check_command():
     rep = lines[0]
     assert rep["pass"] is True
     assert float(rep["abs_error"]) < 1e-10
+    # the product is computed exactly in polar form
+    assert rep["value"] == "1+0i"
+    assert rep["abs_error"] == "0"
 
 
 def test_lambda_check_command():
@@ -160,8 +163,13 @@ _PHI = json.dumps({"real": [[0, "1"]], "primes": {}})
     ["mellin", "--phi", _PHI, "--alpha", "nan,0"],
     ["mellin", "--phi", _PHI, "--alpha", "inf,0"],
     ["zeta-fe", "--alpha", "0.5,nan"],
+    ["zeta-fe", "--alpha", "0.4,0", "--tolerance", "inf"],
+    ["oscillator-check", "-p", "5", "--t", "5", "--tolerance", "inf"],
+    ["zeta-fe", "--alpha", "0.4,0", "--tolerance", "nan"],
+    ["product-check", "-a", "3/4", "--tolerance=-1e-3"],
 ], ids=["phi-not-object", "phi-file-missing", "p-not-prime", "alpha-nan",
-        "alpha-inf", "alpha-imag-nan"])
+        "alpha-inf", "alpha-imag-nan", "tolerance-inf", "oscillator-tolerance-inf",
+        "tolerance-nan", "tolerance-negative"])
 def test_usage_errors_exit_2_without_traceback(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
