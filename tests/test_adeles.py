@@ -12,6 +12,7 @@ from adelic.adeles import (
     principal_idele,
     zero_adele,
 )
+from adelic.characters import pi_alpha
 
 F = Fraction
 
@@ -81,6 +82,29 @@ def test_norm_product_thousand_random():
         num = rng.randint(1, 10**6) * rng.choice([-1, 1])
         den = rng.randint(1, 10**6)
         assert norm_product(F(num, den)) == 1
+
+
+def test_adele_norm_alpha_principal_exact():
+    # |x|^alpha of an idele is characters.pi_alpha
+    lam = principal_idele(10)
+    assert pi_alpha(lam, 0.5 + 1j) == 1
+    assert pi_alpha(lam, 2) == 1  # 100 * (1/4) * (1/25)
+
+
+def test_adele_norm_alpha_generic():
+    lam = Idele(real=2.0, components={}, tail=F(1))
+    assert abs(pi_alpha(lam, 2) - 4) < 1e-14
+
+
+def test_adele_norm_alpha_multiplicative():
+    rng = random.Random(7)
+    for _ in range(50):
+        r1 = F(rng.randint(1, 400) * rng.choice([-1, 1]), rng.randint(1, 400))
+        r2 = F(rng.randint(1, 400) * rng.choice([-1, 1]), rng.randint(1, 400))
+        alpha = 0.7 + 0.3j
+        lhs = pi_alpha(principal_idele(r1 * r2), alpha)
+        rhs = pi_alpha(principal_idele(r1), alpha) * pi_alpha(principal_idele(r2), alpha)
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs)), (r1, r2)
 
 
 def test_equality_and_hash():

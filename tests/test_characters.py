@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from adelic.adeles import Idele, principal_idele
+from adelic.adeles import principal_idele
 from adelic.characters import (
     chi_inf,
     chi_inf_phase,
@@ -71,23 +71,19 @@ def test_chi_adele_principal_and_generic():
 
 
 def test_pi_alpha_examples():
-    # principal ideles give exactly 1 for any alpha
+    # principal ideles give exactly 1; tests/test_adeles.py covers the
+    # complex and alpha = 2 cases and an idele with a float real part
     assert pi_alpha(principal_idele(F(3, 2)), 1) == 1
     assert pi_alpha(principal_idele(-7), 1) == 1
-    assert pi_alpha(principal_idele(10), 0.5 + 1j) == 1
-    assert pi_alpha(principal_idele(10), 2) == 1  # 100 * (1/4) * (1/25)
-    # |2|^2 = 4 on an idele with a float real part
-    lam = Idele(real=2.0, components={}, tail=F(1))
-    assert abs(pi_alpha(lam, 2) - 4) < 1e-14
 
 
 def test_pi_alpha_multiplicativity():
-    # (seed, draws, numerator and denominator bound, alpha)
-    for seed, draws, top, alpha in ((99, 30, 200, 1.5 - 0.25j), (7, 50, 400, 0.7 + 0.3j)):
-        rng = random.Random(seed)
-        for _ in range(draws):
-            r1 = F(rng.randint(1, top) * rng.choice([-1, 1]), rng.randint(1, top))
-            r2 = F(rng.randint(1, top) * rng.choice([-1, 1]), rng.randint(1, top))
-            lhs = pi_alpha(principal_idele(r1 * r2), alpha)
-            rhs = pi_alpha(principal_idele(r1), alpha) * pi_alpha(principal_idele(r2), alpha)
-            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs)), (seed, r1, r2)
+    # a second seeded draw to the one in tests/test_adeles.py
+    rng = random.Random(99)
+    for _ in range(30):
+        r1 = F(rng.randint(1, 200) * rng.choice([-1, 1]), rng.randint(1, 200))
+        r2 = F(rng.randint(1, 200) * rng.choice([-1, 1]), rng.randint(1, 200))
+        alpha = 1.5 - 0.25j
+        lhs = pi_alpha(principal_idele(r1 * r2), alpha)
+        rhs = pi_alpha(principal_idele(r1), alpha) * pi_alpha(principal_idele(r2), alpha)
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs)), (r1, r2)
