@@ -252,9 +252,7 @@ class PAdicTestFunction:
     def __eq__(self, other):
         if not isinstance(other, PAdicTestFunction) or other.prime != self.prime:
             return NotImplemented
-        if set(self.terms) == set(other.terms) and all(
-            self.terms[k] == other.terms[k] for k in self.terms
-        ):
+        if self.terms == other.terms:
             return True  # structurally identical fast path
         return (self - other).is_zero()
 
@@ -400,9 +398,7 @@ class HermiteGaussian:
     def __eq__(self, other):
         if not isinstance(other, HermiteGaussian):
             return NotImplemented
-        if set(self.coeffs) != set(other.coeffs):
-            return False
-        return all(self.coeffs[n] == other.coeffs[n] for n in self.coeffs)
+        return self.coeffs == other.coeffs
 
     __hash__ = None
 
@@ -499,11 +495,8 @@ class ElementaryFunction:
     def __eq__(self, other):
         if not isinstance(other, ElementaryFunction):
             return NotImplemented
-        return (
-            self.real_factor == other.real_factor
-            and set(self.prime_factors) == set(other.prime_factors)
-            and all(self.prime_factors[p] == other.prime_factors[p] for p in self.prime_factors)
-        )
+        return (self.real_factor == other.real_factor
+                and self.prime_factors == other.prime_factors)
 
     __hash__ = None
 
@@ -584,11 +577,9 @@ def parse_complex_rational(s: str) -> Cyclo:
 def _format_cyclo_rational(c: Cyclo) -> str:
     """Inverse of parse_complex_rational for Gaussian-rational scalars."""
     can = c.canonical()
-    re = can.get((), F(0))
-    im = can.get(((2, 2, 1),), F(0))
-    rest = {k: v for k, v in can.items() if k not in ((), ((2, 2, 1),))}
-    if rest:
+    if set(can) - {0, F(1, 4)}:
         raise ValueError("scalar is not a Gaussian rational; cannot serialize")
+    re, im = can.get(0, F(0)), can.get(F(1, 4), F(0))
     if im == 0:
         return str(re)
     sign = "+" if im >= 0 else "-"

@@ -8,12 +8,14 @@ coefficients and p-adic Gauss integrals all live in ``Cyclo``, so identities
 like Plancherel or the stabilization of a residue sum can be tested for
 *exact* equality instead of within a float tolerance.
 
-Zero-testing reduces each term to the tensor basis of Q(zeta_N) over the
-prime powers dividing the phase denominators: for a prime power q**e the
-basis is zeta^j with 0 <= j < phi(q**e), and the single relation
-zeta^((q-1)*q**(e-1) + r) = -(zeta^r + zeta^(q**(e-1)+r) + ...) rewrites any
-out-of-range exponent.  Phases kept in lowest terms need at most one such
-rewrite per prime, so equality tests stay cheap.
+A ``Cyclo`` is held in canonical form: its coordinates over the power basis
+of Q(zeta_N), tensored over the prime powers p**e dividing N.  Each basis
+element is itself a phase, the sum of one j/p**e with 0 <= j < phi(p**e)
+per prime power, and the single relation
+zeta^((p-1)*p**(e-1) + r) = -(zeta^r + zeta^(p**(e-1)+r) + ...) rewrites
+any out-of-range j.  Construction, conjugation and products reduce through
+that rewrite once; sums and negations keep basis phases as they are.  So
+equality is dict equality, zero is the empty dict, and values hash.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Union
+from types import MappingProxyType
+from typing import Iterable, Mapping, Union
 
 from .primes import factorize
 
@@ -70,11 +73,11 @@ ONE_PHASE = UnitPhase(Fraction(0))
 
 
 def _as_terms(x: Scalar) -> dict[Fraction, Fraction]:
-    """Embed a scalar as a phase->coefficient dict (floats map exactly)."""
+    """A scalar's canonical terms (floats map exactly)."""
     if isinstance(x, Cyclo):
-        return dict(x._terms)
+        return x._terms
     if isinstance(x, UnitPhase):
-        return {x.phase: Fraction(1)}
+        return {q: Fraction(s) for q, s in _monomial_basis(x.phase)}
     if isinstance(x, Rational):  # int, Fraction
         return {Fraction(0): Fraction(x)} if x != 0 else {}
     if isinstance(x, float):
@@ -89,38 +92,58 @@ def _as_terms(x: Scalar) -> dict[Fraction, Fraction]:
     raise TypeError(f"cannot interpret {type(x).__name__} as an exact scalar")
 
 
+def _reduce(pairs: Iterable[tuple[Fraction, Fraction]]) -> dict[Fraction, Fraction]:
+    """The canonical terms of sum c * e(q) over (q, c) pairs, 0 <= q < 1, c != 0."""
+    out: dict[Fraction, Fraction] = {}
+    for q, c in pairs:
+        for b, sign in _monomial_basis(q):
+            s = out.get(b, 0) + sign * c
+            if s:
+                out[b] = s
+            else:
+                del out[b]
+    return out
+
+
 class Cyclo:
-    """Finite rational combination sum_q c_q * e^(2*pi*i*q), exact."""
+    """Finite rational combination sum_q c_q * e^(2*pi*i*q), exact.
+
+    ``_terms`` is the canonical form: basis phase -> nonzero coefficient.
+    """
 
     __slots__ = ("_terms",)
-    __hash__ = None  # mutable-free but equality is semantic, not structural
 
-    def __init__(self, terms: Scalar | dict[Fraction, Fraction] = ()):
-        if isinstance(terms, dict):
-            self._terms = {
-                Fraction(q) % 1: Fraction(c) for q, c in terms.items() if c != 0
-            }
-        elif terms == () or terms is None:
+    def __init__(self, terms: Scalar | dict[Fraction, Fraction] | None = None):
+        if terms is None:
             self._terms = {}
+        elif isinstance(terms, dict):
+            self._terms = _reduce((Fraction(q) % 1, Fraction(c)) for q, c in terms.items() if c)
         else:
             self._terms = _as_terms(terms)
+
+    @classmethod
+    def _of(cls, terms: dict[Fraction, Fraction]) -> "Cyclo":
+        """Wrap terms that are already canonical."""
+        out = object.__new__(cls)
+        out._terms = terms
+        return out
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: Scalar) -> "Cyclo":
         out = dict(self._terms)
         for q, c in _as_terms(other).items():
-            s = out.get(q, Fraction(0)) + c
+            s = out.get(q, 0) + c
             if s:
                 out[q] = s
             else:
-                out.pop(q, None)
-        return Cyclo(out)
+                del out[q]
+        return Cyclo._of(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyclo":
-        return Cyclo({q: -c for q, c in self._terms.items()})
+        return Cyclo._of({q: -c for q, c in self._terms.items()})
 
     def __sub__(self, other: Scalar) -> "Cyclo":
         return self + (-Cyclo(other))
@@ -129,17 +152,12 @@ class Cyclo:
         return Cyclo(other) + (-self)
 
     def __mul__(self, other: Scalar) -> "Cyclo":
-        out: dict[Fraction, Fraction] = {}
         bterms = _as_terms(other)
-        for q1, c1 in self._terms.items():
-            for q2, c2 in bterms.items():
-                q = (q1 + q2) % 1
-                s = out.get(q, Fraction(0)) + c1 * c2
-                if s:
-                    out[q] = s
-                else:
-                    out.pop(q, None)
-        return Cyclo(out)
+        return Cyclo._of(_reduce(
+            ((q1 + q2) % 1, c1 * c2)
+            for q1, c1 in self._terms.items()
+            for q2, c2 in bterms.items()
+        ))
 
     __rmul__ = __mul__
 
@@ -149,7 +167,7 @@ class Cyclo:
         raise TypeError("Cyclo division is only defined by nonzero rationals")
 
     def conjugate(self) -> "Cyclo":
-        return Cyclo({(-q) % 1: c for q, c in self._terms.items()})
+        return Cyclo({-q: c for q, c in self._terms.items()})
 
     def abs2(self) -> "Cyclo":
         """|z|^2 as an exact Cyclo (z times its conjugate)."""
@@ -157,46 +175,38 @@ class Cyclo:
 
     # -- canonical form and predicates ------------------------------------
 
-    def canonical(self) -> dict[tuple, Fraction]:
-        """Coordinates over the tensor basis of prime-power cyclotomics."""
-        out: dict[tuple, Fraction] = {}
-        for q, c in self._terms.items():
-            for key, sign in _monomial_basis(q):
-                s = out.get(key, Fraction(0)) + sign * c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return out
+    def canonical(self) -> Mapping[Fraction, Fraction]:
+        """The coordinates over the basis: basis phase -> coefficient."""
+        return MappingProxyType(self._terms)
 
     def is_zero(self) -> bool:
-        return not self.canonical()
+        return not self._terms
 
     def __eq__(self, other) -> bool:
+        # through canonical(): bench/tracing.py counts equality tests there
         try:
-            return (self - other).is_zero()
+            return self.canonical() == _as_terms(other)
         except TypeError:
             return NotImplemented
 
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
+
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self._terms)
 
     def as_fraction(self) -> Fraction | None:
         """The exact rational value, or None if irrational."""
-        can = self.canonical()
-        if not can:
+        if not self._terms:
             return Fraction(0)
-        if len(can) == 1 and () in can:
-            return can[()]
-        return None
+        return self._terms.get(0) if len(self._terms) == 1 else None
 
     # -- numeric boundary --------------------------------------------------
 
     def to_complex(self) -> complex:
-        return sum(
-            (float(c) * cmath.exp(1j * _TWO_PI * float(q)) for q, c in self._terms.items()),
-            0j,
-        )
+        """Summed in phase order, so equal values give the same float."""
+        terms = sorted(self._terms.items())
+        return sum((float(c) * cmath.exp(1j * _TWO_PI * float(q)) for q, c in terms), 0j)
 
     __complex__ = to_complex
 
@@ -210,54 +220,34 @@ class Cyclo:
 _MONOMIAL_CACHE: dict[Fraction, tuple] = {}
 
 
-def _monomial_basis(q: Fraction) -> tuple:
-    """Expand e^(2*pi*i*q) over the canonical tensor basis.
-
-    Returns a tuple of (key, sign) pairs where key is a sorted tuple of
-    (prime, exponent_of_conductor, power) triples, omitting trivial factors.
-    """
+def _monomial_basis(q: Fraction) -> tuple[tuple[Fraction, int], ...]:
+    """Expand e^(2*pi*i*q), 0 <= q < 1, over the basis as (basis phase,
+    sign) pairs: one CRT component j/p**e per prime power of the
+    denominator, an out-of-range j rewritten once."""
     hit = _MONOMIAL_CACHE.get(q)
     if hit is not None:
         return hit
     n = q.denominator
-    a = q.numerator % n
-    # CRT split: a/n = sum over prime powers q^e || n of a_qe / q^e (mod 1)
-    per_prime: list[list[tuple[tuple, int]]] = []
-    for p, e in sorted(factorize(n).items()) if n > 1 else []:
+    combos = [(0, 1)]  # (numerator over n, sign)
+    for p, e in factorize(n).items():
         pe = p**e
         cof = n // pe
-        j = (a * pow(cof, -1, pe)) % pe
+        j = (q.numerator * pow(cof, -1, pe)) % pe
         phi = pe - pe // p
         if j < phi:
-            per_prime.append([((p, e, j), 1)] if j else [((), 1)])
+            alts = [(j, 1)]
         else:
             # zeta^((p-1)p^(e-1)+r) = -sum_i zeta^(i p^(e-1)+r)
-            r = j - (p - 1) * (pe // p)
-            alts = []
-            for i in range(p - 1):
-                jj = i * (pe // p) + r
-                alts.append((((p, e, jj) if jj else ()), -1))
-            per_prime.append(alts)
-    if not per_prime:
-        result = (((), 1),)
-        _MONOMIAL_CACHE[q] = result
-        return result
-    # tensor the per-prime expansions
-    combos: list[tuple[list, int]] = [([], 1)]
-    for alts in per_prime:
-        combos = [
-            (key + ([part] if part else []), sign * s)
-            for key, sign in combos
-            for part, s in alts
-        ]
-    result = tuple((tuple(sorted(key)), sign) for key, sign in combos)
+            alts = [(i * (pe // p) + j - phi, -1) for i in range(p - 1)]
+        combos = [(num + jj * cof, sign * s) for num, sign in combos for jj, s in alts]
+    result = tuple((Fraction(num % n, n), sign) for num, sign in combos)
     _MONOMIAL_CACHE[q] = result
     return result
 
 
 def phase(q: Fraction | int) -> Cyclo:
     """The unit phase e^(2*pi*i*q) as a Cyclo."""
-    return Cyclo({Fraction(q) % 1: Fraction(1)})
+    return Cyclo({q: 1})
 
 
 def cyclo_sum(items: Iterable[Scalar]) -> Cyclo:

@@ -198,7 +198,7 @@ class LocalMellinFactor:
         return complex(self.evaluate_mp(alpha))
 
     def is_one(self) -> bool:
-        return set(self.coeffs) == {0} and self.coeffs[0] == Cyclo(1)
+        return self.coeffs == {0: Cyclo(1)}
 
 
 def mellin_local(phi_p: PAdicTestFunction, p: int | None = None) -> LocalMellinFactor:

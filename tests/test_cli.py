@@ -166,10 +166,12 @@ _PHI = json.dumps({"real": [[0, "1"]], "primes": {}})
     ["zeta-fe", "--alpha", "0.4,0", "--tolerance", "inf"],
     ["oscillator-check", "-p", "5", "--t", "5", "--tolerance", "inf"],
     ["zeta-fe", "--alpha", "0.4,0", "--tolerance", "nan"],
-    ["product-check", "-a", "3/4", "--tolerance=-1e-3"],
+    ["gauss", "-a", "1", "--tolerance=-1e-3"],
+    # exact checks take no tolerance
+    ["product-check", "-a", "3/4", "--tolerance", "0"],
 ], ids=["phi-not-object", "phi-file-missing", "p-not-prime", "alpha-nan",
         "alpha-inf", "alpha-imag-nan", "tolerance-inf", "oscillator-tolerance-inf",
-        "tolerance-nan", "tolerance-negative"])
+        "tolerance-nan", "tolerance-negative", "exact-check-tolerance"])
 def test_usage_errors_exit_2_without_traceback(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -183,7 +185,11 @@ def test_usage_errors_exit_2_without_traceback(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ["zeta-fe", "--alpha", "0.5,1e300"],
     ["product-check", "-a", "0"],
-], ids=["zeta-height", "product-check-zero"])
+    # outside the double range of the real-place Fresnel oracle
+    ["gauss", "-a", "1e-400"],
+    ["gauss", "-a", "1e400"],
+], ids=["zeta-height", "product-check-zero", "gauss-real-a-underflow",
+        "gauss-real-a-overflow"])
 def test_domain_errors_exit_1_without_traceback(argv):
     code, lines, err = run_cli(*argv)
     assert code == 1

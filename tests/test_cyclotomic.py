@@ -2,7 +2,7 @@ import cmath
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from adelic.cyclotomic import Cyclo, UnitPhase, cyclo_sum, phase, sqrt_prime
 
@@ -109,3 +109,42 @@ def test_to_complex_consistent_with_canonical_zero(terms):
 def test_to_complex_numeric():
     z = phase(F(1, 3))
     assert abs(z.to_complex() - cmath.exp(2j * cmath.pi / 3)) < 1e-15
+
+
+_PHASES = st.fractions(min_value=-2, max_value=2, max_denominator=36)
+_COEFFS = st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool)
+
+
+def _build(terms):
+    return cyclo_sum(phase(q) * c for q, c in terms)
+
+
+def _bits(z: complex):
+    return z.real.hex(), z.imag.hex()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_PHASES, _COEFFS), min_size=1, max_size=6),
+       st.integers(min_value=0), st.sampled_from([2, 3, 5, 7]))
+def test_two_builds_of_one_value_are_indistinguishable(terms, pick, p):
+    # rewrite one term through e(q) = -sum_{i=1}^{p-1} e(q + i/p)
+    k = pick % len(terms)
+    q, c = terms[k]
+    rewritten = terms[:k] + [(q + F(i, p), -c) for i in range(1, p)] + terms[k + 1:]
+    x, y = _build(terms), _build(rewritten)
+    assert x == y
+    assert hash(x) == hash(y)
+    assert x.canonical() == y.canonical()
+    assert _bits(x.to_complex()) == _bits(y.to_complex())
+
+
+# few phases and unit coefficients, so that equal pairs are common
+_SMALL = st.lists(st.tuples(st.sampled_from([F(0), F(1, 2), F(1, 3), F(2, 3), F(1, 6)]),
+                            st.sampled_from([F(-1), F(1)])), max_size=3)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_SMALL, _SMALL)
+def test_equality_is_a_zero_difference(t1, t2):
+    x, y = _build(t1), _build(t2)
+    assert (x == y) == (x - y).is_zero() == (not (x - y))
