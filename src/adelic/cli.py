@@ -111,10 +111,13 @@ def _tolerance(text: str) -> float:
 
 
 def _oracle_float(flag: str, x: Fraction) -> float:
-    """x as the double the Fresnel oracle computes with; a nonzero x that
-    overflows or underflows is a domain error."""
+    """x as the double the Fresnel oracle computes with.  A nonzero x that
+    overflows or underflows is a domain error, and so is an ``-a`` whose
+    |2a|^-1, the closed form's squared modulus, overflows."""
     try:
         f = float(x)
+        if flag == "-a" and x:
+            float(1 / abs(2 * x))
     except OverflowError:
         f = 0.0
     if f == 0.0 and x != 0:

@@ -9,35 +9,31 @@ where each local factor is an exact Laurent polynomial in u = p**(-alpha)
 is automatic) and the only poles of the product are alpha = 0 (gamma) and
 alpha = 1 (zeta).
 
-zeta is computed from the alternating (eta) series with Chebyshev-style
-acceleration, valid for Re alpha > 0; the functional equation is *never*
-used internally because it is precisely the identity under test.  gamma
-uses Spouge's rational approximation with reflection, with coefficients
-generated at the working precision rather than transcribed.  Both run on
-a private mpmath context with ``WORKING_DPS`` = 50 significant digits so
-that strip residuals near 1e-10 have headroom.
+zeta and gamma are mpmath's own ``zeta`` and ``gamma``, both on a private
+mpmath context with ``WORKING_DPS`` = 50 significant digits so that strip
+residuals near 1e-10 have headroom.  The functional equation is *never*
+used internally, because it is precisely the identity under test: on the
+domain that ``zeta_mp`` accepts, mpmath never reflects (see there).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-import mpmath
+
 from mpmath import mp
 
 from .bruhat import ElementaryFunction, HermiteGaussian, PAdicTestFunction, hermite_coefficients
 from .cyclotomic import Cyclo
 from .padic import valuation
-from .primes import require_prime
+from .primes import primes_up_to, require_prime
 
 F = Fraction
 
 # working precision (significant digits); every strip tolerance assumes it
 WORKING_DPS = 50
 
-# largest |Im alpha| for zeta: the eta series takes about 0.9 |Im alpha|
-# terms, with exact integer coefficients of about 0.7 |Im alpha| digits each
+# largest |Im alpha| for zeta; see zeta_mp
 ZETA_MAX_HEIGHT = 1000
 
 _CTX = mp.clone()
@@ -48,60 +44,22 @@ class DomainError(ValueError):
     """Evaluation requested at a pole or outside the supported domain."""
 
 
-def _to_mpc(ctx, z) -> "mpmath.mpc":
-    if isinstance(z, complex):
-        return ctx.mpc(z.real, z.imag)
-    return ctx.mpc(z)
+def zeta_mp(alpha):
+    """zeta(alpha) for Re alpha > 0, alpha != 1, |Im alpha| <= ZETA_MAX_HEIGHT.
 
-
-# ---------------------------------------------------------------------------
-# Riemann zeta via the accelerated alternating series
-# ---------------------------------------------------------------------------
-
-_ETA_D_CACHE: dict[int, list[int]] = {}
-
-
-def _eta_coefficients(n: int) -> list[int]:
-    """d_k = n * sum_{j<=k} (n+j-1)! 4^j / ((n-j)! (2j)!), exact integers."""
-    hit = _ETA_D_CACHE.get(n)
-    if hit is not None:
-        return hit
-    term = F(1)  # j = 0 value of n * (n-1)!/n! = 1
-    partial = [term]
-    for j in range(1, n + 1):
-        term = term * 4 * (n + j - 1) * (n - j + 1)
-        term = term / ((2 * j - 1) * (2 * j))
-        partial.append(partial[-1] + term)
-    out = []
-    for s in partial:
-        assert s.denominator == 1
-        out.append(int(s))
-    _ETA_D_CACHE[n] = out
-    return out
-
-
-def zeta_mp(alpha, ctx=None):
-    """zeta(alpha) for Re alpha > 0, alpha != 1, at context precision."""
-    ctx = ctx or _CTX
-    s = _to_mpc(ctx, alpha)
+    On this domain mpmath runs Borwein's series or Euler-Maclaurin
+    summation.  It uses the reflection formula only for Re s < 0, and
+    switches to Riemann-Siegel only for |Im s| > 500 * prec (84,500 at the
+    working 169 bits); the height bound keeps every call below that switch.
+    """
+    s = _CTX.mpc(alpha)
     if s.real <= 0:
         raise DomainError("zeta is computed only for Re alpha > 0")
     if s == 1:
         raise DomainError("zeta has its pole at alpha = 1")
-    t = abs(float(s.imag))
-    if t > ZETA_MAX_HEIGHT:
+    if abs(s.imag) > ZETA_MAX_HEIGHT:
         raise DomainError(f"zeta is computed only for |Im alpha| <= {ZETA_MAX_HEIGHT}")
-    # error ~ (3+sqrt8)^-n * (1+2|t|) e^(pi |t| / 2): solve for n with margin
-    digits = ctx.dps + 10
-    n = int((2.302585 * digits + 1.5708 * t + 12.0) / 1.7627) + 5
-    d = _eta_coefficients(n)
-    dn = d[n]
-    total = ctx.mpf(0)
-    for k in range(n):
-        term = ctx.mpf(d[k] - dn) * ctx.power(k + 1, -s)
-        total += term if k % 2 == 0 else -term
-    eta_factor = 1 - ctx.power(2, 1 - s)
-    return -total / (dn * eta_factor)
+    return _CTX.zeta(s)
 
 
 def zeta(alpha: complex) -> complex:
@@ -109,62 +67,21 @@ def zeta(alpha: complex) -> complex:
     return complex(zeta_mp(alpha))
 
 
-def euler_product_zeta(alpha: complex, prime_bound: int, ctx=None) -> complex:
+def euler_product_zeta(alpha: complex, prime_bound: int) -> complex:
     """Truncated Euler product over p <= prime_bound; test-side comparator."""
-    from .primes import primes_up_to
-
-    ctx = ctx or _CTX
-    s = _to_mpc(ctx, alpha)
-    prod = ctx.mpf(1)
+    s = _CTX.mpc(alpha)
+    prod = _CTX.mpf(1)
     for p in primes_up_to(prime_bound):
-        prod = prod / (1 - ctx.power(p, -s))
+        prod = prod / (1 - _CTX.power(p, -s))
     return complex(prod)
 
 
-# ---------------------------------------------------------------------------
-# gamma via Spouge's approximation with reflection
-# ---------------------------------------------------------------------------
-
-_SPOUGE_CACHE: dict[tuple[int, int], tuple] = {}
-
-
-def _spouge_coefficients(a: int, ctx):
-    key = (a, ctx.dps)
-    hit = _SPOUGE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    with mpmath.workdps(ctx.dps + 20):
-        c0 = mpmath.sqrt(2 * mpmath.pi)
-        cs = []
-        for k in range(1, a):
-            ck = (
-                mpmath.power(-1, k - 1)
-                / mpmath.factorial(k - 1)
-                * mpmath.power(a - k, k - mpmath.mpf(1) / 2)
-                * mpmath.exp(a - k)
-            )
-            cs.append(ck)
-        out = (ctx.mpf(c0), tuple(ctx.mpf(c) for c in cs))
-    _SPOUGE_CACHE[key] = out
-    return out
-
-
-def gamma_mp(alpha, ctx=None):
-    """Euler gamma via Spouge's rational approximation with reflection."""
-    ctx = ctx or _CTX
-    z = _to_mpc(ctx, alpha)
+def gamma_mp(alpha):
+    """Euler gamma at the working precision."""
+    z = _CTX.mpc(alpha)
     if z.imag == 0 and z.real <= 0 and z.real == int(z.real):
         raise DomainError(f"gamma has a pole at {alpha}")
-    if z.real < ctx.mpf(1) / 2:
-        # reflection: gamma(z) gamma(1-z) = pi / sin(pi z)
-        return ctx.pi / (ctx.sin(ctx.pi * z) * gamma_mp(1 - z, ctx))
-    a = int(1.3 * ctx.dps) + 3
-    c0, cs = _spouge_coefficients(a, ctx)
-    zm = z - 1
-    acc = ctx.mpc(c0)
-    for k, ck in enumerate(cs, start=1):
-        acc += ck / (zm + k)
-    return ctx.power(zm + a, zm + ctx.mpf(1) / 2) * ctx.exp(-(zm + a)) * acc
+    return _CTX.gamma(z)
 
 
 def gamma_fn(alpha: complex) -> complex:
@@ -184,14 +101,11 @@ class LocalMellinFactor:
     prime: int
     coeffs: dict[int, Cyclo]
 
-    def evaluate_mp(self, alpha, ctx=None):
-        ctx = ctx or _CTX
-        s = _to_mpc(ctx, alpha)
-        u = ctx.power(self.prime, -s)
-        total = ctx.mpc(0)
+    def evaluate_mp(self, alpha):
+        u = _CTX.power(self.prime, -_CTX.mpc(alpha))
+        total = _CTX.mpc(0)
         for e, c in self.coeffs.items():
-            cc = c.to_complex()
-            total += ctx.mpc(cc.real, cc.imag) * ctx.power(u, e)
+            total += _CTX.mpc(c.to_complex()) * _CTX.power(u, e)
         return total
 
     def evaluate(self, alpha: complex) -> complex:
@@ -258,41 +172,35 @@ def _acc(d: dict, e: int, c: Cyclo):
 # ---------------------------------------------------------------------------
 
 
-def mellin_real_mp(phi_inf, alpha, ctx=None):
+def mellin_real_mp(phi_inf, alpha):
     """int |x|^(alpha-1) phi_inf(x) dx for Re alpha > 0.
 
     Hermite-Gaussian combinations use the closed form
     pi^(-alpha/2) sum_r h_r 2^r Gamma(alpha/2 + r) per even degree (odd
     degrees vanish by parity); generic profiles fall back to quadrature.
     """
-    ctx = ctx or _CTX
-    s = _to_mpc(ctx, alpha)
+    s = _CTX.mpc(alpha)
     if s.real <= 0:
         raise DomainError("real Mellin factor needs Re alpha > 0")
     if isinstance(phi_inf, HermiteGaussian):
-        total = ctx.mpc(0)
+        total = _CTX.mpc(0)
         for n, c in phi_inf.coeffs.items():
             if n % 2 == 1:
                 continue
             coeffs = hermite_coefficients(n)
-            inner = ctx.mpc(0)
+            inner = _CTX.mpc(0)
             for r in range(0, n // 2 + 1):
                 h = coeffs[2 * r]
                 if h:
-                    inner += ctx.mpf(h) * ctx.power(2, r) * gamma_mp(s / 2 + r, ctx)
-            cc = c.to_complex()
-            total += ctx.mpc(cc.real, cc.imag) * inner
-        return ctx.power(ctx.pi, -s / 2) * total
+                    inner += _CTX.mpf(h) * _CTX.power(2, r) * gamma_mp(s / 2 + r)
+            total += _CTX.mpc(c.to_complex()) * inner
+        return _CTX.power(_CTX.pi, -s / 2) * total
     # generic sampled profile: tanh-sinh quadrature on the half-line pair
-    radius = phi_inf.decay_radius()
-    with mpmath.workdps(ctx.dps):
-        val = mpmath.quad(
-            lambda x: mpmath.power(x, s - 1)
-            * (_to_mpc(ctx, complex(phi_inf.evaluate(float(x))))
-               + _to_mpc(ctx, complex(phi_inf.evaluate(-float(x))))),
-            [0, radius],
-        )
-    return _to_mpc(ctx, complex(val))
+    return _CTX.quad(
+        lambda x: _CTX.power(x, s - 1)
+        * (_CTX.mpc(phi_inf.evaluate(float(x))) + _CTX.mpc(phi_inf.evaluate(-float(x)))),
+        [0, phi_inf.decay_radius()],
+    )
 
 
 def mellin_real(phi_inf, alpha: complex) -> complex:
@@ -310,19 +218,18 @@ def phi_p(phi: ElementaryFunction, alpha: complex) -> complex:
     Defined by the product for Re alpha > 1 and continued into
     0 < Re alpha < 1 automatically: local factors are polynomials in
     p^-alpha, the real factor continues through its gamma closed form, and
-    the eta series covers zeta on the strip.  alpha = 0 and alpha = 1 are
+    ``zeta_mp`` covers zeta on the strip.  alpha = 0 and alpha = 1 are
     the simple poles of the assembly.
     """
-    ctx = _CTX
-    s = _to_mpc(ctx, alpha)
+    s = _CTX.mpc(alpha)
     if s == 0 or s == 1:
         raise DomainError("Phi has simple poles at alpha = 0 and alpha = 1")
     if s.real <= 0:
         raise DomainError("Phi is evaluated on Re alpha > 0")
-    product = mellin_real_mp(phi.real_factor, alpha, ctx)
+    product = mellin_real_mp(phi.real_factor, alpha)
     for p, f in phi.prime_factors.items():
-        product *= mellin_local(f, p).evaluate_mp(alpha, ctx)
-    product *= zeta_mp(alpha, ctx)
+        product *= mellin_local(f, p).evaluate_mp(alpha)
+    product *= zeta_mp(alpha)
     return complex(product)
 
 
@@ -343,8 +250,7 @@ def tate_check(phi: ElementaryFunction, alpha: complex) -> float:
 
 def _completed_zeta_mp(s):
     """Lambda(s) = pi^(-s/2) Gamma(s/2) zeta(s) in the working context."""
-    ctx = _CTX
-    return ctx.power(ctx.pi, -s / 2) * gamma_mp(s / 2, ctx) * zeta_mp(s, ctx)
+    return _CTX.power(_CTX.pi, -s / 2) * gamma_mp(s / 2) * zeta_mp(s)
 
 
 def functional_equation_residual(alpha: complex) -> float:
@@ -352,10 +258,10 @@ def functional_equation_residual(alpha: complex) -> float:
     a = complex(alpha)
     if not 0 < a.real < 1:
         raise DomainError("functional equation check needs 0 < Re alpha < 1")
-    s = _to_mpc(_CTX, a)
+    s = _CTX.mpc(a)
     return float(abs(_completed_zeta_mp(s) - _completed_zeta_mp(1 - s)))
 
 
 def completed_zeta_side(alpha: complex) -> complex:
     """pi^(-a/2) Gamma(a/2) zeta(a), one side of the functional equation."""
-    return complex(_completed_zeta_mp(_to_mpc(_CTX, complex(alpha))))
+    return complex(_completed_zeta_mp(_CTX.mpc(complex(alpha))))

@@ -1,18 +1,22 @@
 """Real-line quadrature: the numeric oracle for every archimedean factor.
 
-Composite Gauss-Legendre panels with a refinement-based error estimate
-cover Schwartz-class integrands; oscillatory Gauss/Fresnel integrands are
-handled by Gaussian damping e^(-eps*pi*x^2) with Richardson extrapolation
-in eps, which is how the improper oscillatory integrals are defined here.
+Composite Gauss-Legendre panels cover Schwartz-class integrands;
+oscillatory Gauss/Fresnel integrands are handled by Gaussian damping
+e^(-eps*pi*x^2) with Richardson extrapolation in eps, which is how the
+improper oscillatory integrals are defined here.  No rule builds more than
+``NODE_BUDGET`` nodes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+# most nodes one composite rule may build (about 16 MB per complex array);
+# the largest rule in use has 489,240, fresnel_regularized(-3.0)
+NODE_BUDGET = 1_000_000
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -26,7 +30,16 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def panel_nodes(lo: float, hi: float, panels: int, order: int = 20):
-    """Nodes and weights of a composite Gauss-Legendre rule on [lo, hi]."""
+    """Nodes and weights of a composite Gauss-Legendre rule on [lo, hi].
+
+    More than ``NODE_BUDGET`` nodes is a ValueError, raised before any
+    array is built.
+    """
+    nodes = float(panels) * order
+    if nodes > NODE_BUDGET:
+        raise ValueError(
+            f"real quadrature needs {nodes:.3g} nodes, more than its budget of {NODE_BUDGET:,}"
+        )
     x0, w0 = _gl_nodes(order)
     edges = np.linspace(lo, hi, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
@@ -48,35 +61,6 @@ def quad_scalar(f: Callable[[float], complex], lo: float, hi: float,
     return complex(sum(complex(f(float(x))) * w for x, w in zip(xs, ws)))
 
 
-@dataclass
-class QuadratureConfig:
-    """Truncation radius, node budget and error budget for real integrals."""
-
-    radius: float = 8.0
-    panels: int = 64
-    order: int = 20
-    err_budget: float = 1e-9
-
-
-@dataclass
-class RealIntegral:
-    value: complex
-    error_estimate: float
-    flagged: bool = False
-
-
-def integrate_real_function(
-    f: Callable, cfg: QuadratureConfig | None = None, vectorized: bool = False
-) -> RealIntegral:
-    """Integrate f over [-R, R] with a panel-refinement error estimate."""
-    cfg = cfg or QuadratureConfig()
-    run = quad_vec if vectorized else quad_scalar
-    coarse = run(f, -cfg.radius, cfg.radius, max(1, cfg.panels // 2), cfg.order)
-    fine = run(f, -cfg.radius, cfg.radius, cfg.panels, cfg.order)
-    err = abs(fine - coarse)
-    return RealIntegral(fine, err, flagged=err > cfg.err_budget)
-
-
 def real_fourier_transform(f: Callable[[float], complex], radius: float,
                            xi: float, panels: int | None = None) -> complex:
     """int f(x) e^(-2 pi i x xi) dx truncated to the declared decay radius."""
@@ -95,8 +79,7 @@ def gauss_character_integral(a: float, b: float, phi_vals: Callable[[np.ndarray]
     oscillation budget a*R^2 + |b|*R.
     """
     if panels is None:
-        cycles = abs(a) * radius * radius + abs(b) * radius
-        panels = max(64, int(4 * cycles) + 16)
+        panels = _oscillation_panels(abs(a) * radius * radius + abs(b) * radius)
     def f(x):
         return phi_vals(x) * np.exp(-2j * np.pi * (a * x * x + b * x))
     return quad_vec(f, -radius, radius, panels)
@@ -105,11 +88,17 @@ def gauss_character_integral(a: float, b: float, phi_vals: Callable[[np.ndarray]
 def damped_gauss_integral(a: float, b: float, eps: float) -> complex:
     """int e^(-eps pi x^2) e^(-2 pi i (a x^2 + b x)) dx by quadrature."""
     radius = math.sqrt(40.0 / (math.pi * eps))
-    cycles = abs(a) * radius * radius + abs(b) * radius
-    panels = max(64, int(4 * cycles) + 16)
+    panels = _oscillation_panels(abs(a) * radius * radius + abs(b) * radius)
     def f(x):
         return np.exp(-eps * np.pi * x * x - 2j * np.pi * (a * x * x + b * x))
     return quad_vec(f, -radius, radius, panels)
+
+
+def _oscillation_panels(cycles: float) -> int | float:
+    """Four panels per cycle, at least 64; inf when the count overflows a
+    double, which ``panel_nodes`` then rejects."""
+    four = 4 * cycles
+    return max(64, int(four) + 16) if math.isfinite(four) else math.inf
 
 
 def fresnel_regularized(a: float, b: float = 0.0,

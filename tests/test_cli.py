@@ -141,8 +141,10 @@ def test_calibrate_lambda_command():
 
 
 def test_exit_code_on_failure():
-    # an impossible tolerance forces pass=false and exit 1
-    code, lines, _ = run_cli("zeta-fe", "--alpha", "0.4,0", "--tolerance", "0")
+    # the energy 1/25 is no eigenvalue: a deviation of about 1.18, not
+    # rounding noise, forces pass=false and exit 1
+    code, lines, _ = run_cli("oscillator-check", "-p", "5", "--t", "5", "--energy", "1/25",
+                             "--tolerance", "0")
     assert code == 1
     assert lines[0]["pass"] is False
 
@@ -182,19 +184,36 @@ def test_usage_errors_exit_2_without_traceback(argv, capsys):
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("argv", [
-    ["zeta-fe", "--alpha", "0.5,1e300"],
-    ["product-check", "-a", "0"],
+_RANGE = "outside the float range of the Fresnel oracle"
+_BUDGET = "more than its budget of"
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["zeta-fe", "--alpha", "0.5,1e300"], "|Im alpha| <= 1000"),
+    (["product-check", "-a", "0"], "not an idele"),
     # outside the double range of the real-place Fresnel oracle
-    ["gauss", "-a", "1e-400"],
-    ["gauss", "-a", "1e400"],
+    (["gauss", "-a", "1e-400"], _RANGE),
+    (["gauss", "-a", "1e400"], _RANGE),
+    # |2a|^-1, the closed form's squared modulus, overflows a double
+    (["gauss", "-a", "1e-310"], _RANGE),
+    (["gauss", "-a", "5e-324"], _RANGE),
+    # the oscillation needs more quadrature nodes than the budget
+    (["gauss", "-a", "1e300"], _BUDGET),
+    (["gauss", "-a", "1", "-b", "1e300"], _BUDGET),
+    # a node count that overflows a double
+    (["gauss", "-a", "1e307"], _BUDGET),
+    (["pair", "--dist", "chi-quad", "-a", "1e300", "--phi", _PHI], _BUDGET),
 ], ids=["zeta-height", "product-check-zero", "gauss-real-a-underflow",
-        "gauss-real-a-overflow"])
-def test_domain_errors_exit_1_without_traceback(argv):
+        "gauss-real-a-overflow", "gauss-real-a-subnormal", "gauss-real-a-min-subnormal",
+        "gauss-real-a-node-budget", "gauss-real-b-node-budget", "gauss-real-node-count-inf",
+        "chi-quad-node-budget"])
+def test_domain_errors_exit_1_without_traceback(argv, reason):
     code, lines, err = run_cli(*argv)
     assert code == 1
     assert lines == []
-    assert len([l for l in err.splitlines() if "error:" in l]) == 1
+    errors = [l for l in err.splitlines() if "error:" in l]
+    assert len(errors) == 1
+    assert reason in errors[0]
     assert "Traceback" not in err
 
 
