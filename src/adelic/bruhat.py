@@ -15,9 +15,8 @@ Real factors are finite Hermite-Gaussian combinations
     sum_n c_n e^(-pi x^2) H_n(x sqrt(2 pi)),
 
 eigenfunctions of the e^(-2 pi i x xi) Fourier kernel with eigenvalue
-(-i)^n, plus a generic sampled escape hatch that transforms numerically.
-An elementary function is a real factor times finitely many p-adic factors
-with the unit-ball indicator on every other prime.
+(-i)^n.  An elementary function is a real factor times finitely many
+p-adic factors with the unit-ball indicator on every other prime.
 """
 
 from __future__ import annotations
@@ -26,7 +25,9 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .adeles import Adele
 from .cyclotomic import Cyclo, Scalar, phase
@@ -337,7 +338,8 @@ def hermite_coefficients(n: int) -> tuple[int, ...]:
     return _HERMITE_CACHE[n]
 
 
-def hermite_value(n: int, y: float) -> float:
+def hermite_value(n: int, y: float | np.ndarray) -> float | np.ndarray:
+    """H_n(y) by Horner's rule, at a float or elementwise on an array."""
     coeffs = hermite_coefficients(n)
     acc = 0.0
     for c in reversed(coeffs):
@@ -366,14 +368,16 @@ class HermiteGaussian:
     def gaussian(cls, coeff: Scalar = 1) -> "HermiteGaussian":
         return cls([(0, coeff)])
 
-    def evaluate(self, x: float) -> complex:
-        x = float(x)
-        g = math.exp(-math.pi * x * x)
+    def evaluate(self, x: float | np.ndarray) -> complex | np.ndarray:
+        """The value at a float x, or elementwise on an array of nodes."""
+        x = np.asarray(x, dtype=float)
+        g = np.exp(-np.pi * x * x)
         y = x * _SQRT_2PI
-        return sum(
+        total = sum(
             (c.to_complex() * (g * hermite_value(n, y)) for n, c in self.coeffs.items()),
-            0j,
+            np.zeros(x.shape, dtype=complex),
         )
+        return total if x.ndim else complex(total)
 
     __call__ = evaluate
 
@@ -391,10 +395,6 @@ class HermiteGaussian:
     def __add__(self, other: "HermiteGaussian") -> "HermiteGaussian":
         return HermiteGaussian(list(self.coeffs.items()) + list(other.coeffs.items()))
 
-    def decay_radius(self) -> float:
-        # e^{-pi x^2} times a polynomial: 8 covers double precision amply
-        return 8.0
-
     def __eq__(self, other):
         if not isinstance(other, HermiteGaussian):
             return NotImplemented
@@ -404,40 +404,6 @@ class HermiteGaussian:
 
     def __repr__(self):
         return f"HermiteGaussian({sorted(self.coeffs)})"
-
-
-@dataclass
-class GenericReal:
-    """A sampled real Schwartz profile with a declared decay bound.
-
-    ``func`` must be negligible outside [-radius, radius]; transforms of
-    generic profiles are numeric (quadrature) instead of a closed form.
-    """
-
-    func: Callable[[float], complex]
-    radius: float
-
-    def evaluate(self, x: float) -> complex:
-        return complex(self.func(float(x)))
-
-    __call__ = evaluate
-
-    def fourier(self) -> "GenericReal":
-        if not (self.radius and self.radius > 0):
-            raise ValueError("numeric Fourier transform needs a declared decay bound")
-        from .quadrature import real_fourier_transform
-
-        src, radius = self.func, self.radius
-        return GenericReal(
-            func=lambda xi: real_fourier_transform(src, radius, xi),
-            radius=self.radius,
-        )
-
-    def decay_radius(self) -> float:
-        return self.radius
-
-
-RealFactor = Union[HermiteGaussian, GenericReal]
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +416,7 @@ class ElementaryFunction:
 
     __slots__ = ("real_factor", "prime_factors")
 
-    def __init__(self, real_factor: RealFactor, prime_factors: dict[int, PAdicTestFunction] | None = None):
+    def __init__(self, real_factor: HermiteGaussian, prime_factors: dict[int, PAdicTestFunction] | None = None):
         self.real_factor = real_factor
         pf = dict(prime_factors or {})
         for p, f in pf.items():
@@ -624,8 +590,6 @@ def parse_schwartz_bruhat(text: str | dict) -> SchwartzBruhat:
 
 
 def serialize_elementary(phi: ElementaryFunction) -> dict:
-    if not isinstance(phi.real_factor, HermiteGaussian):
-        raise ValueError("only Hermite-Gaussian real factors serialize")
     out = {
         "real": [[n, _format_cyclo_rational(c)]
                  for n, c in sorted(phi.real_factor.coeffs.items())],

@@ -110,21 +110,6 @@ def _tolerance(text: str) -> float:
     return tol
 
 
-def _oracle_float(flag: str, x: Fraction) -> float:
-    """x as the double the Fresnel oracle computes with.  A nonzero x that
-    overflows or underflows is a domain error, and so is an ``-a`` whose
-    |2a|^-1, the closed form's squared modulus, overflows."""
-    try:
-        f = float(x)
-        if flag == "-a" and x:
-            float(1 / abs(2 * x))
-    except OverflowError:
-        f = 0.0
-    if f == 0.0 and x != 0:
-        raise ValueError(f"{flag} is outside the float range of the Fresnel oracle")
-    return f
-
-
 def _phi(source: str):
     """A test function from inline JSON or, for ``@path``, from a file."""
     from .bruhat import parse_schwartz_bruhat
@@ -207,11 +192,14 @@ def cmd_pair(args) -> list[CheckReport]:
 def cmd_gauss(args) -> list[CheckReport]:
     from .gauss import gauss_integral_inf, gauss_integral_p_exact
     from .integrate import SphereDecompositionPlan, integrate_qp
-    from .quadrature import fresnel_regularized
+    from .quadrature import fresnel_regularized, oracle_float
 
     t0 = time.perf_counter()
     if args.p is None:
-        af, bf = _oracle_float("-a", args.a), _oracle_float("-b", args.b)
+        af, bf = oracle_float("-a", args.a), oracle_float("-b", args.b)
+        if args.a:
+            # |2a|^-1, the closed form's squared modulus, must be a double too
+            oracle_float("-a", 1 / abs(2 * args.a))
         value = gauss_integral_inf(args.a, args.b)
         oracle, est = fresnel_regularized(af, bf)
         err = abs(value - oracle)

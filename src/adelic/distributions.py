@@ -15,14 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-import numpy as np
-
 from .adeles import Adele, Idele
-from .bruhat import ElementaryFunction, PAdicTestFunction, SchwartzBruhat
+from .bruhat import ElementaryFunction, HermiteGaussian, PAdicTestFunction, SchwartzBruhat
 from .cyclotomic import Cyclo
 from .integrate import integrate_qp
 from .mellin import phi_p
-from .quadrature import gauss_character_integral, panel_nodes
+from .quadrature import gauss_character_integral, oracle_float, quad_vec
 
 F = Fraction
 
@@ -46,7 +44,7 @@ def pair(f: AdelicDistribution, phi: SchwartzBruhat | ElementaryFunction) -> com
 
 def _factored(
     name: str,
-    real_rule: Callable[[object], complex],
+    real_rule: Callable[[HermiteGaussian], complex],
     local_rule: Callable[[int, PAdicTestFunction], Cyclo],
     places: Iterable[int] = (),
 ) -> AdelicDistribution:
@@ -79,9 +77,8 @@ def delta_distribution(shift: Adele | None = None) -> AdelicDistribution:
     Away from the listed primes of the shift, (delta_p, Omega_p) = Omega(0) = 1.
     """
 
-    def real_rule(rf) -> complex:
-        x = 0.0 if shift is None else float(shift.real)
-        return complex(rf.evaluate(x))
+    def real_rule(rf: HermiteGaussian) -> complex:
+        return rf.evaluate(0.0 if shift is None else float(shift.real))
 
     def local_rule(p: int, fp: PAdicTestFunction) -> Cyclo:
         x = F(0) if shift is None else shift.component(p)
@@ -105,9 +102,8 @@ def _character(
     the closed-form Fourier calculus, so tests can compare the two routes.
     """
 
-    def real_rule(rf) -> complex:
-        vec = lambda xs: np.array([rf.evaluate(float(x)) for x in xs])
-        return gauss_character_integral(a_inf, b_inf, vec, radius=rf.decay_radius())
+    def real_rule(rf: HermiteGaussian) -> complex:
+        return gauss_character_integral(a_inf, b_inf, rf.evaluate)
 
     def local_rule(p: int, fp: PAdicTestFunction) -> Cyclo:
         res = integrate_qp(p, test_function=fp, quad=(a_at(p), b_at(p)))
@@ -131,10 +127,14 @@ def chi_quadratic_distribution(a: Idele, b: Adele) -> AdelicDistribution:
 
     Outside the union of supports the factor is Omega(|b_p|_p) by the
     unit-a guarantee, which is 1 because the adele b keeps its unlisted
-    components integral.
+    components integral.  A real component outside the double range is a
+    ValueError, raised before any local factor is computed.
     """
     return _character(
-        "chi-quad", float(a.real), float(b.real), a.component, b.component,
+        "chi-quad",
+        oracle_float("the real component of a", a.real),
+        oracle_float("the real component of b", b.real),
+        a.component, b.component,
         set(a.listed_primes) | set(b.listed_primes),
     )
 
@@ -147,12 +147,9 @@ def schwartz_function_distribution(g: ElementaryFunction) -> AdelicDistribution:
     quadrature, and outside both supports the factor is int Omega^2 = 1.
     """
 
-    def real_rule(rf) -> complex:
-        xs, ws = panel_nodes(-8.0, 8.0, panels=120, order=20)
-        vals = np.array(
-            [g.real_factor.evaluate(float(x)) * rf.evaluate(float(x)) for x in xs]
-        )
-        return complex(np.sum(vals * ws))
+    def real_rule(rf: HermiteGaussian) -> complex:
+        return quad_vec(lambda xs: g.real_factor.evaluate(xs) * rf.evaluate(xs),
+                        -8.0, 8.0, panels=120)
 
     def local_rule(p: int, fp: PAdicTestFunction) -> Cyclo:
         return (g.factor_at(p) * fp).integral()

@@ -246,8 +246,7 @@ def _lambda_real_transform(phi: ElementaryFunction, b_inf: float) -> complex:
     ft = phi.real_factor.fourier()
 
     def f(xs: np.ndarray) -> np.ndarray:
-        vals = np.array([ft.evaluate(float(x * x)) for x in xs], dtype=complex)
-        return vals * np.exp(-2j * np.pi * b_inf * xs)
+        return ft.evaluate(xs * xs) * np.exp(-2j * np.pi * b_inf * xs)
 
     panels = max(96, int(16 * abs(b_inf)) + 32)
     return quad_vec(f, -4.0, 4.0, panels=panels)

@@ -18,6 +18,7 @@ domain that ``zeta_mp`` accepts, mpmath never reflects (see there).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -172,38 +173,31 @@ def _acc(d: dict, e: int, c: Cyclo):
 # ---------------------------------------------------------------------------
 
 
-def mellin_real_mp(phi_inf, alpha):
-    """int |x|^(alpha-1) phi_inf(x) dx for Re alpha > 0.
+def mellin_real_mp(phi_inf: HermiteGaussian, alpha):
+    """int |x|^(alpha-1) phi_inf(x) dx for Re alpha > 0, in closed form.
 
-    Hermite-Gaussian combinations use the closed form
-    pi^(-alpha/2) sum_r h_r 2^r Gamma(alpha/2 + r) per even degree (odd
-    degrees vanish by parity); generic profiles fall back to quadrature.
+    Per even degree n the integral is pi^(-alpha/2) sum_r h_r 2^r
+    Gamma(alpha/2 + r) over the even coefficients h_2r of H_n; odd
+    degrees vanish by parity.
     """
     s = _CTX.mpc(alpha)
     if s.real <= 0:
         raise DomainError("real Mellin factor needs Re alpha > 0")
-    if isinstance(phi_inf, HermiteGaussian):
-        total = _CTX.mpc(0)
-        for n, c in phi_inf.coeffs.items():
-            if n % 2 == 1:
-                continue
-            coeffs = hermite_coefficients(n)
-            inner = _CTX.mpc(0)
-            for r in range(0, n // 2 + 1):
-                h = coeffs[2 * r]
-                if h:
-                    inner += _CTX.mpf(h) * _CTX.power(2, r) * gamma_mp(s / 2 + r)
-            total += _CTX.mpc(c.to_complex()) * inner
-        return _CTX.power(_CTX.pi, -s / 2) * total
-    # generic sampled profile: tanh-sinh quadrature on the half-line pair
-    return _CTX.quad(
-        lambda x: _CTX.power(x, s - 1)
-        * (_CTX.mpc(phi_inf.evaluate(float(x))) + _CTX.mpc(phi_inf.evaluate(-float(x)))),
-        [0, phi_inf.decay_radius()],
-    )
+    total = _CTX.mpc(0)
+    for n, c in phi_inf.coeffs.items():
+        if n % 2 == 1:
+            continue
+        coeffs = hermite_coefficients(n)
+        inner = _CTX.mpc(0)
+        for r in range(0, n // 2 + 1):
+            h = coeffs[2 * r]
+            if h:
+                inner += _CTX.mpf(h) * _CTX.power(2, r) * gamma_mp(s / 2 + r)
+        total += _CTX.mpc(c.to_complex()) * inner
+    return _CTX.power(_CTX.pi, -s / 2) * total
 
 
-def mellin_real(phi_inf, alpha: complex) -> complex:
+def mellin_real(phi_inf: HermiteGaussian, alpha: complex) -> complex:
     return complex(mellin_real_mp(phi_inf, alpha))
 
 
@@ -219,7 +213,8 @@ def phi_p(phi: ElementaryFunction, alpha: complex) -> complex:
     0 < Re alpha < 1 automatically: local factors are polynomials in
     p^-alpha, the real factor continues through its gamma closed form, and
     ``zeta_mp`` covers zeta on the strip.  alpha = 0 and alpha = 1 are
-    the simple poles of the assembly.
+    the simple poles of the assembly.  A product outside the double range
+    is a domain error, so no inf or NaN leaves this function.
     """
     s = _CTX.mpc(alpha)
     if s == 0 or s == 1:
@@ -230,7 +225,10 @@ def phi_p(phi: ElementaryFunction, alpha: complex) -> complex:
     for p, f in phi.prime_factors.items():
         product *= mellin_local(f, p).evaluate_mp(alpha)
     product *= zeta_mp(alpha)
-    return complex(product)
+    value = complex(product)
+    if not cmath.isfinite(value):
+        raise DomainError(f"Phi(alpha) at alpha = {alpha} is outside the double range")
+    return value
 
 
 def tate_check(phi: ElementaryFunction, alpha: complex) -> float:

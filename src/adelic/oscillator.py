@@ -25,7 +25,7 @@ from .bruhat import (
     HermiteGaussian,
     PAdicTestFunction,
     SchwartzBruhat,
-    hermite_coefficients,
+    hermite_value,
 )
 from .characters import chi_p
 from .cyclotomic import Cyclo, UnitPhase, phase, sqrt_prime_power
@@ -216,10 +216,7 @@ def hermite_state_values(n: int, xs: np.ndarray) -> np.ndarray:
     """The orthonormal oscillator state 2^(1/4)(2^n n!)^(-1/2) e^(-pi x^2)
     H_n(x sqrt(2 pi)) on a grid."""
     coeff = 2**0.25 / math.sqrt(2**n * math.factorial(n))
-    y = xs * math.sqrt(2 * math.pi)
-    hv = np.zeros_like(xs)
-    for c in reversed(hermite_coefficients(n)):
-        hv = hv * y + c
+    hv = hermite_value(n, xs * math.sqrt(2 * math.pi))
     return coeff * np.exp(-math.pi * xs * xs) * hv
 
 
@@ -234,13 +231,16 @@ def real_state_orthonormality(max_degree: int) -> float:
 
 
 def real_evolution_apply(t: float, psi_vals, xs_out: np.ndarray) -> np.ndarray:
-    """U(t) psi on a grid by quadrature against the real oscillator kernel."""
+    """U(t) psi on a grid by quadrature against the real oscillator kernel.
+
+    ``psi_vals`` maps an array of nodes to the values of psi there.
+    """
     s, c = math.sin(t), math.cos(t)
     if abs(s) < 1e-9:
         raise DomainError("sin t too small for the quadrature kernel")
     lam = cmath.exp(-1j * math.pi / 4 * (1 if 2 * s > 0 else -1))
     ys, ws = panel_nodes(-8.0, 8.0, panels=200, order=20)
-    fvals = np.array([psi_vals(float(y)) for y in ys], dtype=complex)
+    fvals = psi_vals(ys)
     out = np.empty(len(xs_out), dtype=complex)
     pref = lam * abs(s) ** -0.5
     for i, x in enumerate(xs_out):

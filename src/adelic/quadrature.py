@@ -10,6 +10,7 @@ improper oscillatory integrals are defined here.  No rule builds more than
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -99,6 +100,18 @@ def _oscillation_panels(cycles: float) -> int | float:
     double, which ``panel_nodes`` then rejects."""
     four = 4 * cycles
     return max(64, int(four) + 16) if math.isfinite(four) else math.inf
+
+
+def oracle_float(name: str, x: Fraction | float) -> float:
+    """x as the double a real-place oracle computes with.  A nonzero x that
+    overflows or underflows a double is a ValueError naming ``name``."""
+    try:
+        f = float(x)
+    except OverflowError:
+        f = 0.0
+    if f == 0.0 and x != 0:
+        raise ValueError(f"{name} is outside the float range of the Fresnel oracle")
+    return f
 
 
 def fresnel_regularized(a: float, b: float = 0.0,

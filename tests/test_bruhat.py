@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from adelic.adeles import Adele, principal_adele, zero_adele
@@ -11,7 +12,6 @@ from adelic.bruhat import (
     HermiteGaussian,
     PAdicTestFunction,
     SchwartzBruhat,
-    GenericReal,
     hermite_coefficients,
     omega,
     parse_complex_rational,
@@ -20,7 +20,7 @@ from adelic.bruhat import (
     vacuum_state,
 )
 from adelic.cyclotomic import Cyclo, phase
-from adelic.quadrature import real_fourier_transform
+from adelic.quadrature import panel_nodes, real_fourier_transform
 
 F = Fraction
 
@@ -178,16 +178,16 @@ class TestHermiteGaussian:
             numeric = real_fourier_transform(h.evaluate, 8.0, xi)
             assert abs(numeric - ht.evaluate(xi)) < 1e-10
 
-    def test_generic_real_fourier(self):
-        g = GenericReal(func=lambda x: math.exp(-math.pi * x * x), radius=8.0)
-        gt = g.fourier()
-        for xi in (0.0, 0.7):
-            assert abs(gt.evaluate(xi) - math.exp(-math.pi * xi * xi)) < 1e-10
-
-    def test_generic_requires_decay_bound(self):
-        g = GenericReal(func=lambda x: 0.0, radius=0.0)
-        with pytest.raises(ValueError):
-            g.fourier()
+    def test_evaluate_on_node_array_matches_scalar_calls(self):
+        # the 1,280 nodes of the chi pairing's real rule
+        xs, _ = panel_nodes(-8.0, 8.0, panels=64)
+        h = HermiteGaussian(
+            [(n, parse_complex_rational(f"{n + 1}/3-{n}/7i")) for n in range(9)]
+        )
+        vals = h.evaluate(xs)
+        scalar = np.array([h.evaluate(float(x)) for x in xs])
+        assert vals.shape == xs.shape and isinstance(h.evaluate(0.5), complex)
+        assert np.max(np.abs(vals - scalar)) <= 1e-14 * np.max(np.abs(scalar))
 
 
 class TestElementary:

@@ -186,6 +186,8 @@ def test_usage_errors_exit_2_without_traceback(argv, capsys):
 
 _RANGE = "outside the float range of the Fresnel oracle"
 _BUDGET = "more than its budget of"
+_DOUBLE = "outside the double range"
+_PHI_LOCAL_OVERFLOW = json.dumps({"real": [[0, "1"]], "primes": {"2": [["1", "0", -2000]]}})
 
 
 @pytest.mark.parametrize("argv, reason", [
@@ -203,10 +205,20 @@ _BUDGET = "more than its budget of"
     # a node count that overflows a double
     (["gauss", "-a", "1e307"], _BUDGET),
     (["pair", "--dist", "chi-quad", "-a", "1e300", "--phi", _PHI], _BUDGET),
+    # the real components of the quadratic character must be doubles
+    (["pair", "--dist", "chi-quad", "-a", "1e400", "--phi", _PHI], _RANGE),
+    (["pair", "--dist", "chi-quad", "-b", "1e400", "--phi", _PHI], _RANGE),
+    (["pair", "--dist", "chi-quad", "-a", "1e-400", "--phi", _PHI], _RANGE),
+    # a Mellin pairing that overflows a double is never printed
+    (["mellin", "--phi", _PHI, "--alpha", "1e308,0"], _DOUBLE),
+    (["pair", "--dist", "pi-alpha", "--alpha", "1e308,0", "--phi", _PHI], _DOUBLE),
+    (["mellin", "--phi", _PHI_LOCAL_OVERFLOW, "--alpha", "2,0"], _DOUBLE),
 ], ids=["zeta-height", "product-check-zero", "gauss-real-a-underflow",
         "gauss-real-a-overflow", "gauss-real-a-subnormal", "gauss-real-a-min-subnormal",
         "gauss-real-a-node-budget", "gauss-real-b-node-budget", "gauss-real-node-count-inf",
-        "chi-quad-node-budget"])
+        "chi-quad-node-budget", "chi-quad-a-overflow", "chi-quad-b-overflow",
+        "chi-quad-a-underflow", "mellin-real-overflow", "pi-alpha-real-overflow",
+        "mellin-local-overflow"])
 def test_domain_errors_exit_1_without_traceback(argv, reason):
     code, lines, err = run_cli(*argv)
     assert code == 1

@@ -9,7 +9,6 @@ import pytest
 from adelic.bruhat import (
     Ball,
     ElementaryFunction,
-    GenericReal,
     HermiteGaussian,
     PAdicTestFunction,
     vacuum_state,
@@ -200,11 +199,14 @@ class TestRealMellin:
 
     @pytest.mark.parametrize("alpha", [2, 0.3 + 1.5j])
     def test_generic_profile_quadrature_matches_closed_form(self, alpha):
-        # a sampled profile takes the mpmath.quad branch, the Gaussian the
-        # gamma closed form
-        sampled = GenericReal(func=lambda x: math.exp(-math.pi * x * x), radius=8.0)
+        # tanh-sinh quadrature of the Gaussian on the half-line pair, an
+        # independent check of the gamma closed form, also inside the strip
+        with mpmath.workdps(50):
+            s = mpmath.mpc(alpha)
+            half = mpmath.quad(lambda x: x ** (s - 1) * mpmath.exp(-mpmath.pi * x * x), [0, 8])
+            numeric = complex(2 * half)
         closed = mellin_real(HermiteGaussian.gaussian(), alpha)
-        assert abs(mellin_real(sampled, alpha) - closed) < 1e-12
+        assert abs(numeric - closed) < 1e-12
 
 
 class TestPhiP:
@@ -219,6 +221,16 @@ class TestPhiP:
         for bad in (0, 1, 1.0 + 0j):
             with pytest.raises(DomainError):
                 phi_p(psi0, bad)
+
+    @pytest.mark.parametrize("alpha, primes", [
+        (1e308, {}),
+        (2, {2: PAdicTestFunction.indicator(Ball(2, F(0), -2000))}),
+    ], ids=["real-factor", "local-factor"])
+    def test_outside_double_range_is_a_domain_error(self, alpha, primes):
+        # Gamma(alpha/2) and 2^(2000 alpha) overflow a double: no inf or NaN
+        phi = ElementaryFunction(HermiteGaussian.gaussian(), primes)
+        with pytest.raises(DomainError, match="outside the double range"):
+            phi_p(phi, alpha)
 
     def test_local_factor_in_product(self):
         f2 = PAdicTestFunction.indicator(Ball(2, F(0), 1))
