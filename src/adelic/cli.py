@@ -191,7 +191,7 @@ def cmd_pair(args) -> list[CheckReport]:
 
 def cmd_gauss(args) -> list[CheckReport]:
     from .gauss import gauss_integral_inf, gauss_integral_p_exact
-    from .integrate import SphereDecompositionPlan, integrate_qp
+    from .integrate import integrate_qp
     from .quadrature import fresnel_regularized, oracle_float
 
     t0 = time.perf_counter()
@@ -206,15 +206,12 @@ def cmd_gauss(args) -> list[CheckReport]:
         return [make_report("gauss-real", {"a": str(args.a), "b": str(args.b)},
                             value, oracle, t0,
                             passed=err <= max(args.tolerance, est * 4), error=err)]
-    plan = SphereDecompositionPlan(
-        j_high=args.sphere_range, refinement_cap=args.refinement_cap
-    )
-    oracle = integrate_qp(args.p, quad=(args.a, args.b), plan=plan)
+    oracle = integrate_qp(args.p, quad=(args.a, args.b))
     closed = gauss_integral_p_exact(args.p, args.a, args.b)
     value = closed.to_complex()
     inputs = {"p": args.p, "a": str(args.a), "b": str(args.b)}
     if not oracle.stabilized:
-        # a truncated or unstabilized oracle gives no verdict either way
+        # an oracle over its coset budget gives no verdict either way
         return [make_report("gauss-p", inputs, value,
                             "inconclusive: oracle did not stabilize", t0, passed=False)]
     expected = oracle.value.to_complex()
@@ -359,10 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-p", type=_prime, default=None, help="prime; omit for the real place")
     sp.add_argument("-a", type=_rational, required=True)
     sp.add_argument("-b", type=_rational, default=F(0))
-    sp.add_argument("--sphere-range", type=int, default=None,
-                    help="outermost sphere index of the oracle plan")
-    sp.add_argument("--refinement-cap", type=int, default=12,
-                    help="extra refinement levels before flagging")
     common(sp, tol=1e-6)
     sp.set_defaults(fn=cmd_gauss)
 

@@ -165,7 +165,7 @@ def _lambda_ball(p: int, ball: Ball, b: Fraction, mod: Fraction) -> Cyclo:
     part = stabilized_ball_sum(
         p, ball,
         lambda c: (_gauss_polar(p, c, b)[0] * chi_p(mod * c, p)).as_cyclo(),
-        cap=8, start_level=lvl,
+        lvl,
     )
     if not part.stabilized:
         raise ArithmeticError("Lambda transform local integral did not stabilize")

@@ -3,9 +3,12 @@
 Haar measure is normalized to vol(Z_p) = 1.  Integrands built from ball
 indicators, modulations and quadratic characters chi_p(a x^2 + b x) are
 locally constant away from 0, so refining a ball into cosets of p**m Z_p
-gives the exact integral once m is fine enough; stabilization is detected
-by two successive refinement levels agreeing *exactly* in cyclotomic
-arithmetic, never by a float tolerance.
+gives the exact integral once m is fine enough.  Each ball starts at a
+certified constancy level, and stabilization is detected by two
+successive refinement levels agreeing *exactly* in cyclotomic arithmetic,
+never by a float tolerance.  The only work bound is ``_COSET_BUDGET``
+cosets per level: a ball whose confirming level exceeds it is reported
+unstabilized without being enumerated.
 
 Full-space Gauss integrals are sphere sums |x|_p = p**j.  Outer spheres
 vanish identically once the phase derivative 2 a x + b oscillates faster
@@ -13,8 +16,7 @@ than the quadratic term can resolve; the certificate
 
     min(v(2a) - j, v(b)) < -max(1 - j, ceil(-v(a)/2)),  v(2a) - j != v(b)
 
-prunes every sphere beyond a computable index, which is also the reported
-tail-vanishing index.
+prunes every sphere beyond a computable index.
 """
 
 from __future__ import annotations
@@ -32,61 +34,58 @@ from .primes import require_prime
 F = Fraction
 
 
-_COSET_BUDGET = 500_000  # residue points per refinement level before flagging
-
-
-@dataclass
-class SphereDecompositionPlan:
-    """Controls sphere range and refinement depth of the p-adic oracle."""
-
-    j_high: int | None = None  # outermost sphere; None = certified tail index
-    refinement_cap: int = 12  # extra refinement levels before flagging
+_COSET_BUDGET = 500_000  # residue points per refinement level: the one work bound
 
 
 @dataclass
 class QpIntegral:
-    """An exact p-adic integral plus its stabilization certificate."""
+    """An exact p-adic integral plus its stabilization certificate.
+
+    ``value`` is the integral only when ``stabilized``; an unstabilized
+    result carries no value that any caller reads (each one raises or
+    reports the run inconclusive).
+    """
 
     value: Cyclo
     stabilized: bool
-    tail_vanished_at: int | None = None
 
 
-def _refine(p: int, k: int, m: int, cap: int, level_sum: Callable) -> QpIntegral:
+def _refine(p: int, k: int, m: int, level_sum: Callable) -> QpIntegral:
     """The one refinement loop over a ball of radius p**(-k), from level m.
 
     ``level_sum(level)`` yields the (phase, coefficient) pairs summed over
-    the cosets of p**level Z_p.  Past ``cap`` levels or the coset budget
-    the result is flagged.
+    the cosets of p**level Z_p.  m is a certified constancy level, so
+    level m + 1 confirms it; when that level already exceeds the coset
+    budget the result is unstabilized before anything is enumerated.
     """
-    if m > k + cap:
-        # stabilization cannot be reached within the cap (|a|_p too large)
+    if p ** (m + 1 - k) > _COSET_BUDGET:
         return QpIntegral(Cyclo(), False)
     prev: dict | None = None
-    for level in range(m, m + cap + 1):
-        if p ** (level - k) > _COSET_BUDGET:
-            break
+    level = m
+    while p ** (level - k) <= _COSET_BUDGET:
         scale = F(p) ** (-level)
         total = {q: coeff * scale for q, coeff in level_sum(level)}
         # formal agreement of the normalized phase sums; at local constancy
         # the refined sum reproduces the coarse one term by term
-        if prev is not None and total == prev:
+        if total == prev:
             return QpIntegral(Cyclo(total), True)
         prev = total
-    return QpIntegral(Cyclo(prev or {}), False)
+        level += 1
+    return QpIntegral(Cyclo(), False)
 
 
 def stabilized_ball_sum(
     p: int,
     ball: Ball,
     point_value: Callable[[Fraction], Cyclo],
-    cap: int = 12,
-    start_level: int | None = None,
+    start_level: int,
 ) -> QpIntegral:
-    """Refine ball into cosets of p**m Z_p until two levels agree exactly.
+    """Refine ball into cosets of p**m Z_p, m >= start_level, until two
+    levels agree exactly.
 
-    ``point_value`` must be exact (Cyclo-valued) and locally constant on
-    the ball for the stabilized value to be the true integral.
+    ``point_value`` must be exact (Cyclo-valued) and constant on the
+    cosets of p**start_level Z_p for the stabilized value to be the true
+    integral.
     """
     require_prime(p)
     k = ball.radius_exp
@@ -104,12 +103,11 @@ def stabilized_ball_sum(
                     acc.pop(q, None)
         return acc.items()
 
-    m = k if start_level is None else max(k, start_level)
-    return _refine(p, k, m, cap, level_sum)
+    return _refine(p, k, max(k, start_level), level_sum)
 
 
 def integrate_ball_character(
-    p: int, ball: Ball, a: Fraction | int, b: Fraction | int, cap: int = 12
+    p: int, ball: Ball, a: Fraction | int, b: Fraction | int
 ) -> QpIntegral:
     """int over the ball of chi_p(a x^2 + b x) dx, exactly.
 
@@ -147,7 +145,7 @@ def integrate_ball_character(
             d1 = (d1 + d2) % pd
         return ((F(r, pd) % 1, F(n)) for r, n in counts.items())
 
-    return _refine(p, k, _quadratic_constancy_level(p, ball, a, b), cap, level_sum)
+    return _refine(p, k, _quadratic_constancy_level(p, ball, a, b), level_sum)
 
 
 def _quadratic_constancy_level(p, ball, a, b) -> int:
@@ -174,9 +172,7 @@ def _quadratic_constancy_level(p, ball, a, b) -> int:
     if not vb.is_infinite:
         linear_vals.append(vb.value)
     if linear_vals:
-        lin_min = min(linear_vals)
-        if lin_min < 0:
-            lvl = max(lvl, -lin_min)
+        lvl = max(lvl, -min(linear_vals))
     return lvl
 
 
@@ -204,27 +200,26 @@ def integrate_qp(
     p: int,
     test_function: PAdicTestFunction | None = None,
     quad: tuple[Fraction | int, Fraction | int] | None = None,
-    plan: SphereDecompositionPlan | None = None,
 ) -> QpIntegral:
     """The p-adic oracle: integrate (test function) x chi_p(a x^2 + b x).
 
     With a test function the domain is its support; without one the
     integral runs over all of Q_p, which requires a != 0 (the stabilized
-    sphere sum is the regularization of the improper integral).
+    sphere sum is the regularization of the improper integral).  The
+    first ball that does not stabilize ends the sum unstabilized.
     """
     require_prime(p)
-    plan = plan or SphereDecompositionPlan()
     a = Fraction(quad[0]) if quad else F(0)
     b = Fraction(quad[1]) if quad else F(0)
 
     if test_function is not None:
         total = Cyclo()
-        ok = True
         for (ball, mod), coeff in test_function.terms.items():
-            part = integrate_ball_character(p, ball, a, b + mod, cap=plan.refinement_cap)
-            ok = ok and part.stabilized
+            part = integrate_ball_character(p, ball, a, b + mod)
+            if not part.stabilized:
+                return part
             total = total + coeff * part.value
-        return QpIntegral(total, ok)
+        return QpIntegral(total, True)
 
     if a == 0:
         raise ValueError("full-space integral needs a quadratic term (a != 0)")
@@ -242,26 +237,23 @@ def integrate_qp(
         j_stop = max(j_stop, v2a - vb)
     while j_stop > -k_inner and sphere_provably_zero(p, a, b, j_stop):
         j_stop -= 1
-    flagged_range = plan.j_high is not None and plan.j_high < j_stop
-    j_max = min(j_stop, plan.j_high) if plan.j_high is not None else j_stop
 
-    total_part = integrate_ball_character(
-        p, Ball(p, F(0), k_inner), a, b, cap=plan.refinement_cap
-    )
-    total = total_part.value
-    ok = total_part.stabilized and not flagged_range
-    for j in range(-k_inner + 1, j_max + 1):
+    inner = integrate_ball_character(p, Ball(p, F(0), k_inner), a, b)
+    if not inner.stabilized:
+        return inner
+    total = inner.value
+    for j in range(-k_inner + 1, j_stop + 1):
         if sphere_provably_zero(p, a, b, j):
             continue
         for piece in sphere_balls(p, j):
-            part = integrate_ball_character(p, piece, a, b, cap=plan.refinement_cap)
-            ok = ok and part.stabilized
+            part = integrate_ball_character(p, piece, a, b)
+            if not part.stabilized:
+                return part
             total = total + part.value
-    return QpIntegral(total, ok, tail_vanished_at=j_stop + 1)
+    return QpIntegral(total, True)
 
 
 __all__ = [
-    "SphereDecompositionPlan",
     "QpIntegral",
     "stabilized_ball_sum",
     "integrate_ball_character",

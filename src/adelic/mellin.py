@@ -89,6 +89,16 @@ def gamma_fn(alpha: complex) -> complex:
     return complex(gamma_mp(alpha))
 
 
+def _cyclo_mp(c: Cyclo):
+    """An exact Cyclo in the working context: the sum of coefficient times
+    e(phase) over its rational coordinates, with no double in between."""
+    return _CTX.fsum(
+        _CTX.mpf(coeff.numerator) / coeff.denominator
+        * _CTX.expjpi(_CTX.mpf(2 * q.numerator) / q.denominator)
+        for q, coeff in c._terms.items()
+    )
+
+
 # ---------------------------------------------------------------------------
 # local Mellin factors: exact Laurent polynomials in u = p^-alpha
 # ---------------------------------------------------------------------------
@@ -106,7 +116,7 @@ class LocalMellinFactor:
         u = _CTX.power(self.prime, -_CTX.mpc(alpha))
         total = _CTX.mpc(0)
         for e, c in self.coeffs.items():
-            total += _CTX.mpc(c.to_complex()) * _CTX.power(u, e)
+            total += _cyclo_mp(c) * _CTX.power(u, e)
         return total
 
     def evaluate(self, alpha: complex) -> complex:
@@ -193,7 +203,7 @@ def mellin_real_mp(phi_inf: HermiteGaussian, alpha):
             h = coeffs[2 * r]
             if h:
                 inner += _CTX.mpf(h) * _CTX.power(2, r) * gamma_mp(s / 2 + r)
-        total += _CTX.mpc(c.to_complex()) * inner
+        total += _cyclo_mp(c) * inner
     return _CTX.power(_CTX.pi, -s / 2) * total
 
 

@@ -230,16 +230,26 @@ def test_domain_errors_exit_1_without_traceback(argv, reason):
 
 
 @pytest.mark.parametrize("argv", [
-    ["gauss", "-p", "2", "-a", "1/2", "-b", "1/2", "--sphere-range", "0"],
-    ["gauss", "-p", "2", "-a", "1/2", "-b", "1/2", "--refinement-cap", "0"],
-    ["gauss", "-p", "5", "-a", "1/5", "-b", "1", "--sphere-range", "-5"],
-], ids=["sphere-range-0", "refinement-cap-0", "sphere-range-negative"])
+    ["gauss", "-p", "2", "-a", "1/2", "-b", "1/1099511627776"],
+    ["gauss", "-p", "5", "-a", "1/5", "-b", "1/3125"],
+    ["gauss", "-p", "7", "-a", "1/7", "-b", "1/2401"],
+], ids=["p2-b-2^-40", "p5-b-5^-5", "p7-b-7^-4"])
 def test_gauss_unstabilized_oracle_is_inconclusive(argv):
+    # an outer sphere whose confirming level exceeds the coset budget
     code, lines, _ = run_cli(*argv)
     assert code == 1
     assert lines[0]["expected"] == "inconclusive: oracle did not stabilize"
     assert lines[0]["abs_error"] == "inf"
     assert lines[0]["pass"] is False
+
+
+@pytest.mark.parametrize("a,b", [("1/2", "1/128"), ("2", "1/256")])
+def test_gauss_deep_linear_term_agrees_exactly(a, b):
+    # outer spheres of 2**14 and more cosets, all within the coset budget
+    code, lines, _ = run_cli("gauss", "-p", "2", "-a", a, "-b", b)
+    assert code == 0
+    assert lines[0]["pass"] is True
+    assert lines[0]["abs_error"] == "0"
 
 
 def test_domain_error_maps_to_exit_1():

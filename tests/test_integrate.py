@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from adelic import integrate
 from adelic.bruhat import Ball, PAdicTestFunction
 from adelic.characters import chi_p
 from adelic.cyclotomic import Cyclo, phase
 from adelic.integrate import (
-    SphereDecompositionPlan,
     _quadratic_constancy_level,
     integrate_ball_character,
     integrate_qp,
@@ -80,29 +80,60 @@ class TestBallCharacter:
         assert res.value == expect * F(1, p)
 
     def test_non_stabilization_flags(self):
-        res = integrate_ball_character(3, Ball(3, F(0), 0), F(1, 3**40), 0, cap=3)
+        res = integrate_ball_character(3, Ball(3, F(0), 0), F(1, 3**40), 0)
         assert not res.stabilized
+
+    def test_over_budget_ball_sum_enumerates_nothing(self):
+        # level 11 (3**11 cosets) is affordable, but the level 12 that would
+        # confirm it has 3**12 > 500,000 cosets
+        seen = []
+
+        def point_value(x):
+            seen.append(x)
+            return Cyclo(1)
+
+        res = stabilized_ball_sum(3, Ball(3, F(0), 0), point_value, 11)
+        assert not res.stabilized
+        assert seen == []
+
+    def test_budget_bounds_the_confirming_level(self, monkeypatch):
+        monkeypatch.setattr(integrate, "_COSET_BUDGET", 8)
+        seen = []
+
+        def point_value(x):
+            seen.append(x)
+            return Cyclo(1)
+
+        # levels 2 and 3 of Z_2: 4 + 8 cosets, the second within budget
+        res = stabilized_ball_sum(2, Ball(2, F(0), 0), point_value, 2)
+        assert res.stabilized and res.value == Cyclo(1)
+        assert len(seen) == 12
+        seen.clear()
+        # level 4 would need 16 cosets to confirm level 3
+        assert not stabilized_ball_sum(2, Ball(2, F(0), 0), point_value, 3).stabilized
+        assert seen == []
+
+    def test_constancy_level_of_ball_larger_than_zp(self):
+        # chi_2(x) is constant only on cosets of Z_2, whatever the ball
+        assert _quadratic_constancy_level(2, Ball(2, F(0), -3), F(0), F(1)) == 0
 
     def test_point_values_and_residue_recurrence_agree(self):
         # both integrands run the one refinement loop; from the same start
-        # level they must agree on the flag and on the value.  cap >= 1: at
-        # cap 0 only the residue path has the exact p-integral shortcut.
+        # level they must agree on the flag and on the value
         rng = random.Random(20260810)
         for _ in range(80):
             p = rng.choice([2, 3, 5])
             ball = Ball(p, F(rng.randint(0, p * p), p ** rng.randint(0, 1)), rng.randint(-1, 1))
             a = F(rng.randint(1, 9) * rng.choice([-1, 1]), p ** rng.randint(0, 2))
             b = F(rng.randint(0, 9), p ** rng.randint(0, 2))
-            cap = rng.choice([1, 12])
-            direct = integrate_ball_character(p, ball, a, b, cap=cap)
+            direct = integrate_ball_character(p, ball, a, b)
             summed = stabilized_ball_sum(
                 p,
                 ball,
                 lambda x: phase(frac_part(a * x * x + b * x, p)),
-                cap=cap,
-                start_level=_quadratic_constancy_level(p, ball, a, b),
+                _quadratic_constancy_level(p, ball, a, b),
             )
-            case = (p, ball, a, b, cap)
+            case = (p, ball, a, b)
             assert summed.stabilized == direct.stabilized, case
             assert summed.value == direct.value, case
 
@@ -146,13 +177,26 @@ class TestSphereSums:
         with pytest.raises(ValueError):
             integrate_qp(5, quad=(F(0), F(1)))
 
-    def test_plan_range_flagging(self):
-        # a = 25 needs the j = 1 sphere; a plan stopping at j = -1 is too small
-        plan = SphereDecompositionPlan(j_high=-1)
-        res = integrate_qp(5, quad=(F(25), F(1)), plan=plan)
+    @pytest.mark.parametrize("p,test_function,quad", [
+        (5, None, (F(1, 5), F(1, 5**5))),
+        # the unit sphere: two terms, the first already over budget
+        (3, PAdicTestFunction(3, [(1, Ball(3, F(0), 0), 0), (-1, Ball(3, F(0), 1), 0)]),
+         (F(1, 3**40), F(0))),
+    ], ids=["sphere-sum", "test-function"])
+    def test_stops_at_first_unstabilized_ball(self, monkeypatch, p, test_function, quad):
+        flags = []
+        ball_integral = integrate.integrate_ball_character
+
+        def counted(*args):
+            res = ball_integral(*args)
+            flags.append(res.stabilized)
+            return res
+
+        monkeypatch.setattr(integrate, "integrate_ball_character", counted)
+        res = integrate_qp(p, test_function=test_function, quad=quad)
         assert not res.stabilized
-        full = integrate_qp(5, quad=(F(25), F(1)))
-        assert full.stabilized
+        assert flags[-1] is False
+        assert all(flags[:-1])
 
     def test_tail_certificate_consistent_with_enumeration(self):
         # spheres declared zero by the certificate must enumerate to zero
@@ -165,7 +209,7 @@ class TestSphereSums:
                             total = Cyclo(0)
                             for u in range(1, p):
                                 piece = integrate_ball_character(
-                                    p, Ball(p, F(u) * F(p) ** (-j), -j + 1), a, b, cap=14
+                                    p, Ball(p, F(u) * F(p) ** (-j), -j + 1), a, b
                                 )
                                 assert piece.stabilized, (p, a, b, j)
                                 total = total + piece.value

@@ -15,13 +15,16 @@ from adelic.bruhat import (
 )
 from adelic.cyclotomic import Cyclo
 from adelic.mellin import (
+    _CTX,
     DomainError,
+    LocalMellinFactor,
     completed_zeta_side,
     euler_product_zeta,
     functional_equation_residual,
     gamma_fn,
     mellin_local,
     mellin_real,
+    mellin_real_mp,
     phi_p,
     tate_check,
     zeta,
@@ -207,6 +210,19 @@ class TestRealMellin:
             numeric = complex(2 * half)
         closed = mellin_real(HermiteGaussian.gaussian(), alpha)
         assert abs(numeric - closed) < 1e-12
+
+
+@pytest.mark.parametrize("factor", ["local", "real"])
+@pytest.mark.parametrize("coeff", [1 + F(1, 2**80), F(2**2000)], ids=["1+2^-80", "2^2000"])
+def test_exact_coefficients_enter_the_working_precision(factor, coeff):
+    # no double in between: the 2^-80 digit survives, 2^2000 does not overflow
+    def value(c):
+        if factor == "local":
+            return LocalMellinFactor(2, {0: Cyclo(c)}).evaluate_mp(2)
+        return mellin_real_mp(HermiteGaussian.gaussian(c), 2)
+
+    ratio = value(coeff) / value(1)
+    assert abs(ratio / _CTX.mpf(coeff.numerator) * coeff.denominator - 1) < 1e-40
 
 
 class TestPhiP:
