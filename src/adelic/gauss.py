@@ -37,6 +37,10 @@ from .primes import legendre_symbol, require_prime
 
 F = Fraction
 
+# most oracle cells one calibration runs: on a 2-core Xeon with Python 3.11,
+# 150 cells (p = 31) take 1.0 s, 300 (p = 61) 5.4 s and 500 (p = 101) 19 s
+CALIBRATION_MAX_CELLS = 300
+
 
 def lambda_inf_phase(a: Fraction | float) -> UnitPhase:
     """lam at the real place: the Fresnel phase e^(-i pi sign(a)/4)."""
@@ -268,6 +272,12 @@ def calibrate_lambda_p(
     suite asserts this, keeping the frozen table honest.
     """
     require_prime(p)
+    cells = len(valuations) * (p - 1) * p ** (lambda_class_depth(p) - 1)
+    if cells > CALIBRATION_MAX_CELLS:
+        raise ValueError(
+            f"calibrating lambda_{p} needs {cells:,} oracle cells, more than "
+            f"the bound of {CALIBRATION_MAX_CELLS}"
+        )
     out: dict[Fraction, Cyclo] = {}
     for a in class_representatives(p, valuations):
         res = integrate_qp(p, quad=(a, F(0)))

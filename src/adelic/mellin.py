@@ -207,10 +207,6 @@ def mellin_real_mp(phi_inf: HermiteGaussian, alpha):
     return _CTX.power(_CTX.pi, -s / 2) * total
 
 
-def mellin_real(phi_inf: HermiteGaussian, alpha: complex) -> complex:
-    return complex(mellin_real_mp(phi_inf, alpha))
-
-
 # ---------------------------------------------------------------------------
 # the assembled transform and the functional-equation checks
 # ---------------------------------------------------------------------------
@@ -268,8 +264,3 @@ def functional_equation_residual(alpha: complex) -> float:
         raise DomainError("functional equation check needs 0 < Re alpha < 1")
     s = _CTX.mpc(a)
     return float(abs(_completed_zeta_mp(s) - _completed_zeta_mp(1 - s)))
-
-
-def completed_zeta_side(alpha: complex) -> complex:
-    """pi^(-a/2) Gamma(a/2) zeta(a), one side of the functional equation."""
-    return complex(_completed_zeta_mp(_CTX.mpc(complex(alpha))))

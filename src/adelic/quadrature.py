@@ -62,14 +62,11 @@ def quad_scalar(f: Callable[[float], complex], lo: float, hi: float,
     return complex(sum(complex(f(float(x))) * w for x, w in zip(xs, ws)))
 
 
-def real_fourier_transform(f: Callable[[float], complex], radius: float,
-                           xi: float, panels: int | None = None) -> complex:
-    """int f(x) e^(-2 pi i x xi) dx truncated to the declared decay radius."""
-    if panels is None:
-        panels = max(48, int(8 * abs(xi) * radius) + 16)
-    g = lambda x: complex(f(x)) * complex(math.cos(-2 * math.pi * x * xi),
-                                          math.sin(-2 * math.pi * x * xi))
-    return quad_scalar(g, -radius, radius, panels)
+def real_fourier_transform(f: Callable[[np.ndarray], np.ndarray], xis: np.ndarray) -> np.ndarray:
+    """int f(x) e^(-2 pi i x xi) dx at every xi, for f decaying within
+    |x| <= 8; ``f`` maps the node array to its values there."""
+    xs, ws = panel_nodes(-8.0, 8.0, panels=120, order=20)
+    return np.exp(-2j * math.pi * np.outer(xis, xs)) @ (f(xs) * ws)
 
 
 def gauss_character_integral(a: float, b: float, phi_vals: Callable[[np.ndarray], np.ndarray],

@@ -174,9 +174,9 @@ class TestHermiteGaussian:
     def test_fourier_matches_quadrature(self, n):
         h = HermiteGaussian([(n, 1)])
         ht = h.fourier()
-        for xi in (0.0, 0.5, 1.0, -1.3):
-            numeric = real_fourier_transform(h.evaluate, 8.0, xi)
-            assert abs(numeric - ht.evaluate(xi)) < 1e-10
+        xis = np.array([0.0, 0.5, 1.0, -1.3])
+        numeric = real_fourier_transform(h.evaluate, xis)
+        assert np.max(np.abs(numeric - ht.evaluate(xis))) < 1e-10
 
     def test_evaluate_on_node_array_matches_scalar_calls(self):
         # the 1,280 nodes of the chi pairing's real rule

@@ -187,6 +187,8 @@ def test_usage_errors_exit_2_without_traceback(argv, capsys):
 _RANGE = "outside the float range of the Fresnel oracle"
 _BUDGET = "more than its budget of"
 _DOUBLE = "outside the double range"
+_PHI_DEGREE_5000 = json.dumps({"real": [[5000, "1"]], "primes": {}})
+_DEGREE = "Hermite degree 5000 is over the bound of 500"
 _PHI_LOCAL_OVERFLOW = json.dumps({"real": [[0, "1"]], "primes": {"2": [["1", "0", -2000]]}})
 
 
@@ -213,12 +215,19 @@ _PHI_LOCAL_OVERFLOW = json.dumps({"real": [[0, "1"]], "primes": {"2": [["1", "0"
     (["mellin", "--phi", _PHI, "--alpha", "1e308,0"], _DOUBLE),
     (["pair", "--dist", "pi-alpha", "--alpha", "1e308,0", "--phi", _PHI], _DOUBLE),
     (["mellin", "--phi", _PHI_LOCAL_OVERFLOW, "--alpha", "2,0"], _DOUBLE),
+    # work bounds, checked before the work starts
+    (["oscillator-check", "-p", "3", "--t", "3", "--precision", "100000", "--samples", "0"],
+     "precision 100000 is over the bound of 1,000"),
+    (["mellin", "--phi", _PHI_DEGREE_5000, "--alpha", "0.5,0"], _DEGREE),
+    (["pair", "--dist", "chi", "--phi", _PHI_DEGREE_5000], _DEGREE),
+    (["calibrate-lambda", "-p", "1000003"], "5,000,010 oracle cells, more than the bound of 300"),
 ], ids=["zeta-height", "product-check-zero", "gauss-real-a-underflow",
         "gauss-real-a-overflow", "gauss-real-a-subnormal", "gauss-real-a-min-subnormal",
         "gauss-real-a-node-budget", "gauss-real-b-node-budget", "gauss-real-node-count-inf",
         "chi-quad-node-budget", "chi-quad-a-overflow", "chi-quad-b-overflow",
         "chi-quad-a-underflow", "mellin-real-overflow", "pi-alpha-real-overflow",
-        "mellin-local-overflow"])
+        "mellin-local-overflow", "trig-precision-bound", "mellin-hermite-degree-bound",
+        "chi-hermite-degree-bound", "calibration-cell-bound"])
 def test_domain_errors_exit_1_without_traceback(argv, reason):
     code, lines, err = run_cli(*argv)
     assert code == 1
@@ -250,6 +259,13 @@ def test_gauss_deep_linear_term_agrees_exactly(a, b):
     assert code == 0
     assert lines[0]["pass"] is True
     assert lines[0]["abs_error"] == "0"
+
+
+def test_hermite_degree_180_is_within_the_bound():
+    phi = json.dumps({"real": [[180, "1"]], "primes": {}})
+    code, lines, _ = run_cli("mellin", "--phi", phi, "--alpha", "0.5,0")
+    assert code == 0
+    assert lines[0]["value"].startswith("-1.43446517655266e+191")
 
 
 def test_domain_error_maps_to_exit_1():

@@ -68,6 +68,17 @@ class TestDelta:
             phi = random_elementary(rng)
             assert pair(d, phi) == phi.evaluate(zero_adele())
 
+    @pytest.mark.parametrize("coeff, tol", [(1, 1e-14), (F(5, 2), 1e-13)],
+                             ids=["vacuum", "scaled"])
+    def test_shifted_delta_sifts(self, coeff, tol):
+        # the t = 0 oscillator kernel delta(x - y), paired in y, gives phi(x)
+        phi = SchwartzBruhat([(coeff, vacuum_state())])
+        at_zero = pair(delta_distribution(shift=principal_adele(0)), phi)
+        assert abs(at_zero - float(coeff) * 2**0.25) < tol
+        for x in (F(0), F(1), F(1, 2), F(-2)):
+            shift = principal_adele(x)
+            assert pair(delta_distribution(shift=shift), phi) == phi.evaluate(shift)
+
 
 class TestChi:
     def test_matches_fourier_at_one_vacuum(self):

@@ -1,21 +1,22 @@
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from adelic.bruhat import Ball, PAdicTestFunction, vacuum_state
+from adelic.bruhat import Ball, PAdicTestFunction
+from adelic.gauss import lambda_p
 from adelic.mellin import DomainError
 from adelic.oscillator import (
-    delta_kernel_check,
     eigen_check,
-    kernel_kt_p,
-    kernel_kt_p_exact,
+    kernel_polar,
     padic_cos,
     padic_sin,
     real_state_orthonormality,
     unitarity_probe,
     vacuum_fourier_check,
 )
-from adelic.padic import PrecisionError, from_rational, valuation
+from adelic.padic import PrecisionError, from_rational, padic_norm, valuation
 
 F = Fraction
 
@@ -68,28 +69,35 @@ class TestKernel:
     def test_modulus_is_sqrt_norm(self):
         p = 5
         t = from_rational(5, p, 10)
-        x = from_rational(1, p, 10)
-        y = from_rational(2, p, 10)
-        k = kernel_kt_p(p, t, x, y)
-        # |sin t|_5 = 1/5 so |K| = sqrt(5)
-        assert abs(abs(k) - 5**0.5) < 1e-12
+        _, mod_sq = kernel_polar(p, t, F(1), F(2))
+        # |sin t|_5 = 1/5 so |K|^2 = 5
+        assert mod_sq == F(5)
 
     def test_zero_arguments(self):
         p = 5
         t = from_rational(5, p, 10)
-        zero = from_rational(0, p, 10)
-        k = kernel_kt_p(p, t, zero, zero)
-        # chi factor is 1: K = lambda(2 sin t) |sin t|^(-1/2)
-        exact, fp = kernel_kt_p_exact(p, t, F(0), F(0))
-        assert fp == 0
-        assert abs(k - exact.to_complex()) < 1e-12
+        ph, _ = kernel_polar(p, t, F(0), F(0))
+        # chi factor is 1: the phase is lambda(2 sin t)
+        assert ph == lambda_p(5, 2 * padic_sin(t).approximant)
 
     def test_precision_guard(self):
         p = 5
         t = from_rational(5, p, 1)  # sin t known only mod 5: unit class unknown
-        x = from_rational(1, p, 8)
         with pytest.raises(PrecisionError):
-            kernel_kt_p(p, t, x, x)
+            kernel_polar(p, t, F(1), F(1))
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_symmetric_with_modulus_inverse_norm_of_sin(self, p):
+        rng = random.Random(20261018 + p)
+        for tval in (F(p), F(p, 1 + p), F(p * p)):
+            t = from_rational(tval, p, 10)
+            inv_norm = 1 / padic_norm(padic_sin(t).approximant, p)
+            for _ in range(10):
+                x, y = (F(rng.randint(-60, 60), rng.choice([1, 2, p, p * p, 3 * p]))
+                        for _ in range(2))
+                kxy = kernel_polar(p, t, x, y)
+                assert kxy == kernel_polar(p, t, y, x), (p, tval, x, y)
+                assert kxy[1] == inv_norm
 
 
 class TestEigen:
@@ -140,9 +148,9 @@ class TestRealChecks:
         from adelic.quadrature import real_fourier_transform
 
         h = HermiteGaussian([(1, 1)])
-        for xi in (0.35, 1.1):
-            got = real_fourier_transform(h.evaluate, 8.0, xi)
-            assert abs(got - (-1j) * h.evaluate(xi)) < 1e-10
+        xis = np.array([0.35, 1.1])
+        got = real_fourier_transform(h.evaluate, xis)
+        assert np.max(np.abs(got - (-1j) * h.evaluate(xis))) < 1e-10
 
     def test_orthonormality(self):
         assert real_state_orthonormality(8) < 1e-9
@@ -160,21 +168,3 @@ class TestRealChecks:
         assert norm_dev < 1e-8
         assert abs(abs(phase) - 1) < 1e-8
 
-
-class TestDeltaKernel:
-    def test_vacuum_at_zero(self):
-        value, worst = delta_kernel_check(vacuum_state(), samples=[F(0)])
-        assert abs(value - 2**0.25) < 1e-14
-        assert worst == 0.0
-
-    def test_reproduces_at_samples(self):
-        value, worst = delta_kernel_check(vacuum_state())
-        assert worst == 0.0
-
-    def test_linearity(self):
-        from adelic.bruhat import SchwartzBruhat
-
-        phi = SchwartzBruhat([(F(5, 2), vacuum_state())])
-        value, worst = delta_kernel_check(phi, samples=[F(0)])
-        assert abs(value - 2.5 * 2**0.25) < 1e-13
-        assert worst == 0.0
