@@ -4,7 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from adelic.bruhat import Ball, PAdicTestFunction
+from adelic.adeles import principal_adele
+from adelic.bruhat import Ball, PAdicTestFunction, vacuum_state
+from adelic.distributions import delta_distribution, pair
 from adelic.gauss import lambda_p
 from adelic.mellin import DomainError
 from adelic.oscillator import (
@@ -168,3 +170,18 @@ class TestRealChecks:
         assert norm_dev < 1e-8
         assert abs(abs(phase) - 1) < 1e-8
 
+
+class TestDeltaKernel:
+    # the t = 0 kernel is delta(x - y): pairing it in y must give phi(x)
+    def test_vacuum_at_zero(self):
+        phi = vacuum_state()
+        shift = principal_adele(F(0))
+        value = pair(delta_distribution(shift=shift), phi)
+        assert abs(value - 2**0.25) < 1e-14
+        assert value == phi.evaluate(shift)
+
+    def test_reproduces_at_samples(self):
+        phi = vacuum_state()
+        for x in (F(0), F(1), F(1, 2), F(-2)):
+            shift = principal_adele(x)
+            assert pair(delta_distribution(shift=shift), phi) == phi.evaluate(shift)
