@@ -347,11 +347,15 @@ def hermite_coefficients(n: int) -> tuple[int, ...]:
 
 
 def hermite_value(n: int, y: float | np.ndarray) -> float | np.ndarray:
-    """H_n(y) by Horner's rule, at a float or elementwise on an array."""
-    coeffs = hermite_coefficients(n)
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * y + c
+    """H_n(y) by Horner's rule, at a float or elementwise on an array; a
+    partial sum beyond the double range is a domain error, not inf or nan."""
+    acc = np.float64(0.0)
+    try:
+        with np.errstate(over="raise"):
+            for c in reversed(hermite_coefficients(n)):
+                acc = acc * y + c
+    except (OverflowError, FloatingPointError):
+        raise ValueError(f"Hermite degree {n} overflows a double") from None
     return acc
 
 

@@ -31,14 +31,14 @@ from .adeles import Adele, Idele, principal_adele, principal_idele
 from .bruhat import Ball, ElementaryFunction, PAdicTestFunction, omega
 from .characters import chi_inf_phase, chi_p
 from .cyclotomic import Cyclo, UnitPhase, sqrt_prime_power
-from .integrate import integrate_qp, sphere_balls, stabilized_ball_sum
+from .integrate import integrate_qp, stabilized_ball_sum
 from .padic import padic_norm, unit_part_mod, valuation
 from .primes import legendre_symbol, require_prime
 
 F = Fraction
 
 # most oracle cells one calibration runs: on a 2-core Xeon with Python 3.11,
-# 150 cells (p = 31) take 1.0 s, 300 (p = 61) 5.4 s and 500 (p = 101) 19 s
+# 150 cells (p = 31) take 0.5 s, 300 (p = 61) 2.6 s and 500 (p = 101) 11 s
 CALIBRATION_MAX_CELLS = 300
 
 
@@ -211,8 +211,9 @@ def _lambda_ball_at_zero(p: int, k: int, b: Fraction, mod: Fraction) -> Cyclo:
         v_cut = max(v_cut, -valuation(mod, p).value)
     total = Cyclo()
     for v in range(k, v_cut + 1):
-        for piece in sphere_balls(p, -v):
-            total = total + _lambda_ball(p, piece, b, mod)
+        # the sphere |a|_p = p**-v, tiled by its p - 1 leading-digit balls
+        for u in range(1, p):
+            total = total + _lambda_ball(p, Ball(p, F(u) * F(p) ** v, v + 1), b, mod)
     if b == 0:
         # remaining spheres: odd ones cancel inside the lambda table, even
         # ones sum geometrically to p**(-V/2) for the first even V > v_cut
@@ -266,9 +267,8 @@ def calibrate_lambda_p(
 ) -> dict[Fraction, Cyclo]:
     """Derive lam_p(a) = oracle(a) * |2a|_p^(1/2) over all residue classes.
 
-    Runs the sphere-decomposition oracle on chi_p(a x^2) for one
-    representative per (valuation, unit class) cell and divides out the
-    modulus.  The result must reproduce ``lambda_p`` exactly; the test
+    Runs the full-space oracle on chi_p(a x^2) for one representative per
+    (valuation, unit class) cell and divides out the modulus.  The result must reproduce ``lambda_p`` exactly; the test
     suite asserts this, keeping the frozen table honest.
     """
     require_prime(p)

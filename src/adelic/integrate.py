@@ -5,18 +5,19 @@ indicators, modulations and quadratic characters chi_p(a x^2 + b x) are
 locally constant away from 0, so refining a ball into cosets of p**m Z_p
 gives the exact integral once m is fine enough.  Each ball starts at a
 certified constancy level, and stabilization is detected by two
-successive refinement levels agreeing *exactly* in cyclotomic arithmetic,
-never by a float tolerance.  The only work bound is ``_COSET_BUDGET``
-cosets per level: a ball whose confirming level exceeds it is reported
-unstabilized without being enumerated.
+successive refinement levels agreeing *exactly*, never by a float
+tolerance.  The only work bound is ``_COSET_BUDGET`` cosets per level: a
+ball whose confirming level exceeds it is reported unstabilized without
+being enumerated.
 
-Full-space Gauss integrals are sphere sums |x|_p = p**j.  Outer spheres
-vanish identically once the phase derivative 2 a x + b oscillates faster
-than the quadratic term can resolve; the certificate
+The full-space Gauss integral is the limit of the integrals over the
+balls p**(-J) Z_p.  Spheres |x|_p = p**j vanish identically once the
+phase derivative 2 a x + b oscillates faster than the quadratic term can
+resolve; the certificate
 
     min(v(2a) - j, v(b)) < -max(1 - j, ceil(-v(a)/2)),  v(2a) - j != v(b)
 
-prunes every sphere beyond a computable index.
+prunes every sphere beyond a computable J, where the limit is reached.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+import numpy as np
+
 from .bruhat import Ball, PAdicTestFunction
+from .characters import chi_p
 from .cyclotomic import Cyclo
 from .padic import valuation
 from .primes import require_prime
@@ -34,7 +38,8 @@ from .primes import require_prime
 F = Fraction
 
 
-_COSET_BUDGET = 500_000  # residue points per refinement level: the one work bound
+_COSET_BUDGET = 1 << 23  # residue points per refinement level: the one work bound
+_SLICE = 1 << 20  # residues counted per numpy pass
 
 
 @dataclass
@@ -50,28 +55,33 @@ class QpIntegral:
     stabilized: bool
 
 
-def _refine(p: int, k: int, m: int, level_sum: Callable) -> QpIntegral:
+def _refine(p: int, k: int, m: int, level_sum: Callable, fold: Callable) -> QpIntegral:
     """The one refinement loop over a ball of radius p**(-k), from level m.
 
-    ``level_sum(level)`` yields the (phase, coefficient) pairs summed over
-    the cosets of p**level Z_p.  m is a certified constancy level, so
-    level m + 1 confirms it; when that level already exceeds the coset
-    budget the result is unstabilized before anything is enumerated.
+    ``level_sum(level)`` is the raw sum over the cosets of p**level Z_p (a
+    count per residue or a coefficient per phase); ``fold`` makes it a
+    Cyclo.  A level is stable when its raw sum is p times the previous one:
+    at local constancy each coset splits into p cosets of its own value.  m
+    is a certified constancy level, so level m + 1 confirms it; when that
+    level exceeds the coset budget nothing is enumerated.
     """
     if p ** (m + 1 - k) > _COSET_BUDGET:
         return QpIntegral(Cyclo(), False)
-    prev: dict | None = None
+    prev = None
     level = m
     while p ** (level - k) <= _COSET_BUDGET:
-        scale = F(p) ** (-level)
-        total = {q: coeff * scale for q, coeff in level_sum(level)}
-        # formal agreement of the normalized phase sums; at local constancy
-        # the refined sum reproduces the coarse one term by term
-        if total == prev:
-            return QpIntegral(Cyclo(total), True)
-        prev = total
+        raw = level_sum(level)
+        if prev is not None and _is_p_times(raw, prev, p):
+            return QpIntegral(fold(raw) * F(p) ** (-level), True)
+        prev = raw
         level += 1
     return QpIntegral(Cyclo(), False)
+
+
+def _is_p_times(raw, prev, p: int) -> bool:
+    if isinstance(raw, dict):
+        return raw == {q: p * c for q, c in prev.items()}
+    return np.array_equal(raw, p * prev)
 
 
 def stabilized_ball_sum(
@@ -91,19 +101,15 @@ def stabilized_ball_sum(
     k = ball.radius_exp
     step = F(p) ** k
 
-    def level_sum(m: int):
+    def level_sum(m: int) -> dict:
         acc: dict = {}
         for t in range(p ** (m - k)):
-            val = point_value(ball.center + t * step)
-            for q, coeff in val._terms.items():
-                s = acc.get(q, F(0)) + coeff
-                if s:
-                    acc[q] = s
-                else:
-                    acc.pop(q, None)
-        return acc.items()
+            for q, c in point_value(ball.center + t * step)._terms.items():
+                acc[q] = acc.get(q, 0) + c
+        return {q: c for q, c in acc.items() if c}
 
-    return _refine(p, k, max(k, start_level), level_sum)
+    # a sum of canonical point values is canonical
+    return _refine(p, k, max(k, start_level), level_sum, Cyclo._of)
 
 
 def integrate_ball_character(
@@ -111,41 +117,47 @@ def integrate_ball_character(
 ) -> QpIntegral:
     """int over the ball of chi_p(a x^2 + b x) dx, exactly.
 
-    On the cosets c + t*p**k the phase argument is the quadratic polynomial
-    A + B t + C t^2 with A = a c^2 + b c, B = (2 a c + b) p**k, C = a p**2k,
-    so each refinement level is a pure modular-integer residue sum.
+    On the cosets c + t*p**k the phase argument is A + B t + C t^2 with
+    A = a c^2 + b c, B = (2 a c + b) p**k, C = a p**2k.  chi_p(A) is one
+    phase in front, and each level counts the residues of B t + C t^2 mod
+    p**d, its p-part denominator.  p**d is at most the cosets of the
+    confirming level, which the budget bounds, so int64 counts are exact.
     """
     a, b = Fraction(a), Fraction(b)
     k = ball.radius_exp
     c0, s = ball.center, F(p) ** k
-    A = a * c0 * c0 + b * c0
+    front = chi_p(a * c0 * c0 + b * c0, p).as_cyclo()
     B = (2 * a * c0 + b) * s
     C = a * s * s
 
-    # split the common denominator into its p-part p**dd and coprime part mm
-    den = math.lcm(A.denominator, B.denominator, C.denominator)
-    dd = valuation(den, p).value
-    pd, mm = p**dd, den // p**dd
-    if dd == 0:
-        # the argument is p-integral on the whole ball: character is 1
-        return QpIntegral(Cyclo(ball.measure), True)
-    inv_m = pow(mm, -1, pd)
-    ai = A.numerator * (den // A.denominator) * inv_m % pd
+    # split the common denominator into its p-part p**d and a unit mod p**d
+    den = math.lcm(B.denominator, C.denominator)
+    d = valuation(den, p).value
+    if d == 0:
+        # B t + C t^2 is p-integral: the character is chi_p(A) on the ball
+        return QpIntegral(front * ball.measure, True)
+    pd = p**d
+    inv_m = pow(den // pd, -1, pd)
     bi = B.numerator * (den // B.denominator) * inv_m % pd
     ci = C.numerator * (den // C.denominator) * inv_m % pd
 
-    def level_sum(m: int):
-        counts: dict[int, int] = {}
-        val = ai
-        d1 = (bi + ci) % pd
-        d2 = (2 * ci) % pd
-        for _ in range(p ** (m - k)):
-            counts[val] = counts.get(val, 0) + 1
-            val = (val + d1) % pd
-            d1 = (d1 + d2) % pd
-        return ((F(r, pd) % 1, F(n)) for r, n in counts.items())
+    def level_sum(m: int) -> np.ndarray:
+        n = p ** (m - k)
+        counts = np.zeros(pd, dtype=np.int64)
+        for lo in range(0, n, _SLICE):
+            t = np.arange(lo, min(n, lo + _SLICE), dtype=np.int64)
+            counts += np.bincount((ci * t % pd + bi) * t % pd, minlength=pd)
+        return counts
 
-    return _refine(p, k, _quadratic_constancy_level(p, ball, a, b), level_sum)
+    def fold(counts: np.ndarray) -> Cyclo:
+        # onto the power basis j/p**d, 0 <= j < (p-1) p**(d-1): each top-row
+        # phase is minus the sum of the phases above it
+        rows = counts.reshape(p, -1)
+        coords = (rows[:-1] - rows[-1]).ravel()
+        nz = np.flatnonzero(coords)
+        return front * Cyclo._of({F(int(j), pd): int(coords[j]) for j in nz})
+
+    return _refine(p, k, _quadratic_constancy_level(p, ball, a, b), level_sum, fold)
 
 
 def _quadratic_constancy_level(p, ball, a, b) -> int:
@@ -176,11 +188,6 @@ def _quadratic_constancy_level(p, ball, a, b) -> int:
     return lvl
 
 
-def sphere_balls(p: int, j: int) -> list[Ball]:
-    """The sphere |x|_p = p**j tiled by its p-1 leading-digit balls."""
-    return [Ball(p, F(u) * F(p) ** (-j), -j + 1) for u in range(1, p)]
-
-
 def sphere_provably_zero(p: int, a: Fraction, b: Fraction, j: int) -> bool:
     """Oscillation-cancellation certificate for a sphere of the Gauss
     integrand: true only when the sphere integral is exactly zero."""
@@ -203,10 +210,10 @@ def integrate_qp(
 ) -> QpIntegral:
     """The p-adic oracle: integrate (test function) x chi_p(a x^2 + b x).
 
-    With a test function the domain is its support; without one the
-    integral runs over all of Q_p, which requires a != 0 (the stabilized
-    sphere sum is the regularization of the improper integral).  The
-    first ball that does not stabilize ends the sum unstabilized.
+    With a test function the domain is its support, and the first ball
+    that does not stabilize ends the sum unstabilized.  Without one it is
+    the improper integral over Q_p (a != 0): one ball sum over p**(-J) Z_p,
+    past which the tail certificate prunes every sphere.
     """
     require_prime(p)
     a = Fraction(quad[0]) if quad else F(0)
@@ -238,19 +245,8 @@ def integrate_qp(
     while j_stop > -k_inner and sphere_provably_zero(p, a, b, j_stop):
         j_stop -= 1
 
-    inner = integrate_ball_character(p, Ball(p, F(0), k_inner), a, b)
-    if not inner.stabilized:
-        return inner
-    total = inner.value
-    for j in range(-k_inner + 1, j_stop + 1):
-        if sphere_provably_zero(p, a, b, j):
-            continue
-        for piece in sphere_balls(p, j):
-            part = integrate_ball_character(p, piece, a, b)
-            if not part.stabilized:
-                return part
-            total = total + part.value
-    return QpIntegral(total, True)
+    # J = max(j_stop, -k_inner): the one ball that holds every nonzero sphere
+    return integrate_ball_character(p, Ball(p, F(0), min(k_inner, -j_stop)), a, b)
 
 
 __all__ = [
@@ -259,5 +255,4 @@ __all__ = [
     "integrate_ball_character",
     "integrate_qp",
     "sphere_provably_zero",
-    "sphere_balls",
 ]

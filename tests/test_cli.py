@@ -221,13 +221,15 @@ _PHI_LOCAL_OVERFLOW = json.dumps({"real": [[0, "1"]], "primes": {"2": [["1", "0"
     (["mellin", "--phi", _PHI_DEGREE_5000, "--alpha", "0.5,0"], _DEGREE),
     (["pair", "--dist", "chi", "--phi", _PHI_DEGREE_5000], _DEGREE),
     (["calibrate-lambda", "-p", "1000003"], "5,000,010 oracle cells, more than the bound of 300"),
+    (["pair", "--dist", "chi", "--phi", json.dumps({"real": [[300, "1"]], "primes": {}})],
+     "Hermite degree 300 overflows a double"),
 ], ids=["zeta-height", "product-check-zero", "gauss-real-a-underflow",
         "gauss-real-a-overflow", "gauss-real-a-subnormal", "gauss-real-a-min-subnormal",
         "gauss-real-a-node-budget", "gauss-real-b-node-budget", "gauss-real-node-count-inf",
         "chi-quad-node-budget", "chi-quad-a-overflow", "chi-quad-b-overflow",
         "chi-quad-a-underflow", "mellin-real-overflow", "pi-alpha-real-overflow",
         "mellin-local-overflow", "trig-precision-bound", "mellin-hermite-degree-bound",
-        "chi-hermite-degree-bound", "calibration-cell-bound"])
+        "chi-hermite-degree-bound", "calibration-cell-bound", "chi-hermite-double-overflow"])
 def test_domain_errors_exit_1_without_traceback(argv, reason):
     code, lines, err = run_cli(*argv)
     assert code == 1
@@ -236,15 +238,16 @@ def test_domain_errors_exit_1_without_traceback(argv, reason):
     assert len(errors) == 1
     assert reason in errors[0]
     assert "Traceback" not in err
+    assert "Warning" not in err
 
 
 @pytest.mark.parametrize("argv", [
     ["gauss", "-p", "2", "-a", "1/2", "-b", "1/1099511627776"],
     ["gauss", "-p", "5", "-a", "1/5", "-b", "1/3125"],
-    ["gauss", "-p", "7", "-a", "1/7", "-b", "1/2401"],
-], ids=["p2-b-2^-40", "p5-b-5^-5", "p7-b-7^-4"])
+    ["gauss", "-p", "7", "-a", "1/7", "-b", "1/16807"],
+], ids=["p2-b-2^-40", "p5-b-5^-5", "p7-b-7^-5"])
 def test_gauss_unstabilized_oracle_is_inconclusive(argv):
-    # an outer sphere whose confirming level exceeds the coset budget
+    # a full-space ball whose confirming level exceeds the coset budget
     code, lines, _ = run_cli(*argv)
     assert code == 1
     assert lines[0]["expected"] == "inconclusive: oracle did not stabilize"
@@ -252,10 +255,12 @@ def test_gauss_unstabilized_oracle_is_inconclusive(argv):
     assert lines[0]["pass"] is False
 
 
-@pytest.mark.parametrize("a,b", [("1/2", "1/128"), ("2", "1/256")])
-def test_gauss_deep_linear_term_agrees_exactly(a, b):
-    # outer spheres of 2**14 and more cosets, all within the coset budget
-    code, lines, _ = run_cli("gauss", "-p", "2", "-a", a, "-b", b)
+@pytest.mark.parametrize("p,a,b", [("2", "1/2", "1/128"), ("2", "2", "1/256"),
+                                   ("7", "1/7", "1/2401")],
+                         ids=["1/2-1/128", "2-1/256", "p7-1/7-1/2401"])
+def test_gauss_deep_linear_term_agrees_exactly(p, a, b):
+    # full-space balls of 2**15 and more cosets, all within the coset budget
+    code, lines, _ = run_cli("gauss", "-p", p, "-a", a, "-b", b)
     assert code == 0
     assert lines[0]["pass"] is True
     assert lines[0]["abs_error"] == "0"

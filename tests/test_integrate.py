@@ -84,15 +84,18 @@ class TestBallCharacter:
         assert not res.stabilized
 
     def test_over_budget_ball_sum_enumerates_nothing(self):
-        # level 11 (3**11 cosets) is affordable, but the level 12 that would
-        # confirm it has 3**12 > 500,000 cosets
+        # the deepest affordable level m of Z_3: the level m + 1 that would
+        # confirm it has 3**(m + 1) cosets, over the budget
+        m = 0
+        while 3 ** (m + 1) <= integrate._COSET_BUDGET:
+            m += 1
         seen = []
 
         def point_value(x):
             seen.append(x)
             return Cyclo(1)
 
-        res = stabilized_ball_sum(3, Ball(3, F(0), 0), point_value, 11)
+        res = stabilized_ball_sum(3, Ball(3, F(0), 0), point_value, m)
         assert not res.stabilized
         assert seen == []
 
@@ -119,11 +122,12 @@ class TestBallCharacter:
 
     def test_point_values_and_residue_recurrence_agree(self):
         # both integrands run the one refinement loop; from the same start
-        # level they must agree on the flag and on the value
+        # level they must agree on the flag and on the value.  Centres of
+        # valuation down to -3, below the radius, put chi(A) in front
         rng = random.Random(20260810)
         for _ in range(80):
             p = rng.choice([2, 3, 5])
-            ball = Ball(p, F(rng.randint(0, p * p), p ** rng.randint(0, 1)), rng.randint(-1, 1))
+            ball = Ball(p, F(rng.randint(0, p**3), p ** rng.randint(0, 3)), rng.randint(-1, 1))
             a = F(rng.randint(1, 9) * rng.choice([-1, 1]), p ** rng.randint(0, 2))
             b = F(rng.randint(0, 9), p ** rng.randint(0, 2))
             direct = integrate_ball_character(p, ball, a, b)
@@ -182,7 +186,7 @@ class TestSphereSums:
         # the unit sphere: two terms, the first already over budget
         (3, PAdicTestFunction(3, [(1, Ball(3, F(0), 0), 0), (-1, Ball(3, F(0), 1), 0)]),
          (F(1, 3**40), F(0))),
-    ], ids=["sphere-sum", "test-function"])
+    ], ids=["one-ball", "test-function"])
     def test_stops_at_first_unstabilized_ball(self, monkeypatch, p, test_function, quad):
         flags = []
         ball_integral = integrate.integrate_ball_character
@@ -197,6 +201,12 @@ class TestSphereSums:
         assert not res.stabilized
         assert flags[-1] is False
         assert all(flags[:-1])
+
+    def test_large_prime_is_unstabilized_without_enumeration(self):
+        # the one ball is Z_p, and the level p**2 Z_p that confirms its
+        # constancy level has p**2 > budget cosets
+        res = integrate_qp(1000003, quad=(F(1, 1000003), 1))
+        assert not res.stabilized
 
     def test_tail_certificate_consistent_with_enumeration(self):
         # spheres declared zero by the certificate must enumerate to zero
