@@ -150,8 +150,8 @@ def integrate_ball_character(
         return counts
 
     def fold(counts: np.ndarray) -> Cyclo:
-        # onto the power basis j/p**d, 0 <= j < (p-1) p**(d-1): each top-row
-        # phase is minus the sum of the phases above it
+        # onto the power basis j/p**d, 0 <= j < (p-1) p**(d-1): each phase
+        # of the top row is minus the sum of its column above it
         rows = counts.reshape(p, -1)
         coords = (rows[:-1] - rows[-1]).ravel()
         nz = np.flatnonzero(coords)
