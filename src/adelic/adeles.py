@@ -116,13 +116,6 @@ class Idele(Adele):
             self, "components", _canonical_components(comps, tail, unit_tail=True)
         )
 
-    def inverse(self) -> "Idele":
-        return Idele(
-            real=1.0 / self.real if isinstance(self.real, float) else 1 / self.real,
-            components={p: 1 / c for p, c in self.components.items()},
-            tail=1 / self.tail,
-        )
-
 
 def principal_adele(r: Fraction | int) -> Adele:
     """The diagonal embedding of a rational into the adeles."""

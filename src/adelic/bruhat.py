@@ -74,9 +74,6 @@ class Ball:
     def contains_ball(self, other: "Ball") -> bool:
         return self.radius_exp <= other.radius_exp and self.contains(other.center)
 
-    def overlaps(self, other: "Ball") -> bool:
-        return self.contains_ball(other) or other.contains_ball(self)
-
     def subdivide(self, level: int) -> list["Ball"]:
         """The p**(level-k) disjoint sub-balls at the finer level."""
         if level < self.radius_exp:

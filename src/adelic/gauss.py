@@ -5,7 +5,7 @@ The closed form at every place is
     int chi_v(a x^2 + b x) dx = lam_v(a) |2a|_v^(-1/2) chi_v(-b^2/(4a)),
 
 with lam_v(a) a unit-modulus constant.  For rational a and b that is an
-exact phase times sqrt(|2a|_v^(-1)), the polar form ``_gauss_polar``; every
+exact phase times sqrt(|2a|_v^(-1)), the polar form ``gauss_polar``; every
 closed form below and the product formula are read off it.  The lambda
 tables were derived by running the residue-sum oracle over all residue
 classes (re-runnable, see ``calibrate_lambda_p``) and then frozen:
@@ -80,18 +80,17 @@ def lambda_class_depth(p: int) -> int:
     return 3 if p == 2 else 1
 
 
-def class_representatives(
-    p: int, valuations: tuple[int, ...] = (-2, -1, 0, 1, 2)
-) -> list[Fraction]:
-    """One a = u p**v per (valuation, unit class) cell, valuation-major.
+def class_representatives(p: int) -> list[Fraction]:
+    """One a = u p**v per (valuation, unit class) cell, valuation-major, for
+    the five valuations -2..2.
 
     The unit classes are those that fix lam_p (``lambda_class_depth``).
     """
     units = [u for u in range(1, p ** lambda_class_depth(p)) if u % p]
-    return [F(u) * F(p) ** v for v in valuations for u in units]
+    return [F(u) * F(p) ** v for v in range(-2, 3) for u in units]
 
 
-def _gauss_polar(p: int | None, a, b) -> tuple[UnitPhase, Fraction]:
+def gauss_polar(p: int | None, a, b) -> tuple[UnitPhase, Fraction]:
     """The Gauss factor at p (p = None: the real place) as its exact phase
     and squared modulus.  A float a or b is taken as the rational it is."""
     a, b = Fraction(a), Fraction(b)
@@ -105,12 +104,12 @@ def _gauss_polar(p: int | None, a, b) -> tuple[UnitPhase, Fraction]:
 
 def gauss_integral_p_exact(p: int, a: Fraction | int, b: Fraction | int = 0) -> Cyclo:
     """The exact closed form lam_p(a) |2a|_p^(-1/2) chi_p(-b^2/4a)."""
-    return _gauss_polar(p, a, b)[0].as_cyclo() * sqrt_norm_2a_inv(p, Fraction(a))
+    return gauss_polar(p, a, b)[0].as_cyclo() * sqrt_norm_2a_inv(p, Fraction(a))
 
 
 def gauss_integral_inf(a: Fraction | float, b: Fraction | float = 0) -> complex:
     """lam_inf(a) |2a|^(-1/2) chi_inf(-b^2/4a) at the real place."""
-    ph, m2 = _gauss_polar(None, a, b)
+    ph, m2 = gauss_polar(None, a, b)
     return ph.value * math.sqrt(m2)
 
 
@@ -125,9 +124,9 @@ def kernel_k_polar(a: Idele, b: Adele) -> tuple[UnitPhase, Fraction]:
     """K(a, b) = prod_v lam_v(a_v) |2 a_v|_v^(-1/2) chi_v(-b_v^2/(4 a_v)) in
     polar form, over the real place and ``_places(a, b)``.  On principal
     points it is the product formula: K(r, s) = (UnitPhase(0), 1)."""
-    ph, m2 = _gauss_polar(None, a.real, b.real)
+    ph, m2 = gauss_polar(None, a.real, b.real)
     for p in _places(a, b):
-        q, n = _gauss_polar(p, a.component(p), b.component(p))
+        q, n = gauss_polar(p, a.component(p), b.component(p))
         ph, m2 = ph * q, m2 * n
     return ph, m2
 
@@ -168,7 +167,7 @@ def _lambda_ball(p: int, ball: Ball, b: Fraction, mod: Fraction) -> Cyclo:
             lvl = max(lvl, -vm)
     part = stabilized_ball_sum(
         p, ball,
-        lambda c: (_gauss_polar(p, c, b)[0] * chi_p(mod * c, p)).as_cyclo(),
+        lambda c: (gauss_polar(p, c, b)[0] * chi_p(mod * c, p)).as_cyclo(),
         lvl,
     )
     if not part.stabilized:
@@ -262,9 +261,7 @@ def _lambda_real_transform(phi: ElementaryFunction, b_inf: float) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def calibrate_lambda_p(
-    p: int, valuations: tuple[int, ...] = (-2, -1, 0, 1, 2)
-) -> dict[Fraction, Cyclo]:
+def calibrate_lambda_p(p: int) -> dict[Fraction, Cyclo]:
     """Derive lam_p(a) = oracle(a) * |2a|_p^(1/2) over all residue classes.
 
     Runs the full-space oracle on chi_p(a x^2) for one representative per
@@ -272,14 +269,15 @@ def calibrate_lambda_p(
     suite asserts this, keeping the frozen table honest.
     """
     require_prime(p)
-    cells = len(valuations) * (p - 1) * p ** (lambda_class_depth(p) - 1)
+    # the cells of class_representatives, counted before any is built
+    cells = 5 * (p - 1) * p ** (lambda_class_depth(p) - 1)
     if cells > CALIBRATION_MAX_CELLS:
         raise ValueError(
             f"calibrating lambda_{p} needs {cells:,} oracle cells, more than "
             f"the bound of {CALIBRATION_MAX_CELLS}"
         )
     out: dict[Fraction, Cyclo] = {}
-    for a in class_representatives(p, valuations):
+    for a in class_representatives(p):
         res = integrate_qp(p, quad=(a, F(0)))
         if not res.stabilized:
             raise ArithmeticError(f"oracle did not stabilize for a={a}")

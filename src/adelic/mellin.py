@@ -27,7 +27,7 @@ from mpmath import mp
 from .bruhat import ElementaryFunction, HermiteGaussian, PAdicTestFunction, hermite_coefficients
 from .cyclotomic import Cyclo
 from .padic import valuation
-from .primes import primes_up_to, require_prime
+from .primes import primes_up_to
 
 F = Fraction
 
@@ -119,14 +119,8 @@ class LocalMellinFactor:
             total += _cyclo_mp(c) * _CTX.power(u, e)
         return total
 
-    def evaluate(self, alpha: complex) -> complex:
-        return complex(self.evaluate_mp(alpha))
 
-    def is_one(self) -> bool:
-        return self.coeffs == {0: Cyclo(1)}
-
-
-def mellin_local(phi_p: PAdicTestFunction, p: int | None = None) -> LocalMellinFactor:
+def mellin_local(phi_p: PAdicTestFunction) -> LocalMellinFactor:
     """Exact local factor of the multiplicative pairing.
 
     Per canonical term on the ball c + p**k Z_p with modulation m:
@@ -138,10 +132,7 @@ def mellin_local(phi_p: PAdicTestFunction, p: int | None = None) -> LocalMellinF
     All contributions are assembled over the common denominator (1-u) and
     the normalization (1-u)/(1-1/p) is folded in symbolically.
     """
-    p = p or phi_p.prime
-    require_prime(p)
-    if p != phi_p.prime:
-        raise ValueError("prime mismatch")
+    p = phi_p.prime
     # I(u) = int |x|^{alpha-1} phi = N0(u) + N1(u)/(1-u), assembled exactly
     n0: dict[int, Cyclo] = {}
     n1: dict[int, Cyclo] = {}
@@ -228,8 +219,8 @@ def phi_p(phi: ElementaryFunction, alpha: complex) -> complex:
     if s.real <= 0:
         raise DomainError("Phi is evaluated on Re alpha > 0")
     product = mellin_real_mp(phi.real_factor, alpha)
-    for p, f in phi.prime_factors.items():
-        product *= mellin_local(f, p).evaluate_mp(alpha)
+    for f in phi.prime_factors.values():
+        product *= mellin_local(f).evaluate_mp(alpha)
     product *= zeta_mp(alpha)
     value = complex(product)
     if not cmath.isfinite(value):

@@ -51,7 +51,7 @@ from .quadrature import fresnel_regularized
 
 F = Fraction
 
-DEFAULT_SEED = 20260810
+SEED = 20260810
 
 
 @dataclass
@@ -81,11 +81,11 @@ def make_report(check: str, inputs: dict, value, expected, t0: float, *,
 # -- 1. norm product formula -------------------------------------------------
 
 
-def norm_product_checks(count: int = 1000, seed: int = DEFAULT_SEED) -> list[CheckReport]:
-    rng = random.Random(seed)
+def norm_product_checks() -> list[CheckReport]:
+    rng = random.Random(SEED)
     t0 = time.perf_counter()
     worst = None
-    for _ in range(count):
+    for _ in range(1000):
         r = F(rng.randint(1, 10**6) * rng.choice([-1, 1]), rng.randint(1, 10**6))
         if norm_product(r) != 1:
             worst = r
@@ -93,7 +93,7 @@ def norm_product_checks(count: int = 1000, seed: int = DEFAULT_SEED) -> list[Che
     return [
         make_report(
             "norm-product-formula",
-            {"count": count, "seed": seed},
+            {"count": 1000, "seed": SEED},
             "1 (exact)" if worst is None else f"failed at r={worst}",
             "1",
             t0,
@@ -105,11 +105,11 @@ def norm_product_checks(count: int = 1000, seed: int = DEFAULT_SEED) -> list[Che
 # -- 2. principal character triviality ----------------------------------------
 
 
-def chi_principal_checks(count: int = 1000, seed: int = DEFAULT_SEED) -> list[CheckReport]:
-    rng = random.Random(seed)
+def chi_principal_checks() -> list[CheckReport]:
+    rng = random.Random(SEED)
     t0 = time.perf_counter()
     worst = None
-    for _ in range(count):
+    for _ in range(1000):
         r = F(rng.randint(1, 10**6) * rng.choice([-1, 1]), rng.randint(1, 10**6))
         if chi_principal_phase(r).phase != 0:
             worst = r
@@ -117,7 +117,7 @@ def chi_principal_checks(count: int = 1000, seed: int = DEFAULT_SEED) -> list[Ch
     return [
         make_report(
             "chi-principal-trivial",
-            {"count": count, "seed": seed},
+            {"count": 1000, "seed": SEED},
             "phase 0 (exact)" if worst is None else f"failed at r={worst}",
             "phase 0",
             t0,
@@ -129,9 +129,9 @@ def chi_principal_checks(count: int = 1000, seed: int = DEFAULT_SEED) -> list[Ch
 # -- 3. Gauss closed form vs oracle -------------------------------------------
 
 
-def gauss_grid_checks(primes=(2, 3, 5, 7)) -> list[CheckReport]:
+def gauss_grid_checks() -> list[CheckReport]:
     out = []
-    for p in primes:
+    for p in (2, 3, 5, 7):
         t0 = time.perf_counter()
         bad = None
         grid = [(a, b) for a in class_representatives(p)
@@ -177,24 +177,24 @@ def gauss_grid_checks(primes=(2, 3, 5, 7)) -> list[CheckReport]:
 # -- 4. product formulas -------------------------------------------------------
 
 
-def product_formula_checks(count: int = 100, seed: int = DEFAULT_SEED) -> list[CheckReport]:
-    rng = random.Random(seed)
+def product_formula_checks() -> list[CheckReport]:
+    rng = random.Random(SEED)
     t0 = time.perf_counter()
     bad = None
-    for _ in range(count):
+    for _ in range(100):
         a = F(rng.randint(1, 60) * rng.choice([-1, 1]), rng.randint(1, 60))
         b = F(rng.randint(0, 60) * rng.choice([-1, 1]), rng.randint(1, 60))
         if kernel_k_polar(principal_idele(a), principal_adele(b)) != (ONE_PHASE, 1):
             bad = bad or f"failed at a={a}, b={b}"
-    out = [make_report("gauss-product-formula", {"count": count, "seed": seed},
+    out = [make_report("gauss-product-formula", {"count": 100, "seed": SEED},
                        bad or "1 (exact)", "1", t0, passed=bad is None)]
     t0 = time.perf_counter()
     bad = None
-    for _ in range(count):
+    for _ in range(100):
         a = F(rng.randint(1, 80) * rng.choice([-1, 1]), rng.randint(1, 80))
         if lambda_product_check(a) != ONE_PHASE:
             bad = bad or f"failed at a={a}"
-    out.append(make_report("lambda-product-formula", {"count": count, "seed": seed},
+    out.append(make_report("lambda-product-formula", {"count": 100, "seed": SEED},
                            bad or "1 (exact)", "1", t0, passed=bad is None))
     return out
 
@@ -215,11 +215,11 @@ def _random_test_function(rng: random.Random, p: int) -> PAdicTestFunction:
     return f if not f.is_zero() else PAdicTestFunction.omega(p)
 
 
-def fourier_checks(count: int = 100, seed: int = DEFAULT_SEED) -> list[CheckReport]:
-    rng = random.Random(seed)
+def fourier_checks() -> list[CheckReport]:
+    rng = random.Random(SEED)
     t0 = time.perf_counter()
     bad = None
-    for i in range(count):
+    for i in range(100):
         p = rng.choice([2, 3, 5, 7])
         f = _random_test_function(rng, p)
         if f.fourier().fourier() != f.reflect():
@@ -230,7 +230,7 @@ def fourier_checks(count: int = 100, seed: int = DEFAULT_SEED) -> list[CheckRepo
             break
     rep1 = make_report(
         "fourier-involution-plancherel",
-        {"count": count, "seed": seed},
+        {"count": 100, "seed": SEED},
         "exact" if bad is None else f"failed: {bad}",
         "exact",
         t0,
@@ -255,9 +255,9 @@ def fourier_checks(count: int = 100, seed: int = DEFAULT_SEED) -> list[CheckRepo
 # -- 6. Tate formula -------------------------------------------------------------
 
 
-def _random_elementary(rng: random.Random, primes=(2, 3, 5)) -> ElementaryFunction:
+def _random_elementary(rng: random.Random) -> ElementaryFunction:
     factors = {}
-    for p in primes:
+    for p in (2, 3, 5):
         if rng.random() < 0.4:
             continue
         terms = []
@@ -273,22 +273,21 @@ def _random_elementary(rng: random.Random, primes=(2, 3, 5)) -> ElementaryFuncti
     return ElementaryFunction(HermiteGaussian.gaussian(F(rng.randint(1, 3), 2)), factors)
 
 
-def tate_checks(n_functions: int = 20, n_alphas: int = 10,
-                seed: int = DEFAULT_SEED) -> list[CheckReport]:
-    rng = random.Random(seed)
+def tate_checks() -> list[CheckReport]:
+    rng = random.Random(SEED)
     t0 = time.perf_counter()
     alphas = [
-        complex(rng.uniform(0.1, 0.9), rng.uniform(-5, 5)) for _ in range(n_alphas)
+        complex(rng.uniform(0.1, 0.9), rng.uniform(-5, 5)) for _ in range(10)
     ]
     worst = 0.0
-    for _ in range(n_functions):
+    for _ in range(20):
         phi = _random_elementary(rng)
         for alpha in alphas:
             worst = max(worst, tate_check(phi, alpha))
     return [
         make_report(
             "tate-formula",
-            {"functions": n_functions, "alphas": n_alphas, "seed": seed},
+            {"functions": 20, "alphas": 10, "seed": SEED},
             f"max residual {worst:.3e}",
             "< 1e-6",
             t0,
@@ -301,16 +300,16 @@ def tate_checks(n_functions: int = 20, n_alphas: int = 10,
 # -- 7. Riemann functional equation ----------------------------------------------
 
 
-def functional_equation_checks(count: int = 20, seed: int = DEFAULT_SEED) -> list[CheckReport]:
-    rng = random.Random(seed)
+def functional_equation_checks() -> list[CheckReport]:
+    rng = random.Random(SEED)
     t0 = time.perf_counter()
     worst = 0.0
-    for _ in range(count):
+    for _ in range(20):
         alpha = complex(rng.uniform(0.05, 0.95), rng.uniform(-5, 5))
         worst = max(worst, functional_equation_residual(alpha))
     rep1 = make_report(
         "zeta-functional-equation",
-        {"count": count, "seed": seed},
+        {"count": 20, "seed": SEED},
         f"max residual {worst:.3e}",
         "< 1e-10",
         t0,
@@ -433,21 +432,21 @@ def oscillator_checks() -> list[CheckReport]:
 # -- 10. distribution pairings ----------------------------------------------------------
 
 
-def pairing_checks(count: int = 50, seed: int = DEFAULT_SEED) -> list[CheckReport]:
+def pairing_checks() -> list[CheckReport]:
     from .adeles import zero_adele
 
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     t0 = time.perf_counter()
     delta = delta_distribution()
     bad = None
-    for i in range(count):
+    for i in range(50):
         phi = _random_elementary(rng)
         if pair(delta, phi) != phi.evaluate(zero_adele()):
             bad = i
             break
     rep1 = make_report(
         "delta-sifting",
-        {"count": count, "seed": seed},
+        {"count": 50, "seed": SEED},
         "exact" if bad is None else f"failed at {bad}",
         "exact",
         t0,
@@ -463,7 +462,7 @@ def pairing_checks(count: int = 50, seed: int = DEFAULT_SEED) -> list[CheckRepor
         worst = max(worst, abs(got - expect))
     rep2 = make_report(
         "chi-pairing-vs-fourier",
-        {"count": 15, "seed": seed},
+        {"count": 15, "seed": SEED},
         f"max deviation {worst:.3e}",
         "< 1e-10",
         t0,

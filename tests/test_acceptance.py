@@ -32,12 +32,12 @@ def _verdict(n: int, label: str, reports) -> None:
 def test_acceptance_1_norm_product_formula():
     # 1000 pseudorandom nonzero rationals, exact rational arithmetic
     _verdict(1, "norm product formula, 1000 rationals, exact",
-             norm_product_checks(count=1000))
+             norm_product_checks())
 
 
 def test_acceptance_2_principal_character_triviality():
     _verdict(2, "principal character phase exactly 0, 1000 rationals",
-             chi_principal_checks(count=1000))
+             chi_principal_checks())
 
 
 def test_acceptance_3_gauss_closed_form_vs_oracle():
@@ -48,23 +48,23 @@ def test_acceptance_3_gauss_closed_form_vs_oracle():
 
 def test_acceptance_4_product_formulas():
     # exact over 100 pairs: phase 0 and squared modulus 1; lambda phase 0
-    _verdict(4, "adelic Gauss product formula, exact", product_formula_checks(count=100))
+    _verdict(4, "adelic Gauss product formula, exact", product_formula_checks())
 
 
 def test_acceptance_5_fourier_calculus():
     # involution-with-reflection and Plancherel exact on 100 random test
     # functions; Omega self-dual for p in {2,3,5,7,11}
-    _verdict(5, "exact Fourier calculus", fourier_checks(count=100))
+    _verdict(5, "exact Fourier calculus", fourier_checks())
 
 
 def test_acceptance_6_tate_formula():
     # 20 elementary functions, P within {2,3,5}, 10 strip points, < 1e-6
-    _verdict(6, "Tate formula residuals", tate_checks(n_functions=20, n_alphas=10))
+    _verdict(6, "Tate formula residuals", tate_checks())
 
 
 def test_acceptance_7_riemann_functional_equation():
     # residual < 1e-10 at 20 strip points; |zeta(1/2 + 14.134725i)| < 1e-3
-    _verdict(7, "Riemann functional equation", functional_equation_checks(count=20))
+    _verdict(7, "Riemann functional equation", functional_equation_checks())
 
 
 def test_acceptance_8_vacuum_mellin():
@@ -84,4 +84,4 @@ def test_acceptance_9_oscillator():
 def test_acceptance_10_distribution_pairings():
     # delta sifting exact on 50 elementary functions; chi pairing matches
     # independently computed Fourier values to 1e-10
-    _verdict(10, "distribution pairings", pairing_checks(count=50))
+    _verdict(10, "distribution pairings", pairing_checks())

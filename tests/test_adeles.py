@@ -57,13 +57,6 @@ def test_idele_constraints():
     assert lam.listed_primes == [2, 3]
 
 
-def test_idele_inverse():
-    lam = principal_idele(F(3, 2))
-    inv = lam.inverse()
-    assert inv.component(2) == F(2, 3)
-    assert inv.real == F(2, 3)
-
-
 def test_norm_product_examples():
     assert norm_product(F(3, 2)) == 1
     assert norm_product(-7) == 1

@@ -62,7 +62,7 @@ class TestBall:
         small = Ball(5, F(10), 1)
         assert big.contains_ball(small)
         other = Ball(5, F(1), 1)
-        assert not small.overlaps(other)
+        assert not small.contains_ball(other) and not other.contains_ball(small)
 
     def test_subdivide_partition(self):
         b = Ball(3, F(1, 3), -1)

@@ -75,6 +75,8 @@ def test_gauss_command_padic():
     code, lines, _ = run_cli("gauss", "-p", "5", "-a", "1/5", "-b", "1")
     assert code == 0
     assert lines[0]["pass"] is True
+    # the value is read off the exact polar form: phase 0, modulus 5^(-1/2)
+    assert lines[0]["value"] == "0.447213595499958+0i"
 
 
 def test_gauss_command_real():
@@ -245,9 +247,13 @@ def test_domain_errors_exit_1_without_traceback(argv, reason):
     ["gauss", "-p", "2", "-a", "1/2", "-b", "1/1099511627776"],
     ["gauss", "-p", "5", "-a", "1/5", "-b", "1/3125"],
     ["gauss", "-p", "7", "-a", "1/7", "-b", "1/16807"],
-], ids=["p2-b-2^-40", "p5-b-5^-5", "p7-b-7^-5"])
+    ["gauss", "-p", "1000003", "-a", "1/1000003", "-b", "1"],
+    ["gauss", "-p", "2897", "-a", "1/2897", "-b", "1"],
+], ids=["p2-b-2^-40", "p5-b-5^-5", "p7-b-7^-5", "p1000003-surd", "p2897-surd"])
 def test_gauss_unstabilized_oracle_is_inconclusive(argv):
-    # a full-space ball whose confirming level exceeds the coset budget
+    # a full-space ball whose confirming level exceeds the coset budget; with
+    # v(2a) odd that level holds p^2 cosets, over budget for every p > 2896,
+    # and no sqrt(p) surd is built
     code, lines, _ = run_cli(*argv)
     assert code == 1
     assert lines[0]["expected"] == "inconclusive: oracle did not stabilize"
@@ -256,10 +262,11 @@ def test_gauss_unstabilized_oracle_is_inconclusive(argv):
 
 
 @pytest.mark.parametrize("p,a,b", [("2", "1/2", "1/128"), ("2", "2", "1/256"),
-                                   ("7", "1/7", "1/2401")],
-                         ids=["1/2-1/128", "2-1/256", "p7-1/7-1/2401"])
+                                   ("7", "1/7", "1/2401"), ("2887", "1/2887", "1")],
+                         ids=["1/2-1/128", "2-1/256", "p7-1/7-1/2401", "p2887-surd"])
 def test_gauss_deep_linear_term_agrees_exactly(p, a, b):
-    # full-space balls of 2**15 and more cosets, all within the coset budget
+    # full-space balls of 2**15 and more cosets, all within the coset budget;
+    # 2887 is the largest prime whose p^2 cosets fit
     code, lines, _ = run_cli("gauss", "-p", p, "-a", a, "-b", b)
     assert code == 0
     assert lines[0]["pass"] is True

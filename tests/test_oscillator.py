@@ -22,6 +22,9 @@ from adelic.padic import PrecisionError, from_rational, padic_norm, valuation
 
 F = Fraction
 
+# t = 3 * 7^40 / 11^40: a 3-adic t of large height, summed at the top precision
+TALL_T = F(3 * 7**40, 11**40)
+
 
 class TestPAdicTrig:
     def test_sin_zero(self):
@@ -35,6 +38,16 @@ class TestPAdicTrig:
         s = padic_sin(t)
         assert s.congruent(from_rational(5, 5, 3))
 
+    @pytest.mark.parametrize("p,tval,n", [(2, F(4, 7), 20), (3, F(3), 12), (5, F(10, 3), 8),
+                                          (7, F(49, 11), 1), (3, TALL_T, 200)],
+                             ids=["2", "3", "5", "7-zero-at-precision", "3-tall-t"])
+    def test_integer_residue_approximant(self, p, tval, n):
+        t = from_rational(tval, p, n)
+        for value in (padic_sin(t), padic_cos(t)):
+            assert value.precision == n
+            assert value.approximant.denominator == 1
+            assert 0 <= value.approximant < p**n
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             padic_sin(from_rational(1, 5, 6))
@@ -42,10 +55,13 @@ class TestPAdicTrig:
             padic_sin(from_rational(2, 2, 6))  # |2|_2 = 1/2 not enough
         padic_sin(from_rational(4, 2, 6))  # |4|_2 = 1/4: fine
 
-    @pytest.mark.parametrize("p", [3, 5, 7])
-    def test_pythagorean_identity(self, p):
-        for tval in (F(p), F(2 * p), F(p * p), F(p, 1 + p)):
-            t = from_rational(tval, p, 12)
+    @pytest.mark.parametrize("p,tvals,n", [
+        *((p, (F(p), F(2 * p), F(p * p), F(p, 1 + p)), 12) for p in (3, 5, 7)),
+        (3, (TALL_T,), 1000),
+    ], ids=["3", "5", "7", "3-tall-t-1000"])
+    def test_pythagorean_identity(self, p, tvals, n):
+        for tval in tvals:
+            t = from_rational(tval, p, n)
             s, c = padic_sin(t), padic_cos(t)
             lhs = s * s + c * c
             assert lhs.congruent(from_rational(1, p, lhs.precision)), (p, tval)
@@ -58,10 +74,12 @@ class TestPAdicTrig:
             s = padic_sin(t)
             assert s.valuation().value == valuation(tval, p).value
 
-    @pytest.mark.parametrize("p", [3, 5, 7])
-    def test_double_angle(self, p):
-        t = from_rational(p, p, 12)
-        t2 = from_rational(2 * p, p, 12)
+    @pytest.mark.parametrize("p,tval,n", [(3, F(3), 12), (5, F(5), 12), (7, F(7), 12),
+                                          (3, TALL_T, 1000)],
+                             ids=["3", "5", "7", "3-tall-t-1000"])
+    def test_double_angle(self, p, tval, n):
+        t = from_rational(tval, p, n)
+        t2 = from_rational(2 * tval, p, n)
         lhs = padic_sin(t2)
         rhs = padic_sin(t) * padic_cos(t) * 2
         assert lhs.congruent(rhs)
