@@ -101,9 +101,14 @@ class PAdicTestFunction:
     Canonical form: pairwise-disjoint balls; modulation frequencies reduced
     modulo p**(-k) on a level-k ball (coarser frequencies are constant on
     the ball and fold into the coefficient); zero coefficients dropped.
+
+    The value is immutable, so it keeps what is computed from it alone: its
+    Fourier transform, built by ``fourier`` on the first call, and its local
+    Mellin factor, built by ``mellin.mellin_local``.  Each slot is written
+    only by the function that computes it, for this function.
     """
 
-    __slots__ = ("prime", "terms")
+    __slots__ = ("prime", "terms", "_fourier", "_mellin_local")
 
     def __init__(
         self,
@@ -121,6 +126,8 @@ class PAdicTestFunction:
             if not coeff.is_zero():
                 raw.append((coeff, ball, mod))
         self.terms: dict[TermKey, Cyclo] = _canonicalize(prime, raw)
+        self._fourier: PAdicTestFunction | None = None
+        self._mellin_local = None
 
     # -- construction helpers ---------------------------------------------
 
@@ -218,14 +225,17 @@ class PAdicTestFunction:
 
         Transform of coeff*chi(m x)*1_{B(c,k)} is
         coeff * p^-k * chi(m c) * chi(c xi) * 1_{B(-m, -k)}(xi).
+        The transform is built on the first call and returned afterwards.
         """
-        p = self.prime
-        new_terms = []
-        for (ball, mod), coeff in self.terms.items():
-            c, k = ball.center, ball.radius_exp
-            newc = coeff * F(p) ** (-k) * phase(frac_part(mod * c, p))
-            new_terms.append((newc, Ball(p, -mod, -k), c))
-        return PAdicTestFunction(p, new_terms)
+        if self._fourier is None:
+            p = self.prime
+            new_terms = []
+            for (ball, mod), coeff in self.terms.items():
+                c, k = ball.center, ball.radius_exp
+                newc = coeff * F(p) ** (-k) * phase(frac_part(mod * c, p))
+                new_terms.append((newc, Ball(p, -mod, -k), c))
+            self._fourier = PAdicTestFunction(p, new_terms)
+        return self._fourier
 
     def reflect(self) -> "PAdicTestFunction":
         """phi(-x)."""

@@ -128,6 +128,20 @@ def _phi(source: str):
         raise argparse.ArgumentTypeError(f"not a test function: {exc}") from exc
 
 
+def _inconclusive(check: str, inputs: dict, value, reason: str,
+                  t0: float) -> list[CheckReport]:
+    """The row of an oracle that gave no verdict: never a pass, and told
+    apart from a mismatch by its ``expected``."""
+    return [make_report(check, inputs, value, f"inconclusive: {reason}", t0, passed=False)]
+
+
+def _unstabilized(exc: ArithmeticError) -> bool:
+    """The library raises a bare ArithmeticError only for an oracle that did
+    not stabilize; its subclasses (overflow, division by zero) are domain
+    errors."""
+    return type(exc) is ArithmeticError
+
+
 def cmd_norm(args) -> list[CheckReport]:
     from .padic import padic_norm
 
@@ -185,8 +199,14 @@ def cmd_pair(args) -> list[CheckReport]:
         dist = pi_alpha_distribution(args.alpha if args.alpha is not None else 2.0)
     else:  # pragma: no cover - argparse restricts choices
         raise SystemExit(2)
-    value = pair(dist, args.phi)
-    return [make_report("pair", {"dist": args.dist}, value, "n/a", t0, passed=True)]
+    inputs = {"dist": args.dist}
+    try:
+        value = pair(dist, args.phi)
+    except ArithmeticError as exc:
+        if not _unstabilized(exc):
+            raise
+        return _inconclusive("pair", inputs, "n/a", str(exc), t0)
+    return [make_report("pair", inputs, value, "n/a", t0, passed=True)]
 
 
 def cmd_gauss(args) -> list[CheckReport]:
@@ -213,8 +233,7 @@ def cmd_gauss(args) -> list[CheckReport]:
     if not oracle.stabilized:
         # an oracle over its coset budget gives no verdict either way, so
         # the exact closed form, whose sqrt(p) is a p-term sum, is not built
-        return [make_report("gauss-p", inputs, value,
-                            "inconclusive: oracle did not stabilize", t0, passed=False)]
+        return _inconclusive("gauss-p", inputs, value, "oracle did not stabilize", t0)
     expected = oracle.value.to_complex()
     ok = oracle.value == gauss_integral_p_exact(args.p, args.a, args.b)
     return [make_report("gauss-p", inputs, value, expected, t0, passed=ok,
@@ -278,13 +297,16 @@ def cmd_oscillator_check(args) -> list[CheckReport]:
     t0 = time.perf_counter()
     t = from_rational(args.t, args.p, args.precision)
     samples = args.samples or [F(0), F(1), F(1, args.p), F(args.p)]
-    dev = eigen_check(args.p, t, PAdicTestFunction.omega(args.p), args.energy, samples)
-    return [make_report(
-        "oscillator-check",
-        {"p": args.p, "t": str(args.t), "precision": args.precision,
-         "energy": str(args.energy)},
-        dev, 0.0, t0, passed=dev <= args.tolerance, error=dev,
-    )]
+    inputs = {"p": args.p, "t": str(args.t), "precision": args.precision,
+              "energy": str(args.energy)}
+    try:
+        dev = eigen_check(args.p, t, PAdicTestFunction.omega(args.p), args.energy, samples)
+    except ArithmeticError as exc:
+        if not _unstabilized(exc):
+            raise
+        return _inconclusive("oscillator-check", inputs, "n/a", str(exc), t0)
+    return [make_report("oscillator-check", inputs, dev, 0.0, t0,
+                        passed=dev <= args.tolerance, error=dev)]
 
 
 def cmd_calibrate_lambda(args) -> list[CheckReport]:

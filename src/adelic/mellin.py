@@ -19,6 +19,7 @@ domain that ``zeta_mp`` accepts, mpmath never reflects (see there).
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,6 +38,10 @@ WORKING_DPS = 50
 # largest |Im alpha| for zeta; see zeta_mp
 ZETA_MAX_HEIGHT = 1000
 
+# distinct arguments that zeta and gamma each remember: the strip points a
+# Tate or functional-equation run shares, with room for the fresh ones
+_MEMO_SIZE = 256
+
 _CTX = mp.clone()
 _CTX.dps = WORKING_DPS
 
@@ -52,6 +57,7 @@ def zeta_mp(alpha):
     summation.  It uses the reflection formula only for Re s < 0, and
     switches to Riemann-Siegel only for |Im s| > 500 * prec (84,500 at the
     working 169 bits); the height bound keeps every call below that switch.
+    Values are memoized on the exact working-precision argument.
     """
     s = _CTX.mpc(alpha)
     if s.real <= 0:
@@ -60,6 +66,11 @@ def zeta_mp(alpha):
         raise DomainError("zeta has its pole at alpha = 1")
     if abs(s.imag) > ZETA_MAX_HEIGHT:
         raise DomainError(f"zeta is computed only for |Im alpha| <= {ZETA_MAX_HEIGHT}")
+    return _zeta(s)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _zeta(s):
     return _CTX.zeta(s)
 
 
@@ -78,10 +89,15 @@ def euler_product_zeta(alpha: complex, prime_bound: int) -> complex:
 
 
 def gamma_mp(alpha):
-    """Euler gamma at the working precision."""
+    """Euler gamma at the working precision, memoized like ``zeta_mp``."""
     z = _CTX.mpc(alpha)
     if z.imag == 0 and z.real <= 0 and z.real == int(z.real):
         raise DomainError(f"gamma has a pole at {alpha}")
+    return _gamma(z)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _gamma(z):
     return _CTX.gamma(z)
 
 
@@ -104,7 +120,7 @@ def _cyclo_mp(c: Cyclo):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class LocalMellinFactor:
     """(1 - p^-alpha)/(1 - p^-1) * int |x|^(alpha-1) phi_p(x) dx as a
     Laurent polynomial sum_e coeffs[e] * u**e with u = p^-alpha."""
@@ -112,16 +128,21 @@ class LocalMellinFactor:
     prime: int
     coeffs: dict[int, Cyclo]
 
+    @functools.cached_property
+    def _coeffs_mp(self) -> list:
+        """The exact coefficients in the working context, converted once."""
+        return [(e, _cyclo_mp(c)) for e, c in self.coeffs.items()]
+
     def evaluate_mp(self, alpha):
         u = _CTX.power(self.prime, -_CTX.mpc(alpha))
         total = _CTX.mpc(0)
-        for e, c in self.coeffs.items():
-            total += _cyclo_mp(c) * _CTX.power(u, e)
+        for e, c in self._coeffs_mp:
+            total += c * _CTX.power(u, e)
         return total
 
 
 def mellin_local(phi_p: PAdicTestFunction) -> LocalMellinFactor:
-    """Exact local factor of the multiplicative pairing.
+    """Exact local factor of the multiplicative pairing, kept on ``phi_p``.
 
     Per canonical term on the ball c + p**k Z_p with modulation m:
       * 0 not in ball: |x| = |c| is constant, contributing
@@ -132,6 +153,12 @@ def mellin_local(phi_p: PAdicTestFunction) -> LocalMellinFactor:
     All contributions are assembled over the common denominator (1-u) and
     the normalization (1-u)/(1-1/p) is folded in symbolically.
     """
+    if phi_p._mellin_local is None:
+        phi_p._mellin_local = _local_factor(phi_p)
+    return phi_p._mellin_local
+
+
+def _local_factor(phi_p: PAdicTestFunction) -> LocalMellinFactor:
     p = phi_p.prime
     # I(u) = int |x|^{alpha-1} phi = N0(u) + N1(u)/(1-u), assembled exactly
     n0: dict[int, Cyclo] = {}

@@ -1,9 +1,11 @@
 """Small integer number theory: primality, factorization, prime sieves.
 
-All inputs at the scale this package cares about (numerators and
-denominators up to ~10**12) are handled by deterministic Miller-Rabin
-plus Pollard's rho, so factoring a rational's numerator and denominator
-is never the bottleneck.
+Primality is deterministic Miller-Rabin; factorization is trial division
+by the smallest primes and then Pollard's rho.  Rho needs about sqrt(q)
+steps to split off the prime q, so a product of two large primes (a
+31-digit semiprime, say) would take minutes: ``factorize`` counts its rho
+steps against ``RHO_MAX_STEPS`` and raises a ValueError naming the number
+past that bound.
 """
 
 from __future__ import annotations
@@ -46,33 +48,47 @@ def require_prime(p: int) -> int:
     return p
 
 
-def _pollard_rho(n: int) -> int:
-    # n odd composite, not a prime power of a tiny prime.
-    if n % 2 == 0:
-        return 2
-    x, c = 2, 1
+# Pollard-rho steps (three modular squarings and a gcd each) that one
+# factorization may take.  On a 2-core Xeon with Python 3.11, 2**18 steps
+# take 0.7 s on a 31-digit number and 0.8 s on a 41-digit one, and one
+# command factors the same rational at most about four times.  Every input
+# in the tests and the README needs at most 122 steps, 3,000 draws up to
+# 10**12 at most 2,600, and 1000000007 * 1000000009 needs 27,573.
+RHO_MAX_STEPS = 2**18
+
+
+def _pollard_rho(n: int, budget: int) -> tuple[int, int]:
+    """(d, steps): a nontrivial factor d of the odd composite n, found in
+    ``steps`` rho steps, or d = 0 once ``budget`` steps found none."""
+    x, c, steps = 2, 1, 0
     while True:
         y, d = x, 1
         while d == 1:
+            if steps == budget:
+                return 0, steps
+            steps += 1
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
             d = math.gcd(abs(x - y), n)
         if d != n:
-            return d
+            return d, steps
         x, c = x + 1, c + 1
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {prime: exponent}; n must be nonzero."""
+    """Prime factorization of |n| as {prime: exponent}; n must be nonzero.
+
+    A ValueError past ``RHO_MAX_STEPS`` rho steps in all."""
     if n == 0:
         raise ValueError("cannot factor 0")
-    n = abs(n)
+    number = n = abs(n)
     out: dict[int, int] = {}
     for p in (2, 3, 5, 7, 11, 13):
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
+    steps = 0
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
@@ -81,7 +97,11 @@ def factorize(n: int) -> dict[int, int]:
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d = _pollard_rho(m)
+        d, used = _pollard_rho(m, RHO_MAX_STEPS - steps)
+        steps += used
+        if not d:
+            raise ValueError(
+                f"cannot factor {number} within {RHO_MAX_STEPS} Pollard-rho steps")
         stack.append(d)
         stack.append(m // d)
     return out

@@ -110,6 +110,18 @@ class TestFourierP:
         om = PAdicTestFunction.omega(p)
         assert om.fourier() == om
 
+    def test_transform_is_built_once(self):
+        f = random_test_function(random.Random(4), 3)
+        assert f.fourier() is f.fourier()
+
+    def test_transform_memo_is_not_cross_seeded(self):
+        # the transform's own transform is computed by the transform, never
+        # filled in from the involution under test
+        f = random_test_function(random.Random(5), 5)
+        fhat = f.fourier()
+        assert fhat._fourier is None
+        assert fhat.fourier() == f.reflect()
+
     def test_shifted_unit_ball(self):
         # transform of 1_{pZ_p} = p^-1 on |xi| <= p
         p = 3

@@ -225,13 +225,17 @@ _PHI_LOCAL_OVERFLOW = json.dumps({"real": [[0, "1"]], "primes": {"2": [["1", "0"
     (["calibrate-lambda", "-p", "1000003"], "5,000,010 oracle cells, more than the bound of 300"),
     (["pair", "--dist", "chi", "--phi", json.dumps({"real": [[300, "1"]], "primes": {}})],
      "Hermite degree 300 overflows a double"),
+    # a 31-digit semiprime needs more Pollard-rho steps than the bound
+    (["chi", "-r", "1/1000000001000040000000037000111"],
+     "cannot factor 1000000001000040000000037000111 within"),
 ], ids=["zeta-height", "product-check-zero", "gauss-real-a-underflow",
         "gauss-real-a-overflow", "gauss-real-a-subnormal", "gauss-real-a-min-subnormal",
         "gauss-real-a-node-budget", "gauss-real-b-node-budget", "gauss-real-node-count-inf",
         "chi-quad-node-budget", "chi-quad-a-overflow", "chi-quad-b-overflow",
         "chi-quad-a-underflow", "mellin-real-overflow", "pi-alpha-real-overflow",
         "mellin-local-overflow", "trig-precision-bound", "mellin-hermite-degree-bound",
-        "chi-hermite-degree-bound", "calibration-cell-bound", "chi-hermite-double-overflow"])
+        "chi-hermite-degree-bound", "calibration-cell-bound", "chi-hermite-double-overflow",
+        "chi-factoring-bound"])
 def test_domain_errors_exit_1_without_traceback(argv, reason):
     code, lines, err = run_cli(*argv)
     assert code == 1
@@ -259,6 +263,24 @@ def test_gauss_unstabilized_oracle_is_inconclusive(argv):
     assert lines[0]["expected"] == "inconclusive: oracle did not stabilize"
     assert lines[0]["abs_error"] == "inf"
     assert lines[0]["pass"] is False
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["oscillator-check", "-p", "40009", "--t", "40009", "--precision", "10",
+      "--samples", "0"], "eigen check integral did not stabilize at x=0"),
+    (["pair", "--dist", "chi-quad", "-a", "1/1000003", "-b", "1", "--phi",
+      json.dumps({"real": [[0, "1"]], "primes": {}})],
+     "local character pairing did not stabilize"),
+], ids=["oscillator-check", "pair-chi-quad"])
+def test_unstabilized_oracle_prints_an_inconclusive_row(argv, reason):
+    # no verdict either way: a row that does not pass, not an error line
+    code, lines, err = run_cli(*argv)
+    assert code == 1
+    assert len(lines) == 1
+    assert lines[0]["expected"] == f"inconclusive: {reason}"
+    assert lines[0]["abs_error"] == "inf"
+    assert lines[0]["pass"] is False
+    assert "error:" not in err
 
 
 @pytest.mark.parametrize("p,a,b", [("2", "1/2", "1/128"), ("2", "2", "1/256"),

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adelic.bruhat import (
     Ball,
@@ -13,7 +14,7 @@ from adelic.bruhat import (
     PAdicTestFunction,
     vacuum_state,
 )
-from adelic.cyclotomic import Cyclo
+from adelic.cyclotomic import Cyclo, phase
 from adelic.mellin import (
     _CTX,
     DomainError,
@@ -21,11 +22,13 @@ from adelic.mellin import (
     euler_product_zeta,
     functional_equation_residual,
     gamma_fn,
+    gamma_mp,
     mellin_local,
     mellin_real_mp,
     phi_p,
     tate_check,
     zeta,
+    zeta_mp,
 )
 
 F = Fraction
@@ -109,6 +112,89 @@ class TestGamma:
             with mpmath.workdps(40):
                 ref = complex(mpmath.exp(mpmath.loggamma(mpmath.mpc(z))))
             assert abs(got - ref) / abs(ref) < 1e-12, z
+
+
+class TestMemo:
+    """zeta, gamma and the local factors are memoized; no result may change."""
+
+    def test_zeta_and_gamma_equal_fresh_values_exactly(self):
+        # a 50-digit argument and its nearest double are distinct keys
+        fine = _CTX.mpf(1) / 3 + _CTX.mpc(0, 2)
+        coarse = complex(fine)
+        assert _CTX.mpc(coarse) != fine
+        for _ in range(2):
+            for arg in (fine, coarse, 0.5 + 14.134725j, 2.5):
+                z = _CTX.mpc(arg)
+                assert zeta_mp(arg) == _CTX.zeta(z)
+                assert gamma_mp(arg) == _CTX.gamma(z)
+        assert zeta_mp(fine) != zeta_mp(coarse)
+        assert gamma_mp(fine) != gamma_mp(coarse)
+
+    def test_domain_errors_survive_the_memo(self):
+        for _ in range(2):
+            for alpha in (1, 1.0 + 0j, 0, -0.5 + 1j, 0.5 + 1001j):
+                with pytest.raises(DomainError):
+                    zeta_mp(alpha)
+            for z in (0, -1, -2.0 + 0j):
+                with pytest.raises(DomainError):
+                    gamma_mp(z)
+
+    def test_local_factor_is_kept_on_its_function(self):
+        f = PAdicTestFunction(3, [(1, Ball(3, F(1), 1), F(1, 9)), (2, Ball(3, F(0), -1), 0)])
+        assert mellin_local(f) is mellin_local(f)
+        # the transform's factor is its own, computed from the transform
+        fhat = f.fourier()
+        assert fhat._mellin_local is None
+        assert mellin_local(fhat) is not mellin_local(f)
+
+    def test_tate_check_builds_each_transform_once(self, monkeypatch):
+        factors = {
+            2: PAdicTestFunction(2, [(1, Ball(2, F(0), 1), 0), (F(1, 2), Ball(2, F(1), 1), 0)]),
+            3: PAdicTestFunction(3, [(phase(F(1, 4)), Ball(3, F(1, 3), 0), F(1, 9))]),
+            5: PAdicTestFunction(5, [(F(-2, 3), Ball(5, F(2), -1), 0)]),
+        }
+        phi = ElementaryFunction(HermiteGaussian.gaussian(), factors)
+        built = []
+        init = PAdicTestFunction.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args[0] if args else kwargs["prime"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PAdicTestFunction, "__init__", counting_init)
+        rng = random.Random(11)
+        for _ in range(10):
+            alpha = complex(rng.uniform(0.1, 0.9), rng.uniform(-5, 5))
+            assert tate_check(phi, alpha) < 1e-6
+        assert sorted(built) == [2, 3, 5]
+
+
+@st.composite
+def padic_test_functions(draw):
+    """One to three modulated balls at p in {2, 3, 5, 7}, with Gaussian-
+    rational coefficients, as the suite's random test functions plus a
+    modulation."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    small = st.integers(-6, 6)
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        coeff = (Cyclo(F(draw(st.integers(-4, 4)), draw(st.integers(1, 3))))
+                 + phase(F(1, 4)) * draw(st.integers(-2, 2)))
+        center = F(draw(small), p ** draw(st.integers(0, 2)))
+        mod = F(draw(small), p ** draw(st.integers(0, 2)))
+        terms.append((coeff, Ball(p, center, draw(st.integers(-2, 2))), mod))
+    return PAdicTestFunction(p, terms)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(padic_test_functions())
+def test_tate_local_identity_is_exact(f):
+    # Tate's local functional equation N_f(u) = N_fhat(1/(p u)), u = p^-alpha,
+    # compared coefficient by coefficient in exact arithmetic
+    p = f.prime
+    lhs, rhs = mellin_local(f).coeffs, mellin_local(f.fourier()).coeffs
+    for k in set(lhs) | {-e for e in rhs}:
+        assert lhs.get(k, Cyclo(0)) == rhs.get(-k, Cyclo(0)) * F(p) ** k, k
 
 
 class TestLocalMellin:

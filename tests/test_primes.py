@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from adelic.primes import (
+    RHO_MAX_STEPS,
     factorize,
     is_prime,
     legendre_symbol,
@@ -31,6 +32,19 @@ def test_factorize_matches_product():
             assert is_prime(p)
             prod *= p**e
         assert prod == n
+
+
+def test_factorize_splits_two_ten_digit_primes():
+    assert factorize(1_000_000_007 * 1_000_000_009) == {1_000_000_007: 1, 1_000_000_009: 1}
+
+
+@pytest.mark.parametrize("n", [
+    1000000001000040000000037000111,
+    -10000000000100000015200000000039000004407,
+], ids=["31-digit", "41-digit"])
+def test_factorize_stops_at_the_rho_bound(n):
+    with pytest.raises(ValueError, match=f"cannot factor {abs(n)} within {RHO_MAX_STEPS} "):
+        factorize(n)
 
 
 def test_factorize_rejects_zero():
