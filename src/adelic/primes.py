@@ -1,11 +1,11 @@
 """Small integer number theory: primality, factorization, prime sieves.
 
-Primality is deterministic Miller-Rabin; factorization is trial division
-by the smallest primes and then Pollard's rho.  Rho needs about sqrt(q)
-steps to split off the prime q, so a product of two large primes (a
-31-digit semiprime, say) would take minutes: ``factorize`` counts its rho
-steps against ``RHO_MAX_STEPS`` and raises a ValueError naming the number
-past that bound.
+Primality is Miller-Rabin on the first twelve prime bases; factorization
+is trial division by the smallest primes and then Pollard's rho.  Rho
+needs about sqrt(q) steps to split off the prime q, so a product of two
+large primes (a 31-digit semiprime, say) would take minutes: ``factorize``
+counts its rho steps against ``RHO_MAX_STEPS`` and raises a ValueError
+naming the number past that bound.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ def require_prime(p: int) -> int:
 # factorization may take.  On a 2-core Xeon with Python 3.11, 2**18 steps
 # take 0.7 s on a 31-digit number and 0.8 s on a 41-digit one, and one
 # command factors the same rational at most about four times.  Every input
-# in the tests and the README needs at most 122 steps, 3,000 draws up to
-# 10**12 at most 2,600, and 1000000007 * 1000000009 needs 27,573.
+# in the tests and the README needs at most 122 steps, 3,000 products of
+# two primes near 10**6 at most 2,600, and 1000000007 * 1000000009 27,573.
 RHO_MAX_STEPS = 2**18
 
 
