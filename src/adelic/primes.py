@@ -1,7 +1,9 @@
 """Small integer number theory: primality, factorization, prime sieves.
 
-Primality is Miller-Rabin on the first twelve prime bases; factorization
-is trial division by the smallest primes and then Pollard's rho.  Rho
+Primality is Miller-Rabin on the thirteen prime bases 2..41, which is
+deterministic below 3.317e24; above that bound a True from ``is_prime``
+means a probable prime.  Factorization is trial division by the smallest
+primes and then Pollard's rho.  Rho
 needs about sqrt(q) steps to split off the prime q, so a product of two
 large primes (a 31-digit semiprime, say) would take minutes: ``factorize``
 counts its rho steps against ``RHO_MAX_STEPS`` and raises a ValueError
@@ -13,14 +15,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-# Deterministic Miller-Rabin witnesses for n < 3.3e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin witnesses, deterministic for n < 3.317e24 (the bases 2..37
+# alone only below 3.18e23); a larger n that passes is a probable prime.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1

@@ -85,6 +85,27 @@ def test_gauss_command_real():
     assert lines[0]["pass"] is True
 
 
+@pytest.mark.parametrize("a", ["1", "-1", "2", "1/2"])
+@pytest.mark.parametrize("b", ["0", "1", "1/2"])
+def test_gauss_real_passes_within_tolerance(a, b):
+    # a pass needs the deviation itself within tolerance, not the oracle's
+    # estimate: (1/2, 1) has an estimate of 7.5e-6 and a deviation of 7.5e-8
+    code, lines, _ = run_cli("gauss", "-a", a, "-b", b)
+    assert code == 0
+    assert lines[0]["pass"] is True
+    assert float(lines[0]["abs_error"]) <= 1e-6
+
+
+def test_gauss_real_unconverged_oracle_is_inconclusive():
+    # eps = 0.00625 damps too little for a = 1/100: the oracle is 0.25 off
+    # the closed form and its own estimate is over tolerance as well
+    code, lines, _ = run_cli("gauss", "-a", "1/100")
+    assert code == 1
+    assert lines[0]["expected"] == "inconclusive: oracle did not converge"
+    assert lines[0]["abs_error"] == "inf"
+    assert lines[0]["pass"] is False
+
+
 _GAUSSIAN = json.dumps({"real": [[0, "1"]], "primes": {}})
 _GAUSSIAN_2Z2 = json.dumps({"real": [[0, "1"]], "primes": {"2": [["1", "0", 1]]}})
 _GAUSSIAN_OMEGA3 = json.dumps({"real": [[0, "1"]], "primes": {"3": [["1", "0", 0]]}})

@@ -17,7 +17,7 @@ from adelic.integrate import (
     stabilized_ball_sum,
 )
 from adelic.padic import frac_part
-from adelic.quadrature import fresnel_regularized, gauss_character_integral
+from adelic.quadrature import _richardson, fresnel_regularized, gauss_character_integral
 
 F = Fraction
 
@@ -250,7 +250,23 @@ class TestRealQuadrature:
         expect = tau**-0.5 * cmath.exp(-math.pi * b * b / tau)
         assert abs(val - expect) < 1e-10
 
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 3.0, -0.5, -1.0, -2.0, -3.0])
+    def test_fresnel_equals_the_unfolded_rule_at_every_eps(self, a):
+        # the folded half-line rule shared by every eps against one full-line
+        # rule per eps, each sized for its own eps
+        import numpy as np
+
+        eps_seq = (0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625)
+        for b in (0.0, 0.5, -0.5, 1.0, 2.5):
+            vals = [
+                gauss_character_integral(a, b, lambda x: np.exp(-eps * np.pi * x * x),
+                                         radius=math.sqrt(40.0 / (math.pi * eps)))
+                for eps in eps_seq
+            ]
+            assert abs(fresnel_regularized(a, b)[0] - _richardson(vals)) < 1e-12, (a, b)
+
     def test_fresnel_over_node_budget_raises(self):
-        # about 5e7 nodes at the first eps: rejected before any array is built
+        # about 8e8 nodes in the one half-line rule, sized for the smallest
+        # eps: rejected before any array is built
         with pytest.raises(ValueError, match="budget"):
             fresnel_regularized(1e4)

@@ -77,3 +77,13 @@ def test_legendre_symbol():
     # squares mod 7: {1, 2, 4}
     assert [legendre_symbol(a, 7) for a in range(1, 7)] == [1, 1, -1, 1, -1, -1]
     assert legendre_symbol(14, 7) == 0
+
+
+def test_is_prime_rejects_the_strong_pseudoprime_to_bases_up_to_37():
+    # 399165290221 * 798330580441 passes Miller-Rabin to every base 2..37;
+    # base 41 exposes it, and 41 itself stays prime
+    n = 318665857834031151167461
+    assert n == 399165290221 * 798330580441
+    assert not is_prime(n)
+    assert factorize(n) == {399165290221: 1, 798330580441: 1}
+    assert is_prime(41)
