@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 from .adeles import Adele, Idele
 from .bruhat import ElementaryFunction, HermiteGaussian, PAdicTestFunction, SchwartzBruhat
 from .cyclotomic import Cyclo
-from .integrate import integrate_qp
+from .integrate import Unstabilized, integrate_qp
 from .mellin import phi_p
 from .quadrature import gauss_character_integral, oracle_float, quad_vec
 
@@ -108,7 +108,7 @@ def _character(
     def local_rule(p: int, fp: PAdicTestFunction) -> Cyclo:
         res = integrate_qp(p, test_function=fp, quad=(a_at(p), b_at(p)))
         if not res.stabilized:
-            raise ArithmeticError("local character pairing did not stabilize")
+            raise Unstabilized("local character pairing did not stabilize")
         return res.value
 
     return _factored(name, real_rule, local_rule, places)

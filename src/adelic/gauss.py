@@ -31,7 +31,7 @@ from .adeles import Adele, Idele, principal_adele, principal_idele
 from .bruhat import Ball, ElementaryFunction, PAdicTestFunction, omega
 from .characters import chi_inf_phase, chi_p
 from .cyclotomic import Cyclo, UnitPhase, sqrt_prime_power
-from .integrate import integrate_qp, stabilized_ball_sum
+from .integrate import Unstabilized, integrate_qp, stabilized_ball_sum
 from .padic import padic_norm, unit_part_mod, valuation
 from .primes import legendre_symbol, require_prime
 
@@ -171,7 +171,7 @@ def _lambda_ball(p: int, ball: Ball, b: Fraction, mod: Fraction) -> Cyclo:
         lvl,
     )
     if not part.stabilized:
-        raise ArithmeticError("Lambda transform local integral did not stabilize")
+        raise Unstabilized("Lambda transform local integral did not stabilize")
     return part.value * sqrt_norm_2a_inv(p, ball.center)
 
 
@@ -280,7 +280,7 @@ def calibrate_lambda_p(p: int) -> dict[Fraction, Cyclo]:
     for a in class_representatives(p):
         res = integrate_qp(p, quad=(a, F(0)))
         if not res.stabilized:
-            raise ArithmeticError(f"oracle did not stabilize for a={a}")
+            raise Unstabilized(f"oracle did not stabilize for a={a}")
         # |2a|^(1/2) = |2a| * |2a|^(-1/2)
         out[a] = res.value * (padic_norm(2 * a, p) * sqrt_norm_2a_inv(p, a))
     return out

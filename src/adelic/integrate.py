@@ -42,13 +42,18 @@ _COSET_BUDGET = 1 << 23  # residue points per refinement level: the one work bou
 _SLICE = 1 << 20  # residues counted per numpy pass
 
 
+class Unstabilized(ArithmeticError):
+    """An oracle that did not stabilize within its budget: no verdict either
+    way, unlike the domain errors that are ArithmeticErrors too."""
+
+
 @dataclass
 class QpIntegral:
     """An exact p-adic integral plus its stabilization certificate.
 
     ``value`` is the integral only when ``stabilized``; an unstabilized
-    result carries no value that any caller reads (each one raises or
-    reports the run inconclusive).
+    result carries no value that any caller reads (each one raises
+    ``Unstabilized`` or reports the run inconclusive).
     """
 
     value: Cyclo
@@ -251,6 +256,7 @@ def integrate_qp(
 
 __all__ = [
     "QpIntegral",
+    "Unstabilized",
     "stabilized_ball_sum",
     "integrate_ball_character",
     "integrate_qp",

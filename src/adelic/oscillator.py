@@ -27,7 +27,7 @@ from .bruhat import HermiteGaussian, PAdicTestFunction, hermite_value
 from .characters import chi_p
 from .cyclotomic import UnitPhase, phase, sqrt_prime_power
 from .gauss import lambda_class_depth, lambda_p
-from .integrate import integrate_qp
+from .integrate import Unstabilized, integrate_qp
 from .mellin import DomainError
 from .padic import PAdicApprox, PrecisionError, frac_part, valuation
 from .primes import require_prime
@@ -185,7 +185,7 @@ def eigen_check(
         b_lin = x / s
         integral = integrate_qp(p, test_function=psi_p, quad=(a_quad, b_lin))
         if not integral.stabilized:
-            raise ArithmeticError(f"eigen check integral did not stabilize at x={x}")
+            raise Unstabilized(f"eigen check integral did not stabilize at x={x}")
         # K_t(x, y) = K_t(x, 0) chi_p(a y^2 + b y)
         ph, mod_sq = kernel_polar(p, t, x, F(0))
         prefactor = ph.as_cyclo() * sqrt_prime_power(p, valuation(mod_sq, p).value)

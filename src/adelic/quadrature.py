@@ -2,13 +2,17 @@
 
 Composite Gauss-Legendre panels cover Schwartz-class integrands;
 oscillatory Gauss/Fresnel integrands are handled by Gaussian damping
-e^(-eps*pi*x^2) with Richardson extrapolation in eps, which is how the
-improper oscillatory integrals are defined here; one half-line rule serves
-every eps.  No rule builds more than ``NODE_BUDGET`` nodes.
+e^(-eps pi x^2) with Richardson extrapolation in eps, which is how the
+improper oscillatory integrals are defined here.  The Fresnel oracle damps
+about a dyadic point near the stationary point of the phase and works in
+the scale-free variable z = sqrt|a| (x - x0), so one fixed rule, graded to
+one phase cycle per panel, serves every (a, b) and every eps.  No rule
+builds more than ``NODE_BUDGET`` nodes.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -16,9 +20,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 # most nodes one composite rule may build (about 16 MB per complex array);
-# the largest Fresnel rule in use has 249,140, the half-line rule of
-# fresnel_regularized(+-3.0, 2.5), and the largest rule of all 498,260, the
-# full-line rule at eps = 0.00625 that the tests compare it with
+# the Fresnel rule has 40,920 for every (a, b) at the default eps ladder,
+# and the largest rule in use is the 163,280-node full-line rule that the
+# tests compare it with at eps = 0.00625
 NODE_BUDGET = 1_000_000
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -38,13 +42,22 @@ def panel_nodes(lo: float, hi: float, panels: int, order: int = 20):
     More than ``NODE_BUDGET`` nodes is a ValueError, raised before any
     array is built.
     """
+    _check_budget(panels, order)
+    return _composite(np.linspace(lo, hi, panels + 1), order)
+
+
+def _check_budget(panels: int | float, order: int) -> None:
     nodes = float(panels) * order
     if not nodes <= NODE_BUDGET:  # a NaN count is rejected too
         raise ValueError(
             f"real quadrature needs {nodes:.3g} nodes, more than its budget of {NODE_BUDGET:,}"
         )
+
+
+def _composite(edges: np.ndarray, order: int):
+    """One order-``order`` Gauss-Legendre panel between each pair of
+    consecutive ``edges``, nodes in increasing order."""
     x0, w0 = _gl_nodes(order)
-    edges = np.linspace(lo, hi, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     xs = (mid + half * x0[None, :]).ravel()
@@ -104,38 +117,77 @@ def oracle_float(name: str, x: Fraction | float) -> float:
     return f
 
 
-def fresnel_regularized(a: float, b: float = 0.0,
+def fresnel_regularized(a: Fraction | float, b: Fraction | float = 0,
                         eps_seq: Sequence[float] = (0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625),
                         ) -> tuple[complex, float]:
-    """lim_{eps->0} int e^(-eps pi x^2) chi_inf(a x^2 + b x) dx.
+    """lim_{eps->0} int e^(-eps pi (x - x0)^2) chi_inf(a x^2 + b x) dx.
 
-    Each damped integral is computed by quadrature over |x| <= R_eps =
-    sqrt(40 / (pi eps)), past which the damping is below e^-40.  The line is
-    folded onto x >= 0, where f(x) + f(-x) = 2 e^(-eps pi x^2)
-    e^(-2 pi i a x^2) cos(2 pi b x), and one rule, sized for the smallest
-    eps, serves every eps: a larger eps integrates over a prefix of its
-    nodes.  Richardson extrapolation over the halving eps sequence; returns
-    the extrapolated value and a self-consistency error estimate.
+    ``a`` and ``b`` are taken as the exact rationals they are.  The damping
+    is centred at a dyadic x0 near the stationary point -b/(2a) (``_centre``),
+    where a x^2 + b x = A + B y + a y^2 with y = x - x0 and exact A, B.  In
+    z = sqrt|a| y, with eps = |a| eps0 for each eps0 in ``eps_seq``, the
+    damped integral is
+
+        |a|^(-1/2) chi_inf(A) int e^(-eps0 pi z^2) e^(-/+ 2 pi i z^2)
+                                  e^(-2 pi i B' z) dz,   B' = B / sqrt|a|,
+
+    so nothing in the rule depends on the size of a or b.  The line is
+    folded onto z >= 0, where the linear factor becomes cos(2 pi B' z), and
+    integrated over z <= R_eps0 = sqrt(40 / (pi eps0)), past which the
+    damping is below e^-40.  One rule, sized for the smallest eps0, serves
+    every eps0 (a larger one integrates over a prefix of its nodes), and
+    each sum is one ``np.sum`` in a fixed order.  Richardson extrapolation
+    over the halving sequence; returns the extrapolated value and a
+    self-consistency error estimate.
     """
+    a, b = Fraction(a), Fraction(b)
     if a == 0:
         raise ValueError("pure Fresnel regularization needs a != 0")
     radius = math.sqrt(40.0 / (math.pi * min(eps_seq)))
-    panels = _oscillation_panels(abs(a) * radius * radius + abs(b) * radius)
-    # ceil(panels / 2) on the half line; an infinite count stays infinite
-    half = -(-panels // 2) if math.isfinite(panels) else panels
-    xs, ws = panel_nodes(0.0, radius, half)
-    x2 = xs * xs
-    ws = 2.0 * ws * np.cos(2.0 * np.pi * b * xs)
-    phase = 2.0 * np.pi * a * x2
-    wc, wsin = np.cos(phase) * ws, np.sin(phase) * ws
+    root = math.sqrt(abs(oracle_float("a", a)))
+    A, B = _centre(a, b, radius * root)
+    zs, ws = _graded_rule(radius)
+    z2 = zs * zs
+    ws = 2.0 * ws
+    if B:
+        # B' = B / sqrt|a|, from the exact B^2 / |a| so that no tiny B underflows
+        ws = ws * np.cos(2.0 * np.pi * math.copysign(math.sqrt(float(B * B / abs(a))), B) * zs)
+    phase = 2.0 * np.pi * z2
+    wc = np.cos(phase) * ws
+    wsin = np.sin(phase) * ws if a > 0 else -np.sin(phase) * ws
     vals = []
     for e in eps_seq:
-        k = int(np.searchsorted(xs, math.sqrt(40.0 / (math.pi * e)), side="right"))
-        damp = np.exp(-e * np.pi * x2[:k])
-        vals.append(complex(damp @ wc[:k], -(damp @ wsin[:k])))
+        k = int(np.searchsorted(zs, math.sqrt(40.0 / (math.pi * e)), side="right"))
+        damp = np.exp(-e * np.pi * z2[:k])
+        vals.append(complex(np.sum(damp * wc[:k]), -np.sum(damp * wsin[:k])))
+    front = cmath.exp(-2j * math.pi * float(A)) / root
     full = _richardson(vals)
     partial = _richardson(vals[:-1])
-    return full, abs(full - partial)
+    return front * full, abs(front) * abs(full - partial)
+
+
+def _centre(a: Fraction, b: Fraction, reach: float) -> tuple[Fraction, Fraction]:
+    """A = (a x0^2 + b x0) mod 1 and B = 2 a x0 + b, exactly, for x0 the
+    stationary point -b/(2a) rounded to a multiple of 2^-k.
+
+    ``reach`` is R sqrt|a|, and k is the fewest bits that give
+    |B| R / sqrt|a| <= 2^-10 from |B| = 2|a| |x0 + b/(2a)| <= |a| 2^-k and
+    R sqrt|a| < 2^(k-10).  x0 is dyadic, so a stationary point that is not
+    keeps a small nonzero B.
+    """
+    scale = Fraction(2) ** (10 + math.frexp(reach)[1])
+    x0 = Fraction(round(-b / (2 * a) * scale)) / scale
+    return (a * x0 * x0 + b * x0) % 1, 2 * a * x0 + b
+
+
+def _graded_rule(radius: float, order: int = 20):
+    """Nodes and weights on [0, sqrt(K)] with panel edges z_k = sqrt(k):
+    z^2 advances by exactly one between edges, so every panel holds one
+    cycle of e^(2 pi i z^2).  K = ceil(radius^2) + 8 keeps a margin of
+    eight panels past the widest window, z <= radius."""
+    panels = math.ceil(radius * radius) + 8
+    _check_budget(panels, order)
+    return _composite(np.sqrt(np.arange(panels + 1, dtype=float)), order)
 
 
 def _richardson(vals: Sequence[complex]) -> complex:

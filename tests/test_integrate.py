@@ -17,7 +17,9 @@ from adelic.integrate import (
     stabilized_ball_sum,
 )
 from adelic.padic import frac_part
-from adelic.quadrature import _richardson, fresnel_regularized, gauss_character_integral
+from adelic import quadrature
+from adelic.gauss import gauss_integral_inf
+from adelic.quadrature import _centre, _richardson, fresnel_regularized, gauss_character_integral
 
 F = Fraction
 
@@ -226,6 +228,27 @@ class TestSphereSums:
                             assert total == Cyclo(0), (p, a, b, j)
 
 
+_EPS_LADDER = (0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625)
+
+
+def _unfolded_fresnel(a, b) -> complex:
+    """Richardson over one full-line uniform rule per eps of the damped
+    integral centred at fresnel_regularized's x0, times chi_inf(A)."""
+    import numpy as np
+
+    a, b = F(a), F(b)
+    af = float(a)
+    radius = math.sqrt(40.0 / (math.pi * _EPS_LADDER[-1]))
+    A, B = _centre(a, b, radius * math.sqrt(abs(af)))
+    front = cmath.exp(-2j * math.pi * float(A))
+    return _richardson([
+        front * gauss_character_integral(
+            af, float(B), lambda y: np.exp(-abs(af) * eps * np.pi * y * y),
+            radius=math.sqrt(40.0 / (math.pi * abs(af) * eps)))
+        for eps in _EPS_LADDER
+    ])
+
+
 class TestRealQuadrature:
     def test_fresnel(self):
         val, est = fresnel_regularized(1.0)
@@ -252,21 +275,68 @@ class TestRealQuadrature:
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 3.0, -0.5, -1.0, -2.0, -3.0])
     def test_fresnel_equals_the_unfolded_rule_at_every_eps(self, a):
-        # the folded half-line rule shared by every eps against one full-line
-        # rule per eps, each sized for its own eps
-        import numpy as np
-
-        eps_seq = (0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625)
+        # the folded, graded rule in z = sqrt|a| (x - x0), shared by every
+        # eps, against one full-line uniform rule per eps of the centred
+        # damped integral chi_inf(A) int e^(-|a| eps pi y^2) chi_inf(a y^2 + B y) dy
         for b in (0.0, 0.5, -0.5, 1.0, 2.5):
-            vals = [
-                gauss_character_integral(a, b, lambda x: np.exp(-eps * np.pi * x * x),
-                                         radius=math.sqrt(40.0 / (math.pi * eps)))
-                for eps in eps_seq
-            ]
-            assert abs(fresnel_regularized(a, b)[0] - _richardson(vals)) < 1e-12, (a, b)
+            assert abs(fresnel_regularized(a, b)[0] - _unfolded_fresnel(a, b)) < 1e-12, (a, b)
 
-    def test_fresnel_over_node_budget_raises(self):
-        # about 8e8 nodes in the one half-line rule, sized for the smallest
-        # eps: rejected before any array is built
-        with pytest.raises(ValueError, match="budget"):
-            fresnel_regularized(1e4)
+    def test_fresnel_keeps_the_linear_term_of_a_non_dyadic_centre(self):
+        # -b/(2a) = -1/6, 125/37 and -7/2000 are not dyadic, so x0 is not the
+        # stationary point
+        radius = math.sqrt(40.0 / (math.pi * _EPS_LADDER[-1]))
+        for a, b in ((F(3), F(1)), (F(37, 100), F(-5, 2)), (F(1000), F(7))):
+            _, B = _centre(a, b, radius * math.sqrt(abs(a)))
+            assert B != 0 and abs(B) * radius / math.sqrt(abs(a)) <= 2**-10, (a, b)
+            assert abs(fresnel_regularized(a, b)[0] - _unfolded_fresnel(a, b)) < 1e-12, (a, b)
+
+    def test_fresnel_rule_is_one_size_for_every_a_and_b(self, monkeypatch):
+        # the rule lives in z = sqrt|a| (x - x0): a = 1e4, about 8e8 nodes on
+        # a uniform rule in x, takes the same 40,920 nodes as a = 1/2
+        sizes = []
+        graded = quadrature._graded_rule
+
+        def spy(radius):
+            zs, ws = graded(radius)
+            sizes.append(len(zs))
+            return zs, ws
+
+        monkeypatch.setattr(quadrature, "_graded_rule", spy)
+        for a, b in ((1e4, 0.0), (0.5, 0.0), (-3.0, 2.5), (F(1, 100), F(1)), (1e307, 0.0)):
+            oracle, _ = fresnel_regularized(a, b)
+            closed = gauss_integral_inf(a, b)
+            assert abs(oracle - closed) <= 1e-6 * max(1.0, abs(closed)), (a, b)
+        assert sizes == [40_920] * 5
+
+
+class TestUnstabilized:
+    """Every oracle that does not stabilize raises the one typed error."""
+
+    def test_pairing_and_eigen_check_raise_it(self):
+        from adelic.adeles import principal_adele, principal_idele
+        from adelic.bruhat import parse_elementary
+        from adelic.distributions import chi_quadratic_distribution, pair
+        from adelic.oscillator import eigen_check
+        from adelic.padic import from_rational
+
+        gaussian = parse_elementary({"real": [[0, "1"]], "primes": {}})
+        dist = chi_quadratic_distribution(principal_idele(F(1, 1000003)), principal_adele(F(1)))
+        with pytest.raises(integrate.Unstabilized, match="local character pairing"):
+            pair(dist, gaussian)
+        t = from_rational(F(40009), 40009, 10)
+        with pytest.raises(integrate.Unstabilized, match="eigen check integral"):
+            eigen_check(40009, t, PAdicTestFunction.omega(40009), F(0), [F(0)])
+
+    def test_lambda_oracles_raise_it(self, monkeypatch):
+        from adelic import gauss
+
+        def unstabilized(*args, **kwargs):
+            return integrate.QpIntegral(Cyclo(), False)
+
+        monkeypatch.setattr(gauss, "integrate_qp", unstabilized)
+        monkeypatch.setattr(gauss, "stabilized_ball_sum", unstabilized)
+        with pytest.raises(integrate.Unstabilized, match="oracle did not stabilize"):
+            gauss.calibrate_lambda_p(3)
+        away_from_0 = PAdicTestFunction.indicator(Ball(3, F(1), 1))
+        with pytest.raises(integrate.Unstabilized, match="Lambda transform"):
+            gauss.lambda_local_transform(3, away_from_0, F(1))
