@@ -113,7 +113,7 @@ def test_gauss_real_unconverged_oracle_is_inconclusive():
     # far from the origin or the double range: the rule lives in
     # z = sqrt|a| (x - x0), so these take the same nodes as a = 1
     ("1e300", "0"), ("1", "1e300"), ("1e307", "0"),
-    # stationary points -50 and -50 outside |x| <= 45, and a = 1/100
+    # the stationary point -b/(2a) = -50, far from 0, and a small a
     ("1/100", "1"), ("1/2", "50"), ("1/100", "0"),
     # b = 10^300 is not a double: the oracle takes the exact rational
     ("3", "1e300"),
@@ -351,6 +351,23 @@ def test_unstabilized_oracle_prints_an_inconclusive_row(argv, reason):
     assert lines[0]["abs_error"] == "inf"
     assert lines[0]["pass"] is False
     assert "error:" not in err
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    ("adelic.distributions", "pair", ["pair", "--dist", "delta", "--phi", _GAUSSIAN]),
+    ("adelic.oscillator", "eigen_check",
+     ["oscillator-check", "-p", "5", "--t", "5", "--samples", "0"]),
+], ids=["pair", "oscillator-check"])
+def test_other_arithmetic_errors_stay_error_lines(monkeypatch, module, name, argv):
+    # only Unstabilized reads inconclusive; an overflow is a domain error
+    def overflow(*args, **kwargs):
+        raise OverflowError("overflow in the pairing")
+
+    monkeypatch.setattr(f"{module}.{name}", overflow)
+    code, lines, err = run_cli(*argv)
+    assert code == 1
+    assert lines == []
+    assert "error: overflow in the pairing" in err
 
 
 @pytest.mark.parametrize("p,a,b", [("2", "1/2", "1/128"), ("2", "2", "1/256"),

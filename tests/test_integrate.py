@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from adelic import integrate
+from adelic import integrate, quadrature
 from adelic.bruhat import Ball, PAdicTestFunction
 from adelic.characters import chi_p
 from adelic.cyclotomic import Cyclo, phase
@@ -16,9 +16,8 @@ from adelic.integrate import (
     sphere_provably_zero,
     stabilized_ball_sum,
 )
-from adelic.padic import frac_part
-from adelic import quadrature
 from adelic.gauss import gauss_integral_inf
+from adelic.padic import frac_part
 from adelic.quadrature import _centre, _richardson, fresnel_regularized, gauss_character_integral
 
 F = Fraction
@@ -305,7 +304,7 @@ class TestRealQuadrature:
         for a, b in ((1e4, 0.0), (0.5, 0.0), (-3.0, 2.5), (F(1, 100), F(1)), (1e307, 0.0)):
             oracle, _ = fresnel_regularized(a, b)
             closed = gauss_integral_inf(a, b)
-            assert abs(oracle - closed) <= 1e-6 * max(1.0, abs(closed)), (a, b)
+            assert abs(oracle - closed) <= 1e-6, (a, b)
         assert sizes == [40_920] * 5
 
 
