@@ -209,7 +209,6 @@ def cmd_gauss(args) -> list[CheckReport]:
     t0 = time.perf_counter()
     if args.p is None:
         oracle_float("-a", args.a)
-        oracle_float("-b", args.b)
         if args.a:
             # |2a|^-1, the closed form's squared modulus, must be a double too
             oracle_float("-a", 1 / abs(2 * args.a))

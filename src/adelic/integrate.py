@@ -1,14 +1,19 @@
-"""Exact p-adic integration by residue sums with stabilization detection.
+"""Exact p-adic integration by residue sums.
 
-Haar measure is normalized to vol(Z_p) = 1.  Integrands built from ball
-indicators, modulations and quadratic characters chi_p(a x^2 + b x) are
-locally constant away from 0, so refining a ball into cosets of p**m Z_p
-gives the exact integral once m is fine enough.  Each ball starts at a
-certified constancy level, and stabilization is detected by two
-successive refinement levels agreeing *exactly*, never by a float
-tolerance.  The only work bound is ``_COSET_BUDGET`` cosets per level: a
-ball whose confirming level exceeds it is reported unstabilized without
-being enumerated.
+Haar measure is normalized to vol(Z_p) = 1.  On a ball c + p**k Z_p,
+with x = c + p**k t, the quadratic character chi_p(a x^2 + b x) is one
+phase chi_p(a c^2 + b c) times a function of t mod p**d, where p**d is
+the p-part of the denominators of the phase.  Counting that one period of
+p**d residues gives the exact integral: the period is the certificate,
+and no float tolerance enters.  The only work bound is ``_COSET_BUDGET``:
+a ball with p**max(d, 2) over it is reported unstabilized without being
+enumerated.  The 2 is there because p**d alone does not bound the cost at
+d = 1: the p residues are cheap, but folding the p-term Gauss sum and
+comparing it with the exact sqrt(p) surd take time that grows with p, so
+every prime whose square is over the budget stays inconclusive.
+
+Point-value integrands have no period to read off; ``stabilized_ball_sum``
+refines them from a start level until two successive levels agree exactly.
 
 The full-space Gauss integral is the limit of the integrals over the
 balls p**(-J) Z_p.  Spheres |x|_p = p**j vanish identically once the
@@ -38,7 +43,7 @@ from .primes import require_prime
 F = Fraction
 
 
-_COSET_BUDGET = 1 << 23  # residue points per refinement level: the one work bound
+_COSET_BUDGET = 1 << 23  # residues per ball or refinement level: the one work bound
 _SLICE = 1 << 20  # residues counted per numpy pass
 
 
@@ -60,35 +65,6 @@ class QpIntegral:
     stabilized: bool
 
 
-def _refine(p: int, k: int, m: int, level_sum: Callable, fold: Callable) -> QpIntegral:
-    """The one refinement loop over a ball of radius p**(-k), from level m.
-
-    ``level_sum(level)`` is the raw sum over the cosets of p**level Z_p (a
-    count per residue or a coefficient per phase); ``fold`` makes it a
-    Cyclo.  A level is stable when its raw sum is p times the previous one:
-    at local constancy each coset splits into p cosets of its own value.  m
-    is a certified constancy level, so level m + 1 confirms it; when that
-    level exceeds the coset budget nothing is enumerated.
-    """
-    if p ** (m + 1 - k) > _COSET_BUDGET:
-        return QpIntegral(Cyclo(), False)
-    prev = None
-    level = m
-    while p ** (level - k) <= _COSET_BUDGET:
-        raw = level_sum(level)
-        if prev is not None and _is_p_times(raw, prev, p):
-            return QpIntegral(fold(raw) * F(p) ** (-level), True)
-        prev = raw
-        level += 1
-    return QpIntegral(Cyclo(), False)
-
-
-def _is_p_times(raw, prev, p: int) -> bool:
-    if isinstance(raw, dict):
-        return raw == {q: p * c for q, c in prev.items()}
-    return np.array_equal(raw, p * prev)
-
-
 def stabilized_ball_sum(
     p: int,
     ball: Ball,
@@ -100,21 +76,30 @@ def stabilized_ball_sum(
 
     ``point_value`` must be exact (Cyclo-valued) and constant on the
     cosets of p**start_level Z_p for the stabilized value to be the true
-    integral.
+    integral.  A level is stable when its sum is p times the previous one:
+    at local constancy each coset splits into p cosets of its own value.
+    Level start_level + 1 confirms the start level; when it exceeds the
+    coset budget nothing is enumerated.
     """
     require_prime(p)
     k = ball.radius_exp
     step = F(p) ** k
-
-    def level_sum(m: int) -> dict:
+    level = max(k, start_level)
+    if p ** (level + 1 - k) > _COSET_BUDGET:
+        return QpIntegral(Cyclo(), False)
+    prev = None
+    while p ** (level - k) <= _COSET_BUDGET:
         acc: dict = {}
-        for t in range(p ** (m - k)):
+        for t in range(p ** (level - k)):
             for q, c in point_value(ball.center + t * step)._terms.items():
                 acc[q] = acc.get(q, 0) + c
-        return {q: c for q, c in acc.items() if c}
-
-    # a sum of canonical point values is canonical
-    return _refine(p, k, max(k, start_level), level_sum, Cyclo._of)
+        raw = {q: c for q, c in acc.items() if c}
+        if prev is not None and raw == {q: p * c for q, c in prev.items()}:
+            # a sum of canonical point values is canonical
+            return QpIntegral(Cyclo._of(raw) * F(p) ** (-level), True)
+        prev = raw
+        level += 1
+    return QpIntegral(Cyclo(), False)
 
 
 def integrate_ball_character(
@@ -122,11 +107,15 @@ def integrate_ball_character(
 ) -> QpIntegral:
     """int over the ball of chi_p(a x^2 + b x) dx, exactly.
 
-    On the cosets c + t*p**k the phase argument is A + B t + C t^2 with
-    A = a c^2 + b c, B = (2 a c + b) p**k, C = a p**2k.  chi_p(A) is one
-    phase in front, and each level counts the residues of B t + C t^2 mod
-    p**d, its p-part denominator.  p**d is at most the cosets of the
-    confirming level, which the budget bounds, so int64 counts are exact.
+    On the ball c + p**k Z_p, x = c + t p**k, the phase argument is
+    A + B t + C t^2 with A = a c^2 + b c, B = (2 a c + b) p**k and
+    C = a p**2k.  chi_p(A) is one phase in front, and chi_p(B t + C t^2)
+    depends on t mod p**d only, p**d being the p-part of its denominator.
+    The integral is therefore p**(-k-d) chi_p(A) times the sum over one
+    period, t = 0 .. p**d - 1, counted once as residues of B t + C t^2
+    mod p**d.  A ball with p**max(d, 2) over the coset budget is reported
+    unstabilized without being enumerated (see the module docstring for
+    the 2); within it, int64 counts are exact.
     """
     a, b = Fraction(a), Fraction(b)
     k = ball.radius_exp
@@ -141,56 +130,25 @@ def integrate_ball_character(
     if d == 0:
         # B t + C t^2 is p-integral: the character is chi_p(A) on the ball
         return QpIntegral(front * ball.measure, True)
+    if p ** max(d, 2) > _COSET_BUDGET:
+        return QpIntegral(Cyclo(), False)
     pd = p**d
     inv_m = pow(den // pd, -1, pd)
     bi = B.numerator * (den // B.denominator) * inv_m % pd
     ci = C.numerator * (den // C.denominator) * inv_m % pd
 
-    def level_sum(m: int) -> np.ndarray:
-        n = p ** (m - k)
-        counts = np.zeros(pd, dtype=np.int64)
-        for lo in range(0, n, _SLICE):
-            t = np.arange(lo, min(n, lo + _SLICE), dtype=np.int64)
-            counts += np.bincount((ci * t % pd + bi) * t % pd, minlength=pd)
-        return counts
+    counts = np.zeros(pd, dtype=np.int64)
+    for lo in range(0, pd, _SLICE):
+        t = np.arange(lo, min(pd, lo + _SLICE), dtype=np.int64)
+        counts += np.bincount((ci * t % pd + bi) * t % pd, minlength=pd)
 
-    def fold(counts: np.ndarray) -> Cyclo:
-        # onto the power basis j/p**d, 0 <= j < (p-1) p**(d-1): each phase
-        # of the top row is minus the sum of its column above it
-        rows = counts.reshape(p, -1)
-        coords = (rows[:-1] - rows[-1]).ravel()
-        nz = np.flatnonzero(coords)
-        return front * Cyclo._of({F(int(j), pd): int(coords[j]) for j in nz})
-
-    return _refine(p, k, _quadratic_constancy_level(p, ball, a, b), level_sum, fold)
-
-
-def _quadratic_constancy_level(p, ball, a, b) -> int:
-    """The provable constancy level of chi_p(a x^2 + b x) on the ball.
-
-    On cosets of p**m Z_p the increment of the phase argument is
-    (2 a c + b) y + a y^2, so the exact value is reached once
-    2m + v(a) >= 0 and m >= -min(v(2a) + vmin(ball), v(b)).  Successive
-    refinements can agree *before* this level on the wrong value (the
-    oscillatory parts can alias), so stabilization is only certified from
-    this level onward.
-    """
-    k = ball.radius_exp
-    lvl = k
-    va = valuation(a, p)
-    if not va.is_infinite:
-        lvl = max(lvl, -(va.value // 2))
-    c = ball.center
-    vmin = k if c == 0 else min(valuation(c, p).value, k)
-    linear_vals = []
-    if not va.is_infinite:
-        linear_vals.append(va.value + (1 if p == 2 else 0) + vmin)
-    vb = valuation(b, p)
-    if not vb.is_infinite:
-        linear_vals.append(vb.value)
-    if linear_vals:
-        lvl = max(lvl, -min(linear_vals))
-    return lvl
+    # fold onto the power basis j/p**d, 0 <= j < (p-1) p**(d-1): each phase
+    # of the top row is minus the sum of its column above it
+    rows = counts.reshape(p, -1)
+    coords = (rows[:-1] - rows[-1]).ravel()
+    nz = np.flatnonzero(coords)
+    period = Cyclo._of({F(int(j), pd): int(coords[j]) for j in nz})
+    return QpIntegral(front * period * F(p) ** (-k - d), True)
 
 
 def sphere_provably_zero(p: int, a: Fraction, b: Fraction, j: int) -> bool:

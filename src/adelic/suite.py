@@ -131,7 +131,7 @@ def chi_principal_checks() -> list[CheckReport]:
 
 def gauss_grid_checks() -> list[CheckReport]:
     out = []
-    for p in (2, 3, 5, 7):
+    for p in (2, 3, 5, 7, 11, 13):
         t0 = time.perf_counter()
         bad = None
         grid = [(a, b) for a in class_representatives(p)

@@ -41,7 +41,7 @@ def test_acceptance_2_principal_character_triviality():
 
 
 def test_acceptance_3_gauss_closed_form_vs_oracle():
-    # p in {2,3,5,7}, v_p(a) in -2..2, all leading-digit classes,
+    # p in {2,3,5,7,11,13}, v_p(a) in -2..2, all leading-digit classes,
     # b in {0, 1, 1/p, 3/p^2}: exact p-adic agreement; real Fresnel <= 1e-6
     _verdict(3, "Gauss closed form vs oracle grid", gauss_grid_checks())
 

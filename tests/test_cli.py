@@ -115,10 +115,11 @@ def test_gauss_real_unconverged_oracle_is_inconclusive():
     ("1e300", "0"), ("1", "1e300"), ("1e307", "0"),
     # the stationary point -b/(2a) = -50, far from 0, and a small a
     ("1/100", "1"), ("1/2", "50"), ("1/100", "0"),
-    # b = 10^300 is not a double: the oracle takes the exact rational
-    ("3", "1e300"),
+    # b = 10^300 is not a double: the oracle takes the exact rational;
+    # nor are 10^400 and 10^-400, which overflow and underflow one
+    ("3", "1e300"), ("1", "1e400"), ("1", "1e-400"),
 ], ids=["a-1e300", "b-1e300", "a-1e307", "a-1/100-b-1", "a-1/2-b-50", "a-1/100",
-        "a-3-b-1e300"])
+        "a-3-b-1e300", "b-1e400", "b-1e-400"])
 def test_gauss_real_passes_far_from_the_origin(a, b):
     code, lines, err = run_cli("gauss", "-a", a, "-b", b)
     assert code == 0
@@ -319,15 +320,15 @@ def test_domain_errors_exit_1_without_traceback(argv, reason):
 
 @pytest.mark.parametrize("argv", [
     ["gauss", "-p", "2", "-a", "1/2", "-b", "1/1099511627776"],
-    ["gauss", "-p", "5", "-a", "1/5", "-b", "1/3125"],
+    ["gauss", "-p", "5", "-a", "1/5", "-b", "1/15625"],
     ["gauss", "-p", "7", "-a", "1/7", "-b", "1/16807"],
     ["gauss", "-p", "1000003", "-a", "1/1000003", "-b", "1"],
     ["gauss", "-p", "2897", "-a", "1/2897", "-b", "1"],
-], ids=["p2-b-2^-40", "p5-b-5^-5", "p7-b-7^-5", "p1000003-surd", "p2897-surd"])
+], ids=["p2-b-2^-40", "p5-b-5^-6", "p7-b-7^-5", "p1000003-surd", "p2897-surd"])
 def test_gauss_unstabilized_oracle_is_inconclusive(argv):
-    # a full-space ball whose confirming level exceeds the coset budget; with
-    # v(2a) odd that level holds p^2 cosets, over budget for every p > 2896,
-    # and no sqrt(p) surd is built
+    # a full-space ball whose period p^d is over the coset budget; a ball
+    # with period p is read as p^2 residues, over budget for every p > 2896,
+    # so no sqrt(p) surd is built
     code, lines, _ = run_cli(*argv)
     assert code == 1
     assert lines[0]["expected"] == "inconclusive: oracle did not stabilize"
@@ -374,8 +375,8 @@ def test_other_arithmetic_errors_stay_error_lines(monkeypatch, module, name, arg
                                    ("7", "1/7", "1/2401"), ("2887", "1/2887", "1")],
                          ids=["1/2-1/128", "2-1/256", "p7-1/7-1/2401", "p2887-surd"])
 def test_gauss_deep_linear_term_agrees_exactly(p, a, b):
-    # full-space balls of 2**15 and more cosets, all within the coset budget;
-    # 2887 is the largest prime whose p^2 cosets fit
+    # full-space balls with periods of 2**15 and more residues, all within
+    # the coset budget; 2887 is the largest prime whose p^2 fits
     code, lines, _ = run_cli("gauss", "-p", p, "-a", a, "-b", b)
     assert code == 0
     assert lines[0]["pass"] is True

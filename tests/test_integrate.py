@@ -10,14 +10,13 @@ from adelic.bruhat import Ball, PAdicTestFunction
 from adelic.characters import chi_p
 from adelic.cyclotomic import Cyclo, phase
 from adelic.integrate import (
-    _quadratic_constancy_level,
     integrate_ball_character,
     integrate_qp,
     sphere_provably_zero,
     stabilized_ball_sum,
 )
 from adelic.gauss import gauss_integral_inf
-from adelic.padic import frac_part
+from adelic.padic import frac_part, valuation
 from adelic.quadrature import _centre, _richardson, fresnel_regularized, gauss_character_integral
 
 F = Fraction
@@ -117,14 +116,18 @@ class TestBallCharacter:
         assert not stabilized_ball_sum(2, Ball(2, F(0), 0), point_value, 3).stabilized
         assert seen == []
 
-    def test_constancy_level_of_ball_larger_than_zp(self):
-        # chi_2(x) is constant only on cosets of Z_2, whatever the ball
-        assert _quadratic_constancy_level(2, Ball(2, F(0), -3), F(0), F(1)) == 0
+    def test_period_of_ball_larger_than_zp(self):
+        # on 2**-3 Z_2, chi_2(x) = chi_2(t/8) has period 8 in t, not 1: the
+        # period is read off b * 2**k, and the eight phases cancel
+        res = integrate_ball_character(2, Ball(2, F(0), -3), F(0), F(1))
+        assert res.stabilized
+        assert res.value == Cyclo(0)
 
     def test_point_values_and_residue_recurrence_agree(self):
-        # both integrands run the one refinement loop; from the same start
-        # level they must agree on the flag and on the value.  Centres of
-        # valuation down to -3, below the radius, put chi(A) in front
+        # the refinement loop over point values, started at the period's
+        # level k + d, must agree with the one-period residue count on the
+        # flag and on the value.  Centres of valuation down to -3, below
+        # the radius, put chi(A) in front
         rng = random.Random(20260810)
         for _ in range(80):
             p = rng.choice([2, 3, 5])
@@ -132,11 +135,14 @@ class TestBallCharacter:
             a = F(rng.randint(1, 9) * rng.choice([-1, 1]), p ** rng.randint(0, 2))
             b = F(rng.randint(0, 9), p ** rng.randint(0, 2))
             direct = integrate_ball_character(p, ball, a, b)
+            k, c = ball.radius_exp, ball.center
+            den = math.lcm(((2 * a * c + b) * F(p) ** k).denominator,
+                           (a * F(p) ** (2 * k)).denominator)
             summed = stabilized_ball_sum(
                 p,
                 ball,
                 lambda x: phase(frac_part(a * x * x + b * x, p)),
-                _quadratic_constancy_level(p, ball, a, b),
+                k + valuation(den, p).value,
             )
             case = (p, ball, a, b)
             assert summed.stabilized == direct.stabilized, case
@@ -183,7 +189,8 @@ class TestSphereSums:
             integrate_qp(5, quad=(F(0), F(1)))
 
     @pytest.mark.parametrize("p,test_function,quad", [
-        (5, None, (F(1, 5), F(1, 5**5))),
+        # one ball whose period 5**d is over the budget
+        (5, None, (F(1, 5), F(1, 5**6))),
         # the unit sphere: two terms, the first already over budget
         (3, PAdicTestFunction(3, [(1, Ball(3, F(0), 0), 0), (-1, Ball(3, F(0), 1), 0)]),
          (F(1, 3**40), F(0))),
@@ -204,8 +211,8 @@ class TestSphereSums:
         assert all(flags[:-1])
 
     def test_large_prime_is_unstabilized_without_enumeration(self):
-        # the one ball is Z_p, and the level p**2 Z_p that confirms its
-        # constancy level has p**2 > budget cosets
+        # the one ball is Z_p with period p, but p**max(1, 2) is over the
+        # budget: no p-term Gauss sum is folded
         res = integrate_qp(1000003, quad=(F(1, 1000003), 1))
         assert not res.stabilized
 
