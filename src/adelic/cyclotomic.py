@@ -8,19 +8,31 @@ coefficients and p-adic Gauss integrals all live in ``Cyclo``, so identities
 like Plancherel or the stabilization of a residue sum can be tested for
 *exact* equality instead of within a float tolerance.
 
-A ``Cyclo`` is held in canonical form: its coordinates over the power basis
-of Q(zeta_N), tensored over the prime powers p**e dividing N.  Each basis
-element is itself a phase, the sum of one j/p**e with 0 <= j < phi(p**e)
-per prime power, and the single relation
+A ``Cyclo`` is stored in integer coordinates: a conductor n, one positive
+common denominator den, and ``_terms``, a dict from exponent j to an
+integer numerator, for the value sum_j _terms[j] * e(j/n) / den.  The
+exponents run over the power basis of Q(zeta_n), tensored over the prime
+powers p**e dividing n: the CRT components j/p**e with 0 <= j < phi(p**e).
+The single relation
 zeta^((p-1)*p**(e-1) + r) = -(zeta^r + zeta^(p**(e-1)+r) + ...) rewrites
-any out-of-range j.  Construction, conjugation and products reduce through
-that rewrite once; sums and negations keep basis phases as they are.  So
-equality is dict equality, zero is the empty dict, and values hash.
+any other exponent; each conductor has one lazily filled table of these
+(basis exponent, sign) expansions.  A basis exponent of n times m is a
+basis exponent of n*m, so sums lift both operands to the lcm of their
+conductors and denominators and add numerators; products add exponents mod
+that lcm and rewrite through the table, and a rational factor only scales
+the numerators.  Every result is normalized: the conductor is minimal
+(gcd(n, all j) = 1) and the denominator reduced (gcd(den, all numerators)
+= 1).  So the stored form is unique, equality is equality of
+(n, den, _terms), zero has no terms, and values hash.  ``canonical()``
+gives the same coordinates as basis phase j/n -> coefficient, in
+Fractions.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -72,92 +84,131 @@ class UnitPhase:
 ONE_PHASE = UnitPhase(Fraction(0))
 
 
-def _as_terms(x: Scalar) -> dict[Fraction, Fraction]:
-    """A scalar's canonical terms (floats map exactly)."""
-    if isinstance(x, Cyclo):
-        return x._terms
-    if isinstance(x, UnitPhase):
-        return {q: Fraction(s) for q, s in _monomial_basis(x.phase)}
-    if isinstance(x, Rational):  # int, Fraction
-        return {Fraction(0): Fraction(x)} if x != 0 else {}
-    if isinstance(x, float):
-        return {Fraction(0): Fraction(x)} if x != 0.0 else {}
-    if isinstance(x, complex):
-        terms: dict[Fraction, Fraction] = {}
-        if x.real != 0.0:
-            terms[Fraction(0)] = Fraction(x.real)
-        if x.imag != 0.0:
-            terms[Fraction(1, 4)] = Fraction(x.imag)
-        return terms
-    raise TypeError(f"cannot interpret {type(x).__name__} as an exact scalar")
+class _Expansions(dict):
+    """Exponent j mod n -> its (basis exponent, sign) expansion, filled on
+    first use: one CRT component j/p**e per prime power of n, an
+    out-of-range component rewritten once."""
 
+    __slots__ = ("n", "components")
 
-def _reduce(pairs: Iterable[tuple[Fraction, Fraction]]) -> dict[Fraction, Fraction]:
-    """The canonical terms of sum c * e(q) over (q, c) pairs, 0 <= q < 1, c != 0."""
-    out: dict[Fraction, Fraction] = {}
-    for q, c in pairs:
-        for b, sign in _monomial_basis(q):
-            s = out.get(b, 0) + sign * c
-            if s:
-                out[b] = s
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+        # (p, p**e, n / p**e, its inverse mod p**e) per prime power p**e of n
+        self.components = [
+            (p, p**e, n // p**e, pow(n // p**e, -1, p**e)) for p, e in factorize(n).items()
+        ]
+
+    def __missing__(self, j: int) -> tuple[tuple[int, int], ...]:
+        combos = [(0, 1)]  # (exponent over n, sign)
+        for p, pe, cof, inv in self.components:
+            jp = j * inv % pe
+            phi = pe - pe // p
+            if jp < phi:
+                alts = [(jp, 1)]
             else:
-                del out[b]
-    return out
+                # zeta^((p-1)p^(e-1)+r) = -sum_i zeta^(i p^(e-1)+r)
+                alts = [(i * (pe // p) + jp - phi, -1) for i in range(p - 1)]
+            combos = [(x + jj * cof, sign * s) for x, sign in combos for jj, s in alts]
+        out = tuple((x % self.n, sign) for x, sign in combos)
+        self[j] = out
+        return out
+
+
+class _ExpansionTables(dict):
+    """Conductor n -> its expansion table, made on first use."""
+
+    def __missing__(self, n: int) -> _Expansions:
+        table = self[n] = _Expansions(n)
+        return table
+
+
+_EXPANSIONS = _ExpansionTables()
 
 
 class Cyclo:
     """Finite rational combination sum_q c_q * e^(2*pi*i*q), exact.
 
-    ``_terms`` is the canonical form: basis phase -> nonzero coefficient.
+    Stored as (``_n``, ``_den``, ``_terms``): the value is
+    sum_j _terms[j] * e(j/_n) / _den over basis exponents j, normalized as
+    the module docstring describes.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_n", "_den", "_terms")
 
     def __init__(self, terms: Scalar | dict[Fraction, Fraction] | None = None):
         if terms is None:
-            self._terms = {}
-        elif isinstance(terms, dict):
-            self._terms = _reduce((Fraction(q) % 1, Fraction(c)) for q, c in terms.items() if c)
-        else:
-            self._terms = _as_terms(terms)
+            terms = {}
+        x = _from_phases(terms) if isinstance(terms, dict) else _exact(terms)
+        self._n, self._den, self._terms = x._n, x._den, x._terms
 
     @classmethod
-    def _of(cls, terms: dict[Fraction, Fraction]) -> "Cyclo":
-        """Wrap terms that are already canonical."""
+    def from_coordinates(cls, n: int, den: int, numerators: Mapping[int, int]) -> "Cyclo":
+        """The value sum_j numerators[j] * e(j/n) / den, j running over
+        basis exponents of conductor n (see ``coordinates``), normalized:
+        zero numerators dropped, the conductor made minimal and the
+        denominator reduced."""
         out = object.__new__(cls)
-        out._terms = terms
+        terms = {j: c for j, c in numerators.items() if c}
+        if not terms:
+            out._n, out._den, out._terms = 1, 1, terms
+            return out
+        g = math.gcd(n, *terms)
+        if g > 1:
+            n //= g
+            terms = {j // g: c for j, c in terms.items()}
+        g = math.gcd(den, *terms.values())
+        if g > 1:
+            den //= g
+            terms = {j: c // g for j, c in terms.items()}
+        out._n, out._den, out._terms = n, den, terms
         return out
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: Scalar) -> "Cyclo":
-        out = dict(self._terms)
-        for q, c in _as_terms(other).items():
-            s = out.get(q, 0) + c
-            if s:
-                out[q] = s
-            else:
-                del out[q]
-        return Cyclo._of(out)
+        other = _exact(other)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
+        n = math.lcm(self._n, other._n)
+        den = math.lcm(self._den, other._den)
+        acc: dict[int, int] = {}
+        for x in (self, other):
+            m, f = n // x._n, den // x._den
+            for j, c in x._terms.items():
+                j *= m
+                acc[j] = acc.get(j, 0) + c * f
+        return Cyclo.from_coordinates(n, den, acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyclo":
-        return Cyclo._of({q: -c for q, c in self._terms.items()})
+        out = object.__new__(Cyclo)
+        out._n, out._den, out._terms = self._n, self._den, {j: -c for j, c in self._terms.items()}
+        return out
 
     def __sub__(self, other: Scalar) -> "Cyclo":
-        return self + (-Cyclo(other))
+        return self + (-_exact(other))
 
     def __rsub__(self, other: Scalar) -> "Cyclo":
-        return Cyclo(other) + (-self)
+        return _exact(other) + (-self)
 
     def __mul__(self, other: Scalar) -> "Cyclo":
-        bterms = _as_terms(other)
-        return Cyclo._of(_reduce(
-            ((q1 + q2) % 1, c1 * c2)
-            for q1, c1 in self._terms.items()
-            for q2, c2 in bterms.items()
-        ))
+        x, y = self, _exact(other)
+        if x._n == 1:
+            x, y = y, x
+        if y._n == 1:
+            # a rational factor scales the numerators
+            c = y._terms.get(0, 0)
+            scaled = {j: a * c for j, a in x._terms.items()}
+            return Cyclo.from_coordinates(x._n, x._den * y._den, scaled)
+        n = math.lcm(x._n, y._n)
+        mx, my = n // x._n, n // y._n
+        ys = [(j * my, c) for j, c in y._terms.items()]
+        return _from_exponents(n, x._den * y._den, (
+            ((j1 * mx + j2) % n, c1 * c2) for j1, c1 in x._terms.items() for j2, c2 in ys))
 
     __rmul__ = __mul__
 
@@ -167,7 +218,8 @@ class Cyclo:
         raise TypeError("Cyclo division is only defined by nonzero rationals")
 
     def conjugate(self) -> "Cyclo":
-        return Cyclo({-q: c for q, c in self._terms.items()})
+        n = self._n
+        return _from_exponents(n, self._den, ((-j % n, c) for j, c in self._terms.items()))
 
     def abs2(self) -> "Cyclo":
         """|z|^2 as an exact Cyclo (z times its conjugate)."""
@@ -177,7 +229,12 @@ class Cyclo:
 
     def canonical(self) -> Mapping[Fraction, Fraction]:
         """The coordinates over the basis: basis phase -> coefficient."""
-        return MappingProxyType(self._terms)
+        return MappingProxyType(_fractions(self))
+
+    def coordinates(self) -> tuple[int, int, Mapping[int, int]]:
+        """The stored form (n, den, numerators): the value is the sum of
+        numerators[j] * e(j/n) / den over basis exponents j."""
+        return self._n, self._den, MappingProxyType(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -185,64 +242,91 @@ class Cyclo:
     def __eq__(self, other) -> bool:
         # through canonical(): bench/tracing.py counts equality tests there
         try:
-            return self.canonical() == _as_terms(other)
+            other = _exact(other)
         except TypeError:
             return NotImplemented
+        return self.canonical() == _fractions(other)
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        n, den, terms = self._n, self._den, self._terms
+        if n == 1:  # a rational hashes as its Fraction, so Cyclo(3) hashes as 3
+            return hash(Fraction(terms.get(0, 0), den))
+        if n == 4:  # a Gaussian rational hashes as the complex it may equal
+            w = sys.hash_info.width
+            h = hash(Fraction(terms.get(0, 0), den)) + sys.hash_info.imag * hash(
+                Fraction(terms.get(1, 0), den))
+            h = (h + (1 << (w - 1))) % (1 << w) - (1 << (w - 1))
+            return -2 if h == -1 else h
+        return hash((n, den, frozenset(terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
 
     def as_fraction(self) -> Fraction | None:
         """The exact rational value, or None if irrational."""
-        if not self._terms:
-            return Fraction(0)
-        return self._terms.get(0) if len(self._terms) == 1 else None
+        if self._n != 1:
+            return None
+        return Fraction(self._terms.get(0, 0), self._den)
 
     # -- numeric boundary --------------------------------------------------
 
     def to_complex(self) -> complex:
         """Summed in phase order, so equal values give the same float."""
+        n, den = self._n, self._den
         terms = sorted(self._terms.items())
-        return sum((float(c) * cmath.exp(1j * _TWO_PI * float(q)) for q, c in terms), 0j)
+        return sum((c / den * cmath.exp(1j * _TWO_PI * (j / n)) for j, c in terms), 0j)
 
     __complex__ = to_complex
 
     def __repr__(self):
         if not self._terms:
             return "Cyclo(0)"
-        bits = " + ".join(f"{c}*e(2pi i {q})" for q, c in sorted(self._terms.items()))
+        bits = " + ".join(f"{c}*e(2pi i {q})" for q, c in sorted(_fractions(self).items()))
         return f"Cyclo({bits})"
 
 
-_MONOMIAL_CACHE: dict[Fraction, tuple] = {}
+def _from_exponents(n: int, den: int, pairs: Iterable[tuple[int, int]]) -> Cyclo:
+    """sum c * e(j/n) / den over (j, c) pairs, integer c and any 0 <= j < n,
+    rewritten onto the basis through the expansion table of n."""
+    table = _EXPANSIONS[n]
+    acc: dict[int, int] = {}
+    for j, c in pairs:
+        for jj, s in table[j]:
+            acc[jj] = acc.get(jj, 0) + s * c
+    return Cyclo.from_coordinates(n, den, acc)
 
 
-def _monomial_basis(q: Fraction) -> tuple[tuple[Fraction, int], ...]:
-    """Expand e^(2*pi*i*q), 0 <= q < 1, over the basis as (basis phase,
-    sign) pairs: one CRT component j/p**e per prime power of the
-    denominator, an out-of-range j rewritten once."""
-    hit = _MONOMIAL_CACHE.get(q)
-    if hit is not None:
-        return hit
-    n = q.denominator
-    combos = [(0, 1)]  # (numerator over n, sign)
-    for p, e in factorize(n).items():
-        pe = p**e
-        cof = n // pe
-        j = (q.numerator * pow(cof, -1, pe)) % pe
-        phi = pe - pe // p
-        if j < phi:
-            alts = [(j, 1)]
-        else:
-            # zeta^((p-1)p^(e-1)+r) = -sum_i zeta^(i p^(e-1)+r)
-            alts = [(i * (pe // p) + j - phi, -1) for i in range(p - 1)]
-        combos = [(num + jj * cof, sign * s) for num, sign in combos for jj, s in alts]
-    result = tuple((Fraction(num % n, n), sign) for num, sign in combos)
-    _MONOMIAL_CACHE[q] = result
-    return result
+def _from_phases(terms: dict) -> Cyclo:
+    """sum c * e(q) over the items q: c of a dict of rationals."""
+    pairs = [(Fraction(q), Fraction(c)) for q, c in terms.items() if c]
+    n = math.lcm(*(q.denominator for q, _ in pairs))
+    den = math.lcm(*(c.denominator for _, c in pairs))
+    return _from_exponents(n, den, (
+        (q.numerator * (n // q.denominator) % n, c.numerator * (den // c.denominator))
+        for q, c in pairs))
+
+
+def _exact(x: Scalar) -> Cyclo:
+    """A scalar as a Cyclo (floats map exactly)."""
+    if isinstance(x, Cyclo):
+        return x
+    if isinstance(x, UnitPhase):
+        return _from_phases({x.phase: 1})
+    if isinstance(x, (Rational, float)):  # int, Fraction
+        r = Fraction(x)
+        return Cyclo.from_coordinates(1, r.denominator, {0: r.numerator})
+    if isinstance(x, complex):  # re + im * e(1/4)
+        re, im = Fraction(x.real), Fraction(x.imag)
+        den = math.lcm(re.denominator, im.denominator)
+        return Cyclo.from_coordinates(4, den, {0: re.numerator * (den // re.denominator),
+                                               1: im.numerator * (den // im.denominator)})
+    raise TypeError(f"cannot interpret {type(x).__name__} as an exact scalar")
+
+
+def _fractions(x: Cyclo) -> dict[Fraction, Fraction]:
+    """x's coordinates as basis phase j/n -> coefficient."""
+    n, den = x._n, x._den
+    return {Fraction(j, n): Fraction(c, den) for j, c in x._terms.items()}
 
 
 def phase(q: Fraction | int) -> Cyclo:

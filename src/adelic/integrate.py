@@ -36,7 +36,7 @@ import numpy as np
 
 from .bruhat import Ball, PAdicTestFunction
 from .characters import chi_p
-from .cyclotomic import Cyclo
+from .cyclotomic import Cyclo, cyclo_sum
 from .padic import valuation
 from .primes import require_prime
 
@@ -89,15 +89,17 @@ def stabilized_ball_sum(
         return QpIntegral(Cyclo(), False)
     prev = None
     while p ** (level - k) <= _COSET_BUDGET:
-        acc: dict = {}
+        # integer coordinates, summed per (conductor, denominator)
+        sums: dict[tuple[int, int], dict[int, int]] = {}
         for t in range(p ** (level - k)):
-            for q, c in point_value(ball.center + t * step)._terms.items():
-                acc[q] = acc.get(q, 0) + c
-        raw = {q: c for q, c in acc.items() if c}
-        if prev is not None and raw == {q: p * c for q, c in prev.items()}:
-            # a sum of canonical point values is canonical
-            return QpIntegral(Cyclo._of(raw) * F(p) ** (-level), True)
-        prev = raw
+            n, den, numerators = point_value(ball.center + t * step).coordinates()
+            acc = sums.setdefault((n, den), {})
+            for j, c in numerators.items():
+                acc[j] = acc.get(j, 0) + c
+        total = cyclo_sum(Cyclo.from_coordinates(n, den, acc) for (n, den), acc in sums.items())
+        if prev is not None and total == prev * p:
+            return QpIntegral(total * F(p) ** (-level), True)
+        prev = total
         level += 1
     return QpIntegral(Cyclo(), False)
 
@@ -146,8 +148,7 @@ def integrate_ball_character(
     # of the top row is minus the sum of its column above it
     rows = counts.reshape(p, -1)
     coords = (rows[:-1] - rows[-1]).ravel()
-    nz = np.flatnonzero(coords)
-    period = Cyclo._of({F(int(j), pd): int(coords[j]) for j in nz})
+    period = Cyclo.from_coordinates(pd, 1, {int(j): int(coords[j]) for j in np.flatnonzero(coords)})
     return QpIntegral(front * period * F(p) ** (-k - d), True)
 
 

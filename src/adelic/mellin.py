@@ -106,12 +106,11 @@ def gamma_fn(alpha: complex) -> complex:
 
 
 def _cyclo_mp(c: Cyclo):
-    """An exact Cyclo in the working context: the sum of coefficient times
-    e(phase) over its rational coordinates, with no double in between."""
+    """An exact Cyclo in the working context: the sum of numerator / den
+    times e(j/n) over its integer coordinates, with no double in between."""
+    n, den, numerators = c.coordinates()
     return _CTX.fsum(
-        _CTX.mpf(coeff.numerator) / coeff.denominator
-        * _CTX.expjpi(_CTX.mpf(2 * q.numerator) / q.denominator)
-        for q, coeff in c._terms.items()
+        _CTX.mpf(a) / den * _CTX.expjpi(_CTX.mpf(2 * j) / n) for j, a in numerators.items()
     )
 
 

@@ -1,4 +1,5 @@
 import cmath
+import math
 from fractions import Fraction
 
 import pytest
@@ -148,3 +149,70 @@ _SMALL = st.lists(st.tuples(st.sampled_from([F(0), F(1, 2), F(1, 3), F(2, 3), F(
 def test_equality_is_a_zero_difference(t1, t2):
     x, y = _build(t1), _build(t2)
     assert (x == y) == (x - y).is_zero() == (not (x - y))
+
+
+@pytest.mark.parametrize("x", [0, 3, -7, F(0), F(5, 6), F(-1, 3)])
+def test_a_rational_cyclo_hashes_as_its_value(x):
+    c = Cyclo(x)
+    assert c == x
+    assert hash(c) == hash(x)
+    assert {x: "found"}[c] == "found"
+
+
+def test_equal_values_hash_alike_across_types():
+    # -1 reached through phases, and a Gaussian rational against its complex
+    minus_one = phase(F(1, 3)) + phase(F(2, 3))
+    assert minus_one == -1 and hash(minus_one) == hash(-1)
+    z = Cyclo(F(3, 2)) + phase(F(1, 4)) * F(1, 4)
+    assert z == 1.5 + 0.25j and hash(z) == hash(1.5 + 0.25j)
+    assert hash(phase(F(3, 4))) == hash(-1j)
+
+
+# phases over conductors 2^a, 3, 5, 7 and 9, so sums and products mix them
+_MIXED_PHASES = st.sampled_from([1, 2, 4, 8, 16, 3, 5, 7, 9]).flatmap(
+    lambda n: st.integers(min_value=0, max_value=n - 1).map(lambda j: F(j, n)))
+_MIXED = st.lists(st.tuples(_MIXED_PHASES, _COEFFS), max_size=3).map(_build)
+_PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+@_PROPERTY
+@given(_MIXED, _MIXED, _MIXED)
+def test_ring_laws_hold_exactly(x, y, z):
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x * y == y * x
+    # halves that add back up: equal, and stored alike, so hashed alike
+    halves = x * F(1, 2) + x * F(1, 2)
+    assert halves == x and hash(halves) == hash(x)
+
+
+@_PROPERTY
+@given(_MIXED)
+def test_conjugation_is_an_involution(x):
+    assert x.conjugate().conjugate() == x
+    assert abs(x.conjugate().to_complex() - x.to_complex().conjugate()) < 1e-9
+
+
+@_PROPERTY
+@given(_MIXED, _MIXED)
+def test_product_is_the_expanded_sum_of_canonical_terms(x, y):
+    expanded: dict = {}
+    for q1, c1 in x.canonical().items():
+        for q2, c2 in y.canonical().items():
+            q = (q1 + q2) % 1
+            expanded[q] = expanded.get(q, 0) + c1 * c2
+    assert x * y == Cyclo(expanded)
+    assert abs((x * y).to_complex() - x.to_complex() * y.to_complex()) < 1e-9
+
+
+@_PROPERTY
+@given(_MIXED)
+def test_stored_terms_are_the_canonical_terms(x):
+    # bench/tracing.py sizes a Cyclo by len(_terms): one entry per basis term
+    assert len(x._terms) == len(x.canonical())
+    n, den, numerators = x.coordinates()
+    # a minimal conductor and a reduced denominator
+    assert math.gcd(n, *numerators) == 1 and math.gcd(den, *numerators.values()) == 1
+    assert Cyclo.from_coordinates(n, den, numerators) == x
+    assert x.canonical() == {F(j, n): F(c, den) for j, c in numerators.items()}
