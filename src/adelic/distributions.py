@@ -20,7 +20,7 @@ from .bruhat import ElementaryFunction, HermiteGaussian, PAdicTestFunction, Schw
 from .cyclotomic import Cyclo
 from .integrate import Unstabilized, integrate_qp
 from .mellin import phi_p
-from .quadrature import gauss_character_integral, oracle_float, quad_vec
+from .quadrature import gauss_character_integral, oracle_float
 
 F = Fraction
 
@@ -148,8 +148,8 @@ def schwartz_function_distribution(g: ElementaryFunction) -> AdelicDistribution:
     """
 
     def real_rule(rf: HermiteGaussian) -> complex:
-        return quad_vec(lambda xs: g.real_factor.evaluate(xs) * rf.evaluate(xs),
-                        -8.0, 8.0, panels=120)
+        return gauss_character_integral(
+            0.0, 0.0, lambda xs: g.real_factor.evaluate(xs) * rf.evaluate(xs))
 
     def local_rule(p: int, fp: PAdicTestFunction) -> Cyclo:
         return (g.factor_at(p) * fp).integral()

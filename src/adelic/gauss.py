@@ -34,6 +34,7 @@ from .cyclotomic import Cyclo, UnitPhase, sqrt_prime_power
 from .integrate import Unstabilized, integrate_qp, stabilized_ball_sum
 from .padic import padic_norm, unit_part_mod, valuation
 from .primes import legendre_symbol, require_prime
+from .quadrature import gauss_character_integral
 
 F = Fraction
 
@@ -243,17 +244,8 @@ def _lambda_real_transform(phi: ElementaryFunction, b_inf: float) -> complex:
     integral into the Fourier transform of phi evaluated on the parabola,
     which decays like a Gaussian in x**2 and integrates comfortably.
     """
-    import numpy as np
-
-    from .quadrature import quad_vec
-
     ft = phi.real_factor.fourier()
-
-    def f(xs: np.ndarray) -> np.ndarray:
-        return ft.evaluate(xs * xs) * np.exp(-2j * np.pi * b_inf * xs)
-
-    panels = max(96, int(16 * abs(b_inf)) + 32)
-    return quad_vec(f, -4.0, 4.0, panels=panels)
+    return gauss_character_integral(0.0, b_inf, lambda xs: ft.evaluate(xs * xs))
 
 
 # ---------------------------------------------------------------------------

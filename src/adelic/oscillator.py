@@ -23,15 +23,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bruhat import HermiteGaussian, PAdicTestFunction, hermite_value
+from .bruhat import PAdicTestFunction, hermite_value, vacuum_state
 from .characters import chi_p
 from .cyclotomic import UnitPhase, phase, sqrt_prime_power
-from .gauss import lambda_class_depth, lambda_p
+from .gauss import lambda_class_depth, lambda_inf_phase, lambda_p
 from .integrate import Unstabilized, integrate_qp
 from .mellin import DomainError
 from .padic import PAdicApprox, PrecisionError, frac_part, valuation
 from .primes import require_prime
-from .quadrature import panel_nodes, real_fourier_transform
+from .quadrature import gauss_character_integral, panel_nodes, real_fourier_transform
 
 F = Fraction
 
@@ -41,6 +41,10 @@ F = Fraction
 # t = 3 * 7^40 / 11^40, and the series cost grows faster than the square of
 # the precision
 TRIG_MAX_PRECISION = 1000
+
+# the finite places and the real grid of the vacuum self-duality check
+VACUUM_PRIMES = (2, 3, 5, 7, 11)
+VACUUM_GRID_POINTS = 1000
 
 
 def _trig_domain_check(t: PAdicApprox):
@@ -202,22 +206,18 @@ def eigen_check(
 # ---------------------------------------------------------------------------
 
 
-def vacuum_fourier_check(
-    primes: tuple[int, ...] = (2, 3, 5, 7, 11),
-    grid_points: int = 1000,
-    grid_radius: float = 5.0,
-) -> tuple[bool, float]:
-    """Self-duality of the vacuum: exact at finite places, numeric sup-error
-    on a real grid against the quadrature transform."""
+def vacuum_fourier_check() -> tuple[bool, float]:
+    """Self-duality of the vacuum: exact at the finite places
+    ``VACUUM_PRIMES``, numeric sup-error against the quadrature transform
+    on ``VACUUM_GRID_POINTS`` points of [-5, 5]."""
     exact_ok = all(
         PAdicTestFunction.omega(p).fourier() == PAdicTestFunction.omega(p)
-        for p in primes
+        for p in VACUUM_PRIMES
     )
-    coeff = 2**0.25
-    xis = np.linspace(-grid_radius, grid_radius, grid_points)
-    transformed = real_fourier_transform(lambda xs: coeff * np.exp(-math.pi * xs * xs), xis)
-    target = coeff * np.exp(-math.pi * xis * xis)
-    sup_err = float(np.max(np.abs(transformed - target)))
+    psi = vacuum_state().real_factor
+    xis = np.linspace(-5.0, 5.0, VACUUM_GRID_POINTS)
+    transformed = real_fourier_transform(psi.evaluate, xis)
+    sup_err = float(np.max(np.abs(transformed - psi.evaluate(xis))))
     return exact_ok, sup_err
 
 
@@ -240,22 +240,20 @@ def real_state_orthonormality(max_degree: int) -> float:
 
 
 def real_evolution_apply(t: float, psi_vals, xs_out: np.ndarray) -> np.ndarray:
-    """U(t) psi on a grid by quadrature against the real oscillator kernel.
+    """U(t) psi on a grid: at each x, K_t(x, 0) times the Gauss-character
+    integral of psi with a = -cos t/(2 sin t) and b = x / sin t.
 
     ``psi_vals`` maps an array of nodes to the values of psi there.
     """
     s, c = math.sin(t), math.cos(t)
     if abs(s) < 1e-9:
         raise DomainError("sin t too small for the quadrature kernel")
-    lam = cmath.exp(-1j * math.pi / 4 * (1 if 2 * s > 0 else -1))
-    ys, ws = panel_nodes(-8.0, 8.0, panels=200, order=20)
-    fvals = psi_vals(ys)
-    out = np.empty(len(xs_out), dtype=complex)
-    pref = lam * abs(s) ** -0.5
-    for i, x in enumerate(xs_out):
-        phase_arg = x * ys / s - (x * x + ys * ys) * c / (2 * s)
-        out[i] = pref * np.sum(np.exp(-2j * math.pi * phase_arg) * fvals * ws)
-    return out
+    a = -c / (2 * s)
+    pref = lambda_inf_phase(2 * s).value * abs(s) ** -0.5
+    return np.array([
+        pref * cmath.exp(-2j * math.pi * a * x * x) * gauss_character_integral(a, x / s, psi_vals)
+        for x in xs_out
+    ])
 
 
 def unitarity_probe(t: float = 0.7) -> tuple[float, complex]:
@@ -265,7 +263,7 @@ def unitarity_probe(t: float = 0.7) -> tuple[float, complex]:
     reported, not asserted, since the vacuum's real energy phase is a
     convention the evolution check measures.
     """
-    psi = HermiteGaussian.gaussian(F(2) ** F(1, 4))
+    psi = vacuum_state().real_factor
     xs, ws = panel_nodes(-8.0, 8.0, panels=160, order=20)
     uvals = real_evolution_apply(t, psi.evaluate, xs)
     norm_sq = float(np.sum(np.abs(uvals) ** 2 * ws))

@@ -105,28 +105,19 @@ def padic_norm(r: Rat | int, p: int) -> Fraction:
 
 
 def frac_part(r: Rat | int, p: int) -> Fraction:
-    """The p-adic fractional part {r}_p.
+    """The p-adic fractional part {r}_p: the unique q = m/p**k with
+    0 <= q < 1 such that r - q is p-integral, ``reduce_mod(r, p, 0)``.
 
-    The unique q = m/p**k with 0 <= q < 1 such that r - q is p-integral;
-    equals the negative-power tail of the canonical digit expansion.
+    Equals the negative-power tail of the canonical digit expansion.
     """
-    require_prime(p)
-    r = Fraction(r)
-    v = valuation(r, p)
-    if v.is_infinite or v.value >= 0:
-        return Fraction(0)
-    k = -v.value
-    pk = p**k
-    b = r.denominator // pk  # p does not divide b
-    m = r.numerator * pow(b, -1, pk) % pk
-    return Fraction(m, pk)
+    return reduce_mod(r, p, 0)
 
 
 def reduce_mod(c: Rat | int, p: int, k: int) -> Fraction:
     """The unique q in Z[1/p] with 0 <= q < p**k and v_p(c - q) >= k.
 
-    Generalizes ``frac_part`` (which is the k = 0 case) and provides the
-    canonical representative of c modulo the ball p**k Z_p.
+    The k = 0 case is ``frac_part``; in general it is the canonical
+    representative of c modulo the ball p**k Z_p.
     """
     require_prime(p)
     c = Fraction(c)
@@ -170,8 +161,12 @@ def digits(r: Rat | int, p: int, count: int) -> tuple[Valuation, list[int]]:
 
 def unit_part_mod(r: Rat | int, p: int, modulus_exp: int) -> int:
     """The unit part u of r = p**v * u reduced modulo p**modulus_exp."""
-    v, ds = digits(r, p, modulus_exp)
-    return sum(d * p**i for i, d in enumerate(ds))
+    r = Fraction(r)
+    if r == 0:
+        raise ValueError("0 has no unit part")
+    unit = r / Fraction(p) ** valuation(r, p).value
+    mod = p**modulus_exp
+    return unit.numerator * pow(unit.denominator, -1, mod) % mod
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,16 @@ e^(-eps pi x^2) with Richardson extrapolation in eps, which is how the
 improper oscillatory integrals are defined here.  The Fresnel oracle damps
 about a dyadic point near the stationary point of the phase and works in
 the scale-free variable z = sqrt|a| (x - x0), so one fixed rule, graded to
-one phase cycle per panel, serves every (a, b) and every eps.  No rule
-builds more than ``NODE_BUDGET`` nodes.
+one phase cycle per panel and built once per process, serves every (a, b)
+and every eps.  Every other integral of a Schwartz function against a
+character goes through ``gauss_character_integral``.  No rule builds more
+than ``NODE_BUDGET`` nodes.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -20,10 +23,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 # most nodes one composite rule may build (about 16 MB per complex array);
-# the Fresnel rule has 40,920 for every (a, b) at the default eps ladder,
-# and the largest rule in use is the 163,280-node full-line rule that the
-# tests compare it with at eps = 0.00625
+# the largest rule in use is the 163,280-node full-line rule that the
+# tests compare the 40,920-node Fresnel rule with at eps = 0.00625
 NODE_BUDGET = 1_000_000
+
+# the damping ladder eps0 of the Fresnel oracle, halving, and the widest
+# window z <= _RADIUS, past which e^(-eps0 pi z^2) at the smallest eps0 is
+# below e^-40
+_EPS_LADDER = (0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625)
+_RADIUS = math.sqrt(40.0 / (math.pi * _EPS_LADDER[-1]))
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -85,17 +93,17 @@ def real_fourier_transform(f: Callable[[np.ndarray], np.ndarray], xis: np.ndarra
 
 
 def gauss_character_integral(a: float, b: float, phi_vals: Callable[[np.ndarray], np.ndarray],
-                             radius: float = 8.0, panels: int | None = None) -> complex:
-    """int phi(x) chi_inf(a x^2 + b x) dx with chi_inf(z) = e^(-2 pi i z).
+                             radius: float = 8.0) -> complex:
+    """int phi(x) chi_inf(a x^2 + b x) dx with chi_inf(z) = e^(-2 pi i z):
+    the one rule for a Schwartz integral at the real place.
 
-    Absolutely convergent for Schwartz phi; panel count scales with the
-    oscillation budget a*R^2 + |b|*R.
+    Absolutely convergent for phi decaying within |x| <= ``radius``; the
+    panel count scales with the oscillation budget |a| R^2 + |b| R.
     """
-    if panels is None:
-        panels = _oscillation_panels(abs(a) * radius * radius + abs(b) * radius)
     def f(x):
         return phi_vals(x) * np.exp(-2j * np.pi * (a * x * x + b * x))
-    return quad_vec(f, -radius, radius, panels)
+    return quad_vec(f, -radius, radius,
+                    _oscillation_panels(abs(a) * radius * radius + abs(b) * radius))
 
 
 def _oscillation_panels(cycles: float) -> int | float:
@@ -117,49 +125,38 @@ def oracle_float(name: str, x: Fraction | float) -> float:
     return f
 
 
-def fresnel_regularized(a: Fraction | float, b: Fraction | float = 0,
-                        eps_seq: Sequence[float] = (0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625),
-                        ) -> tuple[complex, float]:
+def fresnel_regularized(a: Fraction | float, b: Fraction | float = 0) -> tuple[complex, float]:
     """lim_{eps->0} int e^(-eps pi (x - x0)^2) chi_inf(a x^2 + b x) dx.
 
     ``a`` and ``b`` are taken as the exact rationals they are.  The damping
     is centred at a dyadic x0 near the stationary point -b/(2a) (``_centre``),
     where a x^2 + b x = A + B y + a y^2 with y = x - x0 and exact A, B.  In
-    z = sqrt|a| y, with eps = |a| eps0 for each eps0 in ``eps_seq``, the
+    z = sqrt|a| y, with eps = |a| eps0 for each eps0 in ``_EPS_LADDER``, the
     damped integral is
 
         |a|^(-1/2) chi_inf(A) int e^(-eps0 pi z^2) e^(-/+ 2 pi i z^2)
                                   e^(-2 pi i B' z) dz,   B' = B / sqrt|a|,
 
-    so nothing in the rule depends on the size of a or b.  The line is
-    folded onto z >= 0, where the linear factor becomes cos(2 pi B' z), and
-    integrated over z <= R_eps0 = sqrt(40 / (pi eps0)), past which the
-    damping is below e^-40.  One rule, sized for the smallest eps0, serves
-    every eps0 (a larger one integrates over a prefix of its nodes), and
-    each sum is one ``np.sum`` in a fixed order.  Richardson extrapolation
-    over the halving sequence; returns the extrapolated value and a
-    self-consistency error estimate.
+    so nothing in the rule depends on a or b, and ``_graded_rule`` builds
+    it once.  The line is folded onto z >= 0, where the linear factor
+    becomes cos(2 pi B' z), and integrated over z <= R_eps0 =
+    sqrt(40 / (pi eps0)), past which the damping is below e^-40.  Each sum
+    is one ``np.sum`` in a fixed order.  Richardson extrapolation over the
+    halving ladder; returns the extrapolated value and a self-consistency
+    error estimate.
     """
     a, b = Fraction(a), Fraction(b)
     if a == 0:
         raise ValueError("pure Fresnel regularization needs a != 0")
-    radius = math.sqrt(40.0 / (math.pi * min(eps_seq)))
     root = math.sqrt(abs(oracle_float("a", a)))
-    A, B = _centre(a, b, radius * root)
-    zs, ws = _graded_rule(radius)
-    z2 = zs * zs
-    ws = 2.0 * ws
+    A, B = _centre(a, b, _RADIUS * root)
+    zs, ws, cos, sin, windows = _graded_rule()
     if B:
         # B' = B / sqrt|a|, from the exact B^2 / |a| so that no tiny B underflows
         ws = ws * np.cos(2.0 * np.pi * math.copysign(math.sqrt(float(B * B / abs(a))), B) * zs)
-    phase = 2.0 * np.pi * z2
-    wc = np.cos(phase) * ws
-    wsin = np.sin(phase) * ws if a > 0 else -np.sin(phase) * ws
-    vals = []
-    for e in eps_seq:
-        k = int(np.searchsorted(zs, math.sqrt(40.0 / (math.pi * e)), side="right"))
-        damp = np.exp(-e * np.pi * z2[:k])
-        vals.append(complex(np.sum(damp * wc[:k]), -np.sum(damp * wsin[:k])))
+    wc = cos * ws
+    wsin = sin * ws if a > 0 else -sin * ws
+    vals = [complex(np.sum(damp * wc[:k]), -np.sum(damp * wsin[:k])) for k, damp in windows]
     front = cmath.exp(-2j * math.pi * float(A)) / root
     full = _richardson(vals)
     partial = _richardson(vals[:-1])
@@ -180,14 +177,26 @@ def _centre(a: Fraction, b: Fraction, reach: float) -> tuple[Fraction, Fraction]
     return (a * x0 * x0 + b * x0) % 1, 2 * a * x0 + b
 
 
-def _graded_rule(radius: float, order: int = 20):
-    """Nodes and weights on [0, sqrt(K)] with panel edges z_k = sqrt(k):
-    z^2 advances by exactly one between edges, so every panel holds one
-    cycle of e^(2 pi i z^2).  K = ceil(radius^2) + 8 keeps a margin of
-    eight panels past the widest window, z <= radius."""
-    panels = math.ceil(radius * radius) + 8
-    _check_budget(panels, order)
-    return _composite(np.sqrt(np.arange(panels + 1, dtype=float)), order)
+@functools.cache
+def _graded_rule():
+    """The Fresnel rule, built once: nodes z on [0, sqrt(K)] with panel
+    edges z_k = sqrt(k), so that z^2 advances by exactly one between edges
+    and every panel holds one cycle of e^(2 pi i z^2); the doubled weights
+    of the folded line; cos and sin of 2 pi z^2; and per eps0 of
+    ``_EPS_LADDER`` the node count inside R_eps0 with the damping
+    e^(-eps0 pi z^2) on those nodes.  K = ceil(_RADIUS^2) + 8 keeps a
+    margin of eight panels past the widest window.  Every array is
+    read-only, so no call can change what the next one sees."""
+    zs, ws = _composite(np.sqrt(np.arange(math.ceil(_RADIUS * _RADIUS) + 9, dtype=float)), 20)
+    z2 = zs * zs
+    phase = 2.0 * np.pi * z2
+    rule = (zs, 2.0 * ws, np.cos(phase), np.sin(phase))
+    cuts = [int(np.searchsorted(zs, math.sqrt(40.0 / (math.pi * e)), side="right"))
+            for e in _EPS_LADDER]
+    windows = tuple((k, np.exp(-e * np.pi * z2[:k])) for e, k in zip(_EPS_LADDER, cuts))
+    for arr in (*rule, *(damp for _, damp in windows)):
+        arr.setflags(write=False)
+    return (*rule, windows)
 
 
 def _richardson(vals: Sequence[complex]) -> complex:

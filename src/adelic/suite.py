@@ -40,6 +40,8 @@ from .mellin import (
     zeta,
 )
 from .oscillator import (
+    VACUUM_GRID_POINTS,
+    VACUUM_PRIMES,
     eigen_check,
     padic_cos,
     padic_sin,
@@ -409,7 +411,7 @@ def oscillator_checks() -> list[CheckReport]:
     out.append(
         make_report(
             "oscillator-vacuum-fourier",
-            {"primes": [2, 3, 5, 7, 11], "grid": 1000},
+            {"primes": list(VACUUM_PRIMES), "grid": VACUUM_GRID_POINTS},
             f"p-adic exact: {exact_ok}, real sup-error {sup_err:.3e}",
             "exact and < 1e-10",
             t0,

@@ -146,8 +146,10 @@ def test_oracle_rejects_the_wrong_sign_phase():
     assert rejected == 7
 
 
-# the BLAS threads touch only the real rows of the Gauss grid, so the suite
-# case runs the real row alone, through the CLI's own emitter
+# the suite case runs only its real Gauss row, through the CLI's own
+# emitter, to keep Tier-1 fast; the whole suite also goes through matrix
+# products (the real Fourier rule, the Hermite Gram matrix), and CI diffs
+# all of its output across BLAS thread counts
 _SUITE_REAL_ROW = ("from adelic.cli import emit; from adelic.suite import gauss_real_check; "
                    "emit(gauss_real_check())")
 

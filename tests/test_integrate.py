@@ -17,7 +17,14 @@ from adelic.integrate import (
 )
 from adelic.gauss import gauss_integral_inf
 from adelic.padic import frac_part, valuation
-from adelic.quadrature import _centre, _richardson, fresnel_regularized, gauss_character_integral
+from adelic.quadrature import (
+    _EPS_LADDER,
+    _RADIUS,
+    _centre,
+    _richardson,
+    fresnel_regularized,
+    gauss_character_integral,
+)
 
 F = Fraction
 
@@ -234,9 +241,6 @@ class TestSphereSums:
                             assert total == Cyclo(0), (p, a, b, j)
 
 
-_EPS_LADDER = (0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625)
-
-
 def _unfolded_fresnel(a, b) -> complex:
     """Richardson over one full-line uniform rule per eps of the damped
     integral centred at fresnel_regularized's x0, times chi_inf(A)."""
@@ -244,8 +248,7 @@ def _unfolded_fresnel(a, b) -> complex:
 
     a, b = F(a), F(b)
     af = float(a)
-    radius = math.sqrt(40.0 / (math.pi * _EPS_LADDER[-1]))
-    A, B = _centre(a, b, radius * math.sqrt(abs(af)))
+    A, B = _centre(a, b, _RADIUS * math.sqrt(abs(af)))
     front = cmath.exp(-2j * math.pi * float(A))
     return _richardson([
         front * gauss_character_integral(
@@ -290,29 +293,46 @@ class TestRealQuadrature:
     def test_fresnel_keeps_the_linear_term_of_a_non_dyadic_centre(self):
         # -b/(2a) = -1/6, 125/37 and -7/2000 are not dyadic, so x0 is not the
         # stationary point
-        radius = math.sqrt(40.0 / (math.pi * _EPS_LADDER[-1]))
         for a, b in ((F(3), F(1)), (F(37, 100), F(-5, 2)), (F(1000), F(7))):
-            _, B = _centre(a, b, radius * math.sqrt(abs(a)))
-            assert B != 0 and abs(B) * radius / math.sqrt(abs(a)) <= 2**-10, (a, b)
+            _, B = _centre(a, b, _RADIUS * math.sqrt(abs(a)))
+            assert B != 0 and abs(B) * _RADIUS / math.sqrt(abs(a)) <= 2**-10, (a, b)
             assert abs(fresnel_regularized(a, b)[0] - _unfolded_fresnel(a, b)) < 1e-12, (a, b)
 
     def test_fresnel_rule_is_one_size_for_every_a_and_b(self, monkeypatch):
         # the rule lives in z = sqrt|a| (x - x0): a = 1e4, about 8e8 nodes on
-        # a uniform rule in x, takes the same 40,920 nodes as a = 1/2
+        # a uniform rule in x, takes the same 40,920 nodes as a = 1/2, and
+        # five calls build them once
         sizes = []
-        graded = quadrature._graded_rule
+        composite = quadrature._composite
 
-        def spy(radius):
-            zs, ws = graded(radius)
+        def spy(edges, order):
+            zs, ws = composite(edges, order)
             sizes.append(len(zs))
             return zs, ws
 
-        monkeypatch.setattr(quadrature, "_graded_rule", spy)
+        quadrature._graded_rule.cache_clear()
+        monkeypatch.setattr(quadrature, "_composite", spy)
         for a, b in ((1e4, 0.0), (0.5, 0.0), (-3.0, 2.5), (F(1, 100), F(1)), (1e307, 0.0)):
             oracle, _ = fresnel_regularized(a, b)
             closed = gauss_integral_inf(a, b)
             assert abs(oracle - closed) <= 1e-6, (a, b)
-        assert sizes == [40_920] * 5
+        assert sizes == [40_920]
+
+    def test_fresnel_rule_is_read_only(self):
+        zs, ws, cos, sin, windows = quadrature._graded_rule()
+        assert len(windows) == len(_EPS_LADDER)
+        for arr in (zs, ws, cos, sin, *(damp for _, damp in windows)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_a_call_leaves_the_next_one_bit_identical(self):
+        # a < 0 and B != 0 (-b/(2a) = 1/6 is not dyadic) take every
+        # per-call branch: the sign flip and the linear cos factor
+        before = fresnel_regularized(F(2), F(1, 2))
+        assert _centre(F(-3), F(1), _RADIUS * math.sqrt(3))[1] != 0
+        fresnel_regularized(F(-3), F(1))
+        assert fresnel_regularized(F(2), F(1, 2)) == before
 
 
 class TestUnstabilized:
