@@ -158,10 +158,13 @@ class PAdicTestFunction:
         return self + other.scale(-1)
 
     def scale(self, c: Scalar) -> "PAdicTestFunction":
+        """c times the function; a nonzero multiple of a canonical form is
+        canonical, so the terms are scaled without canonicalizing again."""
         c = Cyclo(c)
-        return PAdicTestFunction(
-            self.prime, [(c * coeff, ball, mod) for coeff, ball, mod in self._term_list()]
-        )
+        out = PAdicTestFunction(self.prime)
+        if not c.is_zero():
+            out.terms = {key: c * coeff for key, coeff in self.terms.items()}
+        return out
 
     def __mul__(self, other):
         if isinstance(other, PAdicTestFunction):
@@ -367,9 +370,14 @@ def hermite_value(n: int, y: float | np.ndarray) -> float | np.ndarray:
 
 
 class HermiteGaussian:
-    """sum_n c_n e^(-pi x^2) H_n(x sqrt(2 pi)); closed under Fourier."""
+    """sum_n c_n e^(-pi x^2) H_n(x sqrt(2 pi)); closed under Fourier.
 
-    __slots__ = ("coeffs",)
+    The value is immutable, so it keeps its even-degree coefficients at
+    the working precision of ``mellin``, converted by
+    ``mellin.mellin_real_mp`` on the first call.
+    """
+
+    __slots__ = ("coeffs", "_mellin_real")
 
     def __init__(self, coeffs: Iterable[tuple[int, Scalar]] | dict = ()):
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
@@ -382,6 +390,7 @@ class HermiteGaussian:
             c = c if prev is None else prev + c
             acc[n] = c
         self.coeffs = {n: c for n, c in acc.items() if not c.is_zero()}
+        self._mellin_real = None
 
     @classmethod
     def gaussian(cls, coeff: Scalar = 1) -> "HermiteGaussian":
@@ -431,9 +440,13 @@ class HermiteGaussian:
 
 
 class ElementaryFunction:
-    """real factor x prod_{p in P} phi_p x prod_{p not in P} Omega_p."""
+    """real factor x prod_{p in P} phi_p x prod_{p not in P} Omega_p.
 
-    __slots__ = ("real_factor", "prime_factors")
+    Immutable like its factors: ``fourier`` builds the transform on the
+    first call and returns it afterwards.
+    """
+
+    __slots__ = ("real_factor", "prime_factors", "_fourier")
 
     def __init__(self, real_factor: HermiteGaussian, prime_factors: dict[int, PAdicTestFunction] | None = None):
         self.real_factor = real_factor
@@ -443,6 +456,7 @@ class ElementaryFunction:
             if f.prime != p:
                 raise ValueError(f"factor at key {p} is a {f.prime}-adic function")
         self.prime_factors = dict(sorted(pf.items()))
+        self._fourier: ElementaryFunction | None = None
 
     @property
     def prime_set(self) -> list[int]:
@@ -472,10 +486,12 @@ class ElementaryFunction:
         return self.real_factor.evaluate(float(x.real)) * pv.to_complex()
 
     def fourier(self) -> "ElementaryFunction":
-        return ElementaryFunction(
-            self.real_factor.fourier(),
-            {p: f.fourier() for p, f in self.prime_factors.items()},
-        )
+        if self._fourier is None:
+            self._fourier = ElementaryFunction(
+                self.real_factor.fourier(),
+                {p: f.fourier() for p, f in self.prime_factors.items()},
+            )
+        return self._fourier
 
     def __eq__(self, other):
         if not isinstance(other, ElementaryFunction):

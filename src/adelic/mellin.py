@@ -14,6 +14,17 @@ mpmath context with ``WORKING_DPS`` = 50 significant digits so that strip
 residuals near 1e-10 have headroom.  The functional equation is *never*
 used internally, because it is precisely the identity under test: on the
 domain that ``zeta_mp`` accepts, mpmath never reflects (see there).
+
+A Tate or functional-equation run evaluates many functions at a few shared
+strip points, so each transcendental factor is computed once per exact
+working-precision argument: zeta, gamma, the powers p^(-e alpha) of each
+prime, pi^(-alpha/2) and the Hermite gamma sum of each degree.  Each memo
+keeps at most ``_MEMO_SIZE`` arguments (for the prime powers, ``_MEMO_SIZE``
+(p, alpha) rows of the exponents asked for), and a value is computed by the
+same expression, in the same order, as without the memo.  Each function
+converts its exact coefficients to the working precision once and keeps
+them: a p-adic factor on its ``LocalMellinFactor``, a real factor on its
+``_mellin_real`` slot.
 """
 
 from __future__ import annotations
@@ -38,7 +49,7 @@ WORKING_DPS = 50
 # largest |Im alpha| for zeta; see zeta_mp
 ZETA_MAX_HEIGHT = 1000
 
-# distinct arguments that zeta and gamma each remember: the strip points a
+# distinct arguments that each memo below remembers: the strip points a
 # Tate or functional-equation run shares, with room for the fresh ones
 _MEMO_SIZE = 256
 
@@ -133,11 +144,28 @@ class LocalMellinFactor:
         return [(e, _cyclo_mp(c)) for e, c in self.coeffs.items()]
 
     def evaluate_mp(self, alpha):
-        u = _CTX.power(self.prime, -_CTX.mpc(alpha))
+        powers = _prime_powers(self.prime, _CTX.mpc(alpha))
         total = _CTX.mpc(0)
         for e, c in self._coeffs_mp:
-            total += c * _CTX.power(u, e)
+            total += c * powers[e]
         return total
+
+
+class _PowerRow(dict):
+    """e -> u**e for one u = p^-alpha, each power computed when first asked."""
+
+    def __init__(self, u):
+        super().__init__()
+        self.u = u
+
+    def __missing__(self, e):
+        value = self[e] = _CTX.power(self.u, e)
+        return value
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _prime_powers(p, s):
+    return _PowerRow(_CTX.power(p, -s))
 
 
 def mellin_local(phi_p: PAdicTestFunction) -> LocalMellinFactor:
@@ -210,18 +238,31 @@ def mellin_real_mp(phi_inf: HermiteGaussian, alpha):
     s = _CTX.mpc(alpha)
     if s.real <= 0:
         raise DomainError("real Mellin factor needs Re alpha > 0")
+    if phi_inf._mellin_real is None:
+        phi_inf._mellin_real = [
+            (n, _cyclo_mp(c)) for n, c in phi_inf.coeffs.items() if n % 2 == 0
+        ]
     total = _CTX.mpc(0)
-    for n, c in phi_inf.coeffs.items():
-        if n % 2 == 1:
-            continue
-        coeffs = hermite_coefficients(n)
-        inner = _CTX.mpc(0)
-        for r in range(0, n // 2 + 1):
-            h = coeffs[2 * r]
-            if h:
-                inner += _CTX.mpf(h) * _CTX.power(2, r) * gamma_mp(s / 2 + r)
-        total += _cyclo_mp(c) * inner
-    return _CTX.power(_CTX.pi, -s / 2) * total
+    for n, c in phi_inf._mellin_real:
+        total += c * _hermite_gamma_sum(n, s)
+    return _pi_power(s) * total
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _hermite_gamma_sum(n, s):
+    """sum_r h_r 2^r Gamma(s/2 + r) over the even coefficients h_2r of H_n."""
+    coeffs = hermite_coefficients(n)
+    inner = _CTX.mpc(0)
+    for r in range(0, n // 2 + 1):
+        h = coeffs[2 * r]
+        if h:
+            inner += _CTX.mpf(h) * _CTX.power(2, r) * gamma_mp(s / 2 + r)
+    return inner
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _pi_power(s):
+    return _CTX.power(_CTX.pi, -s / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +285,10 @@ def phi_p(phi: ElementaryFunction, alpha: complex) -> complex:
         raise DomainError("Phi has simple poles at alpha = 0 and alpha = 1")
     if s.real <= 0:
         raise DomainError("Phi is evaluated on Re alpha > 0")
-    product = mellin_real_mp(phi.real_factor, alpha)
+    product = mellin_real_mp(phi.real_factor, s)
     for f in phi.prime_factors.values():
-        product *= mellin_local(f).evaluate_mp(alpha)
-    product *= zeta_mp(alpha)
+        product *= mellin_local(f).evaluate_mp(s)
+    product *= zeta_mp(s)
     value = complex(product)
     if not cmath.isfinite(value):
         raise DomainError(f"Phi(alpha) at alpha = {alpha} is outside the double range")
@@ -271,7 +312,7 @@ def tate_check(phi: ElementaryFunction, alpha: complex) -> float:
 
 def _completed_zeta_mp(s):
     """Lambda(s) = pi^(-s/2) Gamma(s/2) zeta(s) in the working context."""
-    return _CTX.power(_CTX.pi, -s / 2) * gamma_mp(s / 2) * zeta_mp(s)
+    return _pi_power(s) * gamma_mp(s / 2) * zeta_mp(s)
 
 
 def functional_equation_residual(alpha: complex) -> float:

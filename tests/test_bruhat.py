@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adelic.adeles import Adele, principal_adele, zero_adele
 from adelic.bruhat import (
@@ -102,6 +103,53 @@ class TestCanonicalForm:
         assert f.evaluate(F(9)) == Cyclo(F(5, 2))
         assert f.evaluate(F(1, 3)) == Cyclo(F(1, 2))
         assert f.evaluate(F(1, 9)) == Cyclo(0)
+
+
+@st.composite
+def raw_terms(draw):
+    """A prime and one to four modulated balls, often nested, so that the
+    canonical form splits coarse balls and folds modulations."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        coeff = (Cyclo(F(draw(st.integers(-3, 3)), draw(st.integers(1, 3))))
+                 + phase(F(1, 3)) * draw(st.integers(-1, 1)))
+        center = F(draw(st.integers(-6, 6)), p ** draw(st.integers(0, 1)))
+        mod = F(draw(st.integers(-4, 4)), p ** draw(st.integers(0, 2)))
+        terms.append((coeff, Ball(p, center, draw(st.integers(-1, 2))), mod))
+    return p, terms
+
+
+scalars = st.sampled_from(
+    [Cyclo(1), Cyclo(-1), Cyclo(F(-2, 5)), phase(F(1, 4)), phase(F(2, 3)) * F(3, 7),
+     phase(F(1, 5)) + 1])
+
+
+class TestScale:
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(raw_terms(), scalars)
+    def test_scaled_terms_are_the_canonical_form_of_the_scaled_input(self, raw, c):
+        p, terms = raw
+        f = PAdicTestFunction(p, terms)
+        rebuilt = PAdicTestFunction(p, [(c * coeff, ball, mod) for coeff, ball, mod in terms])
+        assert f.scale(c).terms == rebuilt.terms
+        assert (-f).terms == f.scale(-1).terms
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(raw_terms())
+    def test_zero_scalar_and_self_difference_are_zero(self, raw):
+        f = PAdicTestFunction(*raw)
+        for zero in (0, F(0), Cyclo(0)):
+            assert f.scale(zero).is_zero() and f.scale(zero).terms == {}
+        assert (f - f).is_zero()
+        assert f.scale(2) == f + f
+
+    def test_scale_leaves_its_function_unchanged(self):
+        f = PAdicTestFunction(3, [(1, Ball(3, F(0), 0), F(1, 9)), (2, Ball(3, F(1), 1), 0)])
+        before = dict(f.terms)
+        g = f.scale(phase(F(1, 4)))
+        assert f.terms == before and g.terms is not f.terms
+        assert g._fourier is None and g._mellin_local is None
 
 
 class TestFourierP:

@@ -15,9 +15,13 @@ from adelic.bruhat import (
     vacuum_state,
 )
 from adelic.cyclotomic import Cyclo, phase
+from adelic.bruhat import hermite_coefficients
 from adelic.mellin import (
     _CTX,
     DomainError,
+    _hermite_gamma_sum,
+    _pi_power,
+    _prime_powers,
     LocalMellinFactor,
     euler_product_zeta,
     functional_equation_residual,
@@ -167,6 +171,123 @@ class TestMemo:
             alpha = complex(rng.uniform(0.1, 0.9), rng.uniform(-5, 5))
             assert tate_check(phi, alpha) < 1e-6
         assert sorted(built) == [2, 3, 5]
+
+    # the memos added for the strip points: prime powers, pi^(-alpha/2) and
+    # the Hermite gamma sums; zeta and gamma are checked above
+    MEMOS = (_prime_powers, _pi_power, _hermite_gamma_sum)
+    ALPHAS = (0.3 + 1.5j, 0.7 - 4j, 0.5, _CTX.mpf(1) / 3 + _CTX.mpc(0, 2))
+
+    @staticmethod
+    def _function():
+        # degrees 0, 1, 2 and 4 reach the r > 0 terms of the gamma sum
+        real = HermiteGaussian([(0, 1), (1, F(1, 2)), (2, phase(F(1, 4))), (4, F(-1, 3))])
+        return ElementaryFunction(real, {
+            2: PAdicTestFunction(2, [(1, Ball(2, F(0), 1), 0), (F(1, 2), Ball(2, F(1), 1), 0)]),
+            3: PAdicTestFunction(3, [(phase(F(1, 4)), Ball(3, F(1, 3), 0), F(1, 9))]),
+            7: PAdicTestFunction(7, [(F(-2, 3), Ball(7, F(2), -1), 0), (1, Ball(7, F(0), 2), 0)]),
+        })
+
+    @staticmethod
+    def _fresh_cyclo(c):
+        n, den, numerators = c.coordinates()
+        return _CTX.fsum(_CTX.mpf(a) / den * _CTX.expjpi(_CTX.mpf(2 * j) / n)
+                         for j, a in numerators.items())
+
+    def _fresh_local(self, f, s):
+        u = _CTX.power(f.prime, -s)
+        total = _CTX.mpc(0)
+        for e, c in mellin_local(f).coeffs.items():
+            total += self._fresh_cyclo(c) * _CTX.power(u, e)
+        return total
+
+    def _fresh_real(self, h, s):
+        total = _CTX.mpc(0)
+        for n, c in h.coeffs.items():
+            if n % 2 == 0:
+                coeffs = hermite_coefficients(n)
+                inner = _CTX.mpc(0)
+                for r in range(n // 2 + 1):
+                    if coeffs[2 * r]:
+                        inner += (_CTX.mpf(coeffs[2 * r]) * _CTX.power(2, r)
+                                  * _CTX.gamma(s / 2 + r))
+                total += self._fresh_cyclo(c) * inner
+        return _CTX.power(_CTX.pi, -s / 2) * total
+
+    def _fresh_phi_p(self, phi, alpha):
+        s = _CTX.mpc(alpha)
+        product = self._fresh_real(phi.real_factor, s)
+        for f in phi.prime_factors.values():
+            product *= self._fresh_local(f, s)
+        return complex(product * _CTX.zeta(s))
+
+    def _values(self, phi):
+        return ([phi_p(phi, a) for a in self.ALPHAS]
+                + [phi_p(phi.fourier(), 1 - a) for a in self.ALPHAS]
+                + [tate_check(phi, complex(a)) for a in self.ALPHAS])
+
+    def test_values_survive_clearing_every_memo(self):
+        phi = self._function()
+        before = self._values(phi)
+        assert all(memo.cache_info().currsize for memo in self.MEMOS)
+        for memo in self.MEMOS:
+            memo.cache_clear()
+        # the same function, whose 50-digit coefficients are kept, and a
+        # fresh one that converts them again
+        assert self._values(phi) == before
+        assert self._values(self._function()) == before
+
+    def test_values_equal_the_unmemoized_expressions(self):
+        phi = self._function()
+        for _ in range(2):
+            for a in self.ALPHAS:
+                assert phi_p(phi, a) == self._fresh_phi_p(phi, a)
+                assert phi_p(phi.fourier(), 1 - a) == self._fresh_phi_p(phi.fourier(), 1 - a)
+                lhs = self._fresh_phi_p(phi, complex(a))
+                rhs = self._fresh_phi_p(phi.fourier(), 1 - complex(a))
+                assert tate_check(phi, complex(a)) == abs(lhs - rhs)
+
+    def test_real_factor_of_every_degree_equals_its_unmemoized_sum(self):
+        for degrees in ([0], [1], [2], [4], [0, 1, 2, 4]):
+            h = HermiteGaussian([(n, F(n + 1, 3)) for n in degrees])
+            for a in self.ALPHAS:
+                s = _CTX.mpc(a)
+                assert mellin_real_mp(h, a) == self._fresh_real(h, s), (degrees, a)
+        # the r > 0 terms are present: H_4 = 16x^4 - 48x^2 + 12
+        assert hermite_coefficients(4)[2] and hermite_coefficients(4)[4]
+        assert _hermite_gamma_sum(4, _CTX.mpc(2)) == 12 * 1 + (-48) * 2 * 1 + 16 * 4 * 2
+
+    def test_a_fine_argument_and_its_double_are_distinct_keys(self):
+        fine = _CTX.mpf(1) / 3 + _CTX.mpc(0, 2)
+        coarse = complex(fine)
+        phi = self._function()
+        h = phi.real_factor
+        lf = mellin_local(phi.prime_factors[7])
+        for _ in range(2):
+            for arg in (fine, coarse):
+                s = _CTX.mpc(arg)
+                assert lf.evaluate_mp(arg) == self._fresh_local(phi.prime_factors[7], s)
+                assert mellin_real_mp(h, arg) == self._fresh_real(h, s)
+            assert lf.evaluate_mp(fine) != lf.evaluate_mp(coarse)
+            assert mellin_real_mp(h, fine) != mellin_real_mp(h, coarse)
+
+    def test_domain_errors_are_not_memoized(self):
+        phi = self._function()
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                mellin_real_mp(phi.real_factor, -1 + 2j)
+            for bad in (0, 1, -0.5):
+                with pytest.raises(DomainError):
+                    phi_p(phi, bad)
+            with pytest.raises(DomainError):
+                tate_check(phi, 1.5)
+            # a pole inside a memoized gamma sum raises on every call
+            with pytest.raises(DomainError):
+                _hermite_gamma_sum(2, _CTX.mpc(-2))
+
+    def test_elementary_fourier_is_built_once(self):
+        phi = self._function()
+        assert phi.fourier() is phi.fourier()
+        assert phi.fourier().real_factor is phi.fourier().real_factor
 
 
 @st.composite
