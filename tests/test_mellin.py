@@ -12,10 +12,10 @@ from adelic.bruhat import (
     ElementaryFunction,
     HermiteGaussian,
     PAdicTestFunction,
+    hermite_coefficients,
     vacuum_state,
 )
 from adelic.cyclotomic import Cyclo, phase
-from adelic.bruhat import hermite_coefficients
 from adelic.mellin import (
     _CTX,
     DomainError,
@@ -172,8 +172,8 @@ class TestMemo:
             assert tate_check(phi, alpha) < 1e-6
         assert sorted(built) == [2, 3, 5]
 
-    # the memos added for the strip points: prime powers, pi^(-alpha/2) and
-    # the Hermite gamma sums; zeta and gamma are checked above
+    # the strip-point memos besides zeta and gamma: prime powers,
+    # pi^(-alpha/2) and the Hermite gamma sums
     MEMOS = (_prime_powers, _pi_power, _hermite_gamma_sum)
     ALPHAS = (0.3 + 1.5j, 0.7 - 4j, 0.5, _CTX.mpf(1) / 3 + _CTX.mpc(0, 2))
 
