@@ -241,12 +241,20 @@ class PAdicTestFunction:
         return self._fourier
 
     def reflect(self) -> "PAdicTestFunction":
-        """phi(-x)."""
-        return PAdicTestFunction(
-            self.prime,
-            [(c, Ball(self.prime, -ball.center, ball.radius_exp), -mod)
-             for (ball, mod), c in self.terms.items()],
-        )
+        """phi(-x).
+
+        x -> -x maps the disjoint balls of the canonical form to disjoint
+        balls, so each term only folds its negated modulation on the
+        mapped ball, without canonicalizing again.  The terms keep the
+        order of ``self.terms``, which can differ from the order that
+        canonicalizing the mapped terms would give; the dicts are equal.
+        """
+        p = self.prime
+        out = PAdicTestFunction(p)
+        for (ball, mod), c in self.terms.items():
+            c, ball, mod = _fold_modulation(c, Ball(p, -ball.center, ball.radius_exp), -mod)
+            out.terms[ball, mod] = c
+        return out
 
     # -- comparison ------------------------------------------------------------
 
@@ -285,44 +293,60 @@ def _fold_modulation(coeff: Cyclo, ball: Ball, mod: Fraction):
 def _canonicalize(prime: int, raw: list) -> dict[TermKey, Cyclo]:
     """Partition overlapping terms into disjoint balls and fold modulations.
 
+    The refinement walks integer residue addresses, not ``Ball`` objects:
+    with p**j clearing every center's denominator and p**(-k_min), the ball
+    c + p**k Z_p is the class of the integer N = c * p**j modulo p**(k+j).
+    Terms are grouped by N mod p**(k_min+j), the child t of a level-L
+    region has address addr + t * p**(L+j), and an inner term goes to the
+    child named by its digit N // p**(L+j) % p.  A ``Ball`` is built only
+    for each leaf.
+
     Coarse balls are split only along the chains leading to finer terms
     (p-1 siblings per level), never into the full p**delta grid, so the
     canonical form stays linear in the input size.
+
+    Term order is part of the result: groups come in order of first
+    appearance and children in digit order t = 0..p-1, and a region with
+    covering terms recurses into every child.  ``mellin`` sums 50-digit
+    coefficients in this order, so its values depend on it.
     """
     if not raw:
         return {}
     k_min = min(ball.radius_exp for _, ball, _ in raw)
-    groups: dict[Fraction, list] = {}
-    for term in raw:
-        key = reduce_mod(term[1].center, prime, k_min)
-        groups.setdefault(key, []).append(term)
+    pj = max(max(ball.center.denominator for _, ball, _ in raw), prime ** max(-k_min, 0))
+    step = pj * prime**k_min if k_min >= 0 else pj // prime**-k_min
+    groups: dict[int, list] = {}
+    for coeff, ball, mod in raw:
+        n = ball.center.numerator * (pj // ball.center.denominator)
+        groups.setdefault(n % step, []).append((n, ball.radius_exp, coeff, mod))
     merged: dict[TermKey, Cyclo] = {}
-    for key, members in groups.items():
-        _refine_region(prime, Ball(prime, key, k_min), members, merged)
+    for addr, members in groups.items():
+        _refine_region(prime, pj, addr, k_min, step, members, merged)
     return {key: c for key, c in merged.items() if not c.is_zero()}
 
 
-def _refine_region(prime: int, region: Ball, items: list, out: dict):
-    """Recursive partition refinement of one overlap cluster."""
-    level = region.radius_exp
+def _refine_region(prime: int, pj: int, addr: int, level: int, step: int, items: list, out: dict):
+    """Recursive partition refinement of one overlap cluster: the region
+    at ``level`` with residue address ``addr`` modulo ``step`` = p**(level+j)."""
     covering = []
-    inner = []
+    buckets: dict[int, list] = {}
     for term in items:
-        (covering if term[1].radius_exp <= level else inner).append(term)
-    if not inner:
-        for coeff, _, mod in covering:
-            c, _, m = _fold_modulation(coeff, region, mod)
-            key = (region, m)
+        if term[1] <= level:
+            covering.append(term)
+        else:
+            buckets.setdefault(term[0] // step % prime, []).append(term)
+    if not buckets:
+        region = Ball(prime, F(addr, pj), level)
+        for _, k, coeff, mod in covering:
+            if k != level:  # on its own ball, __init__ already folded it
+                coeff, _, mod = _fold_modulation(coeff, region, mod)
+            key = (region, mod)
             acc = out.get(key)
-            out[key] = c if acc is None else acc + c
+            out[key] = coeff if acc is None else acc + coeff
         return
-    for child in region.subdivide(level + 1):
-        sub = list(covering)
-        for term in inner:
-            if child.contains(term[1].center):
-                sub.append(term)
-        if sub:
-            _refine_region(prime, child, sub, out)
+    for t in range(prime) if covering else sorted(buckets):
+        sub = covering + buckets.get(t, [])
+        _refine_region(prime, pj, addr + t * step, level + 1, step * prime, sub, out)
 
 
 # ---------------------------------------------------------------------------

@@ -331,6 +331,9 @@ def _fractions(x: Cyclo) -> dict[Fraction, Fraction]:
 
 def phase(q: Fraction | int) -> Cyclo:
     """The unit phase e^(2*pi*i*q) as a Cyclo."""
+    if isinstance(q, (int, Fraction)):  # one basis expansion, no dict of phases
+        n = q.denominator
+        return _from_exponents(n, 1, ((q.numerator % n, 1),))
     return Cyclo({q: 1})
 
 

@@ -19,9 +19,10 @@ A Tate or functional-equation run evaluates many functions at a few shared
 strip points, so each transcendental factor is computed once per exact
 working-precision argument: zeta, gamma, the powers p^(-e alpha) of each
 prime, pi^(-alpha/2) and the Hermite gamma sum of each degree.  Each memo
-keeps at most ``_MEMO_SIZE`` arguments (for the prime powers, ``_MEMO_SIZE``
-(p, alpha) rows of the exponents asked for), and a value is computed by the
-same expression, in the same order, as without the memo.  Each function
+keys on the argument's raw ``_mpc_`` tuple and keeps at most ``_MEMO_SIZE``
+arguments (for the prime powers, ``_MEMO_SIZE`` (p, alpha) rows of the
+exponents asked for), and a value is computed by the same expression, in
+the same order, as without the memo.  Each function
 converts its exact coefficients to the working precision once and keeps
 them: a p-adic factor on its ``LocalMellinFactor``, a real factor on its
 ``_mellin_real`` slot.
@@ -61,6 +62,25 @@ class DomainError(ValueError):
     """Evaluation requested at a pole or outside the supported domain."""
 
 
+def _memo_on_mpc(fn):
+    """Memoize fn(*args, s) on the raw ``_mpc_`` tuple of its last
+    argument, a working-precision mpc.  The tuple is as exact a key as the
+    mpc, but it hashes and compares as plain integers, where ``mpc.__eq__``
+    builds two mpf objects per comparison.  ``cache_info`` and
+    ``cache_clear`` are the memo's."""
+
+    @functools.lru_cache(maxsize=_MEMO_SIZE)
+    def keyed(*args):
+        return fn(*args[:-1], _CTX.make_mpc(args[-1]))
+
+    @functools.wraps(fn)
+    def memo(*args):
+        return keyed(*args[:-1], args[-1]._mpc_)
+
+    memo.cache_info, memo.cache_clear = keyed.cache_info, keyed.cache_clear
+    return memo
+
+
 def zeta_mp(alpha):
     """zeta(alpha) for Re alpha > 0, alpha != 1, |Im alpha| <= ZETA_MAX_HEIGHT.
 
@@ -80,7 +100,7 @@ def zeta_mp(alpha):
     return _zeta(s)
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
+@_memo_on_mpc
 def _zeta(s):
     return _CTX.zeta(s)
 
@@ -107,7 +127,7 @@ def gamma_mp(alpha):
     return _gamma(z)
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
+@_memo_on_mpc
 def _gamma(z):
     return _CTX.gamma(z)
 
@@ -163,7 +183,7 @@ class _PowerRow(dict):
         return value
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
+@_memo_on_mpc
 def _prime_powers(p, s):
     return _PowerRow(_CTX.power(p, -s))
 
@@ -248,7 +268,7 @@ def mellin_real_mp(phi_inf: HermiteGaussian, alpha):
     return _pi_power(s) * total
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
+@_memo_on_mpc
 def _hermite_gamma_sum(n, s):
     """sum_r h_r 2^r Gamma(s/2 + r) over the even coefficients h_2r of H_n."""
     coeffs = hermite_coefficients(n)
@@ -260,7 +280,7 @@ def _hermite_gamma_sum(n, s):
     return inner
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
+@_memo_on_mpc
 def _pi_power(s):
     return _CTX.power(_CTX.pi, -s / 2)
 

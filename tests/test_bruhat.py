@@ -21,6 +21,7 @@ from adelic.bruhat import (
     vacuum_state,
 )
 from adelic.cyclotomic import Cyclo, phase
+from adelic.padic import frac_part, reduce_mod
 from adelic.quadrature import panel_nodes, real_fourier_transform
 
 F = Fraction
@@ -150,6 +151,183 @@ class TestScale:
         g = f.scale(phase(F(1, 4)))
         assert f.terms == before and g.terms is not f.terms
         assert g._fourier is None and g._mellin_local is None
+
+
+def reference_fold(coeff, ball, mod):
+    """The modulation folded onto the ball, as the canonical form does."""
+    mod_can = reduce_mod(mod, ball.prime, -ball.radius_exp)
+    if mod_can != mod:
+        coeff = coeff * phase(frac_part((mod - mod_can) * ball.center, ball.prime))
+    return coeff, mod_can
+
+
+def reference_terms(p, terms):
+    """The canonical form by ``Ball`` refinement: groups keyed by the center
+    mod p**k_min in order of first appearance, each region split by
+    ``Ball.subdivide`` and each inner term placed by ``Ball.contains``."""
+    raw = []
+    for coeff, ball, mod in terms:
+        coeff, mod = reference_fold(Cyclo(coeff), ball, F(mod))
+        if not coeff.is_zero():
+            raw.append((coeff, ball, mod))
+    if not raw:
+        return {}
+    k_min = min(ball.radius_exp for _, ball, _ in raw)
+    groups = {}
+    for term in raw:
+        groups.setdefault(reduce_mod(term[1].center, p, k_min), []).append(term)
+    out = {}
+
+    def refine(region, items):
+        level = region.radius_exp
+        covering = [t for t in items if t[1].radius_exp <= level]
+        inner = [t for t in items if t[1].radius_exp > level]
+        if not inner:
+            for coeff, _, mod in covering:
+                c, m = reference_fold(coeff, region, mod)
+                out[region, m] = out[region, m] + c if (region, m) in out else c
+            return
+        for child in region.subdivide(level + 1):
+            sub = covering + [t for t in inner if child.contains(t[1].center)]
+            if sub:
+                refine(child, sub)
+
+    for key, members in groups.items():
+        refine(Ball(p, key, k_min), members)
+    return {key: c for key, c in out.items() if not c.is_zero()}
+
+
+@st.composite
+def deep_raw_terms(draw):
+    """A prime in {2, 3, 7} and one to six modulated balls: centers with
+    denominators up to p**3 (deeper than many radii), radii from -3 to 3
+    (chains several levels deep) and modulations whose denominators may be
+    prime to p."""
+    p = draw(st.sampled_from((2, 3, 7)))
+    other = 3 if p != 3 else 2
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        coeff = (Cyclo(F(draw(st.integers(-3, 3)), draw(st.integers(1, 3))))
+                 + phase(F(1, 4)) * draw(st.integers(-1, 1)))
+        center = F(draw(st.integers(-20, 20)), p ** draw(st.integers(0, 3)))
+        mod = F(draw(st.integers(-9, 9)), draw(st.sampled_from((1, other, p, p * p, p**3))))
+        terms.append((coeff, Ball(p, center, draw(st.integers(-3, 3))), mod))
+    return p, terms
+
+
+def mapped_reflection(f):
+    """The canonical form of the raw terms of f(-x): each ball and
+    modulation negated, canonicalized from scratch."""
+    p = f.prime
+    return PAdicTestFunction(
+        p, [(c, Ball(p, -ball.center, ball.radius_exp), -mod) for (ball, mod), c in f.terms.items()]
+    )
+
+
+class TestCanonicalOrder:
+    """The canonical form, its term order included, equals the one built by
+    ``Ball`` refinement; ``mellin`` sums 50-digit coefficients in that order."""
+
+    @staticmethod
+    def assert_reference(p, terms):
+        got = list(PAdicTestFunction(p, terms).terms.items())
+        assert got == list(reference_terms(p, terms).items())
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(deep_raw_terms())
+    def test_terms_and_order_equal_the_ball_refinement(self, raw):
+        self.assert_reference(*raw)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(deep_raw_terms(), deep_raw_terms())
+    def test_sums_products_and_transforms_equal_the_reference_in_order(self, raw1, raw2):
+        p, terms = raw1
+        f = PAdicTestFunction(p, terms)
+        g = PAdicTestFunction(p, [(c, Ball(p, b.center, b.radius_exp), m) for c, b, m in raw2[1]])
+        # the raw terms that the transform and the product canonicalize
+        transform = [(c * F(p) ** -b.radius_exp * phase(frac_part(m * b.center, p)),
+                      Ball(p, -m, -b.radius_exp), b.center) for (b, m), c in f.terms.items()]
+        product = [(c1 * c2, b2 if b1.contains_ball(b2) else b1, m1 + m2)
+                   for (b1, m1), c1 in f.terms.items() for (b2, m2), c2 in g.terms.items()
+                   if b1.contains_ball(b2) or b2.contains_ball(b1)]
+        for h, raw in ((f + g, f._term_list() + g._term_list()),
+                       (f - g, f._term_list() + (-g)._term_list()),
+                       (f * g, product), (f.fourier(), transform)):
+            assert list(h.terms.items()) == list(reference_terms(p, raw).items())
+
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_center_deeper_than_its_radius(self, p):
+        deep = Ball(p, F(1, p**3), -1)
+        assert deep.center == F(1, p**3)
+        self.assert_reference(p, [(1, deep, 0), (2, Ball(p, F(1, p**3) + p, 1), F(1, p))])
+        self.assert_reference(p, [(2, Ball(p, F(0), -2), F(1, p)), (1, deep, 0),
+                                  (-1, Ball(p, F(1, p**3), 2), 0)])
+
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_negative_radii_and_deep_chains(self, p):
+        chain = [(1, Ball(p, F(0), -2), 0), (F(1, 2), Ball(p, F(1, p), -1), F(1, p**3)),
+                 (-1, Ball(p, F(1, p) + 1, 0), 0), (3, Ball(p, F(1, p) + 1 + p, 1), F(1, p)),
+                 (1, Ball(p, F(1, p) + 1 + p + p * p, 3), F(2, p**2))]
+        self.assert_reference(p, chain)
+        self.assert_reference(p, chain[::-1])
+        # a leaf three or more levels below the coarsest ball, and siblings
+        f = PAdicTestFunction(p, chain)
+        assert max(b.radius_exp for b, _ in f.terms) - min(b.radius_exp for b, _ in f.terms) >= 3
+
+    def test_modulation_with_a_denominator_prime_to_p(self):
+        p = 2
+        terms = [(1, Ball(p, F(0), 0), F(1, 3)), (1, Ball(p, F(1, 2), -1), F(1, 3)),
+                 (2, Ball(p, F(2), 2), F(-5, 3)), (1, Ball(p, F(3, 8), -1), F(7, 12))]
+        self.assert_reference(p, terms)
+        f = PAdicTestFunction(p, terms)
+        for x in (F(0), F(1), F(2), F(6), F(1, 2), F(3, 8), F(-5, 8)):
+            expected = sum((Cyclo(c) * phase(frac_part(F(m) * x, p))
+                            for c, b, m in terms if b.contains(x)), Cyclo(0))
+            assert f.evaluate(x) == expected, x
+
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_inputs_that_cancel_to_zero(self, p):
+        whole = [(1, Ball(p, F(0), 0), 0)]
+        digits = [(-1, Ball(p, F(t), 1), 0) for t in range(p)]
+        assert reference_terms(p, whole + digits) == {}
+        assert PAdicTestFunction(p, whole + digits).terms == {}
+        chain = [(1, Ball(p, F(0), -1), F(1, p**2)), (phase(F(1, 3)), Ball(p, F(1, p), 2), 0)]
+        negated = [(-c, b, m) for c, b, m in chain]
+        assert PAdicTestFunction(p, chain + negated).terms == {}
+        # a cancelling leaf leaves its siblings in reference order
+        self.assert_reference(p, chain + [(-phase(F(1, 3)), Ball(p, F(1, p), 2), 0)])
+
+    def test_each_inner_term_goes_to_the_child_of_its_digit(self):
+        # the finer balls differ only in the digit just below the coarse
+        # level; a wrong digit merges or misplaces them
+        p = 3
+        terms = [(1, Ball(p, F(0), 0), 0)] + [
+            (t + 1, Ball(p, F(t * p + 1), 2), 0) for t in range(p)]
+        f = PAdicTestFunction(p, terms)
+        assert list(f.terms.items()) == list(reference_terms(p, terms).items())
+        for t in range(p):
+            assert f.evaluate(F(t * p + 1)) == Cyclo(t + 2)
+        assert f.evaluate(F(2)) == Cyclo(1)
+
+
+class TestReflect:
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(deep_raw_terms())
+    def test_reflection_is_the_canonical_form_of_the_mapped_terms(self, raw):
+        f = PAdicTestFunction(*raw)
+        for g in (f, f.fourier(), f.fourier().fourier()):
+            assert g.reflect().terms == mapped_reflection(g).terms
+            assert g.reflect().reflect().terms == g.terms
+
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_reflection_evaluates_at_minus_x(self, p):
+        f = PAdicTestFunction(p, [(1, Ball(p, F(1, p), -1), F(1, p**3)),
+                                  (F(1, 2), Ball(p, F(2), 1), F(3, p**2)),
+                                  (phase(F(1, 4)), Ball(p, F(0), 2), F(-1, p**3))])
+        assert any(mod for _, mod in f.terms)
+        g = f.reflect()
+        for x in (F(0), F(1), F(-1), F(2), F(1, p), F(-2, p), F(p + 2), F(2 * p * p)):
+            assert g.evaluate(x) == f.evaluate(-x), x
 
 
 class TestFourierP:

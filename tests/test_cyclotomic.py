@@ -216,3 +216,27 @@ def test_stored_terms_are_the_canonical_terms(x):
     assert math.gcd(n, *numerators) == 1 and math.gcd(den, *numerators.values()) == 1
     assert Cyclo.from_coordinates(n, den, numerators) == x
     assert x.canonical() == {F(j, n): F(c, den) for j, c in numerators.items()}
+
+
+def _stored(x: Cyclo):
+    n, den, numerators = x.coordinates()
+    return n, den, dict(numerators)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.fractions(min_value=-50, max_value=50, max_denominator=360),
+))
+def test_phase_of_a_rational_is_the_one_term_cyclo(q):
+    # ints, negative and improper fractions, denominators prime to any p
+    assert phase(q) == Cyclo({q: 1})
+    assert _stored(phase(q)) == _stored(Cyclo({q: 1}))
+
+
+@pytest.mark.parametrize("q", [0, 7, -3, True, F(-7, 3), F(17, 5), F(-1, 12), F(5, 6),
+                               F(7, 1), 0.25, -0.375, 1.5, 0.1])
+def test_phase_of_each_argument_type_is_the_one_term_cyclo(q):
+    assert phase(q) == Cyclo({q: 1})
+    assert _stored(phase(q)) == _stored(Cyclo({q: 1}))
+    assert _stored(phase(q)) == _stored(phase(F(q) % 1))
