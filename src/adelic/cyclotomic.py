@@ -330,11 +330,10 @@ def _fractions(x: Cyclo) -> dict[Fraction, Fraction]:
 
 
 def phase(q: Fraction | int) -> Cyclo:
-    """The unit phase e^(2*pi*i*q) as a Cyclo."""
-    if isinstance(q, (int, Fraction)):  # one basis expansion, no dict of phases
-        n = q.denominator
-        return _from_exponents(n, 1, ((q.numerator % n, 1),))
-    return Cyclo({q: 1})
+    """The unit phase e^(2*pi*i*q) as a Cyclo (q is read as Fraction(q))."""
+    q = Fraction(q)
+    n = q.denominator
+    return _from_exponents(n, 1, ((q.numerator % n, 1),))
 
 
 def cyclo_sum(items: Iterable[Scalar]) -> Cyclo:
