@@ -150,12 +150,15 @@ def lambda_product_check(a: Fraction | int) -> UnitPhase:
 
 def _lambda_ball(p: int, ball: Ball, b: Fraction, mod: Fraction) -> Cyclo:
     """The Lambda integrand gamma_p(c, b) chi_p(mod*c) over a ball away from 0,
-    as a stabilized residue sum (gamma_p = ``gauss_integral_p_exact``).
+    summed once at its constancy level (gamma_p = ``gauss_integral_p_exact``).
 
     Only the phase is summed; the surd |2c|_p^(-1/2) is constant on a ball
-    without 0.  The sum starts at a sound constancy level: lam_p and |2c|
-    are fixed by the unit class (``lambda_class_depth``); chi(beta/c),
-    beta = -b^2/4, moves by beta*y/(c(c+y)), chi(mod*c) by mod*y.
+    without 0.  The phase is constant on cosets of p**L Z_p for L at least
+    each of four bounds, and their maximum is the certificate: the radius
+    k; v(c) + ``lambda_class_depth``, which fixes lam_p's unit class;
+    2 v(c) - v(beta), as chi(beta/c), beta = -b^2/4, moves by
+    beta*y/(c(c+y)); and -v(mod), as chi(mod*c) moves by chi(mod*y), which
+    binds for integral mod too on balls wider than Z_p.
     """
     k = ball.radius_exp
     vc = valuation(ball.center, p).value
@@ -163,9 +166,7 @@ def _lambda_ball(p: int, ball: Ball, b: Fraction, mod: Fraction) -> Cyclo:
     if b != 0:
         lvl = max(lvl, 2 * vc - valuation(-b * b / 4, p).value)
     if mod != 0:
-        vm = valuation(mod, p).value
-        if vm < 0:
-            lvl = max(lvl, -vm)
+        lvl = max(lvl, -valuation(mod, p).value)
     part = stabilized_ball_sum(
         p, ball,
         lambda c: (gauss_polar(p, c, b)[0] * chi_p(mod * c, p)).as_cyclo(),
@@ -179,12 +180,13 @@ def _lambda_ball(p: int, ball: Ball, b: Fraction, mod: Fraction) -> Cyclo:
 def lambda_local_transform(p: int, f: PAdicTestFunction, b_p: Fraction) -> Cyclo:
     """Lambda_p[f](b) = int lam_p(a) |2a|_p^(-1/2) chi_p(-b^2/(4a)) f(a) da.
 
-    Exact: balls away from 0 are stabilized residue sums; a ball p**k Z_p
-    around 0 is summed sphere by sphere, the spheres vanishing identically
-    for v > v(b^2/4) + 1 when b != 0 (a Moebius substitution turns the
-    class integrals into ball character integrals of conductor beyond the
-    ball size), while for b = 0 the even spheres form an exact geometric
-    series with sum p**(-V/2).
+    Exact: a ball away from 0 is one residue sum at its certified level
+    (``_lambda_ball``); a ball p**k Z_p around 0 is summed sphere by
+    sphere up to a certified cut (``_lambda_ball_at_zero``), past which
+    the spheres vanish identically when b != 0 (a Moebius substitution
+    turns the class integrals into ball character integrals of conductor
+    beyond the ball size), while for b = 0 the even spheres form an exact
+    geometric series with sum p**(-V/2).
     """
     require_prime(p)
     b_p = Fraction(b_p)
@@ -202,7 +204,7 @@ def _lambda_ball_at_zero(p: int, k: int, b: Fraction, mod: Fraction) -> Cyclo:
 
     The Moebius substitution argument kills spheres beyond v(beta),
     beta = -b^2/4, plus the level where lam_p is constant on a class ball
-    (``lambda_class_depth``).
+    (``lambda_class_depth``); beyond -v(mod), chi(mod*a) is 1.
     """
     v_cut = k
     if b != 0:

@@ -13,7 +13,9 @@ comparing it with the exact sqrt(p) surd take time that grows with p, so
 every prime whose square is over the budget stays inconclusive.
 
 Point-value integrands have no period to read off; ``stabilized_ball_sum``
-refines them from a start level until two successive levels agree exactly.
+sums them once over the cosets of a constancy level that its caller
+derives.  That level is their certificate, and a sum whose cosets are
+over the budget is reported unstabilized without a point evaluated.
 
 The full-space Gauss integral is the limit of the integrals over the
 balls p**(-J) Z_p.  Spheres |x|_p = p**j vanish identically once the
@@ -43,7 +45,7 @@ from .primes import require_prime
 F = Fraction
 
 
-_COSET_BUDGET = 1 << 23  # residues per ball or refinement level: the one work bound
+_COSET_BUDGET = 1 << 23  # residues or cosets per ball: the one work bound
 _SLICE = 1 << 20  # residues counted per numpy pass
 
 
@@ -69,39 +71,31 @@ def stabilized_ball_sum(
     p: int,
     ball: Ball,
     point_value: Callable[[Fraction], Cyclo],
-    start_level: int,
+    level: int,
 ) -> QpIntegral:
-    """Refine ball into cosets of p**m Z_p, m >= start_level, until two
-    levels agree exactly.
+    """Sum point_value over the cosets of p**level Z_p in ball, exactly.
 
     ``point_value`` must be exact (Cyclo-valued) and constant on the
-    cosets of p**start_level Z_p for the stabilized value to be the true
-    integral.  A level is stable when its sum is p times the previous one:
-    at local constancy each coset splits into p cosets of its own value.
-    Level start_level + 1 confirms the start level; when it exceeds the
-    coset budget nothing is enumerated.
+    cosets of p**level Z_p: the caller's level is the certificate, and
+    the integral is p**(-level) times the sum of one value per coset.
+    When the p**(level - k) cosets are over the budget, no point is
+    evaluated and the result is unstabilized.
     """
     require_prime(p)
     k = ball.radius_exp
-    step = F(p) ** k
-    level = max(k, start_level)
-    if p ** (level + 1 - k) > _COSET_BUDGET:
+    level = max(k, level)
+    if p ** (level - k) > _COSET_BUDGET:
         return QpIntegral(Cyclo(), False)
-    prev = None
-    while p ** (level - k) <= _COSET_BUDGET:
-        # integer coordinates, summed per (conductor, denominator)
-        sums: dict[tuple[int, int], dict[int, int]] = {}
-        for t in range(p ** (level - k)):
-            n, den, numerators = point_value(ball.center + t * step).coordinates()
-            acc = sums.setdefault((n, den), {})
-            for j, c in numerators.items():
-                acc[j] = acc.get(j, 0) + c
-        total = cyclo_sum(Cyclo.from_coordinates(n, den, acc) for (n, den), acc in sums.items())
-        if prev is not None and total == prev * p:
-            return QpIntegral(total * F(p) ** (-level), True)
-        prev = total
-        level += 1
-    return QpIntegral(Cyclo(), False)
+    step = F(p) ** k
+    # integer coordinates, summed per (conductor, denominator)
+    sums: dict[tuple[int, int], dict[int, int]] = {}
+    for t in range(p ** (level - k)):
+        n, den, numerators = point_value(ball.center + t * step).coordinates()
+        acc = sums.setdefault((n, den), {})
+        for j, c in numerators.items():
+            acc[j] = acc.get(j, 0) + c
+    total = cyclo_sum(Cyclo.from_coordinates(n, den, acc) for (n, den), acc in sums.items())
+    return QpIntegral(total * F(p) ** (-level), True)
 
 
 def integrate_ball_character(

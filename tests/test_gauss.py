@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from adelic import gauss
 from adelic.adeles import Adele, principal_adele, principal_idele
 from adelic.bruhat import Ball, ElementaryFunction, HermiteGaussian, PAdicTestFunction
 from adelic.cyclotomic import Cyclo, UnitPhase
@@ -23,8 +24,8 @@ from adelic.gauss import (
     lambda_transform,
     sqrt_norm_2a_inv,
 )
-from adelic.integrate import integrate_qp
-from adelic.padic import padic_norm
+from adelic.integrate import Unstabilized, integrate_qp
+from adelic.padic import padic_norm, valuation
 from adelic.quadrature import fresnel_regularized
 
 F = Fraction
@@ -241,6 +242,100 @@ class TestLambdaTransform:
         v1 = lambda_transform(phi, b)
         v2 = lambda_transform(phi2, b)
         assert abs(v2 - 3 * v1) < 1e-9
+
+
+def _unit(rng, p):
+    return rng.choice([u for u in range(1, p * p) if u % p])
+
+
+class TestLambdaCertificates:
+    """Each p-adic sum of the Lambda transform rests on a derived
+    certificate: a constancy level away from 0, a sphere cut around it."""
+
+    def test_derived_level_equals_the_sum_one_level_finer(self, monkeypatch):
+        # every _lambda_ball sum at its derived level is checked against the
+        # same point-value sum one level finer; the draws include balls
+        # wider than Z_p with integral modulations, b = 0 and v(b) < 0
+        real = gauss.stabilized_ball_sum
+        levels = []
+
+        def one_level_finer(p, ball, point_value, level):
+            res = real(p, ball, point_value, level)
+            finer = real(p, ball, point_value, level + 1)
+            assert res.stabilized and finer.stabilized
+            assert res.value == finer.value, (p, ball, level)
+            levels.append(level)
+            return res
+
+        monkeypatch.setattr(gauss, "stabilized_ball_sum", one_level_finer)
+        rng = random.Random(20261019)
+        cells = []
+        for _ in range(100):
+            p = rng.choice([2, 3, 5])
+            v = rng.randint(-3, 2)
+            ball = Ball(p, F(_unit(rng, p)) * F(p) ** v, v + rng.randint(1, 2))
+            w = _unit(rng, p)
+            b = rng.choice([F(0), F(1), F(w, p), F(w * p), F(rng.randint(2, 40))])
+            mod = rng.choice([F(0), F(w), F(w, p), F(w, p * p), F(w * p)])
+            gauss._lambda_ball(p, ball, b, mod)
+            cells.append((p, ball.radius_exp, b, mod))
+        assert len(levels) == len(cells)
+        assert any(k < 0 and m != 0 and m.denominator == 1 for _, k, _, m in cells)
+        assert any(b == 0 for _, _, b, _ in cells)
+        assert any(b != 0 and valuation(b, p).value < 0 for p, _, b, _ in cells)
+
+    @pytest.mark.parametrize(
+        "p,k,mod,b", [(5, -2, 4, 1), (3, -2, 2, 0), (7, -2, 48, 42), (5, -2, 1, 0)]
+    )
+    def test_integral_modulation_on_a_ball_wider_than_zp(self, p, k, mod, b):
+        # chi(mod*y) is trivial on p**L Z_p only for L >= -v(mod), so the
+        # spheres of p**k Z_p with radius below 0 must be summed at level 0
+        # or deeper
+        f = PAdicTestFunction(p, [(1, Ball(p, F(0), k), F(mod))])
+        assert lambda_local_transform(p, f, F(b)) == Cyclo(2)
+
+    def test_spheres_past_the_cut(self):
+        # the two spheres just past _lambda_ball_at_zero's cut sum to 0 when
+        # b != 0, and for b = 0 to the change in the geometric tail
+        # p**(-V/2), V the first even valuation past the cut; the transform
+        # is the spheres up to the cut plus that tail.  A ball of sphere v
+        # costs p**(v - v(beta) - 1) points, so p <= 5 and v(b) >= -1
+        rng = random.Random(20261020)
+        for _ in range(40):
+            p = rng.choice([2, 3, 5])
+            k = rng.randint(-2, 0)
+            w = _unit(rng, p)
+            b = rng.choice([F(0), F(1), F(w, p), F(w * p), F(rng.randint(2, 40))])
+            mod = rng.choice([F(0), F(w), F(w, p)])
+            v_cut = k
+            if b != 0:
+                v_cut = max(v_cut, valuation(-b * b / 4, p).value + gauss.lambda_class_depth(p))
+            if mod != 0:
+                v_cut = max(v_cut, -valuation(mod, p).value)
+            sphere = {
+                v: sum(
+                    (gauss._lambda_ball(p, Ball(p, F(u) * F(p) ** v, v + 1), b, mod)
+                     for u in range(1, p)),
+                    Cyclo(),
+                )
+                for v in range(k, v_cut + 3)
+            }
+            # p**(-V/2), with V/2 = (v_cut + 2) // 2
+            tail = Cyclo() if b != 0 else Cyclo(F(p) ** -((v_cut + 2) // 2))
+            case = (p, k, b, mod)
+            assert sphere[v_cut + 1] + sphere[v_cut + 2] == tail - tail * F(1, p), case
+            inner = sum((sphere[v] for v in range(k, v_cut + 1)), Cyclo())
+            assert gauss._lambda_ball_at_zero(p, k, b, mod) == inner + tail, case
+
+    def test_over_budget_ball_raises_without_a_point(self, monkeypatch):
+        # v(beta) = -40 puts the constancy level of the unit ball at 40
+        seen = []
+        real = gauss.gauss_polar
+        monkeypatch.setattr(gauss, "gauss_polar", lambda *args: seen.append(args) or real(*args))
+        f = PAdicTestFunction.indicator(Ball(3, F(1), 1))
+        with pytest.raises(Unstabilized, match="Lambda transform"):
+            lambda_local_transform(3, f, F(1, 3**20))
+        assert seen == []
 
 
 class TestSqrtNorm:

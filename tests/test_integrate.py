@@ -91,10 +91,9 @@ class TestBallCharacter:
         assert not res.stabilized
 
     def test_over_budget_ball_sum_enumerates_nothing(self):
-        # the deepest affordable level m of Z_3: the level m + 1 that would
-        # confirm it has 3**(m + 1) cosets, over the budget
+        # the shallowest level m of Z_3 whose 3**m cosets are over the budget
         m = 0
-        while 3 ** (m + 1) <= integrate._COSET_BUDGET:
+        while 3**m <= integrate._COSET_BUDGET:
             m += 1
         seen = []
 
@@ -106,7 +105,7 @@ class TestBallCharacter:
         assert not res.stabilized
         assert seen == []
 
-    def test_budget_bounds_the_confirming_level(self, monkeypatch):
+    def test_budget_bounds_the_summed_level(self, monkeypatch):
         monkeypatch.setattr(integrate, "_COSET_BUDGET", 8)
         seen = []
 
@@ -114,13 +113,13 @@ class TestBallCharacter:
             seen.append(x)
             return Cyclo(1)
 
-        # levels 2 and 3 of Z_2: 4 + 8 cosets, the second within budget
-        res = stabilized_ball_sum(2, Ball(2, F(0), 0), point_value, 2)
+        # level 3 of Z_2: one point in each of its 8 cosets, no deeper level
+        res = stabilized_ball_sum(2, Ball(2, F(0), 0), point_value, 3)
         assert res.stabilized and res.value == Cyclo(1)
-        assert len(seen) == 12
+        assert sorted(seen) == [F(t) for t in range(8)]
         seen.clear()
-        # level 4 would need 16 cosets to confirm level 3
-        assert not stabilized_ball_sum(2, Ball(2, F(0), 0), point_value, 3).stabilized
+        # level 4 has 16 cosets, over the budget
+        assert not stabilized_ball_sum(2, Ball(2, F(0), 0), point_value, 4).stabilized
         assert seen == []
 
     def test_period_of_ball_larger_than_zp(self):
@@ -131,10 +130,10 @@ class TestBallCharacter:
         assert res.value == Cyclo(0)
 
     def test_point_values_and_residue_recurrence_agree(self):
-        # the refinement loop over point values, started at the period's
-        # level k + d, must agree with the one-period residue count on the
-        # flag and on the value.  Centres of valuation down to -3, below
-        # the radius, put chi(A) in front
+        # the point-value sum at the period's level k + d must agree with
+        # the one-period residue count on the flag and on the value.
+        # Centres of valuation down to -3, below the radius, put chi(A) in
+        # front
         rng = random.Random(20260810)
         for _ in range(80):
             p = rng.choice([2, 3, 5])
