@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .adeles import Adele
-from .cyclotomic import Cyclo, Scalar, phase
+from .cyclotomic import Cyclo, Scalar, phase, phase_sum
 from .padic import frac_part, reduce_mod, valuation
 from .primes import require_prime
 
@@ -122,9 +122,9 @@ class PAdicTestFunction:
             coeff, ball, mod = item if len(item) == 3 else (*item, F(0))
             if ball.prime != prime:
                 raise ValueError("mixed primes in one test function")
-            coeff, ball, mod = _fold_modulation(Cyclo(coeff), ball, Fraction(mod))
+            coeff = Cyclo(coeff)
             if not coeff.is_zero():
-                raw.append((coeff, ball, mod))
+                raw.append((coeff, ball, Fraction(mod)))
         self.terms: dict[TermKey, Cyclo] = _canonicalize(prime, raw)
         self._fourier: PAdicTestFunction | None = None
         self._mellin_local = None
@@ -245,15 +245,20 @@ class PAdicTestFunction:
 
         x -> -x maps the disjoint balls of the canonical form to disjoint
         balls, so each term only folds its negated modulation on the
-        mapped ball, without canonicalizing again.  The terms keep the
-        order of ``self.terms``, which can differ from the order that
-        canonicalizing the mapped terms would give; the dicts are equal.
+        mapped ball (the integer fold of ``_canonicalize``), without
+        canonicalizing again.  The terms keep the order of ``self.terms``,
+        which can differ from the order that canonicalizing the mapped
+        terms would give; the dicts are equal.
         """
         p = self.prime
         out = PAdicTestFunction(p)
+        pj = max((ball.center.denominator for ball, _ in self.terms), default=1)
+        folds = _Folds(p, pj)
         for (ball, mod), c in self.terms.items():
-            c, ball, mod = _fold_modulation(c, Ball(p, -ball.center, ball.radius_exp), -mod)
-            out.terms[ball, mod] = c
+            center = -ball.center
+            addr = center.numerator * (pj // center.denominator)
+            mod_can, d, m = folds[-mod, ball.radius_exp]
+            out.terms[Ball(p, center, ball.radius_exp), mod_can] = phase_sum([(c, d * addr % m, m)])
         return out
 
     # -- comparison ------------------------------------------------------------
@@ -281,13 +286,38 @@ class PAdicTestFunction:
         return f"PAdicTestFunction(p={self.prime}, {len(self.terms)} terms)"
 
 
-def _fold_modulation(coeff: Cyclo, ball: Ball, mod: Fraction):
-    """Reduce the modulation to its canonical representative on the ball."""
-    p, k = ball.prime, ball.radius_exp
-    mod_can = reduce_mod(mod, p, -k)
-    if mod_can != mod:
-        coeff = coeff * phase(frac_part((mod - mod_can) * ball.center, p))
-    return coeff, ball, mod_can
+class _Folds(dict):
+    """(mod, level) -> (mod_can, d, m), filled on first use, for balls with
+    centers addr / pj.
+
+    mod_can = reduce_mod(mod, p, -level) is the canonical modulation of a
+    level-``level`` ball, and on the ball with center addr / pj,
+    chi(mod x) = e((d * addr mod m) / m) * chi(mod_can x).  With
+    mod - mod_can = a / (b * p**e), b prime to p, the phase is
+    chi((mod - mod_can) * addr / pj) = e(a * b^-1 * addr / (p**e * pj)),
+    so m = p**e * pj and d = a * b^-1 mod m, both divided by gcd(d, m).
+    One table serves one set of balls; it is not kept between them.
+    """
+
+    __slots__ = ("prime", "pj")
+
+    def __init__(self, prime: int, pj: int):
+        super().__init__()
+        self.prime, self.pj = prime, pj
+
+    def __missing__(self, key: tuple[Fraction, int]) -> tuple[Fraction, int, int]:
+        mod, level = key
+        p = self.prime
+        mod_can = reduce_mod(mod, p, -level)
+        diff = mod - mod_can
+        a, b, m = diff.numerator, diff.denominator, self.pj
+        while b % p == 0:
+            b //= p
+            m *= p
+        d = a * pow(b, -1, m) % m
+        g = math.gcd(d, m)
+        out = self[key] = (mod_can, d // g, m // g)
+        return out
 
 
 def _canonicalize(prime: int, raw: list) -> dict[TermKey, Cyclo]:
@@ -298,17 +328,28 @@ def _canonicalize(prime: int, raw: list) -> dict[TermKey, Cyclo]:
     c + p**k Z_p is the class of the integer N = c * p**j modulo p**(k+j).
     Terms are grouped by N mod p**(k_min+j), the child t of a level-L
     region has address addr + t * p**(L+j), and an inner term goes to the
-    child named by its digit N // p**(L+j) % p.  A ``Ball`` is built only
-    for each leaf.
+    child named by its digit N // p**(L+j) % p.
 
     Coarse balls are split only along the chains leading to finer terms
     (p-1 siblings per level), never into the full p**delta grid, so the
     canonical form stays linear in the input size.
 
+    Each term is folded on each leaf it reaches, in integers: on the
+    level-L leaf with address addr its modulation becomes
+    mod_can = reduce_mod(mod, p, -L) times the phase e((d * addr mod m) / m),
+    with d and m computed once per (mod, L) and call (``_Folds``).  Raw
+    modulations are not folded first: a fold on the term's own ball and
+    then on the leaf differs from one fold on the leaf by
+    chi((mod - mod_k) * (c' - c)), whose argument is integral.  Each leaf
+    key (addr, L, mod_can) collects (coefficient, shift, modulus) parts and
+    is summed into one ``Cyclo`` at the end (``phase_sum``); a ``Ball`` is
+    built only for a nonzero sum.
+
     Term order is part of the result: groups come in order of first
-    appearance and children in digit order t = 0..p-1, and a region with
-    covering terms recurses into every child.  ``mellin`` sums 50-digit
-    coefficients in this order, so its values depend on it.
+    appearance and children in digit order t = 0..p-1, a region with
+    covering terms recurses into every child, and keys keep the order of
+    their first part.  ``mellin`` sums 50-digit coefficients in this
+    order, so its values depend on it.
     """
     if not raw:
         return {}
@@ -319,13 +360,20 @@ def _canonicalize(prime: int, raw: list) -> dict[TermKey, Cyclo]:
     for coeff, ball, mod in raw:
         n = ball.center.numerator * (pj // ball.center.denominator)
         groups.setdefault(n % step, []).append((n, ball.radius_exp, coeff, mod))
-    merged: dict[TermKey, Cyclo] = {}
+    leaves: dict[tuple[int, int, Fraction], list] = {}
+    folds = _Folds(prime, pj)
     for addr, members in groups.items():
-        _refine_region(prime, pj, addr, k_min, step, members, merged)
-    return {key: c for key, c in merged.items() if not c.is_zero()}
+        _refine_region(prime, addr, k_min, step, members, folds, leaves)
+    terms: dict[TermKey, Cyclo] = {}
+    for (addr, level, mod), parts in leaves.items():
+        coeff = phase_sum(parts)
+        if not coeff.is_zero():
+            terms[Ball(prime, F(addr, pj), level), mod] = coeff
+    return terms
 
 
-def _refine_region(prime: int, pj: int, addr: int, level: int, step: int, items: list, out: dict):
+def _refine_region(prime: int, addr: int, level: int, step: int, items: list,
+                   folds: _Folds, leaves: dict):
     """Recursive partition refinement of one overlap cluster: the region
     at ``level`` with residue address ``addr`` modulo ``step`` = p**(level+j)."""
     covering = []
@@ -336,17 +384,13 @@ def _refine_region(prime: int, pj: int, addr: int, level: int, step: int, items:
         else:
             buckets.setdefault(term[0] // step % prime, []).append(term)
     if not buckets:
-        region = Ball(prime, F(addr, pj), level)
-        for _, k, coeff, mod in covering:
-            if k != level:  # on its own ball, __init__ already folded it
-                coeff, _, mod = _fold_modulation(coeff, region, mod)
-            key = (region, mod)
-            acc = out.get(key)
-            out[key] = coeff if acc is None else acc + coeff
+        for _, _, coeff, mod in covering:
+            mod_can, d, m = folds[mod, level]
+            leaves.setdefault((addr, level, mod_can), []).append((coeff, d * addr % m, m))
         return
     for t in range(prime) if covering else sorted(buckets):
         sub = covering + buckets.get(t, [])
-        _refine_region(prime, pj, addr + t * step, level + 1, step * prime, sub, out)
+        _refine_region(prime, addr + t * step, level + 1, step * prime, sub, folds, leaves)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .primes import factorize
 
@@ -341,6 +341,24 @@ def cyclo_sum(items: Iterable[Scalar]) -> Cyclo:
     for x in items:
         total = total + x
     return total
+
+
+def phase_sum(parts: Sequence[tuple[Cyclo, int, int]]) -> Cyclo:
+    """sum c * e(s/m) over the (c, s, m) parts, integer s and m >= 1.
+
+    Every part is lifted to one lcm of conductors and of denominators, its
+    exponents shifted by s, and the whole sum rewritten onto the basis
+    once, with no Cyclo in between.  One part with s = 0 is returned as
+    it is.
+    """
+    if len(parts) == 1 and parts[0][1] == 0:
+        return parts[0][0]
+    n = math.lcm(*(c._n for c, _, _ in parts), *(m for _, _, m in parts))
+    den = math.lcm(*(c._den for c, _, _ in parts))
+    lifted = [(c._terms, n // c._n, s * (n // m), den // c._den) for c, s, m in parts]
+    return _from_exponents(n, den, (
+        ((j * lift + shift) % n, a * f)
+        for terms, lift, shift, f in lifted for j, a in terms.items()))
 
 
 _SQRT_CACHE: dict[int, Cyclo] = {}

@@ -204,13 +204,15 @@ def _lambda_ball_at_zero(p: int, k: int, b: Fraction, mod: Fraction) -> Cyclo:
 
     The Moebius substitution argument kills spheres beyond v(beta),
     beta = -b^2/4, plus the level where lam_p is constant on a class ball
-    (``lambda_class_depth``); beyond -v(mod), chi(mod*a) is 1.
+    (``lambda_class_depth``); from the sphere -v(mod) on, chi(mod*a) is 1,
+    so the tail or that vanishing covers it and the cut needs only the
+    sphere below.
     """
     v_cut = k
     if b != 0:
         v_cut = max(v_cut, valuation(-b * b / 4, p).value + lambda_class_depth(p))
     if mod != 0:
-        v_cut = max(v_cut, -valuation(mod, p).value)
+        v_cut = max(v_cut, -valuation(mod, p).value - 1)
     total = Cyclo()
     for v in range(k, v_cut + 1):
         # the sphere |a|_p = p**-v, tiled by its p - 1 leading-digit balls

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -199,7 +200,9 @@ def reference_terms(p, terms):
 
 @st.composite
 def deep_raw_terms(draw):
-    """A prime in {2, 3, 7} and one to six modulated balls: centers with
+    """A prime in {2, 3, 7} and one to six modulated balls: coefficients
+    with phases of conductor 4, 3, 5, 8 or 9 (so a leaf's sum lifts them
+    and the p-power phases of its folds to one lcm), centers with
     denominators up to p**3 (deeper than many radii), radii from -3 to 3
     (chains several levels deep) and modulations whose denominators may be
     prime to p."""
@@ -207,12 +210,26 @@ def deep_raw_terms(draw):
     other = 3 if p != 3 else 2
     terms = []
     for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.sampled_from((4, 3, 5, 8, 9)))
         coeff = (Cyclo(F(draw(st.integers(-3, 3)), draw(st.integers(1, 3))))
-                 + phase(F(1, 4)) * draw(st.integers(-1, 1)))
+                 + phase(F(draw(st.integers(1, n - 1)), n)) * draw(st.integers(-1, 1)))
         center = F(draw(st.integers(-20, 20)), p ** draw(st.integers(0, 3)))
         mod = F(draw(st.integers(-9, 9)), draw(st.sampled_from((1, other, p, p * p, p**3))))
         terms.append((coeff, Ball(p, center, draw(st.integers(-3, 3))), mod))
     return p, terms
+
+
+def coordinates(c):
+    n, den, numerators = c.coordinates()
+    return n, den, dict(numerators)
+
+
+def assert_same_terms(f, want):
+    """f's terms equal ``want`` in order, and so do the stored coordinates:
+    the conductor and denominator of each one-shot leaf sum are those of
+    the term-by-term reference sum."""
+    assert list(f.terms.items()) == list(want.items())
+    assert [coordinates(c) for c in f.terms.values()] == [coordinates(c) for c in want.values()]
 
 
 def mapped_reflection(f):
@@ -230,8 +247,7 @@ class TestCanonicalOrder:
 
     @staticmethod
     def assert_reference(p, terms):
-        got = list(PAdicTestFunction(p, terms).terms.items())
-        assert got == list(reference_terms(p, terms).items())
+        assert_same_terms(PAdicTestFunction(p, terms), reference_terms(p, terms))
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(deep_raw_terms())
@@ -253,7 +269,7 @@ class TestCanonicalOrder:
         for h, raw in ((f + g, f._term_list() + g._term_list()),
                        (f - g, f._term_list() + (-g)._term_list()),
                        (f * g, product), (f.fourier(), transform)):
-            assert list(h.terms.items()) == list(reference_terms(p, raw).items())
+            assert_same_terms(h, reference_terms(p, raw))
 
     @pytest.mark.parametrize("p", [2, 3, 7])
     def test_center_deeper_than_its_radius(self, p):
@@ -308,6 +324,41 @@ class TestCanonicalOrder:
         for t in range(p):
             assert f.evaluate(F(t * p + 1)) == Cyclo(t + 2)
         assert f.evaluate(F(2)) == Cyclo(1)
+
+
+class TestCanonicalWork:
+    """The fold is integer arithmetic, and each leaf is one ``Cyclo`` built
+    at once: the ring operations of canonicalizing do not grow with the
+    number of leaves a coarse modulated term reaches."""
+
+    def test_ring_operations_do_not_grow_with_the_chain_depth(self, monkeypatch):
+        p = 7
+        calls = []
+
+        def counted(name):
+            real = getattr(Cyclo, name)
+            return lambda x, y: calls.append(name) or real(x, y)
+
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+            monkeypatch.setattr(Cyclo, name, counted(name))
+        counts, built = [], []
+        for depth in (2, 4, 8):
+            # the modulation folds to 0 on every leaf at level 2 or deeper,
+            # with a phase that changes from leaf to leaf
+            terms = [(phase(F(1, 3)), Ball(p, F(0), -1), F(5, p**2)),
+                     (F(1, 2), Ball(p, F(1), depth), F(0))]
+            del calls[:]
+            f = PAdicTestFunction(p, terms)
+            counts.append(len(calls))
+            built.append((terms, f))
+        assert counts == [counts[0]] * 3
+        monkeypatch.undo()
+        for terms, f in built:
+            # a leaf for each of the p - 1 siblings on levels 0 to depth,
+            # and the chain's end, where the fine term meets the coarse one
+            depth = terms[1][1].radius_exp
+            assert len(f.terms) == (p - 1) * (depth + 1) + 1
+            assert_same_terms(f, reference_terms(p, terms))
 
 
 class TestReflect:
@@ -380,6 +431,14 @@ class TestFourierP:
         for _ in range(6):
             f = random_test_function(rng, p)
             assert f.l2_norm_sq() == f.fourier().l2_norm_sq()
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(deep_raw_terms())
+    def test_involution_and_plancherel_on_modulated_functions(self, raw):
+        f = PAdicTestFunction(*raw)
+        fhat = f.fourier()
+        assert fhat.fourier() == f.reflect()
+        assert f.l2_norm_sq() == fhat.l2_norm_sq()
 
     def test_linearity(self):
         p = 3
@@ -456,7 +515,42 @@ class TestElementary:
         assert abs(ft.evaluate(zero_adele()) - 2 * 2**0.25) < 1e-14
 
 
+@st.composite
+def gaussian_elementary(draw):
+    """An elementary function whose canonical coefficients are Gaussian
+    rationals, the scalars the wire format carries: per prime, disjoint
+    sibling balls with modulations canonical on them, and unmodulated balls
+    no finer than the siblings, so that no modulation folds a phase into a
+    coefficient."""
+    def gaussian():
+        re = F(draw(st.integers(-5, 5)), draw(st.integers(1, 4)))
+        return Cyclo(re) + phase(F(1, 4)) * F(draw(st.integers(-5, 5)), draw(st.integers(1, 4)))
+
+    real = HermiteGaussian([(draw(st.integers(0, 4)), gaussian())
+                            for _ in range(draw(st.integers(1, 3)))])
+    factors = {}
+    for p in draw(st.lists(st.sampled_from((2, 3, 5)), min_size=1, max_size=3, unique=True)):
+        k = draw(st.integers(-2, 2))
+        digits = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=p, unique=True))
+        terms = [(gaussian(), Ball(p, F(t) * F(p) ** k, k + 1),
+                  reduce_mod(F(draw(st.integers(-9, 9)), p ** draw(st.integers(0, 3))), p, -k - 1))
+                 for t in digits]
+        terms += [(gaussian(), Ball(p, F(draw(st.integers(-6, 6)), p ** draw(st.integers(0, 2))),
+                                    draw(st.integers(k - 1, k + 1))), 0)
+                  for _ in range(draw(st.integers(0, 2)))]
+        factors[p] = PAdicTestFunction(p, terms)
+    return ElementaryFunction(real, factors)
+
+
 class TestSerialization:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(gaussian_elementary())
+    def test_parse_inverts_serialize(self, e):
+        text = json.dumps(serialize_elementary(e))
+        ((coeff, again),) = parse_schwartz_bruhat(text).elements
+        assert coeff == Cyclo(1) and again == e
+        assert serialize_elementary(again) == serialize_elementary(e)
+
     def test_parse_complex_rational(self):
         assert parse_complex_rational("3/2") == Cyclo(F(3, 2))
         assert parse_complex_rational("-1/3i") == phase(F(1, 4)) * F(-1, 3)

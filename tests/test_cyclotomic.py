@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adelic.cyclotomic import Cyclo, UnitPhase, cyclo_sum, phase, sqrt_prime
+from adelic.cyclotomic import Cyclo, UnitPhase, cyclo_sum, phase, phase_sum, sqrt_prime
 
 F = Fraction
 
@@ -240,3 +240,17 @@ def test_phase_of_each_argument_type_is_the_one_term_cyclo(q):
     assert phase(q) == Cyclo({q: 1})
     assert _stored(phase(q)) == _stored(Cyclo({q: 1}))
     assert _stored(phase(q)) == _stored(phase(F(q) % 1))
+
+
+@_PROPERTY
+@given(st.lists(st.tuples(_MIXED, st.integers(min_value=-50, max_value=50),
+                          st.sampled_from([1, 2, 3, 4, 8, 9, 25, 49, 12, 63])),
+                min_size=1, max_size=4))
+def test_phase_sum_is_the_sum_of_products(parts):
+    # one rewrite onto the basis gives what a product and a sum per part
+    # give, stored alike: lifted to one lcm, then normalized
+    expected = cyclo_sum(c * phase(F(s, m)) for c, s, m in parts)
+    got = phase_sum(parts)
+    assert got == expected and _stored(got) == _stored(expected)
+    c, _, m = parts[0]
+    assert phase_sum([(c, 0, m)]) is c

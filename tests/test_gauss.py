@@ -301,17 +301,25 @@ class TestLambdaCertificates:
         # is the spheres up to the cut plus that tail.  A ball of sphere v
         # costs p**(v - v(beta) - 1) points, so p <= 5 and v(b) >= -1
         rng = random.Random(20261020)
+        cells = []
         for _ in range(40):
             p = rng.choice([2, 3, 5])
             k = rng.randint(-2, 0)
             w = _unit(rng, p)
             b = rng.choice([F(0), F(1), F(w, p), F(w * p), F(rng.randint(2, 40))])
             mod = rng.choice([F(0), F(w), F(w, p)])
+            cells.append((p, k, b, mod))
+        # cells where the modulation's term -v(mod) - 1 sets the cut alone:
+        # chi(mod*a) is not 1 on the sphere -v(mod) - 1, and at p = 3 and 5
+        # a cut one lower misses it
+        binding = [(p, k, F(0), F(u, p**2)) for p in (2, 3, 5) for k in (-1, 0)
+                   for u in (1, 2 * p - 1)]
+        for p, k, b, mod in cells + binding:
             v_cut = k
             if b != 0:
                 v_cut = max(v_cut, valuation(-b * b / 4, p).value + gauss.lambda_class_depth(p))
             if mod != 0:
-                v_cut = max(v_cut, -valuation(mod, p).value)
+                v_cut = max(v_cut, -valuation(mod, p).value - 1)
             sphere = {
                 v: sum(
                     (gauss._lambda_ball(p, Ball(p, F(u) * F(p) ** v, v + 1), b, mod)
@@ -326,6 +334,7 @@ class TestLambdaCertificates:
             assert sphere[v_cut + 1] + sphere[v_cut + 2] == tail - tail * F(1, p), case
             inner = sum((sphere[v] for v in range(k, v_cut + 1)), Cyclo())
             assert gauss._lambda_ball_at_zero(p, k, b, mod) == inner + tail, case
+        assert all(-valuation(mod, p).value - 1 > k for p, k, _, mod in binding)
 
     def test_over_budget_ball_raises_without_a_point(self, monkeypatch):
         # v(beta) = -40 puts the constancy level of the unit ball at 40
