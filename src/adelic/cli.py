@@ -82,6 +82,16 @@ def _prime(text: str) -> int:
     return p
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n <= 0:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return n
+
+
 def _rationals(text: str) -> list[Fraction]:
     return [_rational(s) for s in text.split(",")] if text else []
 
@@ -405,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oscillator-check", help="p-adic vacuum invariance")
     sp.add_argument("-p", type=_prime, required=True)
     sp.add_argument("--t", type=_rational, required=True)
-    sp.add_argument("--precision", type=int, default=10)
+    sp.add_argument("--precision", type=_positive_int, default=10)
     sp.add_argument("--energy", type=_rational, default=F(0))
     sp.add_argument("--samples", type=_rationals, default=None,
                     help="comma-separated rational sample points")

@@ -75,7 +75,7 @@ class UnitPhase:
         return self.value
 
     def as_cyclo(self) -> "Cyclo":
-        return Cyclo({self.phase: Fraction(1)})
+        return phase(self.phase)
 
     def __repr__(self):
         return f"UnitPhase({self.phase})"
@@ -311,7 +311,7 @@ def _exact(x: Scalar) -> Cyclo:
     if isinstance(x, Cyclo):
         return x
     if isinstance(x, UnitPhase):
-        return _from_phases({x.phase: 1})
+        return phase(x.phase)
     if isinstance(x, (Rational, float)):  # int, Fraction
         r = Fraction(x)
         return Cyclo.from_coordinates(1, r.denominator, {0: r.numerator})

@@ -31,7 +31,7 @@ from .adeles import Adele, Idele, principal_adele, principal_idele
 from .bruhat import Ball, ElementaryFunction, PAdicTestFunction, omega
 from .characters import chi_inf_phase, chi_p
 from .cyclotomic import Cyclo, UnitPhase, sqrt_prime_power
-from .integrate import Unstabilized, integrate_qp, stabilized_ball_sum
+from .integrate import _COSET_BUDGET, Unstabilized, integrate_ball_character, integrate_qp
 from .padic import padic_norm, unit_part_mod, valuation
 from .primes import legendre_symbol, require_prime
 from .quadrature import gauss_character_integral
@@ -148,81 +148,87 @@ def lambda_product_check(a: Fraction | int) -> UnitPhase:
 # ---------------------------------------------------------------------------
 
 
-def _lambda_ball(p: int, ball: Ball, b: Fraction, mod: Fraction) -> Cyclo:
-    """The Lambda integrand gamma_p(c, b) chi_p(mod*c) over a ball away from 0,
-    summed once at its constancy level (gamma_p = ``gauss_integral_p_exact``).
+def _square_preimage(p: int, ball: Ball) -> list[Ball]:
+    """Pairwise disjoint balls whose union is {x : x^2 in ball}.
 
-    Only the phase is summed; the surd |2c|_p^(-1/2) is constant on a ball
-    without 0.  The phase is constant on cosets of p**L Z_p for L at least
-    each of four bounds, and their maximum is the certificate: the radius
-    k; v(c) + ``lambda_class_depth``, which fixes lam_p's unit class;
-    2 v(c) - v(beta), as chi(beta/c), beta = -b^2/4, moves by
-    beta*y/(c(c+y)); and -v(mod), as chi(mod*c) moves by chi(mod*y), which
-    binds for integral mod too on balls wider than Z_p.
+    p**k Z_p pulls back to p**ceil(k/2) Z_p.  Off 0, x^2 in c + p**k Z_p
+    needs v(c) = 2h even and x = p**h u with u^2 = c/p**2h mod p**(k-2h),
+    a condition on u mod p**(k-2h) alone, so each root r gives the ball
+    p**h r + p**(k-h) Z_p.  The roots are lifted one digit at a time from
+    the roots mod p, trying r + t p**j for t < p; there are at most two
+    (four at p = 2, where two balls one level coarser would cover the same
+    set), so the scan tries at most 4p candidates a digit.  A prime over
+    ``_COSET_BUDGET`` is not scanned.
+    """
+    k, c = ball.radius_exp, ball.center
+    if c == 0:
+        return [Ball(p, F(0), -(-k // 2))]
+    v = valuation(c, p).value
+    if v % 2:
+        return []
+    if p > _COSET_BUDGET:
+        raise Unstabilized("Lambda transform square roots are over the budget")
+    h, n = v // 2, k - v
+    target = unit_part_mod(c, p, n)
+    roots = [r for r in range(1, p) if (r * r - target) % p == 0]
+    for j in range(1, n):
+        step = p**j
+        roots = [r + t * step for r in roots for t in range(p)
+                 if ((r + t * step) ** 2 - target) % (step * p) == 0]
+    return [Ball(p, F(p) ** h * r, k - h) for r in roots]
+
+
+def _stationary_part(p: int, ball: Ball, m: Fraction, b: Fraction) -> Ball | None:
+    """The part of ball that carries int chi_p(m x^2 + b x) dx over it, or
+    None when that integral is 0.
+
+    On a coset x0 + p**s Z_p of the ball c + p**k Z_p, with s >= k and
+    v(m) + 2s >= 0, the integral is p**(-s) chi_p(m x0^2 + b x0) when
+    (2 m x0 + b) p**s is p-integral and 0 otherwise.  At m = 0 (s = k) that
+    keeps the ball or drops it; at m != 0 it keeps the cosets inside
+    x* + p**rho Z_p, x* = -b/2m the stationary point, rho = -s - v(2m) <= s:
+    the smaller of that ball and this one, or nothing if they are disjoint.
+    What is kept has a period p**d, d <= 1 for odd p and d <= 3 at p = 2.
     """
     k = ball.radius_exp
-    vc = valuation(ball.center, p).value
-    lvl = max(k, vc + lambda_class_depth(p))
-    if b != 0:
-        lvl = max(lvl, 2 * vc - valuation(-b * b / 4, p).value)
-    if mod != 0:
-        lvl = max(lvl, -valuation(mod, p).value)
-    part = stabilized_ball_sum(
-        p, ball,
-        lambda c: (gauss_polar(p, c, b)[0] * chi_p(mod * c, p)).as_cyclo(),
-        lvl,
-    )
-    if not part.stabilized:
-        raise Unstabilized("Lambda transform local integral did not stabilize")
-    return part.value * sqrt_norm_2a_inv(p, ball.center)
+    if m == 0:
+        return ball if b == 0 or valuation(b, p).value + k >= 0 else None
+    s = max(k, -(valuation(m, p).value // 2))
+    rho = -s - valuation(2 * m, p).value
+    x_star = -b / (2 * m)
+    if x_star != ball.center and valuation(x_star - ball.center, p).value < min(k, rho):
+        return None
+    return Ball(p, x_star, rho) if rho >= k else ball
 
 
 def lambda_local_transform(p: int, f: PAdicTestFunction, b_p: Fraction) -> Cyclo:
-    """Lambda_p[f](b) = int lam_p(a) |2a|_p^(-1/2) chi_p(-b^2/(4a)) f(a) da.
+    """Lambda_p[f](b) = int f(a) gamma_p(a, b) da = int fhat(x^2) chi_p(b x) dx,
+    with gamma_p(a, b) = int chi_p(a x^2 + b x) dx the local Gauss integral.
 
-    Exact: a ball away from 0 is one residue sum at its certified level
-    (``_lambda_ball``); a ball p**k Z_p around 0 is summed sphere by
-    sphere up to a certified cut (``_lambda_ball_at_zero``), past which
-    the spheres vanish identically when b != 0 (a Moebius substitution
-    turns the class integrals into ball character integrals of conductor
-    beyond the ball size), while for b = 0 the even spheres form an exact
-    geometric series with sum p**(-V/2).
+    The second form swaps the two integrals, as the real place does
+    (``_lambda_real_transform``).  The swap is exact: over p**(-J) Z_p in x
+    the measure is finite and the integrand bounded, so it holds for every
+    J; the truncated Gauss integral is bounded, uniformly in J, by a
+    constant times |a|_p^(-1/2), integrable near a = 0, so dominated convergence
+    passes to the limit J -> infinity; and fhat has compact support.  Each
+    term coeff chi_p(m y) 1_B(y) of fhat then contributes coeff times
+    int chi_p(m x^2 + b x) dx over the balls {x : x^2 in B}
+    (``_square_preimage``), each cut to the part around the stationary
+    point that carries it (``_stationary_part``) and then one
+    ``integrate_ball_character`` call.
     """
     require_prime(p)
     b_p = Fraction(b_p)
     total = Cyclo()
-    for (ball, mod), coeff in f.terms.items():
-        if not ball.contains(F(0)):
-            total = total + coeff * _lambda_ball(p, ball, b_p, mod)
-        else:
-            total = total + coeff * _lambda_ball_at_zero(p, ball.radius_exp, b_p, mod)
-    return total
-
-
-def _lambda_ball_at_zero(p: int, k: int, b: Fraction, mod: Fraction) -> Cyclo:
-    """The Lambda integrand over p**k Z_p: finite spheres + certified tail.
-
-    The Moebius substitution argument kills spheres beyond v(beta),
-    beta = -b^2/4, plus the level where lam_p is constant on a class ball
-    (``lambda_class_depth``); from the sphere -v(mod) on, chi(mod*a) is 1,
-    so the tail or that vanishing covers it and the cut needs only the
-    sphere below.
-    """
-    v_cut = k
-    if b != 0:
-        v_cut = max(v_cut, valuation(-b * b / 4, p).value + lambda_class_depth(p))
-    if mod != 0:
-        v_cut = max(v_cut, -valuation(mod, p).value - 1)
-    total = Cyclo()
-    for v in range(k, v_cut + 1):
-        # the sphere |a|_p = p**-v, tiled by its p - 1 leading-digit balls
-        for u in range(1, p):
-            total = total + _lambda_ball(p, Ball(p, F(u) * F(p) ** v, v + 1), b, mod)
-    if b == 0:
-        # remaining spheres: odd ones cancel inside the lambda table, even
-        # ones sum geometrically to p**(-V/2) for the first even V > v_cut
-        v_even = v_cut + 1 if (v_cut + 1) % 2 == 0 else v_cut + 2
-        total = total + F(p) ** (-(v_even // 2))
+    for (ball, mod), coeff in f.fourier().terms.items():
+        for piece in _square_preimage(p, ball):
+            piece = _stationary_part(p, piece, mod, b_p)
+            if piece is None:
+                continue
+            part = integrate_ball_character(p, piece, mod, b_p)
+            if not part.stabilized:
+                raise Unstabilized("Lambda transform local integral did not stabilize")
+            total = total + coeff * part.value
     return total
 
 

@@ -15,7 +15,10 @@ every prime whose square is over the budget stays inconclusive.
 Point-value integrands have no period to read off; ``stabilized_ball_sum``
 sums them once over the cosets of a constancy level that its caller
 derives.  That level is their certificate, and a sum whose cosets are
-over the budget is reported unstabilized without a point evaluated.
+over the budget is reported unstabilized without a point evaluated.  No
+library code calls it; it is kept because the benchmark tracer
+(``bench/tracing.py``) binds it as a traced layer entry point, and the
+tests use it as a point-by-point reference.
 
 The full-space Gauss integral is the limit of the integrals over the
 balls p**(-J) Z_p.  Spheres |x|_p = p**j vanish identically once the
@@ -38,7 +41,7 @@ import numpy as np
 
 from .bruhat import Ball, PAdicTestFunction
 from .characters import chi_p
-from .cyclotomic import Cyclo, cyclo_sum
+from .cyclotomic import Cyclo, phase_sum
 from .padic import valuation
 from .primes import require_prime
 
@@ -87,15 +90,8 @@ def stabilized_ball_sum(
     if p ** (level - k) > _COSET_BUDGET:
         return QpIntegral(Cyclo(), False)
     step = F(p) ** k
-    # integer coordinates, summed per (conductor, denominator)
-    sums: dict[tuple[int, int], dict[int, int]] = {}
-    for t in range(p ** (level - k)):
-        n, den, numerators = point_value(ball.center + t * step).coordinates()
-        acc = sums.setdefault((n, den), {})
-        for j, c in numerators.items():
-            acc[j] = acc.get(j, 0) + c
-    total = cyclo_sum(Cyclo.from_coordinates(n, den, acc) for (n, den), acc in sums.items())
-    return QpIntegral(total * F(p) ** (-level), True)
+    values = [(point_value(ball.center + t * step), 0, 1) for t in range(p ** (level - k))]
+    return QpIntegral(phase_sum(values) * F(p) ** (-level), True)
 
 
 def integrate_ball_character(

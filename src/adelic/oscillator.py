@@ -197,7 +197,9 @@ def eigen_check(
         rhs = phase_e * psi_p.evaluate(x)
         diff = lhs - rhs
         if not diff.is_zero():
-            worst = max(worst, abs(diff.to_complex()))
+            # a nonzero deviation below the double range reads as the
+            # smallest subnormal, never as 0.0
+            worst = max(worst, abs(diff.to_complex()) or math.ulp(0.0))
     return worst
 
 

@@ -83,49 +83,33 @@ def make_report(check: str, inputs: dict, value, expected, t0: float, *,
 # -- 1. norm product formula -------------------------------------------------
 
 
-def norm_product_checks() -> list[CheckReport]:
+def _first_failing_rational(holds) -> Fraction | None:
+    """The first of 1000 seeded nonzero rationals r without holds(r)."""
     rng = random.Random(SEED)
-    t0 = time.perf_counter()
-    worst = None
     for _ in range(1000):
         r = F(rng.randint(1, 10**6) * rng.choice([-1, 1]), rng.randint(1, 10**6))
-        if norm_product(r) != 1:
-            worst = r
-            break
-    return [
-        make_report(
-            "norm-product-formula",
-            {"count": 1000, "seed": SEED},
-            "1 (exact)" if worst is None else f"failed at r={worst}",
-            "1",
-            t0,
-            passed=worst is None,
-        )
-    ]
+        if not holds(r):
+            return r
+    return None
+
+
+def norm_product_checks() -> list[CheckReport]:
+    t0 = time.perf_counter()
+    worst = _first_failing_rational(lambda r: norm_product(r) == 1)
+    return [make_report("norm-product-formula", {"count": 1000, "seed": SEED},
+                        "1 (exact)" if worst is None else f"failed at r={worst}",
+                        "1", t0, passed=worst is None)]
 
 
 # -- 2. principal character triviality ----------------------------------------
 
 
 def chi_principal_checks() -> list[CheckReport]:
-    rng = random.Random(SEED)
     t0 = time.perf_counter()
-    worst = None
-    for _ in range(1000):
-        r = F(rng.randint(1, 10**6) * rng.choice([-1, 1]), rng.randint(1, 10**6))
-        if chi_principal_phase(r).phase != 0:
-            worst = r
-            break
-    return [
-        make_report(
-            "chi-principal-trivial",
-            {"count": 1000, "seed": SEED},
-            "phase 0 (exact)" if worst is None else f"failed at r={worst}",
-            "phase 0",
-            t0,
-            passed=worst is None,
-        )
-    ]
+    worst = _first_failing_rational(lambda r: chi_principal_phase(r).phase == 0)
+    return [make_report("chi-principal-trivial", {"count": 1000, "seed": SEED},
+                        "phase 0 (exact)" if worst is None else f"failed at r={worst}",
+                        "phase 0", t0, passed=worst is None)]
 
 
 # -- 3. Gauss closed form vs oracle -------------------------------------------

@@ -254,12 +254,15 @@ _PHI = json.dumps({"real": [[0, "1"]], "primes": {}})
     ["zeta-fe", "--alpha", "0.5,nan"],
     ["zeta-fe", "--alpha", "0.4,0", "--tolerance", "inf"],
     ["oscillator-check", "-p", "5", "--t", "5", "--tolerance", "inf"],
+    ["oscillator-check", "-p", "5", "--t", "5", "--precision", "0"],
+    ["oscillator-check", "-p", "5", "--t", "5", "--precision=-3"],
     ["zeta-fe", "--alpha", "0.4,0", "--tolerance", "nan"],
     ["gauss", "-a", "1", "--tolerance=-1e-3"],
     # exact checks take no tolerance
     ["product-check", "-a", "3/4", "--tolerance", "0"],
 ], ids=["phi-not-object", "phi-file-missing", "p-not-prime", "alpha-nan",
         "alpha-inf", "alpha-imag-nan", "tolerance-inf", "oscillator-tolerance-inf",
+        "precision-zero", "precision-negative",
         "tolerance-nan", "tolerance-negative", "exact-check-tolerance"])
 def test_usage_errors_exit_2_without_traceback(argv, capsys):
     with pytest.raises(SystemExit) as exc:

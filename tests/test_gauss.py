@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from adelic import gauss
+from adelic import gauss, integrate
 from adelic.adeles import Adele, principal_adele, principal_idele
 from adelic.bruhat import Ball, ElementaryFunction, HermiteGaussian, PAdicTestFunction
-from adelic.cyclotomic import Cyclo, UnitPhase
+from adelic.cyclotomic import Cyclo, UnitPhase, phase
 from adelic.gauss import (
     calibrate_lambda_p,
     gauss_integral_inf,
@@ -24,8 +24,8 @@ from adelic.gauss import (
     lambda_transform,
     sqrt_norm_2a_inv,
 )
-from adelic.integrate import Unstabilized, integrate_qp
-from adelic.padic import padic_norm, valuation
+from adelic.integrate import Unstabilized, integrate_qp, stabilized_ball_sum
+from adelic.padic import frac_part, padic_norm, valuation
 from adelic.quadrature import fresnel_regularized
 
 F = Fraction
@@ -248,27 +248,60 @@ def _unit(rng, p):
     return rng.choice([u for u in range(1, p * p) if u % p])
 
 
+def _constancy_level(p, v, b, mod):
+    """A level on whose cosets gamma_p(a, b) chi_p(mod a) is constant, for
+    v(a) = v: the unit class of lambda_p, chi_p(beta/a) for beta = -b**2/4
+    and the modulation."""
+    level = max(v + gauss.lambda_class_depth(p), -valuation(mod, p).value if mod else 0)
+    if b:
+        level = max(level, 2 * v - valuation(b * b / 4, p).value)
+    return level
+
+
+def _check_against_the_definition(p, ball, v, b, mod):
+    """Lambda_p of chi_p(mod a) 1_ball(a), for a ball of valuation v away
+    from 0, equals the closed form summed over the ball point by point, at
+    a level where the point values are constant and one level finer."""
+
+    def point_value(a):
+        return gauss_integral_p_exact(p, a, b) * phase(frac_part(mod * a, p))
+
+    level = max(ball.radius_exp, _constancy_level(p, v, b, mod))
+    sums = [stabilized_ball_sum(p, ball, point_value, lvl) for lvl in (level, level + 1)]
+    assert all(s.stabilized for s in sums)
+    assert sums[0].value == sums[1].value, (p, ball, b, mod)
+    f = PAdicTestFunction(p, [(1, ball, mod)])
+    assert lambda_local_transform(p, f, b) == sums[0].value, (p, ball, b, mod)
+
+
 class TestLambdaCertificates:
-    """Each p-adic sum of the Lambda transform rests on a derived
-    certificate: a constancy level away from 0, a sphere cut around it."""
+    """Each p-adic sum of the Lambda transform rests on a certificate: the
+    period of one residue count per ball of {x : x^2 in B}."""
 
-    def test_derived_level_equals_the_sum_one_level_finer(self, monkeypatch):
-        # every _lambda_ball sum at its derived level is checked against the
-        # same point-value sum one level finer; the draws include balls
-        # wider than Z_p with integral modulations, b = 0 and v(b) < 0
-        real = gauss.stabilized_ball_sum
-        levels = []
+    def test_square_preimage_is_exact_and_disjoint(self):
+        # every ball B(t/p**2, k): x = s/p**2 with s mod p**(k+4) fixes x
+        # mod p**(k+2), which fixes x**2 mod p**k and resolves each piece
+        for p in (2, 3, 5):
+            for k in range(-2, 4):
+                grid = p ** (k + 4)
+                by_square = {}
+                for s in range(grid):
+                    by_square.setdefault(s * s % grid, []).append(s)
+                for t in range(p ** (k + 2)):
+                    pieces = gauss._square_preimage(p, Ball(p, F(t, p * p), k))
+                    addrs = []
+                    for piece in pieces:
+                        addr = piece.center * p * p
+                        assert addr.denominator == 1 and piece.radius_exp <= k + 1
+                        addrs.append((int(addr), p ** (piece.radius_exp + 2)))
+                    inside = by_square.get(t * p * p, [])
+                    for s in inside:
+                        assert sum((s - a) % m == 0 for a, m in addrs) == 1, (p, k, t, s)
+                    # the pieces hold no other grid point and do not overlap
+                    assert sum(grid // m for _, m in addrs) == len(inside), (p, k, t)
 
-        def one_level_finer(p, ball, point_value, level):
-            res = real(p, ball, point_value, level)
-            finer = real(p, ball, point_value, level + 1)
-            assert res.stabilized and finer.stabilized
-            assert res.value == finer.value, (p, ball, level)
-            levels.append(level)
-            return res
-
-        monkeypatch.setattr(gauss, "stabilized_ball_sum", one_level_finer)
-        rng = random.Random(20261019)
+    def test_balls_away_from_zero_equal_the_definition(self):
+        rng = random.Random(20261021)
         cells = []
         for _ in range(100):
             p = rng.choice([2, 3, 5])
@@ -277,74 +310,70 @@ class TestLambdaCertificates:
             w = _unit(rng, p)
             b = rng.choice([F(0), F(1), F(w, p), F(w * p), F(rng.randint(2, 40))])
             mod = rng.choice([F(0), F(w), F(w, p), F(w, p * p), F(w * p)])
-            gauss._lambda_ball(p, ball, b, mod)
+            _check_against_the_definition(p, ball, v, b, mod)
             cells.append((p, ball.radius_exp, b, mod))
-        assert len(levels) == len(cells)
         assert any(k < 0 and m != 0 and m.denominator == 1 for _, k, _, m in cells)
         assert any(b == 0 for _, _, b, _ in cells)
         assert any(b != 0 and valuation(b, p).value < 0 for p, _, b, _ in cells)
+
+    def test_small_balls_and_deep_b_equal_the_definition(self):
+        # radii up to 12 below the level where the closed form is constant
+        # and b down to v(b) = -8, where the x-side integral spans balls far
+        # wider than the one around the stationary point -b/2m that carries it
+        rng = random.Random(20261022)
+        for _ in range(60):
+            p = rng.choice([2, 3, 5])
+            v = rng.randint(-2, 1)
+            w = _unit(rng, p)
+            b = rng.choice([F(0), F(1), F(w, p ** rng.randint(2, 8))])
+            mod = rng.choice([F(0), F(w), F(w, p)])
+            level = _constancy_level(p, v, b, mod)
+            k = rng.randint(max(v + 1, level - 3), max(v + 1, level) + 12)
+            _check_against_the_definition(p, Ball(p, F(_unit(rng, p)) * F(p) ** v, k), v, b, mod)
+
+    @pytest.mark.parametrize("p,k", [(3, 16), (5, 10), (7, 10)])
+    @pytest.mark.parametrize("b", [0, 1])
+    def test_small_ball_is_its_closed_form_times_its_measure(self, p, k, b):
+        # the closed form is constant on c + p**k Z_p, whose transform is a
+        # ball p**(-k) Z_p modulated by c; its preimage p**ceil(-k/2) Z_p
+        # alone has a period of p**k residues or more, over the budget
+        for c in (F(1), F(p), F(1, p), F(p - 1, p * p)):
+            f = PAdicTestFunction.indicator(Ball(p, c, k))
+            want = gauss_integral_p_exact(p, c, b) * F(p) ** (-k)
+            assert lambda_local_transform(p, f, F(b)) == want, c
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_ball_around_zero_at_b_zero(self, p):
+        # Lambda_p[1_(p**k Z_p)](0) = p**(-ceil(k/2))
+        for k in range(-4, 5):
+            f = PAdicTestFunction.indicator(Ball(p, F(0), k))
+            assert lambda_local_transform(p, f, F(0)) == Cyclo(F(p) ** (k // -2)), k
 
     @pytest.mark.parametrize(
         "p,k,mod,b", [(5, -2, 4, 1), (3, -2, 2, 0), (7, -2, 48, 42), (5, -2, 1, 0)]
     )
     def test_integral_modulation_on_a_ball_wider_than_zp(self, p, k, mod, b):
-        # chi(mod*y) is trivial on p**L Z_p only for L >= -v(mod), so the
-        # spheres of p**k Z_p with radius below 0 must be summed at level 0
-        # or deeper
+        # chi(mod*y) is not 1 on the spheres of p**k Z_p with radius below 0
         f = PAdicTestFunction(p, [(1, Ball(p, F(0), k), F(mod))])
         assert lambda_local_transform(p, f, F(b)) == Cyclo(2)
 
-    def test_spheres_past_the_cut(self):
-        # the two spheres just past _lambda_ball_at_zero's cut sum to 0 when
-        # b != 0, and for b = 0 to the change in the geometric tail
-        # p**(-V/2), V the first even valuation past the cut; the transform
-        # is the spheres up to the cut plus that tail.  A ball of sphere v
-        # costs p**(v - v(beta) - 1) points, so p <= 5 and v(b) >= -1
-        rng = random.Random(20261020)
-        cells = []
-        for _ in range(40):
-            p = rng.choice([2, 3, 5])
-            k = rng.randint(-2, 0)
-            w = _unit(rng, p)
-            b = rng.choice([F(0), F(1), F(w, p), F(w * p), F(rng.randint(2, 40))])
-            mod = rng.choice([F(0), F(w), F(w, p)])
-            cells.append((p, k, b, mod))
-        # cells where the modulation's term -v(mod) - 1 sets the cut alone:
-        # chi(mod*a) is not 1 on the sphere -v(mod) - 1, and at p = 3 and 5
-        # a cut one lower misses it
-        binding = [(p, k, F(0), F(u, p**2)) for p in (2, 3, 5) for k in (-1, 0)
-                   for u in (1, 2 * p - 1)]
-        for p, k, b, mod in cells + binding:
-            v_cut = k
-            if b != 0:
-                v_cut = max(v_cut, valuation(-b * b / 4, p).value + gauss.lambda_class_depth(p))
-            if mod != 0:
-                v_cut = max(v_cut, -valuation(mod, p).value - 1)
-            sphere = {
-                v: sum(
-                    (gauss._lambda_ball(p, Ball(p, F(u) * F(p) ** v, v + 1), b, mod)
-                     for u in range(1, p)),
-                    Cyclo(),
-                )
-                for v in range(k, v_cut + 3)
-            }
-            # p**(-V/2), with V/2 = (v_cut + 2) // 2
-            tail = Cyclo() if b != 0 else Cyclo(F(p) ** -((v_cut + 2) // 2))
-            case = (p, k, b, mod)
-            assert sphere[v_cut + 1] + sphere[v_cut + 2] == tail - tail * F(1, p), case
-            inner = sum((sphere[v] for v in range(k, v_cut + 1)), Cyclo())
-            assert gauss._lambda_ball_at_zero(p, k, b, mod) == inner + tail, case
-        assert all(-valuation(mod, p).value - 1 > k for p, k, _, mod in binding)
-
     def test_over_budget_ball_raises_without_a_point(self, monkeypatch):
-        # v(beta) = -40 puts the constancy level of the unit ball at 40
+        # the piece Z_3 of f's transform carries chi_3(x**2/3), a period of
+        # 3 residues that the oracle reads as 3**2: over a budget of 4, so
+        # nothing is enumerated
         seen = []
-        real = gauss.gauss_polar
-        monkeypatch.setattr(gauss, "gauss_polar", lambda *args: seen.append(args) or real(*args))
-        f = PAdicTestFunction.indicator(Ball(3, F(1), 1))
+        real = integrate.np.bincount
+        monkeypatch.setattr(integrate.np, "bincount",
+                            lambda *args, **kw: seen.append(args) or real(*args, **kw))
+        monkeypatch.setattr(integrate, "_COSET_BUDGET", 4)
+        f = PAdicTestFunction.indicator(Ball(3, F(1, 3), 0))
         with pytest.raises(Unstabilized, match="Lambda transform"):
-            lambda_local_transform(3, f, F(1, 3**20))
+            lambda_local_transform(3, f, F(0))
         assert seen == []
+        # a prime over the budget is not scanned for square roots
+        monkeypatch.setattr(gauss, "_COSET_BUDGET", 4)
+        with pytest.raises(Unstabilized, match="square roots"):
+            gauss._square_preimage(5, Ball(5, F(1), 1))
 
 
 class TestSqrtNorm:

@@ -359,7 +359,7 @@ class TestUnstabilized:
             return integrate.QpIntegral(Cyclo(), False)
 
         monkeypatch.setattr(gauss, "integrate_qp", unstabilized)
-        monkeypatch.setattr(gauss, "stabilized_ball_sum", unstabilized)
+        monkeypatch.setattr(gauss, "integrate_ball_character", unstabilized)
         with pytest.raises(integrate.Unstabilized, match="oracle did not stabilize"):
             gauss.calibrate_lambda_p(3)
         away_from_0 = PAdicTestFunction.indicator(Ball(3, F(1), 1))

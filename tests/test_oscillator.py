@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -154,6 +155,15 @@ class TestEigen:
         f = PAdicTestFunction.indicator(Ball(p, F(0), 1))
         dev = eigen_check(p, t, f, F(0), [F(0), F(1), F(1, 5)])
         assert dev > 1e-3
+
+    def test_deviation_below_the_double_range_is_not_zero(self):
+        # the exact deviation is about 1.2e-400, which rounds to 0.0 as a
+        # double; it must still fail a tolerance of 0
+        p = 5
+        t = from_rational(5, p, 10)
+        f = PAdicTestFunction(p, [(F(1, 10**400), Ball(p, F(0), 0))])
+        dev = eigen_check(p, t, f, F(1, 25), [F(0), F(1)])
+        assert dev == math.ulp(0.0)
 
 
 class TestRealChecks:
