@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .adeles import Adele
-from .cyclotomic import Cyclo, Scalar, phase, phase_sum
+from .cyclotomic import Cyclo, Scalar, _from_exponents, phase, phase_sum
 from .padic import frac_part, reduce_mod, valuation
 from .primes import require_prime
 
@@ -63,6 +63,17 @@ class Ball:
         object.__setattr__(
             self, "center", reduce_mod(Fraction(self.center), self.prime, self.radius_exp)
         )
+
+    @classmethod
+    def _reduced(cls, prime: int, center: Fraction, radius_exp: int) -> "Ball":
+        """The ball of a checked prime and a center already reduced modulo
+        p**radius_exp (0 <= center < p**radius_exp), built without checking
+        or reducing them again."""
+        ball = object.__new__(cls)
+        object.__setattr__(ball, "prime", prime)
+        object.__setattr__(ball, "center", center)
+        object.__setattr__(ball, "radius_exp", radius_exp)
+        return ball
 
     @property
     def measure(self) -> Fraction:
@@ -205,21 +216,35 @@ class PAdicTestFunction:
         """int phi dx with Haar measure normalized to vol(Z_p) = 1.
 
         Canonically modulated terms integrate to zero; plain terms give
-        coefficient times ball measure.
+        coefficient times ball measure, summed as one weighted
+        ``phase_sum``.
         """
-        total = Cyclo()
-        for (ball, mod), coeff in self.terms.items():
-            if mod == 0:
-                total = total + coeff * ball.measure
-        return total
+        return phase_sum([(coeff, 0, 1, ball.measure)
+                          for (ball, mod), coeff in self.terms.items() if mod == 0])
 
     def l2_norm_sq(self) -> Cyclo:
         """int |phi|^2 dx, exact; cross terms vanish by disjointness and
-        modulation orthogonality."""
-        total = Cyclo()
+        modulation orthogonality.
+
+        A coefficient sum_j a_j e(j/n) / den on a level-k ball gives
+        |c|^2 p^-k = sum_(j1, j2) a_j1 a_j2 p^-k e((j1 - j2)/n) / den^2.
+        The pairs of every term are lifted to one conductor and one
+        denominator and rewritten onto the basis once.
+        """
+        p = self.prime
+        rows = []
         for (ball, _), coeff in self.terms.items():
-            total = total + coeff.abs2() * ball.measure
-        return total
+            n, den, numerators = coeff.coordinates()
+            k = ball.radius_exp
+            rows.append((n, den * den * p ** max(k, 0), p ** max(-k, 0), numerators.items()))
+        n = math.lcm(*(row[0] for row in rows))
+        den = math.lcm(*(row[1] for row in rows))
+        pairs = []
+        for m, d, up, numerators in rows:
+            lift, f = n // m, den // d * up
+            pairs.extend(((j1 - j2) * lift % n, a1 * a2 * f)
+                         for j1, a1 in numerators for j2, a2 in numerators)
+        return _from_exponents(n, den, pairs)
 
     # -- Fourier transform ----------------------------------------------------
 
@@ -228,6 +253,8 @@ class PAdicTestFunction:
 
         Transform of coeff*chi(m x)*1_{B(c,k)} is
         coeff * p^-k * chi(m c) * chi(c xi) * 1_{B(-m, -k)}(xi).
+        Each new coefficient is one weighted ``phase_sum`` part,
+        (coeff, s, d, p^-k) with {m c}_p = s/d.
         The transform is built on the first call and returned afterwards.
         """
         if self._fourier is None:
@@ -235,7 +262,8 @@ class PAdicTestFunction:
             new_terms = []
             for (ball, mod), coeff in self.terms.items():
                 c, k = ball.center, ball.radius_exp
-                newc = coeff * F(p) ** (-k) * phase(frac_part(mod * c, p))
+                q = frac_part(mod * c, p)
+                newc = phase_sum([(coeff, q.numerator, q.denominator, ball.measure)])
                 new_terms.append((newc, Ball(p, -mod, -k), c))
             self._fourier = PAdicTestFunction(p, new_terms)
         return self._fourier
@@ -343,7 +371,8 @@ def _canonicalize(prime: int, raw: list) -> dict[TermKey, Cyclo]:
     chi((mod - mod_k) * (c' - c)), whose argument is integral.  Each leaf
     key (addr, L, mod_can) collects (coefficient, shift, modulus) parts and
     is summed into one ``Cyclo`` at the end (``phase_sum``); a ``Ball`` is
-    built only for a nonzero sum.
+    built only for a nonzero sum, from its center addr / pj, which lies in
+    [0, p**L) and so is already reduced (``Ball._reduced``).
 
     Term order is part of the result: groups come in order of first
     appearance and children in digit order t = 0..p-1, a region with
@@ -368,7 +397,7 @@ def _canonicalize(prime: int, raw: list) -> dict[TermKey, Cyclo]:
     for (addr, level, mod), parts in leaves.items():
         coeff = phase_sum(parts)
         if not coeff.is_zero():
-            terms[Ball(prime, F(addr, pj), level), mod] = coeff
+            terms[Ball._reduced(prime, F(addr, pj), level), mod] = coeff
     return terms
 
 

@@ -336,26 +336,24 @@ def phase(q: Fraction | int) -> Cyclo:
     return _from_exponents(n, 1, ((q.numerator % n, 1),))
 
 
-def cyclo_sum(items: Iterable[Scalar]) -> Cyclo:
-    total = Cyclo()
-    for x in items:
-        total = total + x
-    return total
+def phase_sum(parts: Sequence[tuple]) -> Cyclo:
+    """sum w * c * e(s/m) over the (c, s, m) or (c, s, m, w) parts, integer
+    s and m >= 1 and a rational weight w (1 when left out).
 
-
-def phase_sum(parts: Sequence[tuple[Cyclo, int, int]]) -> Cyclo:
-    """sum c * e(s/m) over the (c, s, m) parts, integer s and m >= 1.
-
-    Every part is lifted to one lcm of conductors and of denominators, its
-    exponents shifted by s, and the whole sum rewritten onto the basis
-    once, with no Cyclo in between.  One part with s = 0 is returned as
-    it is.
+    Every part is lifted to one lcm of conductors and of denominators
+    (a weight's denominator times its coefficient's), its exponents
+    shifted by s and its numerators scaled by the weight's numerator, and
+    the whole sum rewritten onto the basis once, with no Cyclo in between.
+    One unweighted part with s = 0 is returned as it is.
     """
-    if len(parts) == 1 and parts[0][1] == 0:
+    if len(parts) == 1 and len(parts[0]) == 3 and parts[0][1] == 0:
         return parts[0][0]
-    n = math.lcm(*(c._n for c, _, _ in parts), *(m for _, _, m in parts))
-    den = math.lcm(*(c._den for c, _, _ in parts))
-    lifted = [(c._terms, n // c._n, s * (n // m), den // c._den) for c, s, m in parts]
+    # (c, s, m, weight numerator, denominator of w * c) per part
+    rows = [(c, s, m, w.numerator, c._den * w.denominator)
+            for c, s, m, w in (x if len(x) == 4 else (*x, 1) for x in parts)]
+    n = math.lcm(*(c._n for c, *_ in rows), *(m for _, _, m, _, _ in rows))
+    den = math.lcm(*(d for *_, d in rows))
+    lifted = [(c._terms, n // c._n, s * (n // m), den // d * w) for c, s, m, w, d in rows]
     return _from_exponents(n, den, (
         ((j * lift + shift) % n, a * f)
         for terms, lift, shift, f in lifted for j, a in terms.items()))
@@ -377,7 +375,8 @@ def sqrt_prime(p: int) -> Cyclo:
     if p == 2:
         out = phase(Fraction(1, 8)) + phase(Fraction(7, 8))
     else:
-        g = cyclo_sum(phase(Fraction(t * t, p)) for t in range(p))
+        one = Cyclo(1)
+        g = phase_sum([(one, t * t % p, p) for t in range(p)])
         out = g if p % 4 == 1 else g * phase(Fraction(3, 4))
     _SQRT_CACHE[p] = out
     return out

@@ -6,11 +6,14 @@ phase chi_p(a c^2 + b c) times a function of t mod p**d, where p**d is
 the p-part of the denominators of the phase.  Counting that one period of
 p**d residues gives the exact integral: the period is the certificate,
 and no float tolerance enters.  The only work bound is ``_COSET_BUDGET``:
-a ball with p**max(d, 2) over it is reported unstabilized without being
-enumerated.  The 2 is there because p**d alone does not bound the cost at
-d = 1: the p residues are cheap, but folding the p-term Gauss sum and
-comparing it with the exact sqrt(p) surd take time that grows with p, so
-every prime whose square is over the budget stays inconclusive.
+a ball whose period is over it is reported unstabilized without being
+enumerated.  A quadratic character (a != 0) has its period read as
+p**max(d, 2).  The 2 is there because p**d alone does not bound the cost at
+d = 1: the p residues are cheap, but the sum is a p-term Gauss sum, and
+comparing it with the exact sqrt(p) surd takes time that grows with p, so
+every prime whose square is over the budget stays inconclusive.  A linear
+character (a = 0) builds no Gauss sum and no surd: its period is read as
+the p**d residues it has.
 
 Point-value integrands have no period to read off; ``stabilized_ball_sum``
 sums them once over the cosets of a constancy level that its caller
@@ -105,9 +108,10 @@ def integrate_ball_character(
     depends on t mod p**d only, p**d being the p-part of its denominator.
     The integral is therefore p**(-k-d) chi_p(A) times the sum over one
     period, t = 0 .. p**d - 1, counted once as residues of B t + C t^2
-    mod p**d.  A ball with p**max(d, 2) over the coset budget is reported
-    unstabilized without being enumerated (see the module docstring for
-    the 2); within it, int64 counts are exact.
+    mod p**d.  A ball whose period is over the coset budget is reported
+    unstabilized without being enumerated: p**max(d, 2) when C != 0, p**d
+    when the character is linear (see the module docstring for the 2);
+    within it, int64 counts are exact.
     """
     a, b = Fraction(a), Fraction(b)
     k = ball.radius_exp
@@ -122,7 +126,7 @@ def integrate_ball_character(
     if d == 0:
         # B t + C t^2 is p-integral: the character is chi_p(A) on the ball
         return QpIntegral(front * ball.measure, True)
-    if p ** max(d, 2) > _COSET_BUDGET:
+    if p ** (max(d, 2) if C else d) > _COSET_BUDGET:
         return QpIntegral(Cyclo(), False)
     pd = p**d
     inv_m = pow(den // pd, -1, pd)

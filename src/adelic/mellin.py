@@ -36,9 +36,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
+from mpmath.libmp import fzero, mpc_add, mpc_mul
 
 from .bruhat import ElementaryFunction, HermiteGaussian, PAdicTestFunction, hermite_coefficients
-from .cyclotomic import Cyclo
+from .cyclotomic import Cyclo, phase_sum
 from .padic import valuation
 from .primes import primes_up_to
 
@@ -60,6 +61,19 @@ _CTX.dps = WORKING_DPS
 
 class DomainError(ValueError):
     """Evaluation requested at a pole or outside the supported domain."""
+
+
+def _mpc(alpha):
+    """alpha as a working-precision mpc.  A working-context mpc is taken as
+    it is: ``_CTX.mpc`` would only copy its raw pair into a new object."""
+    return alpha if type(alpha) is _CTX.mpc else _CTX.mpc(alpha)
+
+
+def _raw(x) -> tuple:
+    """The raw (re, im) pair of a working-context mpf or mpc, for
+    ``mpc_mul``/``mpc_add``: with a zero imaginary part they round as
+    ``mpc.__mul__``/``__add__`` do on a real operand."""
+    return x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
 
 
 def _memo_on_mpc(fn):
@@ -90,7 +104,7 @@ def zeta_mp(alpha):
     working 169 bits); the height bound keeps every call below that switch.
     Values are memoized on the exact working-precision argument.
     """
-    s = _CTX.mpc(alpha)
+    s = _mpc(alpha)
     if s.real <= 0:
         raise DomainError("zeta is computed only for Re alpha > 0")
     if s == 1:
@@ -121,7 +135,7 @@ def euler_product_zeta(alpha: complex, prime_bound: int) -> complex:
 
 def gamma_mp(alpha):
     """Euler gamma at the working precision, memoized like ``zeta_mp``."""
-    z = _CTX.mpc(alpha)
+    z = _mpc(alpha)
     if z.imag == 0 and z.real <= 0 and z.real == int(z.real):
         raise DomainError(f"gamma has a pole at {alpha}")
     return _gamma(z)
@@ -140,9 +154,14 @@ def _cyclo_mp(c: Cyclo):
     """An exact Cyclo in the working context: the sum of numerator / den
     times e(j/n) over its integer coordinates, with no double in between."""
     n, den, numerators = c.coordinates()
-    return _CTX.fsum(
-        _CTX.mpf(a) / den * _CTX.expjpi(_CTX.mpf(2 * j) / n) for j, a in numerators.items()
-    )
+    return _CTX.fsum(_CTX.mpf(a) / den * _root_mp(j, n) for j, a in numerators.items())
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _root_mp(j: int, n: int):
+    """The root of unity e(j/n) in the working context, computed once per
+    (j, n): coefficients share a few conductors, so few roots occur."""
+    return _CTX.expjpi(_CTX.mpf(2 * j) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +180,18 @@ class LocalMellinFactor:
     @functools.cached_property
     def _coeffs_mp(self) -> list:
         """The exact coefficients in the working context, converted once."""
-        return [(e, _cyclo_mp(c)) for e, c in self.coeffs.items()]
+        return [(e, _raw(_cyclo_mp(c))) for e, c in self.coeffs.items()]
 
     def evaluate_mp(self, alpha):
-        powers = _prime_powers(self.prime, _CTX.mpc(alpha))
-        total = _CTX.mpc(0)
+        """sum_e coeffs[e] * u**e, multiplied and added in the order of
+        ``coeffs`` on raw (re, im) pairs at the working precision: the
+        operations ``mpc`` arithmetic runs, with one mpc made at the end."""
+        powers = _prime_powers(self.prime, _mpc(alpha))
+        prec, rnd = _CTX._prec_rounding
+        total = (fzero, fzero)
         for e, c in self._coeffs_mp:
-            total += c * powers[e]
-        return total
+            total = mpc_add(total, mpc_mul(c, _raw(powers[e]), prec, rnd), prec, rnd)
+        return _CTX.make_mpc(total)
 
 
 class _PowerRow(dict):
@@ -206,41 +229,41 @@ def mellin_local(phi_p: PAdicTestFunction) -> LocalMellinFactor:
 
 
 def _local_factor(phi_p: PAdicTestFunction) -> LocalMellinFactor:
+    """The coefficients as lists of (coefficient, rational weight) parts per
+    exponent, each exponent summed once by ``phase_sum``.  Exponents keep
+    the order in which the assembly below first reaches them."""
     p = phi_p.prime
-    # I(u) = int |x|^{alpha-1} phi = N0(u) + N1(u)/(1-u), assembled exactly
-    n0: dict[int, Cyclo] = {}
-    n1: dict[int, Cyclo] = {}
+    norm = F(p, p - 1)  # 1 / (1 - 1/p)
+    # I(u) = int |x|^{alpha-1} phi = N0(u) + N1(u)/(1-u), assembled exactly;
+    # each part's weight already carries the normalization
+    n0: dict[int, list] = {}
+    n1: dict[int, list] = {}
 
     for (ball, mod), coeff in phi_p.terms.items():
         k = ball.radius_exp
-        if not ball.contains(F(0)):
+        if ball.center:  # the center is reduced, so 0 is not in the ball
             if mod != 0:
                 # |x| is constant on the ball and the canonical modulation
                 # is a nontrivial character there: the integral vanishes
                 continue
             vc = valuation(ball.center, p).value
-            _acc(n0, vc, coeff * F(p) ** (vc - k))
+            n0.setdefault(vc, []).append((coeff, F(p) ** (vc - k) * norm))
         elif mod == 0:
-            # int over p^k Z_p: (1-1/p) u^k/(1-u), normalized later
-            _acc(n1, k, coeff * (1 - F(1, p)))
+            # int over p^k Z_p: (1-1/p) u^k/(1-u), normalized to u^k/(1-u)
+            n1.setdefault(k, []).append((coeff, 1))
         else:
             j0 = -valuation(mod, p).value  # > k for canonical modulation
-            _acc(n1, j0, coeff * (1 - F(1, p)))
-            _acc(n0, j0 - 1, coeff * F(-1, p))
+            n1.setdefault(j0, []).append((coeff, 1))
+            n0.setdefault(j0 - 1, []).append((coeff, -norm / p))
     # normalized factor: (1-u)/(1-1/p) * I(u) = [N0(u)(1-u) + N1(u)]/(1-1/p)
-    out: dict[int, Cyclo] = {}
-    norm = 1 / (1 - F(1, p))
-    for e, c in n0.items():
-        _acc(out, e, c * norm)
-        _acc(out, e + 1, -c * norm)
-    for e, c in n1.items():
-        _acc(out, e, c * norm)
-    return LocalMellinFactor(p, {e: c for e, c in out.items() if not c.is_zero()})
-
-
-def _acc(d: dict, e: int, c: Cyclo):
-    prev = d.get(e)
-    d[e] = c if prev is None else prev + c
+    out: dict[int, list] = {}
+    for e, parts in n0.items():
+        out.setdefault(e, []).extend((c, 0, 1, w) for c, w in parts)
+        out.setdefault(e + 1, []).extend((c, 0, 1, -w) for c, w in parts)
+    for e, parts in n1.items():
+        out.setdefault(e, []).extend((c, 0, 1, w) for c, w in parts)
+    sums = {e: phase_sum(parts) for e, parts in out.items()}
+    return LocalMellinFactor(p, {e: c for e, c in sums.items() if not c.is_zero()})
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +278,7 @@ def mellin_real_mp(phi_inf: HermiteGaussian, alpha):
     Gamma(alpha/2 + r) over the even coefficients h_2r of H_n; odd
     degrees vanish by parity.
     """
-    s = _CTX.mpc(alpha)
+    s = _mpc(alpha)
     if s.real <= 0:
         raise DomainError("real Mellin factor needs Re alpha > 0")
     if phi_inf._mellin_real is None:
@@ -300,16 +323,17 @@ def phi_p(phi: ElementaryFunction, alpha: complex) -> complex:
     the simple poles of the assembly.  A product outside the double range
     is a domain error, so no inf or NaN leaves this function.
     """
-    s = _CTX.mpc(alpha)
+    s = _mpc(alpha)
     if s == 0 or s == 1:
         raise DomainError("Phi has simple poles at alpha = 0 and alpha = 1")
     if s.real <= 0:
         raise DomainError("Phi is evaluated on Re alpha > 0")
-    product = mellin_real_mp(phi.real_factor, s)
+    prec, rnd = _CTX._prec_rounding
+    product = _raw(mellin_real_mp(phi.real_factor, s))
     for f in phi.prime_factors.values():
-        product *= mellin_local(f).evaluate_mp(s)
-    product *= zeta_mp(s)
-    value = complex(product)
+        product = mpc_mul(product, _raw(mellin_local(f).evaluate_mp(s)), prec, rnd)
+    product = mpc_mul(product, _raw(zeta_mp(s)), prec, rnd)
+    value = complex(_CTX.make_mpc(product))
     if not cmath.isfinite(value):
         raise DomainError(f"Phi(alpha) at alpha = {alpha} is outside the double range")
     return value

@@ -361,6 +361,51 @@ class TestCanonicalWork:
             assert_same_terms(f, reference_terms(p, terms))
 
 
+class TestExactSums:
+    """``l2_norm_sq`` and ``integral`` are each one rewrite onto the basis,
+    with the coordinates of the term-by-term ``Cyclo`` sums."""
+
+    @staticmethod
+    def chains(f):
+        norm, integral = Cyclo(), Cyclo()
+        for (ball, mod), c in f.terms.items():
+            norm = norm + c.abs2() * ball.measure
+            if mod == 0:
+                integral = integral + c * ball.measure
+        return norm, integral
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(deep_raw_terms())
+    def test_norm_and_integral_equal_the_term_by_term_chains(self, raw):
+        f = PAdicTestFunction(*raw)
+        for g in (f, f.fourier(), PAdicTestFunction.zero(f.prime)):
+            norm, integral = self.chains(g)
+            assert coordinates(g.l2_norm_sq()) == coordinates(norm)
+            assert coordinates(g.integral()) == coordinates(integral)
+
+    @pytest.mark.parametrize("nterms", [1, 4, 16])
+    def test_norm_and_integral_make_no_ring_operations(self, monkeypatch, nterms):
+        p = 7
+        # disjoint balls of levels 2 to 4 (centers distinct mod 49), with
+        # coefficients of conductor 12 and every other term modulated
+        terms = [(phase(F(t, 12)) + F(t, 5), Ball(p, F(t), 2 + t % 3), F(t % 2, p**3))
+                 for t in range(nterms)]
+        f = PAdicTestFunction(p, terms)
+        assert len(f.terms) == nterms
+        calls = []
+
+        def counted(name):
+            real = getattr(Cyclo, name)
+            return lambda x, y: calls.append(name) or real(x, y)
+
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+            monkeypatch.setattr(Cyclo, name, counted(name))
+        norm, integral = f.l2_norm_sq(), f.integral()
+        assert calls == []
+        monkeypatch.undo()
+        assert (norm, integral) == self.chains(f)
+
+
 class TestReflect:
     @settings(derandomize=True, max_examples=120, deadline=None)
     @given(deep_raw_terms())

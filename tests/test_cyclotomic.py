@@ -5,9 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adelic.cyclotomic import Cyclo, UnitPhase, cyclo_sum, phase, phase_sum, sqrt_prime
+from adelic.cyclotomic import Cyclo, UnitPhase, phase, phase_sum, sqrt_prime
+from adelic.primes import primes_up_to
 
 F = Fraction
+
+
+def cyclo_sum(items):
+    """The term-by-term reference sum: one Cyclo add per item."""
+    return sum(items, Cyclo())
 
 
 def test_unit_phase_group_law():
@@ -254,3 +260,32 @@ def test_phase_sum_is_the_sum_of_products(parts):
     assert got == expected and _stored(got) == _stored(expected)
     c, _, m = parts[0]
     assert phase_sum([(c, 0, m)]) is c
+
+
+@_PROPERTY
+@given(st.lists(st.tuples(_MIXED, st.integers(min_value=-50, max_value=50),
+                          st.sampled_from([1, 2, 3, 4, 8, 9, 25, 49, 12, 63]),
+                          st.fractions(min_value=-20, max_value=20, max_denominator=250)),
+                min_size=1, max_size=4))
+def test_weighted_phase_sum_is_the_sum_of_products(parts):
+    # a weight w scales its part: w * c * e(s/m), with one rewrite for all
+    expected = cyclo_sum(w * c * phase(F(s, m)) for c, s, m, w in parts)
+    got = phase_sum(parts)
+    assert got == expected and _stored(got) == _stored(expected)
+    # a weight of 1 gives what the unweighted part gives
+    assert _stored(phase_sum([(c, s, m, 1) for c, s, m, _ in parts])) == _stored(
+        phase_sum([(c, s, m) for c, s, m, _ in parts]))
+
+
+def test_sqrt_prime_is_the_gauss_sum_of_its_phases():
+    # the one rewrite of the p Gauss-sum phases stores what p successive
+    # adds store
+    for p in primes_up_to(59):
+        if p == 2:
+            want = cyclo_sum([phase(F(1, 8)), phase(F(7, 8))])
+        else:
+            g = cyclo_sum(phase(F(t * t, p)) for t in range(p))
+            want = g if p % 4 == 1 else g * phase(F(3, 4))
+        assert _stored(sqrt_prime(p)) == _stored(want), p
+    s = sqrt_prime(2887)
+    assert s * s == 2887

@@ -122,6 +122,20 @@ class TestBallCharacter:
         assert not stabilized_ball_sum(2, Ball(2, F(0), 0), point_value, 4).stabilized
         assert seen == []
 
+    def test_linear_character_reads_its_period_as_it_is(self, monkeypatch):
+        # a = 0 builds no Gauss sum and no sqrt(p) surd: the period p of
+        # chi_p(x / p) on Z_p is p residues, within the budget past p = 2896
+        res = integrate_qp(3001, PAdicTestFunction.omega(3001), (0, F(1, 3001)))
+        assert res.stabilized and res.value.is_zero()
+        # a quadratic period p is still read as p^2, over the budget
+        assert 2897**2 > integrate._COSET_BUDGET
+        res = integrate_ball_character(2897, Ball(2897, F(0), 0), F(1, 2897), 0)
+        assert not res.stabilized
+        # the linear period p**d itself is bounded: 7**2 over a budget of 8
+        monkeypatch.setattr(integrate, "_COSET_BUDGET", 8)
+        assert integrate_ball_character(7, Ball(7, F(0), 0), 0, F(1, 7)).stabilized
+        assert not integrate_ball_character(7, Ball(7, F(0), 0), 0, F(1, 49)).stabilized
+
     def test_period_of_ball_larger_than_zp(self):
         # on 2**-3 Z_2, chi_2(x) = chi_2(t/8) has period 8 in t, not 1: the
         # period is read off b * 2**k, and the eight phases cancel

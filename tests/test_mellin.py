@@ -16,12 +16,14 @@ from adelic.bruhat import (
     vacuum_state,
 )
 from adelic.cyclotomic import Cyclo, phase
+from adelic.padic import valuation
 from adelic.mellin import (
     _CTX,
     DomainError,
     _hermite_gamma_sum,
     _pi_power,
     _prime_powers,
+    _root_mp,
     LocalMellinFactor,
     euler_product_zeta,
     functional_equation_residual,
@@ -173,8 +175,9 @@ class TestMemo:
         assert sorted(built) == [2, 3, 5]
 
     # the strip-point memos besides zeta and gamma: prime powers,
-    # pi^(-alpha/2) and the Hermite gamma sums
-    MEMOS = (_prime_powers, _pi_power, _hermite_gamma_sum)
+    # pi^(-alpha/2) and the Hermite gamma sums, and the roots of unity
+    # that coefficients are converted with
+    MEMOS = (_prime_powers, _pi_power, _hermite_gamma_sum, _root_mp)
     ALPHAS = (0.3 + 1.5j, 0.7 - 4j, 0.5, _CTX.mpf(1) / 3 + _CTX.mpc(0, 2))
 
     @staticmethod
@@ -316,6 +319,53 @@ def test_tate_local_identity_is_exact(f):
     lhs, rhs = mellin_local(f).coeffs, mellin_local(f.fourier()).coeffs
     for k in set(lhs) | {-e for e in rhs}:
         assert lhs.get(k, Cyclo(0)) == rhs.get(-k, Cyclo(0)) * F(p) ** k, k
+
+
+def chain_local_factor(f):
+    """The local factor's coefficients by successive Cyclo adds, one per
+    contribution, in the order in which the assembly reaches each exponent."""
+    p = f.prime
+
+    def acc(d, e, c):
+        d[e] = d[e] + c if e in d else c
+
+    n0, n1 = {}, {}
+    for (ball, mod), coeff in f.terms.items():
+        k = ball.radius_exp
+        if not ball.contains(F(0)):
+            if mod == 0:
+                vc = valuation(ball.center, p).value
+                acc(n0, vc, coeff * F(p) ** (vc - k))
+        elif mod == 0:
+            acc(n1, k, coeff * (1 - F(1, p)))
+        else:
+            j0 = -valuation(mod, p).value
+            acc(n1, j0, coeff * (1 - F(1, p)))
+            acc(n0, j0 - 1, coeff * F(-1, p))
+    out = {}
+    norm = 1 / (1 - F(1, p))
+    for e, c in n0.items():
+        acc(out, e, c * norm)
+        acc(out, e + 1, -c * norm)
+    for e, c in n1.items():
+        acc(out, e, c * norm)
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+def _stored(c):
+    n, den, numerators = c.coordinates()
+    return n, den, dict(numerators)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(padic_test_functions())
+def test_local_factor_equals_the_chain_of_adds_in_order(f):
+    # evaluate_mp sums the coefficients in key order, so the order is
+    # part of the value
+    for g in (f, f.fourier()):
+        got, want = mellin_local(g).coeffs, chain_local_factor(g)
+        assert list(got) == list(want)
+        assert [_stored(c) for c in got.values()] == [_stored(c) for c in want.values()]
 
 
 class TestLocalMellin:
