@@ -20,7 +20,10 @@ any other exponent; each conductor has one lazily filled table of these
 basis exponent of n*m, so sums lift both operands to the lcm of their
 conductors and denominators and add numerators; products add exponents mod
 that lcm and rewrite through the table, and a rational factor only scales
-the numerators.  Every result is normalized: the conductor is minimal
+the numerators.  A whole series sum_i w_i c_i e(s_i/m_i), with rational
+weights w_i, is one ``phase_sum``: every part lifted to one conductor and
+one denominator and rewritten once, with no Cyclo built per term.  Every
+result is normalized: the conductor is minimal
 (gcd(n, all j) = 1) and the denominator reduced (gcd(den, all numerators)
 = 1).  So the stored form is unique, equality is equality of
 (n, den, _terms), zero has no terms, and values hash.  ``canonical()``

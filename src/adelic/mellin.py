@@ -25,7 +25,12 @@ exponents asked for), and a value is computed by the same expression, in
 the same order, as without the memo.  Each function
 converts its exact coefficients to the working precision once and keeps
 them: a p-adic factor on its ``LocalMellinFactor``, a real factor on its
-``_mellin_real`` slot.
+``_mellin_real`` slot; the roots of unity e(j/n) they are converted with
+are memoized too, as few occur.  ``phi_p`` converts alpha once and passes
+the working-precision value on, and a local factor's sum and the product
+over places run ``mpc_mul``/``mpc_add`` on raw (re, im) pairs: the
+operations that ``mpc`` arithmetic runs, so every value equals its ``mpc``
+expression bit for bit, without a new object per step.
 """
 
 from __future__ import annotations
