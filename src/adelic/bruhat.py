@@ -273,20 +273,23 @@ class PAdicTestFunction:
 
         x -> -x maps the disjoint balls of the canonical form to disjoint
         balls, so each term only folds its negated modulation on the
-        mapped ball (the integer fold of ``_canonicalize``), without
-        canonicalizing again.  The terms keep the order of ``self.terms``,
-        which can differ from the order that canonicalizing the mapped
-        terms would give; the dicts are equal.
+        mapped ball (``_fold``, as in ``_canonicalize``), without
+        canonicalizing again.  Canonical modulations lie in Z[1/p], so
+        each is an integer numerator over pm = p**e, the largest of their
+        denominators, with no reduction.  The terms keep the order of
+        ``self.terms``, which can differ from the order that canonicalizing
+        the mapped terms would give; the dicts are equal.
         """
         p = self.prime
         out = PAdicTestFunction(p)
         pj = max((ball.center.denominator for ball, _ in self.terms), default=1)
-        folds = _Folds(p, pj)
+        pm = max((mod.denominator for _, mod in self.terms), default=1)
+        e = valuation(pm, p).value
         for (ball, mod), c in self.terms.items():
-            center = -ball.center
-            addr = center.numerator * (pj // center.denominator)
-            mod_can, d, m = folds[-mod, ball.radius_exp]
-            out.terms[Ball(p, center, ball.radius_exp), mod_can] = phase_sum([(c, d * addr % m, m)])
+            center, k = -ball.center, ball.radius_exp
+            mc, s, n = _fold(-mod.numerator * (pm // mod.denominator), p ** max(e - k, 0),
+                             center.numerator * (pj // center.denominator), pm * pj)
+            out.terms[Ball(p, center, k), F(mc, pm)] = phase_sum([(c, s, n)])
         return out
 
     # -- comparison ------------------------------------------------------------
@@ -314,38 +317,18 @@ class PAdicTestFunction:
         return f"PAdicTestFunction(p={self.prime}, {len(self.terms)} terms)"
 
 
-class _Folds(dict):
-    """(mod, level) -> (mod_can, d, m), filled on first use, for balls with
-    centers addr / pj.
+def _fold(a: int, r: int, addr: int, m: int) -> tuple[int, int, int]:
+    """The fold of the modulation a / pm onto a ball with center addr / pj,
+    m = pm * pj, on which the canonical numerators are the residues mod r.
 
-    mod_can = reduce_mod(mod, p, -level) is the canonical modulation of a
-    level-``level`` ball, and on the ball with center addr / pj,
-    chi(mod x) = e((d * addr mod m) / m) * chi(mod_can x).  With
-    mod - mod_can = a / (b * p**e), b prime to p, the phase is
-    chi((mod - mod_can) * addr / pj) = e(a * b^-1 * addr / (p**e * pj)),
-    so m = p**e * pj and d = a * b^-1 mod m, both divided by gcd(d, m).
-    One table serves one set of balls; it is not kept between them.
+    Returns (mc, s, n): chi(a x / pm) = e(s / n) * chi(mc x / pm) on the
+    ball, with mc = a mod r and s / n = ((a - mc) * addr mod m) / m in
+    lowest terms, so that an unmodulated term gives e(0 / 1).
     """
-
-    __slots__ = ("prime", "pj")
-
-    def __init__(self, prime: int, pj: int):
-        super().__init__()
-        self.prime, self.pj = prime, pj
-
-    def __missing__(self, key: tuple[Fraction, int]) -> tuple[Fraction, int, int]:
-        mod, level = key
-        p = self.prime
-        mod_can = reduce_mod(mod, p, -level)
-        diff = mod - mod_can
-        a, b, m = diff.numerator, diff.denominator, self.pj
-        while b % p == 0:
-            b //= p
-            m *= p
-        d = a * pow(b, -1, m) % m
-        g = math.gcd(d, m)
-        out = self[key] = (mod_can, d // g, m // g)
-        return out
+    mc = a % r
+    s = (a - mc) * addr % m
+    g = math.gcd(s, m)
+    return mc, s // g, m // g
 
 
 def _canonicalize(prime: int, raw: list) -> dict[TermKey, Cyclo]:
@@ -362,17 +345,19 @@ def _canonicalize(prime: int, raw: list) -> dict[TermKey, Cyclo]:
     (p-1 siblings per level), never into the full p**delta grid, so the
     canonical form stays linear in the input size.
 
-    Each term is folded on each leaf it reaches, in integers: on the
-    level-L leaf with address addr its modulation becomes
-    mod_can = reduce_mod(mod, p, -L) times the phase e((d * addr mod m) / m),
-    with d and m computed once per (mod, L) and call (``_Folds``).  Raw
-    modulations are not folded first: a fold on the term's own ball and
-    then on the leaf differs from one fold on the leaf by
-    chi((mod - mod_k) * (c' - c)), whose argument is integral.  Each leaf
-    key (addr, L, mod_can) collects (coefficient, shift, modulus) parts and
-    is summed into one ``Cyclo`` at the end (``phase_sum``); a ``Ball`` is
-    built only for a nonzero sum, from its center addr / pj, which lies in
-    [0, p**L) and so is already reduced (``Ball._reduced``).
+    Modulations live on an integer lattice too.  Every point of every ball
+    lies in p**(-j) Z_p, so a modulation matters only modulo p**j Z_p:
+    each raw one is reduced once (``reduce_mod(mod, p, j)``) and written
+    as an integer A over pm, the largest p-power denominator of the
+    reductions.  On the level-L leaf with address addr, the canonical
+    modulation is mc / pm with mc = A mod p**(E-L) for pm = p**E (0 when
+    E <= L), and the rest is the phase e(((A - mc) * addr mod m) / m),
+    m = pm * p**j (``_fold``).  Each leaf key (addr, L, mc) is all
+    integers; it collects (coefficient, shift, modulus) parts, summed into
+    one ``Cyclo`` at the end (``phase_sum``), and only a nonzero sum
+    builds its modulation F(mc, pm) and its ``Ball``, whose center
+    addr / p**j lies in [0, p**L) and so is already reduced
+    (``Ball._reduced``).
 
     Term order is part of the result: groups come in order of first
     appearance and children in digit order t = 0..p-1, a region with
@@ -384,27 +369,32 @@ def _canonicalize(prime: int, raw: list) -> dict[TermKey, Cyclo]:
         return {}
     k_min = min(ball.radius_exp for _, ball, _ in raw)
     pj = max(max(ball.center.denominator for _, ball, _ in raw), prime ** max(-k_min, 0))
-    step = pj * prime**k_min if k_min >= 0 else pj // prime**-k_min
+    j = valuation(pj, prime).value
+    mods = [reduce_mod(mod, prime, j) for _, _, mod in raw]
+    pm = max(q.denominator for q in mods)
+    step = prime ** (k_min + j)
     groups: dict[int, list] = {}
-    for coeff, ball, mod in raw:
+    for (coeff, ball, _), q in zip(raw, mods):
         n = ball.center.numerator * (pj // ball.center.denominator)
-        groups.setdefault(n % step, []).append((n, ball.radius_exp, coeff, mod))
-    leaves: dict[tuple[int, int, Fraction], list] = {}
-    folds = _Folds(prime, pj)
+        a = q.numerator * (pm // q.denominator)
+        groups.setdefault(n % step, []).append((n, ball.radius_exp, coeff, a))
+    leaves: dict[tuple[int, int, int], list] = {}
     for addr, members in groups.items():
-        _refine_region(prime, addr, k_min, step, members, folds, leaves)
+        _refine_region(prime, addr, k_min, step, members, pm * pj, leaves)
     terms: dict[TermKey, Cyclo] = {}
-    for (addr, level, mod), parts in leaves.items():
+    for (addr, level, mc), parts in leaves.items():
         coeff = phase_sum(parts)
         if not coeff.is_zero():
-            terms[Ball._reduced(prime, F(addr, pj), level), mod] = coeff
+            terms[Ball._reduced(prime, F(addr, pj), level), F(mc, pm)] = coeff
     return terms
 
 
 def _refine_region(prime: int, addr: int, level: int, step: int, items: list,
-                   folds: _Folds, leaves: dict):
+                   m: int, leaves: dict):
     """Recursive partition refinement of one overlap cluster: the region
-    at ``level`` with residue address ``addr`` modulo ``step`` = p**(level+j)."""
+    at ``level`` with residue address ``addr`` modulo ``step`` = p**(level+j),
+    on which the canonical modulation numerators are the residues modulo
+    m // step = p**(E-level) (or 1 once that is below 1)."""
     covering = []
     buckets: dict[int, list] = {}
     for term in items:
@@ -413,13 +403,14 @@ def _refine_region(prime: int, addr: int, level: int, step: int, items: list,
         else:
             buckets.setdefault(term[0] // step % prime, []).append(term)
     if not buckets:
-        for _, _, coeff, mod in covering:
-            mod_can, d, m = folds[mod, level]
-            leaves.setdefault((addr, level, mod_can), []).append((coeff, d * addr % m, m))
+        r = m // step or 1
+        for _, _, coeff, a in covering:
+            mc, s, n = _fold(a, r, addr, m)
+            leaves.setdefault((addr, level, mc), []).append((coeff, s, n))
         return
     for t in range(prime) if covering else sorted(buckets):
         sub = covering + buckets.get(t, [])
-        _refine_region(prime, addr + t * step, level + 1, step * prime, sub, folds, leaves)
+        _refine_region(prime, addr + t * step, level + 1, step * prime, sub, m, leaves)
 
 
 # ---------------------------------------------------------------------------

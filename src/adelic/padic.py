@@ -149,9 +149,7 @@ def digits(r: Rat | int, p: int, count: int) -> tuple[Valuation, list[int]]:
     if r == 0:
         raise ValueError("0 has no canonical leading digit")
     v = valuation(r, p)
-    unit = r / Fraction(p) ** v.value
-    mod = p**count
-    m = unit.numerator * pow(unit.denominator, -1, mod) % mod
+    m = unit_part_mod(r, p, count)
     out = []
     for _ in range(count):
         m, d = divmod(m, p)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adelic import bruhat
 from adelic.adeles import Adele, principal_adele, zero_adele
 from adelic.bruhat import (
     Ball,
@@ -358,6 +359,29 @@ class TestCanonicalWork:
             # and the chain's end, where the fine term meets the coarse one
             depth = terms[1][1].radius_exp
             assert len(f.terms) == (p - 1) * (depth + 1) + 1
+            assert_same_terms(f, reference_terms(p, terms))
+
+    def test_modulation_reductions_do_not_grow_with_the_chain_depth(self, monkeypatch):
+        # each raw modulation is reduced once onto the call's lattice, not
+        # once per level of the chain it is folded along
+        p = 7
+        chains = {depth: [(1, Ball(p, F(0), 0), F(3, p)), (2, Ball(p, F(p**depth), depth), F(0))]
+                  for depth in (2, 4, 8)}
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return reduce_mod(*args)
+
+        monkeypatch.setattr(bruhat, "reduce_mod", counted)
+        counts, built = [], []
+        for depth, terms in chains.items():
+            del calls[:]
+            built.append((terms, PAdicTestFunction(p, terms)))
+            counts.append(len(calls))
+        monkeypatch.undo()
+        assert counts == [counts[0]] * 3
+        for terms, f in built:
             assert_same_terms(f, reference_terms(p, terms))
 
 

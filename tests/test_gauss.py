@@ -376,6 +376,44 @@ class TestLambdaCertificates:
             gauss._square_preimage(5, Ball(5, F(1), 1))
 
 
+@st.composite
+def stationary_cells(draw):
+    """(p, ball, m, b): a ball c + p^k Z_p with -3 <= k <= 3, and m and b
+    each 0 or u p^v with u a unit and -3 <= v <= 3."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+
+    def zero_or_unit_power():
+        if draw(st.integers(0, 3)) == 0:
+            return F(0)
+        u = draw(st.integers(-9, 9)) * p + draw(st.integers(1, p - 1))
+        return u * F(p) ** draw(st.integers(-3, 3))
+
+    center = F(draw(st.integers(-60, 60)), p ** draw(st.integers(0, 3)))
+    ball = Ball(p, center, draw(st.integers(-3, 3)))
+    return p, ball, zero_or_unit_power(), zero_or_unit_power()
+
+
+class TestStationaryCut:
+    """``gauss._stationary_part``, the one analytic step of the Lambda
+    transform, keeps all of int chi_p(m x^2 + b x) dx over the ball.  A
+    cut one level too tight (rho + 1) fails here; one level too loose
+    (rho - 1) keeps cosets that integrate to 0, so it is sound and passes."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(stationary_cells())
+    def test_the_kept_part_carries_the_whole_ball_integral(self, cell):
+        p, ball, m, b = cell
+        whole = integrate.integrate_ball_character(p, ball, m, b)
+        assume(whole.stabilized)  # an inconclusive cell is never a pass
+        kept = gauss._stationary_part(p, ball, m, b)
+        if kept is None:
+            assert whole.value.is_zero(), cell
+        else:
+            assert ball.contains_ball(kept), cell
+            cut = integrate.integrate_ball_character(p, kept, m, b)
+            assert cut.stabilized and cut.value == whole.value, cell
+
+
 class TestSqrtNorm:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_exact_sqrt_norm(self, p):
