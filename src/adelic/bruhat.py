@@ -274,11 +274,14 @@ class PAdicTestFunction:
         x -> -x maps the disjoint balls of the canonical form to disjoint
         balls, so each term only folds its negated modulation on the
         mapped ball (``_fold``, as in ``_canonicalize``), without
-        canonicalizing again.  Canonical modulations lie in Z[1/p], so
-        each is an integer numerator over pm = p**e, the largest of their
-        denominators, with no reduction.  The terms keep the order of
-        ``self.terms``, which can differ from the order that canonicalizing
-        the mapped terms would give; the dicts are equal.
+        canonicalizing again.  The image of the reduced center c of a
+        level-k ball has the reduced center p**k - c, or 0 when c = 0, so
+        the mapped ball is built without reducing it again.  Canonical
+        modulations lie in Z[1/p], so each is an integer numerator over
+        pm = p**e, the largest of their denominators, with no reduction.
+        The terms keep the order of ``self.terms``, which can differ from
+        the order that canonicalizing the mapped terms would give; the
+        dicts are equal.
         """
         p = self.prime
         out = PAdicTestFunction(p)
@@ -286,10 +289,11 @@ class PAdicTestFunction:
         pm = max((mod.denominator for _, mod in self.terms), default=1)
         e = valuation(pm, p).value
         for (ball, mod), c in self.terms.items():
-            center, k = -ball.center, ball.radius_exp
+            center, k = ball.center, ball.radius_exp
             mc, s, n = _fold(-mod.numerator * (pm // mod.denominator), p ** max(e - k, 0),
-                             center.numerator * (pj // center.denominator), pm * pj)
-            out.terms[Ball(p, center, k), F(mc, pm)] = phase_sum([(c, s, n)])
+                             -center.numerator * (pj // center.denominator), pm * pj)
+            image = Ball._reduced(p, F(p) ** k - center if center else center, k)
+            out.terms[image, F(mc, pm)] = phase_sum([(c, s, n)])
         return out
 
     # -- comparison ------------------------------------------------------------

@@ -6,9 +6,14 @@ The closed form at every place is
 
 with lam_v(a) a unit-modulus constant.  For rational a and b that is an
 exact phase times sqrt(|2a|_v^(-1)), the polar form ``gauss_polar``; every
-closed form below and the product formula are read off it.  The lambda
-tables were derived by running the residue-sum oracle over all residue
-classes (re-runnable, see ``calibrate_lambda_p``) and then frozen:
+closed form below and the product formula are read off it.  At a prime the
+polar form is read off the integer numerators of a and b: v(a) and the
+unit class of a index the lambda table (every lam_p is an eighth root of
+unity), {-b^2/4a}_p is one integer over a power of p, and the exact
+closed form ``gauss_integral_p_exact`` is that phase times p**(w/2), one
+rewrite onto the cyclotomic basis.  The lambda tables were derived by
+running the residue-sum oracle over all residue classes (re-runnable, see
+``calibrate_lambda_p``) and then frozen:
 
 real place:    lam_inf(a) = e^(-i pi sign(a)/4)
 odd p, v(a) even:  lam_p = 1
@@ -29,10 +34,10 @@ from fractions import Fraction
 
 from .adeles import Adele, Idele, principal_adele, principal_idele
 from .bruhat import Ball, ElementaryFunction, PAdicTestFunction, omega
-from .characters import chi_inf_phase, chi_p
-from .cyclotomic import Cyclo, UnitPhase, sqrt_prime_power
+from .characters import chi_inf_phase
+from .cyclotomic import Cyclo, UnitPhase, phase_sum, sqrt_prime, sqrt_prime_power
 from .integrate import _COSET_BUDGET, Unstabilized, integrate_ball_character, integrate_qp
-from .padic import padic_norm, unit_part_mod, valuation
+from .padic import _split, padic_norm, unit_part_mod, valuation
 from .primes import legendre_symbol, require_prime
 from .quadrature import gauss_character_integral
 
@@ -56,18 +61,31 @@ def lambda_p(p: int, a: Fraction | int) -> UnitPhase:
     a = Fraction(a)
     if a == 0:
         raise ValueError("lambda requires a != 0")
-    v = valuation(a, p).value
+    v, u = _unit_class(p, a)
+    return UnitPhase(F(_lambda_eighths(p, v, u), 8))
+
+
+def _unit_class(p: int, a: Fraction) -> tuple[int, int]:
+    """(v, u) with a = p**v * unit, u the unit mod p**lambda_class_depth(p)."""
+    vn, un = _split(a.numerator, p)
+    vd, ud = _split(a.denominator, p)
+    mod = p ** lambda_class_depth(p)
+    return vn - vd, un * pow(ud, -1, mod) % mod
+
+
+def _lambda_eighths(p: int, v: int, u: int) -> int:
+    """The frozen table: lam_p(u p**v) = e(s/8), u the unit class (mod 8 at
+    p = 2, mod p otherwise)."""
     if p == 2:
-        u8 = unit_part_mod(a, 2, 3)
         if v % 2 == 0:
-            return UnitPhase(F(1, 8) if u8 % 4 == 1 else F(-1, 8))
-        return UnitPhase(F(u8, 8))
+            return 1 if u % 4 == 1 else -1
+        return u
     if v % 2 == 0:
-        return UnitPhase(F(0))
-    leg = legendre_symbol(unit_part_mod(a, p, 1), p)
+        return 0
+    leg = legendre_symbol(u, p)
     if p % 4 == 1:
-        return UnitPhase(F(0) if leg == 1 else F(1, 2))
-    return UnitPhase(F(1, 4) if leg == 1 else F(3, 4))
+        return 0 if leg == 1 else 4
+    return 2 if leg == 1 else 6
 
 
 def sqrt_norm_2a_inv(p: int, a: Fraction) -> Cyclo:
@@ -93,19 +111,34 @@ def class_representatives(p: int) -> list[Fraction]:
 
 def gauss_polar(p: int | None, a, b) -> tuple[UnitPhase, Fraction]:
     """The Gauss factor at p (p = None: the real place) as its exact phase
-    and squared modulus.  A float a or b is taken as the rational it is."""
+    and squared modulus.  A float a or b is taken as the rational it is.
+
+    At a prime the phase lam_p(a) chi_p(-b^2/4a) is e(s/8 + t/p**e), read
+    off the integer numerators: v(a) and the unit class of a give s, and
+    {-b^2/4a}_p = t/p**e; the squared modulus is |2a|_p^(-1) = p**v(2a).
+    """
     a, b = Fraction(a), Fraction(b)
     if a == 0:
         raise ValueError("Gauss integral requires a != 0")
-    c = -b * b / (4 * a)
     if p is None:
-        return lambda_inf_phase(a) * chi_inf_phase(c), 1 / abs(2 * a)
-    return lambda_p(p, a) * chi_p(c, p), 1 / padic_norm(2 * a, p)
+        return lambda_inf_phase(a) * chi_inf_phase(-b * b / (4 * a)), 1 / abs(2 * a)
+    require_prime(p)
+    v, u = _unit_class(p, a)
+    # -b^2/4a = -(bn^2 ad) / (4 bd^2 an), over its p-part p**e and a unit
+    e, unit = _split(4 * b.denominator**2 * a.numerator, p)
+    pe = p**e
+    t = -b.numerator**2 * a.denominator * pow(unit, -1, pe) % pe
+    return (UnitPhase(F(_lambda_eighths(p, v, u) * pe + 8 * t, 8 * pe)),
+            F(p) ** (v + (p == 2)))
 
 
 def gauss_integral_p_exact(p: int, a: Fraction | int, b: Fraction | int = 0) -> Cyclo:
-    """The exact closed form lam_p(a) |2a|_p^(-1/2) chi_p(-b^2/4a)."""
-    return gauss_polar(p, a, b)[0].as_cyclo() * sqrt_norm_2a_inv(p, Fraction(a))
+    """The exact closed form lam_p(a) |2a|_p^(-1/2) chi_p(-b^2/4a): the
+    phase of ``gauss_polar`` times p**(w/2), p**w its squared modulus."""
+    ph, m2 = gauss_polar(p, a, b)
+    w = _split(m2.numerator, p)[0] - _split(m2.denominator, p)[0]  # m2 = p**w
+    root = sqrt_prime(p) if w % 2 else Cyclo(1)
+    return phase_sum([(root, ph.phase.numerator, ph.phase.denominator, F(p) ** (w // 2))])
 
 
 def gauss_integral_inf(a: Fraction | float, b: Fraction | float = 0) -> complex:

@@ -2,10 +2,15 @@
 
 Haar measure is normalized to vol(Z_p) = 1.  On a ball c + p**k Z_p,
 with x = c + p**k t, the quadratic character chi_p(a x^2 + b x) is one
-phase chi_p(a c^2 + b c) times a function of t mod p**d, where p**d is
-the p-part of the denominators of the phase.  Counting that one period of
-p**d residues gives the exact integral: the period is the certificate,
-and no float tolerance enters.  The only work bound is ``_COSET_BUDGET``:
+phase chi_p(a c^2 + b c) times a function of t mod p**d.  Everything is
+read off integer numerators over p-power denominators: the front phase is
+an integer over p**e, the rest is (bi t + ci t^2) / p**d with integer
+residues bi and ci, and p**d is the reduced period, with the powers of p
+common to bi and ci stripped.  Counting that one period of p**d residues
+gives the exact integral, and the front phase, the folded counts and the
+measure are rewritten onto the cyclotomic basis once, with no ``Fraction``
+or ``Cyclo`` arithmetic in between: the period is the certificate, and no
+float tolerance enters.  The only work bound is ``_COSET_BUDGET``:
 a ball whose period is over it is reported unstabilized without being
 enumerated.  A quadratic character (a != 0) has its period read as
 p**max(d, 2).  The 2 is there because p**d alone does not bound the cost at
@@ -43,9 +48,8 @@ from typing import Callable
 import numpy as np
 
 from .bruhat import Ball, PAdicTestFunction
-from .characters import chi_p
-from .cyclotomic import Cyclo, phase_sum
-from .padic import valuation
+from .cyclotomic import Cyclo, _from_exponents, phase_sum
+from .padic import _split, valuation
 from .primes import require_prime
 
 F = Fraction
@@ -104,46 +108,70 @@ def integrate_ball_character(
 
     On the ball c + p**k Z_p, x = c + t p**k, the phase argument is
     A + B t + C t^2 with A = a c^2 + b c, B = (2 a c + b) p**k and
-    C = a p**2k.  chi_p(A) is one phase in front, and chi_p(B t + C t^2)
-    depends on t mod p**d only, p**d being the p-part of its denominator.
-    The integral is therefore p**(-k-d) chi_p(A) times the sum over one
-    period, t = 0 .. p**d - 1, counted once as residues of B t + C t^2
-    mod p**d.  A ball whose period is over the coset budget is reported
-    unstabilized without being enumerated: p**max(d, 2) when C != 0, p**d
-    when the character is linear (see the module docstring for the 2);
-    within it, int64 counts are exact.
+    C = a p**2k, each read as an integer numerator over a common
+    denominator.  {A}_p = s0 / p**e, in lowest terms, is one phase in
+    front.  B t + C t^2 mod Z_p is (bi t + ci t^2) / p**d with integer
+    residues bi and ci, and stripping the powers of p common to both
+    leaves the reduced period p**d, the p-part of the lowest-terms
+    denominators of B and C.  The integral is p**(-k-d) e(s0 / p**e)
+    times the sum over one period, t = 0 .. p**d - 1, counted once as
+    residues of bi t + ci t^2 mod p**d and folded onto the power basis;
+    the front phase, the folded counts and p**(-k-d) are rewritten onto
+    the basis of conductor max(p**d, p**e) once.  A ball whose period is
+    over the coset budget is reported unstabilized without being
+    enumerated: p**max(d, 2) when a != 0, p**d when the character is
+    linear (see the module docstring for the 2); within it, int64 counts
+    are exact.
     """
+    require_prime(p)
     a, b = Fraction(a), Fraction(b)
-    k = ball.radius_exp
-    c0, s = ball.center, F(p) ** k
-    front = chi_p(a * c0 * c0 + b * c0, p).as_cyclo()
-    B = (2 * a * c0 + b) * s
-    C = a * s * s
+    k, c = ball.radius_exp, ball.center
+    # a = an / L, b = bn / L and c = cn / cd, cd a power of p
+    L = math.lcm(a.denominator, b.denominator)
+    an, bn = a.numerator * (L // a.denominator), b.numerator * (L // b.denominator)
+    cn, cd = c.numerator, c.denominator
 
-    # split the common denominator into its p-part p**d and a unit mod p**d
-    den = math.lcm(B.denominator, C.denominator)
-    d = valuation(den, p).value
+    # the front phase: A = (an cn + bn cd) cn / (L cd^2) = s0 / p**e mod Z_p
+    e, unit = _split(L * cd * cd, p)
+    pe = p**e
+    s0 = (an * cn + bn * cd) * cn * pow(unit, -1, pe) % pe
+    g = math.gcd(s0, pe)
+    s0, pe = s0 // g, pe // g
+
+    # B and C over L cd p**2h, h = max(-k, 0), as residues mod its p-part
+    h = max(-k, 0)
+    d, unit = _split(L * cd, p)
+    d += 2 * h
+    pd = p**d
+    inv = pow(unit, -1, pd)
+    bi = (2 * an * cn + bn * cd) * p ** (k + 2 * h) * inv % pd
+    ci = an * cd * p ** (2 * k + 2 * h) * inv % pd
+    # the reduced period: strip the powers of p common to bi and ci
+    while d and bi % p == 0 and ci % p == 0:
+        bi, ci, d = bi // p, ci // p, d - 1
+    pd = p**d
+
     if d == 0:
         # B t + C t^2 is p-integral: the character is chi_p(A) on the ball
-        return QpIntegral(front * ball.measure, True)
-    if p ** (max(d, 2) if C else d) > _COSET_BUDGET:
+        period = [(0, 1)]
+    elif p ** (max(d, 2) if a else d) > _COSET_BUDGET:
         return QpIntegral(Cyclo(), False)
-    pd = p**d
-    inv_m = pow(den // pd, -1, pd)
-    bi = B.numerator * (den // B.denominator) * inv_m % pd
-    ci = C.numerator * (den // C.denominator) * inv_m % pd
+    else:
+        slices = (np.arange(lo, min(pd, lo + _SLICE), dtype=np.int64)
+                  for lo in range(0, pd, _SLICE))
+        counts = sum(np.bincount((ci * t % pd + bi) * t % pd, minlength=pd) for t in slices)
+        # fold onto the power basis j/p**d, 0 <= j < (p-1) p**(d-1): each
+        # phase of the top row is minus the sum of its column above it
+        rows = counts.reshape(p, -1)
+        coords = (rows[:-1] - rows[-1]).ravel()
+        period = [(int(j), int(coords[j])) for j in np.flatnonzero(coords)]
 
-    counts = np.zeros(pd, dtype=np.int64)
-    for lo in range(0, pd, _SLICE):
-        t = np.arange(lo, min(pd, lo + _SLICE), dtype=np.int64)
-        counts += np.bincount((ci * t % pd + bi) * t % pd, minlength=pd)
-
-    # fold onto the power basis j/p**d, 0 <= j < (p-1) p**(d-1): each phase
-    # of the top row is minus the sum of its column above it
-    rows = counts.reshape(p, -1)
-    coords = (rows[:-1] - rows[-1]).ravel()
-    period = Cyclo.from_coordinates(pd, 1, {int(j): int(coords[j]) for j in np.flatnonzero(coords)})
-    return QpIntegral(front * period * F(p) ** (-k - d), True)
+    # one rewrite: e(s0/p**e) e(j/p**d) p**(-k-d) at conductor max(p**d, p**e)
+    n = max(pd, pe)
+    lift, shift = n // pd, s0 * (n // pe)
+    scale, den = (p ** (-k - d), 1) if k + d <= 0 else (1, p ** (k + d))
+    return QpIntegral(_from_exponents(n, den, (
+        ((j * lift + shift) % n, count * scale) for j, count in period)), True)
 
 
 def sphere_provably_zero(p: int, a: Fraction, b: Fraction, j: int) -> bool:

@@ -79,21 +79,22 @@ class Valuation:
         return "Valuation(+inf)" if self.is_infinite else f"Valuation({self._v})"
 
 
+def _split(n: int, p: int) -> tuple[int, int]:
+    """(v, u) with n = p**v * u and p not dividing u, for a nonzero int n."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
 def valuation(r: Rat | int, p: int) -> Valuation:
     """The exponent v with r = p**v * (s/t), p dividing neither s nor t."""
     require_prime(p)
     r = Fraction(r)
     if r == 0:
         return Valuation.infinite()
-    v = 0
-    num, den = r.numerator, r.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return Valuation(v)
+    return Valuation(_split(r.numerator, p)[0] - _split(r.denominator, p)[0])
 
 
 def padic_norm(r: Rat | int, p: int) -> Fraction:
@@ -124,17 +125,12 @@ def reduce_mod(c: Rat | int, p: int, k: int) -> Fraction:
     if c == 0:
         return Fraction(0)
     # write c = a / (b * p**j) with p not dividing b
-    den, pj, j = c.denominator, 1, 0
-    while den % p == 0:
-        den //= p
-        pj *= p
-        j += 1
+    j, b = _split(c.denominator, p)
     if j + k <= 0:
         return Fraction(0)  # v_p(c) = -j >= k already
-    a, b = c.numerator, den
     modulus = p ** (j + k)
-    m = a * pow(b, -1, modulus) % modulus
-    return Fraction(m, pj)
+    m = c.numerator * pow(b, -1, modulus) % modulus
+    return Fraction(m, p**j)
 
 
 def digits(r: Rat | int, p: int, count: int) -> tuple[Valuation, list[int]]:

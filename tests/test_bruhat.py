@@ -449,6 +449,27 @@ class TestReflect:
         for x in (F(0), F(1), F(-1), F(2), F(1, p), F(-2, p), F(p + 2), F(2 * p * p)):
             assert g.evaluate(x) == f.evaluate(-x), x
 
+    def test_reflection_reduces_no_center(self, monkeypatch):
+        # the mapped ball of c + p^k Z_p is read off the reduced center c:
+        # p^k - c, or 0 when c = 0, with no reduction
+        p = 7
+        f = PAdicTestFunction(p, [(1, Ball(p, F(1, p), 0), F(1, p**3)),
+                                  (F(1, 2), Ball(p, F(2), 1), F(3, p**2)),
+                                  (phase(F(1, 4)), Ball(p, F(0), 2), F(-1, p**3))])
+        assert len(f.terms) == 3
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return reduce_mod(*args)
+
+        monkeypatch.setattr(bruhat, "reduce_mod", counted)
+        g = f.reflect()
+        monkeypatch.undo()
+        assert calls == []
+        assert g.terms == mapped_reflection(f).terms
+        assert sorted(ball.center for ball, _ in g.terms) == [F(0), F(p - 1, p), F(p - 2)]
+
 
 class TestFourierP:
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])

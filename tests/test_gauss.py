@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from adelic import gauss, integrate
 from adelic.adeles import Adele, principal_adele, principal_idele
 from adelic.bruhat import Ball, ElementaryFunction, HermiteGaussian, PAdicTestFunction
+from adelic.characters import chi_p
 from adelic.cyclotomic import Cyclo, UnitPhase, phase
 from adelic.gauss import (
     calibrate_lambda_p,
@@ -103,6 +104,28 @@ class TestClosedFormVsOracle:
         ph, m2 = gauss_polar(p, a, b)
         exact = closed.to_complex()
         assert abs(ph.value * math.sqrt(m2) - exact) <= 1e-12 * abs(exact)
+
+    def test_polar_form_equals_its_fraction_composition(self):
+        # the polar form read off integer numerators against its composition
+        # in Fractions, and the exact closed form against the product of
+        # its phase and |2a|_p^(-1/2)
+        rng = random.Random(20261020)
+
+        def draw(p):
+            def unit():
+                return rng.randint(0, 999) * p + rng.randint(1, p - 1)
+
+            return F(rng.choice([-1, 1]) * unit(), unit()) * F(p) ** rng.randint(-4, 4)
+
+        for _ in range(200):
+            p = rng.choice([2, 3, 5, 7, 11])
+            a = draw(p)
+            b = draw(p) if rng.random() < 0.8 else F(0)
+            polar = gauss_polar(p, a, b)
+            assert polar == (lambda_p(p, a) * chi_p(-b * b / (4 * a), p),
+                             1 / padic_norm(2 * a, p)), (p, a, b)
+            assert gauss_integral_p_exact(p, a, b) == (
+                polar[0].as_cyclo() * sqrt_norm_2a_inv(p, a)), (p, a, b)
 
     def test_real_cases(self):
         for a in (1.0, -1.0, 2.0, 0.5):

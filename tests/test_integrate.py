@@ -136,6 +136,21 @@ class TestBallCharacter:
         assert integrate_ball_character(7, Ball(7, F(0), 0), 0, F(1, 7)).stabilized
         assert not integrate_ball_character(7, Ball(7, F(0), 0), 0, F(1, 49)).stabilized
 
+    def test_budget_reads_the_reduced_period(self, monkeypatch):
+        # on 1/49 + 7^-1 Z_7 with a = 1 and b = -2/49, B = (2 a c + b) / 7
+        # cancels to 0: the period is 7^2 residues, though the common
+        # denominator of the unreduced B and C is 7^6
+        p, a, b = 7, F(1), F(-2, 49)
+        ball = Ball(p, F(1, 49), -1)
+        reference = stabilized_ball_sum(
+            p, ball, lambda x: phase(frac_part(a * x * x + b * x, p)), 2)
+        assert reference.stabilized
+        monkeypatch.setattr(integrate, "_COSET_BUDGET", 49)
+        res = integrate_ball_character(p, ball, a, b)
+        assert res.stabilized and res.value == reference.value
+        monkeypatch.setattr(integrate, "_COSET_BUDGET", 48)
+        assert not integrate_ball_character(p, ball, a, b).stabilized
+
     def test_period_of_ball_larger_than_zp(self):
         # on 2**-3 Z_2, chi_2(x) = chi_2(t/8) has period 8 in t, not 1: the
         # period is read off b * 2**k, and the eight phases cancel
