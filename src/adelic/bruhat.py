@@ -254,17 +254,20 @@ class PAdicTestFunction:
         Transform of coeff*chi(m x)*1_{B(c,k)} is
         coeff * p^-k * chi(m c) * chi(c xi) * 1_{B(-m, -k)}(xi).
         Each new coefficient is one weighted ``phase_sum`` part,
-        (coeff, s, d, p^-k) with {m c}_p = s/d.
+        (coeff, s, d, p^-k) with {m c}_p = s/d.  A canonical modulation m
+        lies in [0, p^-k), so B(-m, -k) has the reduced center p^-k - m,
+        or 0 when m = 0, and is built without reducing it again.
         The transform is built on the first call and returned afterwards.
         """
         if self._fourier is None:
             p = self.prime
             new_terms = []
             for (ball, mod), coeff in self.terms.items():
-                c, k = ball.center, ball.radius_exp
+                c, k, measure = ball.center, ball.radius_exp, ball.measure
                 q = frac_part(mod * c, p)
-                newc = phase_sum([(coeff, q.numerator, q.denominator, ball.measure)])
-                new_terms.append((newc, Ball(p, -mod, -k), c))
+                newc = phase_sum([(coeff, q.numerator, q.denominator, measure)])
+                image = Ball._reduced(p, measure - mod if mod else mod, -k)
+                new_terms.append((newc, image, c))
             self._fourier = PAdicTestFunction(p, new_terms)
         return self._fourier
 

@@ -7,13 +7,15 @@ The closed form at every place is
 with lam_v(a) a unit-modulus constant.  For rational a and b that is an
 exact phase times sqrt(|2a|_v^(-1)), the polar form ``gauss_polar``; every
 closed form below and the product formula are read off it.  At a prime the
-polar form is read off the integer numerators of a and b: v(a) and the
-unit class of a index the lambda table (every lam_p is an eighth root of
-unity), {-b^2/4a}_p is one integer over a power of p, and the exact
-closed form ``gauss_integral_p_exact`` is that phase times p**(w/2), one
-rewrite onto the cyclotomic basis.  The lambda tables were derived by
-running the residue-sum oracle over all residue classes (re-runnable, see
-``calibrate_lambda_p``) and then frozen:
+polar form is read off the integer numerators of a and b by one helper,
+``_polar_p``: v(a) and the unit class of a index the lambda table (every
+lam_p is an eighth root of unity), {-b^2/4a}_p is one integer over a power
+of p, and the factor is e(s/m) p**(w/2) in ints.  ``gauss_polar`` wraps
+it as a ``UnitPhase`` and p**w; the exact closed form
+``gauss_integral_p_exact`` is one rewrite of e(s/m) p**(w/2) onto the
+cyclotomic basis, with no ``UnitPhase`` in between.  The lambda tables
+were derived by running the residue-sum oracle over all residue classes
+(re-runnable, see ``calibrate_lambda_p``) and then frozen:
 
 real place:    lam_inf(a) = e^(-i pi sign(a)/4)
 odd p, v(a) even:  lam_p = 1
@@ -109,36 +111,48 @@ def class_representatives(p: int) -> list[Fraction]:
     return [F(u) * F(p) ** v for v in range(-2, 3) for u in units]
 
 
-def gauss_polar(p: int | None, a, b) -> tuple[UnitPhase, Fraction]:
-    """The Gauss factor at p (p = None: the real place) as its exact phase
-    and squared modulus.  A float a or b is taken as the rational it is.
-
-    At a prime the phase lam_p(a) chi_p(-b^2/4a) is e(s/8 + t/p**e), read
-    off the integer numerators: v(a) and the unit class of a give s, and
-    {-b^2/4a}_p = t/p**e; the squared modulus is |2a|_p^(-1) = p**v(2a).
-    """
+def _polar_p(p: int, a, b) -> tuple[int, int, int]:
+    """(s, m, w) with the Gauss factor at the prime p equal to
+    e(s/m) p**(w/2), s/m in lowest terms, read off the integer numerators:
+    v(a) and the unit class of a give lam_p(a) = e(r/8), {-b^2/4a}_p =
+    t/p**e, and w = v(2a)."""
     a, b = Fraction(a), Fraction(b)
     if a == 0:
         raise ValueError("Gauss integral requires a != 0")
-    if p is None:
-        return lambda_inf_phase(a) * chi_inf_phase(-b * b / (4 * a)), 1 / abs(2 * a)
     require_prime(p)
     v, u = _unit_class(p, a)
     # -b^2/4a = -(bn^2 ad) / (4 bd^2 an), over its p-part p**e and a unit
     e, unit = _split(4 * b.denominator**2 * a.numerator, p)
     pe = p**e
     t = -b.numerator**2 * a.denominator * pow(unit, -1, pe) % pe
-    return (UnitPhase(F(_lambda_eighths(p, v, u) * pe + 8 * t, 8 * pe)),
-            F(p) ** (v + (p == 2)))
+    s, m = _lambda_eighths(p, v, u) * pe + 8 * t, 8 * pe
+    g = math.gcd(s, m)
+    return s // g, m // g, v + (p == 2)
+
+
+def gauss_polar(p: int | None, a, b) -> tuple[UnitPhase, Fraction]:
+    """The Gauss factor at p (p = None: the real place) as its exact phase
+    and squared modulus.  A float a or b is taken as the rational it is.
+
+    At a prime the phase lam_p(a) chi_p(-b^2/4a) and the squared modulus
+    |2a|_p^(-1) = p**v(2a) are those of ``_polar_p``.
+    """
+    if p is not None:
+        s, m, w = _polar_p(p, a, b)
+        return UnitPhase(F(s, m)), F(p) ** w
+    a, b = Fraction(a), Fraction(b)
+    if a == 0:
+        raise ValueError("Gauss integral requires a != 0")
+    return lambda_inf_phase(a) * chi_inf_phase(-b * b / (4 * a)), 1 / abs(2 * a)
 
 
 def gauss_integral_p_exact(p: int, a: Fraction | int, b: Fraction | int = 0) -> Cyclo:
     """The exact closed form lam_p(a) |2a|_p^(-1/2) chi_p(-b^2/4a): the
-    phase of ``gauss_polar`` times p**(w/2), p**w its squared modulus."""
-    ph, m2 = gauss_polar(p, a, b)
-    w = _split(m2.numerator, p)[0] - _split(m2.denominator, p)[0]  # m2 = p**w
+    phase e(s/m) of ``_polar_p`` times p**(w/2), one ``phase_sum``."""
+    s, m, w = _polar_p(p, a, b)
     root = sqrt_prime(p) if w % 2 else Cyclo(1)
-    return phase_sum([(root, ph.phase.numerator, ph.phase.denominator, F(p) ** (w // 2))])
+    h = w // 2
+    return phase_sum([(root, s, m, p**h if h >= 0 else F(1, p**-h))])
 
 
 def gauss_integral_inf(a: Fraction | float, b: Fraction | float = 0) -> complex:

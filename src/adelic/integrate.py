@@ -36,6 +36,8 @@ resolve; the certificate
     min(v(2a) - j, v(b)) < -max(1 - j, ceil(-v(a)/2)),  v(2a) - j != v(b)
 
 prunes every sphere beyond a computable J, where the limit is reached.
+v(a) and v(b) are read once, off the integer numerators and denominators
+of a and b, and the walk down to J runs on those ints.
 """
 
 from __future__ import annotations
@@ -174,19 +176,23 @@ def integrate_ball_character(
         ((j * lift + shift) % n, count * scale) for j, count in period)), True)
 
 
-def sphere_provably_zero(p: int, a: Fraction, b: Fraction, j: int) -> bool:
-    """Oscillation-cancellation certificate for a sphere of the Gauss
-    integrand: true only when the sphere integral is exactly zero."""
-    va = valuation(a, p).value
-    v2a = va + (1 if p == 2 else 0)
+def _sphere_zero(p: int, va: int, vb: int | None, j: int) -> bool:
+    """The certificate on the valuations v(a) and v(b) (None when b = 0):
+    true only when the sphere |x|_p = p**j integrates to exactly zero."""
     m_j = max(1 - j, -(va // 2))  # ceil(-va/2) = -(va//2)
-    lin = v2a - j
-    if b != 0:
-        vb = valuation(b, p).value
+    lin = va + (p == 2) - j  # v(2a) - j
+    if vb is not None:
         if lin == vb:
             return False  # possible stationary point on this sphere
         lin = min(lin, vb)
     return lin < -m_j
+
+
+def sphere_provably_zero(p: int, a: Fraction, b: Fraction, j: int) -> bool:
+    """Oscillation-cancellation certificate for a sphere of the Gauss
+    integrand: true only when the sphere integral is exactly zero."""
+    vb = None if b == 0 else valuation(b, p).value
+    return _sphere_zero(p, valuation(a, p).value, vb, j)
 
 
 def integrate_qp(
@@ -217,9 +223,9 @@ def integrate_qp(
     if a == 0:
         raise ValueError("full-space integral needs a quadratic term (a != 0)")
 
-    va = valuation(a, p).value
-    v2a = va + (1 if p == 2 else 0)
-    vb = None if b == 0 else valuation(b, p).value
+    va = _split(a.numerator, p)[0] - _split(a.denominator, p)[0]
+    v2a = va + (p == 2)
+    vb = None if b == 0 else _split(b.numerator, p)[0] - _split(b.denominator, p)[0]
 
     # inner cutoff: on p**K Z_p the integrand is identically 1
     k_inner = max(0, -(va // 2), (-vb if vb is not None else 0))
@@ -228,11 +234,12 @@ def integrate_qp(
     j_stop = max(v2a - va // 2, 1)
     if vb is not None:
         j_stop = max(j_stop, v2a - vb)
-    while j_stop > -k_inner and sphere_provably_zero(p, a, b, j_stop):
+    while j_stop > -k_inner and _sphere_zero(p, va, vb, j_stop):
         j_stop -= 1
 
-    # J = max(j_stop, -k_inner): the one ball that holds every nonzero sphere
-    return integrate_ball_character(p, Ball(p, F(0), min(k_inner, -j_stop)), a, b)
+    # J = max(j_stop, -k_inner): the one ball that holds every nonzero
+    # sphere; its center 0 is reduced at every level
+    return integrate_ball_character(p, Ball._reduced(p, F(0), min(k_inner, -j_stop)), a, b)
 
 
 __all__ = [

@@ -489,6 +489,30 @@ class TestFourierP:
         assert fhat._fourier is None
         assert fhat.fourier() == f.reflect()
 
+    def test_transform_reduces_no_center(self, monkeypatch):
+        # each output ball B(-m, -k) is built from the reduced center
+        # p^-k - m, or 0 when m = 0, with no checked Ball
+        rng = random.Random(2028)
+        for p in (2, 3, 7):
+            for _ in range(10):
+                f = PAdicTestFunction(p, [
+                    (F(rng.randint(1, 4), rng.randint(1, 3)) * phase(F(rng.randint(0, 3), 4)),
+                     Ball(p, F(rng.randint(-20, 20), p ** rng.randint(0, 3)), rng.randint(-3, 3)),
+                     F(rng.randint(-9, 9), rng.choice([1, 5, p, p * p, p**3])))
+                    for _ in range(rng.randint(1, 5))])
+                want = PAdicTestFunction(p, [
+                    (c * phase(frac_part(mod * ball.center, p)) * ball.measure,
+                     Ball(p, -mod, -ball.radius_exp), ball.center)
+                    for (ball, mod), c in f.terms.items()])
+                calls = []
+                real_post_init = Ball.__post_init__
+                monkeypatch.setattr(Ball, "__post_init__",
+                                    lambda ball: calls.append(ball) or real_post_init(ball))
+                fhat = f.fourier()
+                monkeypatch.undo()
+                assert calls == []
+                assert list(fhat.terms.items()) == list(want.terms.items())
+
     def test_shifted_unit_ball(self):
         # transform of 1_{pZ_p} = p^-1 on |xi| <= p
         p = 3

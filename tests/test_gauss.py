@@ -127,6 +127,24 @@ class TestClosedFormVsOracle:
             assert gauss_integral_p_exact(p, a, b) == (
                 polar[0].as_cyclo() * sqrt_norm_2a_inv(p, a)), (p, a, b)
 
+    def test_closed_form_builds_no_unit_phase(self, monkeypatch):
+        # the closed form reads the integer polar form e(s/m) p**(w/2) and
+        # rewrites it onto the basis with no UnitPhase in between
+        rng = random.Random(2028)
+        calls = []
+        real_post_init = UnitPhase.__post_init__
+        monkeypatch.setattr(UnitPhase, "__post_init__",
+                            lambda ph: calls.append(ph.phase) or real_post_init(ph))
+        for _ in range(100):
+            p = rng.choice([2, 3, 5, 7, 11])
+            a = F(rng.choice([-1, 1]) * _unit(rng, p), _unit(rng, p)) * F(p) ** rng.randint(-4, 4)
+            b = F(_unit(rng, p), _unit(rng, p)) * F(p) ** rng.randint(-4, 4) if rng.random() < 0.8 else 0
+            gauss_integral_p_exact(p, a, b)
+        assert calls == []
+        for p in (2, 3, 5):
+            with pytest.raises(ValueError):
+                gauss_integral_p_exact(p, 0, F(1, p))
+
     def test_real_cases(self):
         for a in (1.0, -1.0, 2.0, 0.5):
             for b in (0.0, 1.0, 0.5):

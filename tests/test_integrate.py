@@ -251,6 +251,49 @@ class TestSphereSums:
         res = integrate_qp(1000003, quad=(F(1, 1000003), 1))
         assert not res.stabilized
 
+    def test_full_space_path_reads_integer_valuations(self, monkeypatch):
+        # integrate_qp reads v(a) and v(b) off integer numerators, with no
+        # valuation call and no checked Ball, and its one ball is the one
+        # the Fraction walk over sphere_provably_zero gives
+        def reference_ball(p, a, b):
+            va = valuation(a, p).value
+            v2a = va + (1 if p == 2 else 0)
+            vb = None if b == 0 else valuation(b, p).value
+            k_inner = max(0, -(va // 2), (-vb if vb is not None else 0))
+            j_stop = max(v2a - va // 2, 1)
+            if vb is not None:
+                j_stop = max(j_stop, v2a - vb)
+            while j_stop > -k_inner and sphere_provably_zero(p, a, b, j_stop):
+                j_stop -= 1
+            return Ball(p, F(0), min(k_inner, -j_stop))
+
+        rng = random.Random(2028)
+
+        def draw(p):
+            def unit():
+                return rng.randint(0, 999) * p + rng.randint(1, p - 1)
+
+            return F(rng.choice([-1, 1]) * unit(), unit()) * F(p) ** rng.randint(-5, 5)
+
+        calls, balls = [], []
+        real_valuation, real_post_init = integrate.valuation, Ball.__post_init__
+        monkeypatch.setattr(integrate, "valuation",
+                            lambda *args: calls.append(args) or real_valuation(*args))
+        monkeypatch.setattr(Ball, "__post_init__",
+                            lambda ball: calls.append(ball) or real_post_init(ball))
+        monkeypatch.setattr(integrate, "integrate_ball_character",
+                            lambda p, ball, a, b: balls.append((ball, a, b))
+                            or integrate.QpIntegral(Cyclo(), True))
+        for _ in range(300):
+            p = rng.choice([2, 3, 5, 7, 11])
+            a = draw(p)
+            b = draw(p) if rng.random() < 0.8 else F(0)
+            want = reference_ball(p, a, b)
+            calls.clear()
+            integrate_qp(p, quad=(a, b))
+            assert calls == [], (p, a, b)
+            assert balls.pop() == (want, a, b), (p, a, b)
+
     def test_tail_certificate_consistent_with_enumeration(self):
         # spheres declared zero by the certificate must enumerate to zero
         # (kept to valuations where brute enumeration is cheap)
