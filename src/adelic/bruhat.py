@@ -467,9 +467,10 @@ def hermite_value(n: int, y: float | np.ndarray) -> float | np.ndarray:
 class HermiteGaussian:
     """sum_n c_n e^(-pi x^2) H_n(x sqrt(2 pi)); closed under Fourier.
 
-    The value is immutable, so it keeps its even-degree coefficients at
-    the working precision of ``mellin``, converted by
-    ``mellin.mellin_real_mp`` on the first call.
+    Its Mellin transform is Gamma_R(alpha) sum_n c_n P_n(alpha) with
+    integer polynomials P_n (``mellin.mellin_real_mp``).  The value is
+    immutable, so it keeps its even-degree c_n at the working precision
+    of ``mellin``, converted by ``mellin_real_mp`` on the first call.
     """
 
     __slots__ = ("coeffs", "_mellin_real")

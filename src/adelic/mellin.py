@@ -17,12 +17,12 @@ domain that ``zeta_mp`` accepts, mpmath never reflects (see there).
 
 A Tate or functional-equation run evaluates many functions at a few shared
 strip points, so each transcendental factor is computed once per exact
-working-precision argument: zeta, gamma, the powers p^(-e alpha) of each
-prime, pi^(-alpha/2) and the Hermite gamma sum of each degree.  Each memo
-keys on the argument's raw ``_mpc_`` tuple and keeps at most ``_MEMO_SIZE``
-arguments (for the prime powers, ``_MEMO_SIZE`` (p, alpha) rows of the
-exponents asked for), and a value is computed by the same expression, in
-the same order, as without the memo.  Each function
+working-precision argument: zeta, the powers p^(-e alpha) of each prime
+and Tate's real factor Gamma_R(alpha) = pi^(-alpha/2) Gamma(alpha/2).
+Each memo keys on the argument's raw ``_mpc_`` tuple and keeps at most
+``_MEMO_SIZE`` arguments (for the prime powers, ``_MEMO_SIZE`` (p, alpha)
+rows of the exponents asked for), and a value is computed by the same
+expression, in the same order, as without the memo.  Each function
 converts its exact coefficients to the working precision once and keeps
 them: a p-adic factor on its ``LocalMellinFactor``, a real factor on its
 ``_mellin_real`` slot; the roots of unity e(j/n) they are converted with
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
-from mpmath.libmp import fzero, mpc_add, mpc_mul
+from mpmath.libmp import from_rational, fzero, mpc_add, mpc_mul, to_rational
 
 from .bruhat import ElementaryFunction, HermiteGaussian, PAdicTestFunction, hermite_coefficients
 from .cyclotomic import Cyclo, phase_sum
@@ -139,16 +139,17 @@ def euler_product_zeta(alpha: complex, prime_bound: int) -> complex:
 
 
 def gamma_mp(alpha):
-    """Euler gamma at the working precision, memoized like ``zeta_mp``."""
+    """Euler gamma at the working precision; ``_gamma_r`` memoizes it."""
     z = _mpc(alpha)
     if z.imag == 0 and z.real <= 0 and z.real == int(z.real):
         raise DomainError(f"gamma has a pole at {alpha}")
-    return _gamma(z)
+    return _CTX.gamma(z)
 
 
 @_memo_on_mpc
-def _gamma(z):
-    return _CTX.gamma(z)
+def _gamma_r(s):
+    """Tate's real-place factor Gamma_R(s) = pi^(-s/2) Gamma(s/2)."""
+    return _CTX.power(_CTX.pi, -s / 2) * gamma_mp(s / 2)
 
 
 def gamma_fn(alpha: complex) -> complex:
@@ -279,38 +280,41 @@ def _local_factor(phi_p: PAdicTestFunction) -> LocalMellinFactor:
 def mellin_real_mp(phi_inf: HermiteGaussian, alpha):
     """int |x|^(alpha-1) phi_inf(x) dx for Re alpha > 0, in closed form.
 
-    Per even degree n the integral is pi^(-alpha/2) sum_r h_r 2^r
-    Gamma(alpha/2 + r) over the even coefficients h_2r of H_n; odd
-    degrees vanish by parity.
+    Per even degree n the integral is Gamma_R(alpha) P_n(alpha), with P_n
+    the integer polynomial of ``_hermite_poly``, so the sum of c_n
+    P_n(alpha) is taken times Gamma_R once; odd degrees vanish by parity.
     """
     s = _mpc(alpha)
-    if s.real <= 0:
-        raise DomainError("real Mellin factor needs Re alpha > 0")
+    if not (s.real > 0 and _CTX.isfinite(s)):
+        raise DomainError("real Mellin factor needs a finite alpha with Re alpha > 0")
     if phi_inf._mellin_real is None:
         phi_inf._mellin_real = [
             (n, _cyclo_mp(c)) for n, c in phi_inf.coeffs.items() if n % 2 == 0
         ]
     total = _CTX.mpc(0)
     for n, c in phi_inf._mellin_real:
-        total += c * _hermite_gamma_sum(n, s)
-    return _pi_power(s) * total
+        total += c * _hermite_poly(n, s)
+    return _gamma_r(s) * total
 
 
-@_memo_on_mpc
-def _hermite_gamma_sum(n, s):
-    """sum_r h_r 2^r Gamma(s/2 + r) over the even coefficients h_2r of H_n."""
-    coeffs = hermite_coefficients(n)
-    inner = _CTX.mpc(0)
-    for r in range(0, n // 2 + 1):
-        h = coeffs[2 * r]
-        if h:
-            inner += _CTX.mpf(h) * _CTX.power(2, r) * gamma_mp(s / 2 + r)
-    return inner
-
-
-@_memo_on_mpc
-def _pi_power(s):
-    return _CTX.power(_CTX.pi, -s / 2)
+def _hermite_poly(n, s):
+    """P_n(s) = sum_r h_2r prod_{i<r} (s + 2i) over the even coefficients
+    h_2r of H_n, as 2^r Gamma(s/2 + r) = Gamma(s/2) prod_{i<r} (s + 2i).
+    Re s and Im s are binary fractions a/d and b/d, so d^(n/2) P_n(s) is a
+    Gaussian integer, evaluated by nested multiplication and rounded once:
+    correctly rounded at every degree, and exactly 0 where P_n vanishes."""
+    (a, da), (b, db) = (to_rational(x) for x in s._mpc_)
+    d = max(da, db)
+    a, b = a * (d // da), b * (d // db)
+    h, m = hermite_coefficients(n), n // 2
+    # d^(m-r) times h_2r + (s + 2r)(h_2r+2 + ...), from r = m down to 0
+    re, im, scale = h[2 * m], 0, 1
+    for r in range(m - 1, -1, -1):
+        scale *= d
+        x = a + 2 * r * d
+        re, im = h[2 * r] * scale + x * re - b * im, x * im + b * re
+    prec, rnd = _CTX._prec_rounding
+    return _CTX.make_mpc(tuple(from_rational(v, scale, prec, rnd) for v in (re, im)))
 
 
 # ---------------------------------------------------------------------------
@@ -359,15 +363,10 @@ def tate_check(phi: ElementaryFunction, alpha: complex) -> float:
     return abs(lhs - rhs)
 
 
-def _completed_zeta_mp(s):
-    """Lambda(s) = pi^(-s/2) Gamma(s/2) zeta(s) in the working context."""
-    return _pi_power(s) * gamma_mp(s / 2) * zeta_mp(s)
-
-
 def functional_equation_residual(alpha: complex) -> float:
-    """|Lambda(a) - Lambda(1 - a)| for the completed zeta Lambda."""
+    """|Lambda(a) - Lambda(1 - a)| for Lambda(s) = Gamma_R(s) zeta(s)."""
     a = complex(alpha)
     if not 0 < a.real < 1:
         raise DomainError("functional equation check needs 0 < Re alpha < 1")
     s = _CTX.mpc(a)
-    return float(abs(_completed_zeta_mp(s) - _completed_zeta_mp(1 - s)))
+    return float(abs(_gamma_r(s) * zeta_mp(s) - _gamma_r(1 - s) * zeta_mp(1 - s)))

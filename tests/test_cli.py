@@ -399,7 +399,7 @@ def test_hermite_degree_180_is_within_the_bound():
     phi = json.dumps({"real": [[180, "1"]], "primes": {}})
     code, lines, _ = run_cli("mellin", "--phi", phi, "--alpha", "0.5,0")
     assert code == 0
-    assert lines[0]["value"].startswith("-1.43446517655266e+191")
+    assert lines[0]["value"].startswith("-1.43446517864032e+191")
 
 
 def test_domain_error_maps_to_exit_1():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath.libmp import from_rational, to_rational
 
 from adelic.bruhat import (
     Ball,
@@ -20,8 +21,8 @@ from adelic.padic import valuation
 from adelic.mellin import (
     _CTX,
     DomainError,
-    _hermite_gamma_sum,
-    _pi_power,
+    _gamma_r,
+    _hermite_poly,
     _prime_powers,
     _root_mp,
     LocalMellinFactor,
@@ -174,15 +175,14 @@ class TestMemo:
             assert tate_check(phi, alpha) < 1e-6
         assert sorted(built) == [2, 3, 5]
 
-    # the strip-point memos besides zeta and gamma: prime powers,
-    # pi^(-alpha/2) and the Hermite gamma sums, and the roots of unity
-    # that coefficients are converted with
-    MEMOS = (_prime_powers, _pi_power, _hermite_gamma_sum, _root_mp)
+    # the strip-point memos besides zeta: prime powers, Gamma_R, and the
+    # roots of unity that coefficients are converted with
+    MEMOS = (_prime_powers, _gamma_r, _root_mp)
     ALPHAS = (0.3 + 1.5j, 0.7 - 4j, 0.5, _CTX.mpf(1) / 3 + _CTX.mpc(0, 2))
 
     @staticmethod
     def _function():
-        # degrees 0, 1, 2 and 4 reach the r > 0 terms of the gamma sum
+        # degrees 0, 1, 2 and 4 reach the r > 0 terms of P_n
         real = HermiteGaussian([(0, 1), (1, F(1, 2)), (2, phase(F(1, 4))), (4, F(-1, 3))])
         return ElementaryFunction(real, {
             2: PAdicTestFunction(2, [(1, Ball(2, F(0), 1), 0), (F(1, 2), Ball(2, F(1), 1), 0)]),
@@ -203,18 +203,25 @@ class TestMemo:
             total += self._fresh_cyclo(c) * _CTX.power(u, e)
         return total
 
+    @staticmethod
+    def _fresh_poly(n, s):
+        # P_n(s) = h_0 + s (h_2 + (s + 2) (h_4 + ...)) on exact Fractions,
+        # rounded once to the working precision
+        h = hermite_coefficients(n)
+        x, y = (F(*to_rational(v)) for v in s._mpc_)
+        re, im = F(h[n // 2 * 2]), F(0)
+        for r in range(n // 2 - 1, -1, -1):
+            re, im = h[2 * r] + (x + 2 * r) * re - y * im, (x + 2 * r) * im + y * re
+        prec, rnd = _CTX._prec_rounding
+        return _CTX.make_mpc(tuple(from_rational(v.numerator, v.denominator, prec, rnd)
+                                   for v in (re, im)))
+
     def _fresh_real(self, h, s):
         total = _CTX.mpc(0)
         for n, c in h.coeffs.items():
             if n % 2 == 0:
-                coeffs = hermite_coefficients(n)
-                inner = _CTX.mpc(0)
-                for r in range(n // 2 + 1):
-                    if coeffs[2 * r]:
-                        inner += (_CTX.mpf(coeffs[2 * r]) * _CTX.power(2, r)
-                                  * _CTX.gamma(s / 2 + r))
-                total += self._fresh_cyclo(c) * inner
-        return _CTX.power(_CTX.pi, -s / 2) * total
+                total += self._fresh_cyclo(c) * self._fresh_poly(n, s)
+        return _CTX.power(_CTX.pi, -s / 2) * _CTX.gamma(s / 2) * total
 
     def _fresh_phi_p(self, phi, alpha):
         s = _CTX.mpc(alpha)
@@ -257,7 +264,8 @@ class TestMemo:
                 assert mellin_real_mp(h, a) == self._fresh_real(h, s), (degrees, a)
         # the r > 0 terms are present: H_4 = 16x^4 - 48x^2 + 12
         assert hermite_coefficients(4)[2] and hermite_coefficients(4)[4]
-        assert _hermite_gamma_sum(4, _CTX.mpc(2)) == 12 * 1 + (-48) * 2 * 1 + 16 * 4 * 2
+        # P_4(s) = 12 - 48 s + 16 s (s + 2)
+        assert _hermite_poly(4, _CTX.mpc(2)) == 44
 
     def test_a_fine_argument_and_its_double_are_distinct_keys(self):
         fine = _CTX.mpf(1) / 3 + _CTX.mpc(0, 2)
@@ -283,9 +291,9 @@ class TestMemo:
                     phi_p(phi, bad)
             with pytest.raises(DomainError):
                 tate_check(phi, 1.5)
-            # a pole inside a memoized gamma sum raises on every call
+            # a pole of the memoized Gamma_R raises on every call
             with pytest.raises(DomainError):
-                _hermite_gamma_sum(2, _CTX.mpc(-2))
+                _gamma_r(_CTX.mpc(-2))
 
     def test_elementary_fourier_is_built_once(self):
         phi = self._function()
@@ -452,8 +460,39 @@ class TestRealMellin:
         assert abs(closed - numeric) < 1e-9
 
     def test_domain_error(self):
-        with pytest.raises(DomainError):
-            mellin_real_mp(HermiteGaussian.gaussian(), -1)
+        # P_n reads alpha as binary fractions: a non-finite alpha has none
+        for bad in (-1, math.inf, math.nan, complex(1, math.inf)):
+            with pytest.raises(DomainError):
+                mellin_real_mp(HermiteGaussian([(0, 1), (2, 1)]), bad)
+
+    @pytest.mark.parametrize("n", [2, 20, 100, 180])
+    def test_high_degree_against_a_400_digit_gamma_sum(self, n):
+        # pi^(-s/2) sum_r h_2r 2^r Gamma(s/2 + r) cancels by about n/4
+        # digits, so the reference sums it with 350 digits to spare
+        h = hermite_coefficients(n)
+        for alpha in (0.5, 0.3 + 1.5j, 0.7 - 4j, _CTX.mpf(1) / 3 + _CTX.mpc(0, 2)):
+            got = mellin_real_mp(HermiteGaussian([(n, 1)]), alpha)
+            with mpmath.workdps(400):
+                s = mpmath.mpc(alpha)
+                ref = mpmath.pi ** (-s / 2) * mpmath.fsum(
+                    h[2 * r] * 2**r * mpmath.gamma(s / 2 + r) for r in range(n // 2 + 1))
+                if n == 2 and alpha == 0.5:
+                    # P_2(s) = 4s - 2 vanishes at 1/2
+                    assert got == 0 and abs(ref) < mpmath.mpf(10) ** -390
+                else:
+                    assert abs(mpmath.mpc(got) - ref) < 1e-45 * abs(ref), (n, alpha)
+
+    def test_hermite_polynomials_satisfy_the_local_functional_equation(self):
+        # phi_n-hat = (-i)^n phi_n and Tate's real epsilon is 1, so
+        # P_n(1 - s) = (-1)^(n/2) P_n(s), exactly on binary s
+        rng = random.Random(5)
+        points = [0.5, 0.3 + 1.5j, 0.7 - 4j, 2.0**-60 - 3j]
+        points += [complex(rng.randint(-2**20, 2**20) / 2**12,
+                           rng.randint(-2**20, 2**20) / 2**10) for _ in range(6)]
+        for n in range(0, 41, 2):
+            for a in points:
+                s = _CTX.mpc(a)
+                assert (-1) ** (n // 2) * _hermite_poly(n, 1 - s) == _hermite_poly(n, s), (n, a)
 
     @pytest.mark.parametrize("alpha", [2, 0.3 + 1.5j])
     def test_generic_profile_quadrature_matches_closed_form(self, alpha):
