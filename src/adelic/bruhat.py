@@ -31,7 +31,7 @@ import numpy as np
 
 from .adeles import Adele
 from .cyclotomic import Cyclo, Scalar, _from_exponents, phase, phase_sum
-from .padic import frac_part, reduce_mod, valuation
+from .padic import _split, frac_part, reduce_mod, valuation
 from .primes import require_prime
 
 F = Fraction
@@ -80,7 +80,18 @@ class Ball:
         return F(self.prime) ** (-self.radius_exp)
 
     def contains(self, x: Fraction) -> bool:
-        return valuation(Fraction(x) - self.center, self.prime) >= self.radius_exp
+        x = Fraction(x)
+        return self._holds(x.numerator, x.denominator, _split(x.denominator, self.prime)[0])
+
+    def _holds(self, xn: int, xd: int, vd: int) -> bool:
+        """Whether x = xn / xd, with v_p(xd) = vd, lies in the ball.
+
+        x - c is the integer n = xn c_d - c_n xd over xd c_d, so
+        v(x - c) >= k reads v(n) >= k + vd + v(c_d) off one ``_split``
+        of n, with no ``Fraction`` and no ``valuation`` call."""
+        p, c = self.prime, self.center
+        n = xn * c.denominator - c.numerator * xd
+        return n == 0 or _split(n, p)[0] >= self.radius_exp + vd + _split(c.denominator, p)[0]
 
     def contains_ball(self, other: "Ball") -> bool:
         return self.radius_exp <= other.radius_exp and self.contains(other.center)
@@ -203,12 +214,31 @@ class PAdicTestFunction:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, x: Fraction | int) -> Cyclo:
+        """phi(x), exactly.
+
+        x is read once as an integer numerator xn over xd = p**vd * u, u
+        prime to p, and each ball tests it on those integers
+        (``Ball._holds``).  On a ball that holds x, a modulation mn / p**e
+        gives chi_p(m x) = e(s / p**(e+vd)) with s = mn xn u^-1 mod
+        p**(e+vd), kept in lowest terms, and no modulation gives e(0 / 1).
+        The terms that hold x are summed as one ``phase_sum``.
+        """
         x = Fraction(x)
-        total = Cyclo()
+        p = self.prime
+        xn, xd = x.numerator, x.denominator
+        vd, u = _split(xd, p)
+        parts = []
         for (ball, mod), coeff in self.terms.items():
-            if ball.contains(x):
-                total = total + coeff * phase(frac_part(mod * x, self.prime))
-        return total
+            if not ball._holds(xn, xd, vd):
+                continue
+            if mod:
+                m = mod.denominator * p**vd
+                s = mod.numerator * xn * pow(u, -1, m) % m
+                g = math.gcd(s, m)
+                parts.append((coeff, s // g, m // g))
+            else:
+                parts.append((coeff, 0, 1))
+        return phase_sum(parts)
 
     # -- exact integrals -----------------------------------------------------
 

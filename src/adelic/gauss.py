@@ -111,12 +111,12 @@ def class_representatives(p: int) -> list[Fraction]:
     return [F(u) * F(p) ** v for v in range(-2, 3) for u in units]
 
 
-def _polar_p(p: int, a, b) -> tuple[int, int, int]:
+def _polar_p(p: int, a: Fraction, b: Fraction) -> tuple[int, int, int]:
     """(s, m, w) with the Gauss factor at the prime p equal to
     e(s/m) p**(w/2), s/m in lowest terms, read off the integer numerators:
     v(a) and the unit class of a give lam_p(a) = e(r/8), {-b^2/4a}_p =
-    t/p**e, and w = v(2a)."""
-    a, b = Fraction(a), Fraction(b)
+    t/p**e, and w = v(2a).  a and b are ``Fraction``s, converted once by
+    the public caller."""
     if a == 0:
         raise ValueError("Gauss integral requires a != 0")
     require_prime(p)
@@ -137,10 +137,10 @@ def gauss_polar(p: int | None, a, b) -> tuple[UnitPhase, Fraction]:
     At a prime the phase lam_p(a) chi_p(-b^2/4a) and the squared modulus
     |2a|_p^(-1) = p**v(2a) are those of ``_polar_p``.
     """
+    a, b = Fraction(a), Fraction(b)
     if p is not None:
         s, m, w = _polar_p(p, a, b)
         return UnitPhase(F(s, m)), F(p) ** w
-    a, b = Fraction(a), Fraction(b)
     if a == 0:
         raise ValueError("Gauss integral requires a != 0")
     return lambda_inf_phase(a) * chi_inf_phase(-b * b / (4 * a)), 1 / abs(2 * a)
@@ -149,7 +149,7 @@ def gauss_polar(p: int | None, a, b) -> tuple[UnitPhase, Fraction]:
 def gauss_integral_p_exact(p: int, a: Fraction | int, b: Fraction | int = 0) -> Cyclo:
     """The exact closed form lam_p(a) |2a|_p^(-1/2) chi_p(-b^2/4a): the
     phase e(s/m) of ``_polar_p`` times p**(w/2), one ``phase_sum``."""
-    s, m, w = _polar_p(p, a, b)
+    s, m, w = _polar_p(p, Fraction(a), Fraction(b))
     root = sqrt_prime(p) if w % 2 else Cyclo(1)
     h = w // 2
     return phase_sum([(root, s, m, p**h if h >= 0 else F(1, p**-h))])

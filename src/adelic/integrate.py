@@ -59,6 +59,7 @@ F = Fraction
 
 _COSET_BUDGET = 1 << 23  # residues or cosets per ball: the one work bound
 _SLICE = 1 << 20  # residues counted per numpy pass
+_ZERO = F(0)  # the center of p**k Z_p, reduced at every level k
 
 
 class Unstabilized(ArithmeticError):
@@ -126,7 +127,12 @@ def integrate_ball_character(
     are exact.
     """
     require_prime(p)
-    a, b = Fraction(a), Fraction(b)
+    return _ball_character(p, ball, Fraction(a), Fraction(b))
+
+
+def _ball_character(p: int, ball: Ball, a: Fraction, b: Fraction) -> QpIntegral:
+    """``integrate_ball_character`` on a checked prime and ``Fraction``s
+    a and b, converted once by the public entry point."""
     k, c = ball.radius_exp, ball.center
     # a = an / L, b = bn / L and c = cn / cd, cd a power of p
     L = math.lcm(a.denominator, b.denominator)
@@ -214,7 +220,7 @@ def integrate_qp(
     if test_function is not None:
         total = Cyclo()
         for (ball, mod), coeff in test_function.terms.items():
-            part = integrate_ball_character(p, ball, a, b + mod)
+            part = _ball_character(p, ball, a, b + mod)
             if not part.stabilized:
                 return part
             total = total + coeff * part.value
@@ -237,9 +243,8 @@ def integrate_qp(
     while j_stop > -k_inner and _sphere_zero(p, va, vb, j_stop):
         j_stop -= 1
 
-    # J = max(j_stop, -k_inner): the one ball that holds every nonzero
-    # sphere; its center 0 is reduced at every level
-    return integrate_ball_character(p, Ball._reduced(p, F(0), min(k_inner, -j_stop)), a, b)
+    # J = max(j_stop, -k_inner): the one ball that holds every nonzero sphere
+    return _ball_character(p, Ball._reduced(p, _ZERO, min(k_inner, -j_stop)), a, b)
 
 
 __all__ = [

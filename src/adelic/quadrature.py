@@ -7,7 +7,10 @@ improper oscillatory integrals are defined here.  The Fresnel oracle damps
 about a dyadic point near the stationary point of the phase and works in
 the scale-free variable z = sqrt|a| (x - x0), so one fixed rule, graded to
 one phase cycle per panel and built once per process, serves every (a, b)
-and every eps.  Every other integral of a Schwartz function against a
+and every eps.  When the dyadic centre is the stationary point itself, the
+damped window sums do not depend on a or b either: they belong to the rule,
+are built with it, and such a call reads them and does no per-node work.
+Every other integral of a Schwartz function against a
 character goes through ``gauss_character_integral``.  No rule builds more
 than ``NODE_BUDGET`` nodes.
 """
@@ -141,22 +144,27 @@ def fresnel_regularized(a: Fraction | float, b: Fraction | float = 0) -> tuple[c
     it once.  The line is folded onto z >= 0, where the linear factor
     becomes cos(2 pi B' z), and integrated over z <= R_eps0 =
     sqrt(40 / (pi eps0)), past which the damping is below e^-40.  Each sum
-    is one ``np.sum`` in a fixed order.  Richardson extrapolation over the
-    halving ladder; returns the extrapolated value and a self-consistency
-    error estimate.
+    is one ``np.sum`` in a fixed order (``_window_sums``).  With B = 0 the
+    sums depend on neither a nor b: they belong to the rule, and the call
+    reads them.  For a < 0 the sums are the conjugates of those for a > 0,
+    bit for bit, since negation commutes with rounding and with the
+    pairwise sum.  Richardson extrapolation over the halving ladder;
+    returns the extrapolated value and a self-consistency error estimate.
     """
     a, b = Fraction(a), Fraction(b)
     if a == 0:
         raise ValueError("pure Fresnel regularization needs a != 0")
     root = math.sqrt(abs(oracle_float("a", a)))
     A, B = _centre(a, b, _RADIUS * root)
-    zs, ws, cos, sin, windows = _graded_rule()
+    zs, ws, cos, sin, windows, centred = _graded_rule()
     if B:
         # B' = B / sqrt|a|, from the exact B^2 / |a| so that no tiny B underflows
         ws = ws * np.cos(2.0 * np.pi * math.copysign(math.sqrt(float(B * B / abs(a))), B) * zs)
-    wc = cos * ws
-    wsin = sin * ws if a > 0 else -sin * ws
-    vals = [complex(np.sum(damp * wc[:k]), -np.sum(damp * wsin[:k])) for k, damp in windows]
+        vals = _window_sums(ws, cos, sin, windows)
+    else:
+        vals = centred
+    if a < 0:
+        vals = [v.conjugate() for v in vals]
     front = cmath.exp(-2j * math.pi * float(A)) / root
     full = _richardson(vals)
     partial = _richardson(vals[:-1])
@@ -184,19 +192,30 @@ def _graded_rule():
     and every panel holds one cycle of e^(2 pi i z^2); the doubled weights
     of the folded line; cos and sin of 2 pi z^2; and per eps0 of
     ``_EPS_LADDER`` the node count inside R_eps0 with the damping
-    e^(-eps0 pi z^2) on those nodes.  K = ceil(_RADIUS^2) + 8 keeps a
+    e^(-eps0 pi z^2) on those nodes; and the six window sums of the
+    centred integral (B = 0) for a > 0.  K = ceil(_RADIUS^2) + 8 keeps a
     margin of eight panels past the widest window.  Every array is
-    read-only, so no call can change what the next one sees."""
+    read-only and the sums are a tuple, so no call can change what the
+    next one sees."""
     zs, ws = _composite(np.sqrt(np.arange(math.ceil(_RADIUS * _RADIUS) + 9, dtype=float)), 20)
     z2 = zs * zs
     phase = 2.0 * np.pi * z2
-    rule = (zs, 2.0 * ws, np.cos(phase), np.sin(phase))
+    ws, cos, sin = 2.0 * ws, np.cos(phase), np.sin(phase)
     cuts = [int(np.searchsorted(zs, math.sqrt(40.0 / (math.pi * e)), side="right"))
             for e in _EPS_LADDER]
     windows = tuple((k, np.exp(-e * np.pi * z2[:k])) for e, k in zip(_EPS_LADDER, cuts))
-    for arr in (*rule, *(damp for _, damp in windows)):
+    for arr in (zs, ws, cos, sin, *(damp for _, damp in windows)):
         arr.setflags(write=False)
-    return (*rule, windows)
+    return zs, ws, cos, sin, windows, tuple(_window_sums(ws, cos, sin, windows))
+
+
+def _window_sums(ws, cos, sin, windows) -> list[complex]:
+    """Per window (k, damp) of ``_graded_rule``, the damped sum of
+    e^(-2 pi i z^2) over the first k nodes with weights ``ws``: the
+    integrals for a > 0, whose conjugates are those for a < 0.  Each part
+    is one ``np.sum`` in a fixed order."""
+    wc, wsin = cos * ws, sin * ws
+    return [complex(np.sum(damp * wc[:k]), -np.sum(damp * wsin[:k])) for k, damp in windows]
 
 
 def _richardson(vals: Sequence[complex]) -> complex:

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import random
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adelic import bruhat
+from adelic import bruhat, padic
 from adelic.adeles import Adele, principal_adele, zero_adele
 from adelic.bruhat import (
     Ball,
@@ -23,7 +24,7 @@ from adelic.bruhat import (
     vacuum_state,
 )
 from adelic.cyclotomic import Cyclo, phase
-from adelic.padic import frac_part, reduce_mod
+from adelic.padic import frac_part, reduce_mod, valuation
 from adelic.quadrature import panel_nodes, real_fourier_transform
 
 F = Fraction
@@ -106,6 +107,83 @@ class TestCanonicalForm:
         assert f.evaluate(F(9)) == Cyclo(F(5, 2))
         assert f.evaluate(F(1, 3)) == Cyclo(F(1, 2))
         assert f.evaluate(F(1, 9)) == Cyclo(0)
+
+
+def reference_value(f, x):
+    """f(x) term by term, as a chain of ``Cyclo`` adds: membership by
+    v(x - c) >= k through ``valuation`` and each modulated term times
+    ``phase`` of the fractional part."""
+    p, x = f.prime, F(x)
+    total = Cyclo()
+    for (ball, mod), coeff in f.terms.items():
+        if valuation(x - ball.center, p) >= ball.radius_exp:
+            total = total + coeff * phase(frac_part(mod * x, p))
+    return total
+
+
+class TestEvaluate:
+    """``evaluate`` reads x as integers and sums one ``phase_sum``, with
+    the coordinates of the term-by-term chain."""
+
+    @staticmethod
+    def draws(count):
+        """(f, x, kind) over p in {2, 3, 5, 7, 11}: functions with modulated
+        terms (some modulations with a denominator prime to p), and points
+        x = 0, on either side of a ball's edge (v(x - c) = k and k - 1),
+        with a denominator prime to p, and integers."""
+        rng = random.Random(4242)
+        for _ in range(count):
+            p = rng.choice([2, 3, 5, 7, 11])
+            other = 3 if p == 2 else 2
+            terms = []
+            for _ in range(rng.randint(1, 5)):
+                coeff = (Cyclo(F(rng.randint(-4, 4), rng.randint(1, 3)))
+                         + phase(F(1, rng.choice([3, 4, 8, 9]))) * rng.randint(-1, 1))
+                center = F(rng.randint(-p**3, p**3), p ** rng.randint(0, 3))
+                mod = (F(rng.randint(-30, 30), rng.choice([1, other, p, p**2, p**4]))
+                       if rng.random() < 0.7 else F(0))
+                terms.append((coeff, Ball(p, center, rng.randint(-2, 3)), mod))
+            f = PAdicTestFunction(p, terms)
+            balls = [ball for ball, _ in f.terms] or [Ball(p, F(0), 0)]
+            ball = rng.choice(balls)
+            unit = rng.randint(1, p - 1) + p * rng.randint(0, 3)
+            yield f, F(0), "zero"
+            yield f, ball.center + unit * F(p) ** ball.radius_exp, "edge inside"
+            yield f, ball.center + unit * F(p) ** (ball.radius_exp - 1), "edge outside"
+            yield f, F(rng.randint(-p**4, p**4), p ** rng.randint(0, 3) * rng.choice([13, 17, 19])), "prime to p"
+            yield f, F(rng.randint(-60, 60)), "integer"
+
+    def test_values_equal_the_term_by_term_chain(self):
+        seen = collections.Counter()
+        for f, x, kind in self.draws(300):
+            got = f.evaluate(x)
+            assert coordinates(got) == coordinates(reference_value(f, x)), (f.terms, x)
+            seen[kind] += 1
+            seen["modulated, holding x"] += any(
+                mod and valuation(x - ball.center, f.prime) >= ball.radius_exp
+                for ball, mod in f.terms)
+            seen["nonzero"] += not got.is_zero()
+        assert seen["zero"] == 300 and min(seen.values()) >= 300, seen
+
+    def test_membership_is_the_valuation_test(self):
+        for f, x, _ in self.draws(100):
+            for ball, _ in f.terms:
+                assert ball.contains(x) == (valuation(x - ball.center, f.prime) >= ball.radius_exp)
+
+    def test_no_valuation_call(self, monkeypatch):
+        draws = list(self.draws(50))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return valuation(*args)
+
+        monkeypatch.setattr(bruhat, "valuation", counted)
+        monkeypatch.setattr(padic, "valuation", counted)
+        for f, x, _ in draws:
+            f.evaluate(x)
+        monkeypatch.undo()
+        assert calls == []
 
 
 @st.composite

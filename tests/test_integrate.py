@@ -232,14 +232,14 @@ class TestSphereSums:
     ], ids=["one-ball", "test-function"])
     def test_stops_at_first_unstabilized_ball(self, monkeypatch, p, test_function, quad):
         flags = []
-        ball_integral = integrate.integrate_ball_character
+        ball_integral = integrate._ball_character
 
         def counted(*args):
             res = ball_integral(*args)
             flags.append(res.stabilized)
             return res
 
-        monkeypatch.setattr(integrate, "integrate_ball_character", counted)
+        monkeypatch.setattr(integrate, "_ball_character", counted)
         res = integrate_qp(p, test_function=test_function, quad=quad)
         assert not res.stabilized
         assert flags[-1] is False
@@ -281,7 +281,7 @@ class TestSphereSums:
                             lambda *args: calls.append(args) or real_valuation(*args))
         monkeypatch.setattr(Ball, "__post_init__",
                             lambda ball: calls.append(ball) or real_post_init(ball))
-        monkeypatch.setattr(integrate, "integrate_ball_character",
+        monkeypatch.setattr(integrate, "_ball_character",
                             lambda p, ball, a, b: balls.append((ball, a, b))
                             or integrate.QpIntegral(Cyclo(), True))
         for _ in range(300):
@@ -390,12 +390,73 @@ class TestRealQuadrature:
         assert sizes == [40_920]
 
     def test_fresnel_rule_is_read_only(self):
-        zs, ws, cos, sin, windows = quadrature._graded_rule()
-        assert len(windows) == len(_EPS_LADDER)
+        zs, ws, cos, sin, windows, centred = quadrature._graded_rule()
+        assert len(windows) == len(centred) == len(_EPS_LADDER)
+        assert isinstance(centred, tuple) and all(type(v) is complex for v in centred)
         for arr in (zs, ws, cos, sin, *(damp for _, damp in windows)):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+    @staticmethod
+    def fresnel_cells():
+        """Acceptance 3's twelve real pairs and 120 seeded rationals, with
+        a of both signs: b = -2 a x0 for a dyadic x0 gives B = 0, a
+        random b mostly gives B != 0."""
+        rng = random.Random(31)
+        cells = [(F(a), F(b)) for a in (1, -1, 2, F(1, 2)) for b in (0, 1, F(1, 2))]
+        for _ in range(60):
+            a = F(rng.choice([-1, 1]) * rng.randint(1, 999), rng.randint(1, 99))
+            cells.append((a, -2 * a * F(rng.randint(-99, 99), 2 ** rng.randint(0, 6))))
+            cells.append((-a, F(rng.randint(-99, 99), rng.randint(1, 99))))
+        return cells
+
+    @staticmethod
+    def per_call_window_sum(a, b):
+        """The oracle with every window sum taken per call: the linear
+        factor cos(2 pi B' z) on the weights (all ones when B = 0) and the
+        sine part negated for a < 0."""
+        import numpy as np
+
+        a, b = F(a), F(b)
+        root = math.sqrt(abs(float(a)))
+        A, B = _centre(a, b, _RADIUS * root)
+        zs, ws, cos, sin, windows, _ = quadrature._graded_rule()
+        ws = ws * np.cos(2.0 * np.pi * math.copysign(math.sqrt(float(B * B / abs(a))), B) * zs)
+        wc = cos * ws
+        wsin = sin * ws if a > 0 else -sin * ws
+        vals = [complex(np.sum(damp * wc[:k]), -np.sum(damp * wsin[:k])) for k, damp in windows]
+        front = cmath.exp(-2j * math.pi * float(A)) / root
+        full, partial = _richardson(vals), _richardson(vals[:-1])
+        return front * full, abs(front) * abs(full - partial)
+
+    def test_fresnel_is_the_per_call_window_sum_bit_for_bit(self):
+        def bits(value, estimate):
+            return value.real.hex(), value.imag.hex(), estimate.hex()
+
+        centred = 0
+        for a, b in self.fresnel_cells():
+            centred += _centre(a, b, _RADIUS * math.sqrt(abs(a)))[1] == 0
+            want = bits(*self.per_call_window_sum(a, b))
+            assert bits(*fresnel_regularized(a, b)) == want, (a, b)
+            assert bits(*fresnel_regularized(float(a), float(b))) == bits(
+                *self.per_call_window_sum(float(a), float(b))), (a, b)
+        assert centred >= 72
+
+    def test_a_centred_call_does_no_per_node_work(self, monkeypatch):
+        # with B = 0 the six window sums are read off the rule: a call
+        # touches no array once the rule is built
+        class NoArrays:
+            def __getattr__(self, name):
+                raise AssertionError(f"per-node work: np.{name}")
+
+        quadrature._graded_rule()
+        monkeypatch.setattr(quadrature, "np", NoArrays())
+        for a, b in self.fresnel_cells():
+            if _centre(a, b, _RADIUS * math.sqrt(abs(a)))[1] == 0:
+                fresnel_regularized(a, b)
+        with pytest.raises(AssertionError, match="per-node work"):
+            fresnel_regularized(F(3), F(1))
 
     def test_a_call_leaves_the_next_one_bit_identical(self):
         # a < 0 and B != 0 (-b/(2a) = 1/6 is not dyadic) take every
