@@ -16,21 +16,23 @@ used internally, because it is precisely the identity under test: on the
 domain that ``zeta_mp`` accepts, mpmath never reflects (see there).
 
 A Tate or functional-equation run evaluates many functions at a few shared
-strip points, so each transcendental factor is computed once per exact
-working-precision argument: zeta, the powers p^(-e alpha) of each prime
-and Tate's real factor Gamma_R(alpha) = pi^(-alpha/2) Gamma(alpha/2).
-Each memo keys on the argument's raw ``_mpc_`` tuple and keeps at most
-``_MEMO_SIZE`` arguments (for the prime powers, ``_MEMO_SIZE`` (p, alpha)
-rows of the exponents asked for), and a value is computed by the same
-expression, in the same order, as without the memo.  Each function
-converts its exact coefficients to the working precision once and keeps
-them: a p-adic factor on its ``LocalMellinFactor``, a real factor on its
-``_mellin_real`` slot; the roots of unity e(j/n) they are converted with
-are memoized too, as few occur.  ``phi_p`` converts alpha once and passes
-the working-precision value on, and a local factor's sum and the product
-over places run ``mpc_mul``/``mpc_add`` on raw (re, im) pairs: the
-operations that ``mpc`` arithmetic runs, so every value equals its ``mpc``
-expression bit for bit, without a new object per step.
+strip points, so the values that depend on the argument alone live in one
+record per point, ``_StripPoint``, kept in one LRU of ``_MEMO_SIZE`` points:
+zeta(s), Tate's real factor Gamma_R(s) = pi^(-s/2) Gamma(s/2), the Hermite
+polynomial P_n(s) of each degree and the powers p^(-e s) of each prime,
+each computed when first asked and then read.  A record keys on its
+working-precision argument's raw ``_mpc_`` tuple, or on a double argument
+itself, whose conversion is exact; a point is converted and checked once,
+and a value is computed by the same expression, in the same order, as
+without the record.  ``phi_p`` passes its point on to the factor readers,
+so none of them looks it up again.  Each function converts its exact
+coefficients to the working precision once and keeps them: a p-adic factor
+on its ``LocalMellinFactor``, a real factor on its ``_mellin_real`` slot;
+the roots of unity e(j/n) they are converted with are memoized too, as few
+occur.  A local factor's sum, the real factor's sum and the product over
+places run ``mpc_mul``/``mpc_add`` on raw (re, im) pairs: the operations
+that ``mpc`` arithmetic runs, so every value equals its ``mpc`` expression
+bit for bit, without a new object per step.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
-from mpmath.libmp import from_rational, fzero, mpc_add, mpc_mul, to_rational
+from mpmath.libmp import from_rational, fzero, mpc_add, mpc_mul, mpc_to_complex, to_rational
 
 from .bruhat import ElementaryFunction, HermiteGaussian, PAdicTestFunction, hermite_coefficients
 from .cyclotomic import Cyclo, phase_sum
@@ -56,8 +58,8 @@ WORKING_DPS = 50
 # largest |Im alpha| for zeta; see zeta_mp
 ZETA_MAX_HEIGHT = 1000
 
-# distinct arguments that each memo below remembers: the strip points a
-# Tate or functional-equation run shares, with room for the fresh ones
+# strip points the point memo remembers: those a Tate or functional-equation
+# run shares, with room for the fresh ones; also the roots of unity kept
 _MEMO_SIZE = 256
 
 _CTX = mp.clone()
@@ -81,23 +83,80 @@ def _raw(x) -> tuple:
     return x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
 
 
-def _memo_on_mpc(fn):
-    """Memoize fn(*args, s) on the raw ``_mpc_`` tuple of its last
-    argument, a working-precision mpc.  The tuple is as exact a key as the
-    mpc, but it hashes and compares as plain integers, where ``mpc.__eq__``
-    builds two mpf objects per comparison.  ``cache_info`` and
-    ``cache_clear`` are the memo's."""
+class _Table(dict):
+    """key -> fill(key), each value computed when first asked."""
 
-    @functools.lru_cache(maxsize=_MEMO_SIZE)
-    def keyed(*args):
-        return fn(*args[:-1], _CTX.make_mpc(args[-1]))
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
 
-    @functools.wraps(fn)
-    def memo(*args):
-        return keyed(*args[:-1], args[-1]._mpc_)
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
-    memo.cache_info, memo.cache_clear = keyed.cache_info, keyed.cache_clear
-    return memo
+
+class _StripPoint:
+    """One argument s at the working precision and the values that depend
+    on s alone, each computed when first asked and then kept: zeta(s) and
+    Gamma_R(s) as cached properties, the raw P_n(s) per degree n in
+    ``polys``, and per prime p the raw powers (p^-s)^e per exponent e in
+    ``powers[p]``.  A value whose computation raises is not stored: the
+    DomainError is raised again on every call, and the point's other values
+    still fill."""
+
+    def __init__(self, s):
+        self.s = s
+        self.in_pairing_domain = False  # phi_p's checks passed
+        self.polys = _Table(lambda n: _hermite_poly(n, s)._mpc_)
+        self.powers = _Table(lambda p: _power_row(_CTX.power(p, -s)))
+
+    def __complex__(self):
+        """The argument as a double, as ``complex`` reads an mpc."""
+        return complex(self.s)
+
+    @functools.cached_property
+    def zeta(self):
+        """zeta(s) on the domain of ``zeta_mp``, the one reader."""
+        s = self.s
+        if s.real <= 0:
+            raise DomainError("zeta is computed only for Re alpha > 0")
+        if s == 1:
+            raise DomainError("zeta has its pole at alpha = 1")
+        if abs(s.imag) > ZETA_MAX_HEIGHT:
+            raise DomainError(f"zeta is computed only for |Im alpha| <= {ZETA_MAX_HEIGHT}")
+        return _CTX.zeta(s)
+
+    @functools.cached_property
+    def gamma_r(self):
+        """Tate's real-place factor Gamma_R(s) = pi^(-s/2) Gamma(s/2), on
+        the real Mellin factor's domain: s finite with Re s > 0."""
+        s = self.s
+        if not (s.real > 0 and _CTX.isfinite(s)):
+            raise DomainError("real Mellin factor needs a finite alpha with Re alpha > 0")
+        return _CTX.power(_CTX.pi, -s / 2) * gamma_mp(s / 2)
+
+
+def _power_row(u):
+    return _Table(lambda e: _CTX.power(u, e)._mpc_)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _record(key):
+    return _StripPoint(_CTX.make_mpc(key) if type(key) is tuple else _CTX.mpc(key))
+
+
+def _point(alpha) -> _StripPoint:
+    """The memoized record of alpha: a strip point is taken as it is, a
+    double keys on itself (its conversion is exact) and any other argument
+    on its working-precision value's raw ``_mpc_`` tuple, which hashes and
+    compares as plain integers, where ``mpc.__eq__`` builds two mpf objects
+    per comparison."""
+    kind = type(alpha)
+    if kind is _StripPoint:
+        return alpha
+    if kind is complex or kind is float:
+        return _record(alpha)
+    return _record(_mpc(alpha)._mpc_)
 
 
 def zeta_mp(alpha):
@@ -107,21 +166,9 @@ def zeta_mp(alpha):
     summation.  It uses the reflection formula only for Re s < 0, and
     switches to Riemann-Siegel only for |Im s| > 500 * prec (84,500 at the
     working 169 bits); the height bound keeps every call below that switch.
-    Values are memoized on the exact working-precision argument.
+    Values are kept on the argument's strip point.
     """
-    s = _mpc(alpha)
-    if s.real <= 0:
-        raise DomainError("zeta is computed only for Re alpha > 0")
-    if s == 1:
-        raise DomainError("zeta has its pole at alpha = 1")
-    if abs(s.imag) > ZETA_MAX_HEIGHT:
-        raise DomainError(f"zeta is computed only for |Im alpha| <= {ZETA_MAX_HEIGHT}")
-    return _zeta(s)
-
-
-@_memo_on_mpc
-def _zeta(s):
-    return _CTX.zeta(s)
+    return _point(alpha).zeta
 
 
 def zeta(alpha: complex) -> complex:
@@ -139,17 +186,11 @@ def euler_product_zeta(alpha: complex, prime_bound: int) -> complex:
 
 
 def gamma_mp(alpha):
-    """Euler gamma at the working precision; ``_gamma_r`` memoizes it."""
+    """Euler gamma at the working precision; a strip point keeps Gamma_R."""
     z = _mpc(alpha)
     if z.imag == 0 and z.real <= 0 and z.real == int(z.real):
         raise DomainError(f"gamma has a pole at {alpha}")
     return _CTX.gamma(z)
-
-
-@_memo_on_mpc
-def _gamma_r(s):
-    """Tate's real-place factor Gamma_R(s) = pi^(-s/2) Gamma(s/2)."""
-    return _CTX.power(_CTX.pi, -s / 2) * gamma_mp(s / 2)
 
 
 def gamma_fn(alpha: complex) -> complex:
@@ -192,29 +233,12 @@ class LocalMellinFactor:
         """sum_e coeffs[e] * u**e, multiplied and added in the order of
         ``coeffs`` on raw (re, im) pairs at the working precision: the
         operations ``mpc`` arithmetic runs, with one mpc made at the end."""
-        powers = _prime_powers(self.prime, _mpc(alpha))
+        powers = _point(alpha).powers[self.prime]
         prec, rnd = _CTX._prec_rounding
         total = (fzero, fzero)
         for e, c in self._coeffs_mp:
-            total = mpc_add(total, mpc_mul(c, _raw(powers[e]), prec, rnd), prec, rnd)
+            total = mpc_add(total, mpc_mul(c, powers[e], prec, rnd), prec, rnd)
         return _CTX.make_mpc(total)
-
-
-class _PowerRow(dict):
-    """e -> u**e for one u = p^-alpha, each power computed when first asked."""
-
-    def __init__(self, u):
-        super().__init__()
-        self.u = u
-
-    def __missing__(self, e):
-        value = self[e] = _CTX.power(self.u, e)
-        return value
-
-
-@_memo_on_mpc
-def _prime_powers(p, s):
-    return _PowerRow(_CTX.power(p, -s))
 
 
 def mellin_local(phi_p: PAdicTestFunction) -> LocalMellinFactor:
@@ -283,18 +307,20 @@ def mellin_real_mp(phi_inf: HermiteGaussian, alpha):
     Per even degree n the integral is Gamma_R(alpha) P_n(alpha), with P_n
     the integer polynomial of ``_hermite_poly``, so the sum of c_n
     P_n(alpha) is taken times Gamma_R once; odd degrees vanish by parity.
+    Gamma_R and each P_n are read off alpha's strip point.
     """
-    s = _mpc(alpha)
-    if not (s.real > 0 and _CTX.isfinite(s)):
-        raise DomainError("real Mellin factor needs a finite alpha with Re alpha > 0")
+    point = _point(alpha)
+    gamma_r = point.gamma_r  # raises off the domain
     if phi_inf._mellin_real is None:
         phi_inf._mellin_real = [
-            (n, _cyclo_mp(c)) for n, c in phi_inf.coeffs.items() if n % 2 == 0
+            (n, _raw(_cyclo_mp(c))) for n, c in phi_inf.coeffs.items() if n % 2 == 0
         ]
-    total = _CTX.mpc(0)
+    prec, rnd = _CTX._prec_rounding
+    polys = point.polys
+    total = (fzero, fzero)
     for n, c in phi_inf._mellin_real:
-        total += c * _hermite_poly(n, s)
-    return _gamma_r(s) * total
+        total = mpc_add(total, mpc_mul(c, polys[n], prec, rnd), prec, rnd)
+    return _CTX.make_mpc(mpc_mul(gamma_r._mpc_, total, prec, rnd))
 
 
 def _hermite_poly(n, s):
@@ -332,17 +358,20 @@ def phi_p(phi: ElementaryFunction, alpha: complex) -> complex:
     the simple poles of the assembly.  A product outside the double range
     is a domain error, so no inf or NaN leaves this function.
     """
-    s = _mpc(alpha)
-    if s == 0 or s == 1:
-        raise DomainError("Phi has simple poles at alpha = 0 and alpha = 1")
-    if s.real <= 0:
-        raise DomainError("Phi is evaluated on Re alpha > 0")
+    point = _point(alpha)
+    if not point.in_pairing_domain:
+        s = point.s
+        if s == 0 or s == 1:
+            raise DomainError("Phi has simple poles at alpha = 0 and alpha = 1")
+        if s.real <= 0:
+            raise DomainError("Phi is evaluated on Re alpha > 0")
+        point.in_pairing_domain = True
     prec, rnd = _CTX._prec_rounding
-    product = _raw(mellin_real_mp(phi.real_factor, s))
+    product = mellin_real_mp(phi.real_factor, point)._mpc_
     for f in phi.prime_factors.values():
-        product = mpc_mul(product, _raw(mellin_local(f).evaluate_mp(s)), prec, rnd)
-    product = mpc_mul(product, _raw(zeta_mp(s)), prec, rnd)
-    value = complex(_CTX.make_mpc(product))
+        product = mpc_mul(product, mellin_local(f).evaluate_mp(point)._mpc_, prec, rnd)
+    product = mpc_mul(product, _raw(zeta_mp(point)), prec, rnd)
+    value = mpc_to_complex(product, rnd=rnd)
     if not cmath.isfinite(value):
         raise DomainError(f"Phi(alpha) at alpha = {alpha} is outside the double range")
     return value
@@ -368,5 +397,6 @@ def functional_equation_residual(alpha: complex) -> float:
     a = complex(alpha)
     if not 0 < a.real < 1:
         raise DomainError("functional equation check needs 0 < Re alpha < 1")
-    s = _CTX.mpc(a)
-    return float(abs(_gamma_r(s) * zeta_mp(s) - _gamma_r(1 - s) * zeta_mp(1 - s)))
+    point = _point(a)
+    mirror = _point(1 - point.s)
+    return float(abs(point.gamma_r * zeta_mp(point) - mirror.gamma_r * zeta_mp(mirror)))

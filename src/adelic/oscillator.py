@@ -162,6 +162,18 @@ def kernel_polar(
     return lam * chi_p(arg, p), F(p) ** sin_t.valuation().value
 
 
+def _kernel_to_origin(p: int, t: PAdicApprox):
+    """a = -cos t / (2 sin t) and x -> K_t(x, 0) as its exact phase and its
+    modulus |sin t|_p^(-1/2), a surd.  At y = 0 the phase argument of
+    ``kernel_polar`` is a x^2, so K_t(x, 0) = K_t(0, 0) chi_p(a x^2), with
+    K_t(0, 0) and the modulus taken from ``kernel_polar`` once."""
+    sin_t, cos_t, _ = _kernel_constants(p, t)
+    a = -cos_t.approximant / (2 * sin_t.approximant)
+    lam, mod_sq = kernel_polar(p, t, F(0), F(0))
+    modulus = sqrt_prime_power(p, valuation(mod_sq, p).value)
+    return a, lambda x: (lam * chi_p(a * x * x, p), modulus)
+
+
 def eigen_check(
     p: int,
     t: PAdicApprox,
@@ -180,9 +192,8 @@ def eigen_check(
     with the default precision the congruence class pins down every
     character value that appears, so the approximant substitution is exact.
     """
-    sin_t, cos_t, _ = _kernel_constants(p, t)
-    s, c = sin_t.approximant, cos_t.approximant
-    a_quad = -c / (2 * s)
+    s = _kernel_constants(p, t)[0].approximant
+    a_quad, kernel_at = _kernel_to_origin(p, t)
     phase_e = phase(frac_part(energy * t.approximant, p))
     worst = 0.0
     for x in samples:
@@ -191,8 +202,8 @@ def eigen_check(
         if not integral.stabilized:
             raise Unstabilized(f"eigen check integral did not stabilize at x={x}")
         # K_t(x, y) = K_t(x, 0) chi_p(a y^2 + b y)
-        ph, mod_sq = kernel_polar(p, t, x, F(0))
-        prefactor = ph.as_cyclo() * sqrt_prime_power(p, valuation(mod_sq, p).value)
+        ph, modulus = kernel_at(x)
+        prefactor = ph.as_cyclo() * modulus
         lhs = prefactor * integral.value
         rhs = phase_e * psi_p.evaluate(x)
         diff = lhs - rhs

@@ -21,9 +21,9 @@ from adelic.padic import valuation
 from adelic.mellin import (
     _CTX,
     DomainError,
-    _gamma_r,
     _hermite_poly,
-    _prime_powers,
+    _point,
+    _record,
     _root_mp,
     LocalMellinFactor,
     euler_product_zeta,
@@ -175,9 +175,9 @@ class TestMemo:
             assert tate_check(phi, alpha) < 1e-6
         assert sorted(built) == [2, 3, 5]
 
-    # the strip-point memos besides zeta: prime powers, Gamma_R, and the
-    # roots of unity that coefficients are converted with
-    MEMOS = (_prime_powers, _gamma_r, _root_mp)
+    # the strip-point memo, and the roots of unity that coefficients are
+    # converted with
+    MEMOS = (_record, _root_mp)
     ALPHAS = (0.3 + 1.5j, 0.7 - 4j, 0.5, _CTX.mpf(1) / 3 + _CTX.mpc(0, 2))
 
     @staticmethod
@@ -293,7 +293,43 @@ class TestMemo:
                 tate_check(phi, 1.5)
             # a pole of the memoized Gamma_R raises on every call
             with pytest.raises(DomainError):
-                _gamma_r(_CTX.mpc(-2))
+                _point(_CTX.mpc(-2)).gamma_r
+
+    def test_a_point_past_the_zeta_height_keeps_its_other_values(self):
+        # |Im alpha| = 2000 is outside zeta's domain only: the real factor
+        # has a value there, and neither order of first use poisons the
+        # point or keeps the error
+        phi = self._function()
+        h = phi.real_factor
+        for alpha, real_first in ((0.5 + 2000j, True), (0.25 - 2000j, False)):
+            want = self._fresh_real(h, _CTX.mpc(alpha))
+            for _ in range(2):
+                if real_first:
+                    assert mellin_real_mp(h, alpha) == want
+                with pytest.raises(DomainError, match=r"\|Im alpha\| <= 1000"):
+                    phi_p(phi, alpha)
+                assert mellin_real_mp(h, alpha) == want
+            assert "zeta" not in vars(_point(alpha))
+
+    def test_point_values_equal_the_unmemoized_expressions(self):
+        fine = _CTX.mpf(1) / 3 + _CTX.mpc(0, 2)
+        coarse = complex(fine)
+        for _ in range(2):
+            for arg in (fine, coarse):
+                s = _CTX.mpc(arg)
+                point = _point(arg)
+                assert point is _point(arg) and point.s == s
+                assert point.zeta == _CTX.zeta(s)
+                assert point.gamma_r == _CTX.power(_CTX.pi, -s / 2) * _CTX.gamma(s / 2)
+                for n in (0, 2, 4, 10):
+                    assert _CTX.make_mpc(point.polys[n]) == self._fresh_poly(n, s), n
+                for p in (2, 3, 7):
+                    u = _CTX.power(p, -s)
+                    for e in (-2, 0, 1, 3):
+                        assert _CTX.make_mpc(point.powers[p][e]) == _CTX.power(u, e), (p, e)
+        # a fine argument and its double are distinct records
+        assert _point(fine).zeta != _point(coarse).zeta
+        assert _point(fine).gamma_r != _point(coarse).gamma_r
 
     def test_elementary_fourier_is_built_once(self):
         phi = self._function()

@@ -11,6 +11,7 @@ from adelic.distributions import delta_distribution, pair
 from adelic.gauss import lambda_p
 from adelic.mellin import DomainError
 from adelic.oscillator import (
+    _kernel_to_origin,
     eigen_check,
     kernel_polar,
     padic_cos,
@@ -155,6 +156,21 @@ class TestEigen:
         f = PAdicTestFunction.indicator(Ball(p, F(0), 1))
         dev = eigen_check(p, t, f, F(0), [F(0), F(1), F(1, 5)])
         assert dev > 1e-3
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_prefactor_is_the_kernel_at_y_zero(self, p):
+        # eigen_check's K_t(x, 0), read from kernel_polar(p, t, 0, 0) times
+        # chi_p(a x^2), against kernel_polar(p, t, x, 0) itself
+        v = 2 if p == 2 else 1
+        xs = [F(0), F(1), F(-1), F(1, p), F(3, p**2), F(p), F(2, 3), F(-5, 7 * p**3)]
+        for tval in (F(p**v), F(3 * p**v), F(p**(v + 1), 1 + p), F(-2 * p**v, 11)):
+            t = from_rational(tval, p, 12)
+            _, kernel_at = _kernel_to_origin(p, t)
+            for x in xs:
+                phase, modulus = kernel_at(x)
+                want_phase, want_mod_sq = kernel_polar(p, t, x, F(0))
+                assert phase == want_phase, (tval, x)
+                assert modulus * modulus == want_mod_sq, (tval, x)
 
     def test_deviation_below_the_double_range_is_not_zero(self):
         # the exact deviation is about 1.2e-400, which rounds to 0.0 as a
