@@ -18,8 +18,33 @@ import sys
 import time
 from fractions import Fraction
 
+from .adeles import principal_adele, principal_idele
+from .bruhat import PAdicTestFunction, parse_schwartz_bruhat
+from .characters import chi_p, chi_principal_phase
 from .cyclotomic import ONE_PHASE
+from .distributions import (
+    chi_distribution,
+    chi_quadratic_distribution,
+    delta_distribution,
+    pair,
+    pi_alpha_distribution,
+)
+from .gauss import (
+    calibrate_lambda_p,
+    gauss_integral_inf,
+    gauss_integral_p_exact,
+    gauss_polar,
+    kernel_k,
+    kernel_k_polar,
+    lambda_p,
+    lambda_product_check,
+)
+from .integrate import Unstabilized, integrate_qp
+from .mellin import functional_equation_residual, tate_check
+from .oscillator import eigen_check
+from .padic import frac_part, from_rational, padic_norm, valuation
 from .primes import is_prime
+from .quadrature import fresnel_regularized, oracle_float
 from .suite import ALL_CHECKS, CheckReport, make_report, run_suite
 
 F = Fraction
@@ -122,8 +147,6 @@ def _tolerance(text: str) -> float:
 
 def _phi(source: str):
     """A test function from inline JSON or, for ``@path``, from a file."""
-    from .bruhat import parse_schwartz_bruhat
-
     text = source
     if source.startswith("@"):
         try:
@@ -146,8 +169,6 @@ def _inconclusive(check: str, inputs: dict, value, reason: str,
 
 
 def cmd_norm(args) -> list[CheckReport]:
-    from .padic import padic_norm
-
     t0 = time.perf_counter()
     value = padic_norm(args.r, args.p)
     return [make_report("padic-norm", {"r": str(args.r), "p": args.p}, value, value,
@@ -155,8 +176,6 @@ def cmd_norm(args) -> list[CheckReport]:
 
 
 def cmd_frac(args) -> list[CheckReport]:
-    from .padic import frac_part, valuation
-
     t0 = time.perf_counter()
     q = frac_part(args.r, args.p)
     return [make_report("frac-part", {"r": str(args.r), "p": args.p}, q, q, t0,
@@ -164,8 +183,6 @@ def cmd_frac(args) -> list[CheckReport]:
 
 
 def cmd_chi(args) -> list[CheckReport]:
-    from .characters import chi_p, chi_principal_phase
-
     t0 = time.perf_counter()
     if args.p is not None:
         ph = chi_p(args.r, args.p).phase
@@ -177,16 +194,6 @@ def cmd_chi(args) -> list[CheckReport]:
 
 
 def cmd_pair(args) -> list[CheckReport]:
-    from .adeles import principal_adele, principal_idele
-    from .distributions import (
-        chi_distribution,
-        chi_quadratic_distribution,
-        delta_distribution,
-        pair,
-        pi_alpha_distribution,
-    )
-    from .integrate import Unstabilized
-
     t0 = time.perf_counter()
     if args.dist == "delta":
         dist = delta_distribution()
@@ -210,10 +217,6 @@ def cmd_pair(args) -> list[CheckReport]:
 
 
 def cmd_gauss(args) -> list[CheckReport]:
-    from .gauss import gauss_integral_inf, gauss_integral_p_exact, gauss_polar
-    from .integrate import integrate_qp
-    from .quadrature import fresnel_regularized, oracle_float
-
     t0 = time.perf_counter()
     if args.p is None:
         oracle_float("-a", args.a)
@@ -244,9 +247,6 @@ def cmd_gauss(args) -> list[CheckReport]:
 
 
 def cmd_product_check(args) -> list[CheckReport]:
-    from .adeles import principal_adele, principal_idele
-    from .gauss import kernel_k, kernel_k_polar
-
     t0 = time.perf_counter()
     a, b = principal_idele(args.a), principal_adele(args.b)
     exact = kernel_k_polar(a, b) == (ONE_PHASE, 1)
@@ -255,8 +255,6 @@ def cmd_product_check(args) -> list[CheckReport]:
 
 
 def cmd_lambda_check(args) -> list[CheckReport]:
-    from .gauss import lambda_product_check
-
     t0 = time.perf_counter()
     ph = lambda_product_check(args.a)
     return [make_report("lambda-check", {"a": str(args.a)}, ph.value, 1 + 0j, t0,
@@ -264,8 +262,6 @@ def cmd_lambda_check(args) -> list[CheckReport]:
 
 
 def cmd_mellin(args) -> list[CheckReport]:
-    from .distributions import pair, pi_alpha_distribution
-
     t0 = time.perf_counter()
     total = pair(pi_alpha_distribution(args.alpha), args.phi)
     return [make_report("mellin", {"alpha": format_complex(args.alpha)}, total, "n/a",
@@ -273,8 +269,6 @@ def cmd_mellin(args) -> list[CheckReport]:
 
 
 def cmd_tate(args) -> list[CheckReport]:
-    from .mellin import tate_check
-
     t0 = time.perf_counter()
     worst = 0.0
     for _, elem in args.phi.elements:
@@ -284,8 +278,6 @@ def cmd_tate(args) -> list[CheckReport]:
 
 
 def cmd_zeta_fe(args) -> list[CheckReport]:
-    from .mellin import functional_equation_residual
-
     t0 = time.perf_counter()
     residual = functional_equation_residual(args.alpha)
     return [make_report("zeta-fe", {"alpha": format_complex(args.alpha)}, residual,
@@ -293,11 +285,6 @@ def cmd_zeta_fe(args) -> list[CheckReport]:
 
 
 def cmd_oscillator_check(args) -> list[CheckReport]:
-    from .bruhat import PAdicTestFunction
-    from .integrate import Unstabilized
-    from .oscillator import eigen_check
-    from .padic import from_rational
-
     t0 = time.perf_counter()
     t = from_rational(args.t, args.p, args.precision)
     samples = args.samples or [F(0), F(1), F(1, args.p), F(args.p)]
@@ -312,8 +299,6 @@ def cmd_oscillator_check(args) -> list[CheckReport]:
 
 
 def cmd_calibrate_lambda(args) -> list[CheckReport]:
-    from .gauss import calibrate_lambda_p, lambda_p
-
     t0 = time.perf_counter()
     table = calibrate_lambda_p(args.p)
     reports = []

@@ -9,9 +9,12 @@ The evolution kernel
 
 has one home, ``kernel_polar``: an exact phase and the squared modulus
 |sin t|_p^(-1), as ``gauss.gauss_polar`` holds the Gauss factor (Dragovich,
-"Adelic harmonic oscillator", IJMPA 10, 1995).  Eigenvalue checks pair it
-against test functions through the integration oracle, so the vacuum
-invariance assertions are exact zero tests rather than small-float tests.
+"Adelic harmonic oscillator", IJMPA 10, 1995).  Its constants, and K_t(0, 0)
+as one exact cyclotomic number, are one cached record per (p, t), which
+``eigen_check`` reads as well: K_t(x, 0) = K_t(0, 0) chi_p(a x^2).
+Eigenvalue checks pair the kernel against test functions through the
+integration oracle, so the vacuum invariance assertions are exact zero
+tests rather than small-float tests.
 """
 
 from __future__ import annotations
@@ -25,18 +28,18 @@ import numpy as np
 
 from .bruhat import PAdicTestFunction, hermite_value, vacuum_state
 from .characters import chi_p
-from .cyclotomic import UnitPhase, phase, sqrt_prime_power
+from .cyclotomic import Cyclo, UnitPhase, phase, sqrt_prime_power
 from .gauss import lambda_class_depth, lambda_inf_phase, lambda_p
 from .integrate import Unstabilized, integrate_qp
 from .mellin import DomainError
-from .padic import PAdicApprox, PrecisionError, frac_part, valuation
+from .padic import PAdicApprox, PrecisionError, frac_part
 from .primes import require_prime
 from .quadrature import gauss_character_integral, panel_nodes, real_fourier_transform
 
 F = Fraction
 
 # highest precision the trig series run at, the only bound on their work: on
-# a 2-core Xeon with Python 3.11 the kernel constants take 0.008 s at
+# a 2-core Xeon with Python 3.11 the kernel record takes 0.008 s at
 # precision 400 and 0.06 s at 1,000 (p = 3, t = 3), 0.15 s at 1,000 for
 # t = 3 * 7^40 / 11^40, and the series cost grows faster than the square of
 # the precision
@@ -47,30 +50,22 @@ VACUUM_PRIMES = (2, 3, 5, 7, 11)
 VACUUM_GRID_POINTS = 1000
 
 
-def _trig_domain_check(t: PAdicApprox):
-    p = t.prime
-    v = t.valuation()
-    need = 2 if p == 2 else 1
-    if v.is_infinite:
-        return  # t = 0 at this precision: inside every domain
-    if v.value < need:
-        raise DomainError(
-            f"p-adic trig series needs |t|_p <= p^-{need}, got valuation {v.value}"
-        )
-
-
 def _trig_series(t: PAdicApprox, odd_powers: bool) -> PAdicApprox:
     """sum (-1)^k t^(2k+1)/(2k+1)! (sine) or even counterpart (cosine), as
     an integer residue mod p^N."""
-    _trig_domain_check(t)
-    if t.precision > TRIG_MAX_PRECISION:
-        raise DomainError(
-            f"p-adic trig series at precision {t.precision} is over the bound "
-            f"of {TRIG_MAX_PRECISION:,}"
-        )
     p, n = t.prime, t.precision
     vt = t.valuation()
-    if vt.is_infinite:
+    need = 2 if p == 2 else 1
+    if not vt.is_infinite and vt.value < need:
+        raise DomainError(
+            f"p-adic trig series needs |t|_p <= p^-{need}, got valuation {vt.value}"
+        )
+    if n > TRIG_MAX_PRECISION:
+        raise DomainError(
+            f"p-adic trig series at precision {n} is over the bound "
+            f"of {TRIG_MAX_PRECISION:,}"
+        )
+    if vt.is_infinite:  # t = 0 at this precision: inside every domain
         return PAdicApprox(p, F(0) if odd_powers else F(1), n)
     vt = vt.value
     # v(t^k/k!) >= k*vt - (k-1)/(p-1), monotone on the domain, so the first
@@ -138,13 +133,17 @@ def _require_nonzero_sin(t: PAdicApprox, sin_t: PAdicApprox):
 
 
 @functools.lru_cache(maxsize=64)
-def _kernel_constants(p: int, t: PAdicApprox) -> tuple[PAdicApprox, PAdicApprox, UnitPhase]:
-    """sin t, cos t and lam_p(2 sin t): the t-dependent kernel constants."""
+def _kernel(p: int, t: PAdicApprox) -> tuple[Fraction, int, UnitPhase, Fraction, Cyclo]:
+    """The kernel record of (p, t): s and v(s), with s the rational
+    approximant of sin t, lam_p(2 sin t), a = -cos t / (2 sin t), and
+    K_t(0, 0) = lam_p(2 sin t) p^(v/2) as one exact cyclotomic number."""
     require_prime(p)
     sin_t = padic_sin(t)
     _require_nonzero_sin(t, sin_t)
-    cos_t = padic_cos(t)
-    return sin_t, cos_t, _lambda_p_checked(p, sin_t * 2)
+    s, v = sin_t.approximant, sin_t.valuation().value
+    a = -padic_cos(t).approximant / (2 * s)
+    lam = _lambda_p_checked(p, sin_t * 2)
+    return s, v, lam, a, lam.as_cyclo() * sqrt_prime_power(p, v)
 
 
 def kernel_polar(
@@ -152,26 +151,13 @@ def kernel_polar(
 ) -> tuple[UnitPhase, Fraction]:
     """The local kernel K_t(x, y) as its exact phase and squared modulus.
 
-    The phase is lam_p(2 sin t) chi_p(x y / s - (x^2 + y^2) c / (2 s)) and
-    the squared modulus is |sin t|_p^(-1) = p^v(sin t), with s and c the
-    rational approximants of sin t and cos t.
+    The phase is lam_p(2 sin t) chi_p(x y / s + (x^2 + y^2) a) and the
+    squared modulus is |sin t|_p^(-1) = p^v(sin t), with s the rational
+    approximant of sin t and a = -cos t / (2 sin t), read off the cached
+    (p, t) record.
     """
-    sin_t, cos_t, lam = _kernel_constants(p, t)
-    s, c = sin_t.approximant, cos_t.approximant
-    arg = x * y / s - (x * x + y * y) * c / (2 * s)
-    return lam * chi_p(arg, p), F(p) ** sin_t.valuation().value
-
-
-def _kernel_to_origin(p: int, t: PAdicApprox):
-    """a = -cos t / (2 sin t) and x -> K_t(x, 0) as its exact phase and its
-    modulus |sin t|_p^(-1/2), a surd.  At y = 0 the phase argument of
-    ``kernel_polar`` is a x^2, so K_t(x, 0) = K_t(0, 0) chi_p(a x^2), with
-    K_t(0, 0) and the modulus taken from ``kernel_polar`` once."""
-    sin_t, cos_t, _ = _kernel_constants(p, t)
-    a = -cos_t.approximant / (2 * sin_t.approximant)
-    lam, mod_sq = kernel_polar(p, t, F(0), F(0))
-    modulus = sqrt_prime_power(p, valuation(mod_sq, p).value)
-    return a, lambda x: (lam * chi_p(a * x * x, p), modulus)
+    s, v, lam, a, _ = _kernel(p, t)
+    return lam * chi_p(x * y / s + (x * x + y * y) * a, p), F(p) ** v
 
 
 def eigen_check(
@@ -185,28 +171,24 @@ def eigen_check(
 
     The y-integral is the integration oracle applied to
     psi(y) chi(a y^2 + b y) with a = -cos t/(2 sin t), b = x / sin t, times
-    the x-dependent prefactor; everything stays in exact cyclotomic
-    arithmetic, so a vanishing deviation is exactly zero.
+    the prefactor K_t(x, 0) = K_t(0, 0) chi_p(a x^2); s, a and K_t(0, 0)
+    are read off the cached (p, t) record, and everything stays in exact
+    cyclotomic arithmetic, so a vanishing deviation is exactly zero.
 
     The kernel is evaluated with the rational approximants of sin and tan;
     with the default precision the congruence class pins down every
     character value that appears, so the approximant substitution is exact.
     """
-    s = _kernel_constants(p, t)[0].approximant
-    a_quad, kernel_at = _kernel_to_origin(p, t)
+    s, _, _, a, origin = _kernel(p, t)
     phase_e = phase(frac_part(energy * t.approximant, p))
     worst = 0.0
     for x in samples:
-        b_lin = x / s
-        integral = integrate_qp(p, test_function=psi_p, quad=(a_quad, b_lin))
+        integral = integrate_qp(p, test_function=psi_p, quad=(a, x / s))
         if not integral.stabilized:
             raise Unstabilized(f"eigen check integral did not stabilize at x={x}")
-        # K_t(x, y) = K_t(x, 0) chi_p(a y^2 + b y)
-        ph, modulus = kernel_at(x)
-        prefactor = ph.as_cyclo() * modulus
-        lhs = prefactor * integral.value
-        rhs = phase_e * psi_p.evaluate(x)
-        diff = lhs - rhs
+        # K_t(x, y) = K_t(0, 0) chi_p(a x^2) chi_p(a y^2 + b y)
+        lhs = origin * phase(frac_part(a * x * x, p)) * integral.value
+        diff = lhs - phase_e * psi_p.evaluate(x)
         if not diff.is_zero():
             # a nonzero deviation below the double range reads as the
             # smallest subnormal, never as 0.0

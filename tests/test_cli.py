@@ -367,8 +367,8 @@ def test_unstabilized_oracle_prints_an_inconclusive_row(argv, reason):
 
 
 @pytest.mark.parametrize("module, name, argv", [
-    ("adelic.distributions", "pair", ["pair", "--dist", "delta", "--phi", _GAUSSIAN]),
-    ("adelic.oscillator", "eigen_check",
+    ("adelic.cli", "pair", ["pair", "--dist", "delta", "--phi", _GAUSSIAN]),
+    ("adelic.cli", "eigen_check",
      ["oscillator-check", "-p", "5", "--t", "5", "--samples", "0"]),
 ], ids=["pair", "oscillator-check"])
 def test_other_arithmetic_errors_stay_error_lines(monkeypatch, module, name, argv):

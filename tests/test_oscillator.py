@@ -5,13 +5,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from adelic import oscillator
 from adelic.adeles import principal_adele
 from adelic.bruhat import Ball, PAdicTestFunction, vacuum_state
+from adelic.characters import chi_p
+from adelic.cyclotomic import phase, sqrt_prime_power
 from adelic.distributions import delta_distribution, pair
 from adelic.gauss import lambda_p
+from adelic.integrate import integrate_qp
 from adelic.mellin import DomainError
 from adelic.oscillator import (
-    _kernel_to_origin,
+    TRIG_MAX_PRECISION,
+    _kernel,
     eigen_check,
     kernel_polar,
     padic_cos,
@@ -20,7 +25,7 @@ from adelic.oscillator import (
     unitarity_probe,
     vacuum_fourier_check,
 )
-from adelic.padic import PrecisionError, from_rational, padic_norm, valuation
+from adelic.padic import PrecisionError, frac_part, from_rational, padic_norm, valuation
 
 F = Fraction
 
@@ -51,11 +56,23 @@ class TestPAdicTrig:
             assert 0 <= value.approximant < p**n
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            padic_sin(from_rational(1, 5, 6))
-        with pytest.raises(DomainError):
-            padic_sin(from_rational(2, 2, 6))  # |2|_2 = 1/2 not enough
-        padic_sin(from_rational(4, 2, 6))  # |4|_2 = 1/4: fine
+        over = TRIG_MAX_PRECISION + 1
+        for trig in (padic_sin, padic_cos):
+            with pytest.raises(DomainError):
+                trig(from_rational(1, 5, 6))
+            with pytest.raises(DomainError):
+                trig(from_rational(2, 2, 6))  # |2|_2 = 1/2 not enough
+            trig(from_rational(4, 2, 6))  # |4|_2 = 1/4: fine
+            with pytest.raises(DomainError, match=f"precision {over} is over the bound"):
+                trig(from_rational(5, 5, over))
+            # out of the domain and over the precision bound: the domain is
+            # checked first
+            for t, need, v in ((from_rational(1, 5, over), 1, 0),
+                               (from_rational(2, 2, over), 2, 1)):
+                with pytest.raises(DomainError) as info:
+                    trig(t)
+                assert str(info.value) == (
+                    f"p-adic trig series needs |t|_p <= p^-{need}, got valuation {v}")
 
     @pytest.mark.parametrize("p,tvals,n", [
         *((p, (F(p), F(2 * p), F(p * p), F(p, 1 + p)), 12) for p in (3, 5, 7)),
@@ -159,18 +176,78 @@ class TestEigen:
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_prefactor_is_the_kernel_at_y_zero(self, p):
-        # eigen_check's K_t(x, 0), read from kernel_polar(p, t, 0, 0) times
-        # chi_p(a x^2), against kernel_polar(p, t, x, 0) itself
+        # eigen_check's K_t(x, 0), K_t(0, 0) from the (p, t) record times
+        # chi_p(a x^2), against kernel_polar(p, t, x, 0) as a phase and a
+        # squared modulus
         v = 2 if p == 2 else 1
         xs = [F(0), F(1), F(-1), F(1, p), F(3, p**2), F(p), F(2, 3), F(-5, 7 * p**3)]
         for tval in (F(p**v), F(3 * p**v), F(p**(v + 1), 1 + p), F(-2 * p**v, 11)):
             t = from_rational(tval, p, 12)
-            _, kernel_at = _kernel_to_origin(p, t)
+            _, _, _, a, origin = _kernel(p, t)
             for x in xs:
-                phase, modulus = kernel_at(x)
+                prefactor = origin * chi_p(a * x * x, p).as_cyclo()
                 want_phase, want_mod_sq = kernel_polar(p, t, x, F(0))
-                assert phase == want_phase, (tval, x)
+                modulus = prefactor * want_phase.conjugate().as_cyclo()
+                assert modulus == modulus.conjugate(), (tval, x)
+                assert modulus.to_complex().real > 0, (tval, x)
                 assert modulus * modulus == want_mod_sq, (tval, x)
+
+    @staticmethod
+    def _per_sample_chain(p, t, psi, energy, samples):
+        # the deviation with K_t(0, 0) rebuilt from kernel_polar(p, t, 0, 0)
+        # and its surd, then times chi_p(a x^2) per sample
+        s, c = padic_sin(t).approximant, padic_cos(t).approximant
+        a = -c / (2 * s)
+        lam, mod_sq = kernel_polar(p, t, F(0), F(0))
+        modulus = sqrt_prime_power(p, valuation(mod_sq, p).value)
+        phase_e = phase(frac_part(energy * t.approximant, p))
+        worst = 0.0
+        for x in samples:
+            integral = integrate_qp(p, test_function=psi, quad=(a, x / s))
+            assert integral.stabilized
+            prefactor = (lam * chi_p(a * x * x, p)).as_cyclo() * modulus
+            diff = prefactor * integral.value - phase_e * psi.evaluate(x)
+            if not diff.is_zero():
+                worst = max(worst, abs(diff.to_complex()) or math.ulp(0.0))
+        return worst
+
+    def test_matches_the_per_sample_kernel_chain_bit_for_bit(self):
+        rng = random.Random(20261020)
+        nonzero = 0
+        for p in (2, 3, 5, 7):
+            v = 2 if p == 2 else 1
+            states = [
+                PAdicTestFunction.omega(p),
+                PAdicTestFunction.omega(p).scale(F(3, 2)),
+                PAdicTestFunction.indicator(Ball(p, F(0), 1)),
+                PAdicTestFunction(p, [(1, Ball(p, F(0), 0)), (F(-1, 2), Ball(p, F(1), 1))]),
+            ]
+            for _ in range(3):
+                t = from_rational(F(rng.choice([1, 2, 3, -4]) * p**v, rng.choice([1, 11, 13])),
+                                  p, 12)
+                for psi in states:
+                    energy = rng.choice([F(0), F(1, p * p), F(2, p**3), F(1, p)])
+                    samples = [F(rng.randint(-9, 9), rng.choice([1, p, p * p]))
+                               for _ in range(3)]
+                    got = eigen_check(p, t, psi, energy, samples)
+                    want = self._per_sample_chain(p, t, psi, energy, samples)
+                    assert got.hex() == want.hex(), (p, t.approximant, energy, samples)
+                    nonzero += got != 0.0
+        assert nonzero >= 10
+
+    def test_repeat_call_rebuilds_no_kernel_constant(self, monkeypatch):
+        p = 7
+        t = from_rational(F(14, 3), p, 12)
+        omega = PAdicTestFunction.omega(p)
+        samples = [F(0), F(1), F(1, 7)]
+        first = eigen_check(p, t, omega, F(1, 49), samples)
+        calls = []
+        for name in ("padic_sin", "padic_cos", "lambda_p", "sqrt_prime_power",
+                     "kernel_polar"):
+            monkeypatch.setattr(oscillator, name,
+                                lambda *args, name=name: calls.append(name))
+        assert eigen_check(p, t, omega, F(1, 49), samples) == first
+        assert calls == []
 
     def test_deviation_below_the_double_range_is_not_zero(self):
         # the exact deviation is about 1.2e-400, which rounds to 0.0 as a
