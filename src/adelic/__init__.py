@@ -26,7 +26,7 @@ from .bruhat import (
 )
 from .characters import chi_inf, chi_p, chi_principal, pi_alpha
 from .cyclotomic import Cyclo, UnitPhase
-from .padic import PAdicApprox, Valuation, digits, frac_part, padic_norm, valuation
+from .padic import PAdicApprox, digits, frac_part, padic_norm, valuation
 
 __all__ = [
     "Adele",
@@ -39,7 +39,6 @@ __all__ = [
     "PAdicTestFunction",
     "SchwartzBruhat",
     "UnitPhase",
-    "Valuation",
     "chi_inf",
     "chi_p",
     "chi_principal",

@@ -320,7 +320,7 @@ class PAdicTestFunction:
         out = PAdicTestFunction(p)
         pj = max((ball.center.denominator for ball, _ in self.terms), default=1)
         pm = max((mod.denominator for _, mod in self.terms), default=1)
-        e = valuation(pm, p).value
+        e = valuation(pm, p)
         for (ball, mod), c in self.terms.items():
             center, k = ball.center, ball.radius_exp
             mc, s, n = _fold(-mod.numerator * (pm // mod.denominator), p ** max(e - k, 0),
@@ -406,7 +406,7 @@ def _canonicalize(prime: int, raw: list) -> dict[TermKey, Cyclo]:
         return {}
     k_min = min(ball.radius_exp for _, ball, _ in raw)
     pj = max(max(ball.center.denominator for _, ball, _ in raw), prime ** max(-k_min, 0))
-    j = valuation(pj, prime).value
+    j = valuation(pj, prime)
     mods = [reduce_mod(mod, prime, j) for _, _, mod in raw]
     pm = max(q.denominator for q in mods)
     step = prime ** (k_min + j)

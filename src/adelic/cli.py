@@ -179,7 +179,7 @@ def cmd_frac(args) -> list[CheckReport]:
     t0 = time.perf_counter()
     q = frac_part(args.r, args.p)
     return [make_report("frac-part", {"r": str(args.r), "p": args.p}, q, q, t0,
-                        passed=valuation(args.r - q, args.p) >= 0)]
+                        passed=args.r == q or valuation(args.r - q, args.p) >= 0)]
 
 
 def cmd_chi(args) -> list[CheckReport]:

@@ -92,7 +92,7 @@ def _lambda_eighths(p: int, v: int, u: int) -> int:
 
 def sqrt_norm_2a_inv(p: int, a: Fraction) -> Cyclo:
     """|2a|_p^(-1/2) = p**(v(2a)/2) as an exact cyclotomic."""
-    return sqrt_prime_power(p, valuation(2 * a, p).value)
+    return sqrt_prime_power(p, valuation(2 * a, p))
 
 
 def lambda_class_depth(p: int) -> int:
@@ -210,7 +210,7 @@ def _square_preimage(p: int, ball: Ball) -> list[Ball]:
     k, c = ball.radius_exp, ball.center
     if c == 0:
         return [Ball(p, F(0), -(-k // 2))]
-    v = valuation(c, p).value
+    v = valuation(c, p)
     if v % 2:
         return []
     if p > _COSET_BUDGET:
@@ -239,11 +239,11 @@ def _stationary_part(p: int, ball: Ball, m: Fraction, b: Fraction) -> Ball | Non
     """
     k = ball.radius_exp
     if m == 0:
-        return ball if b == 0 or valuation(b, p).value + k >= 0 else None
-    s = max(k, -(valuation(m, p).value // 2))
-    rho = -s - valuation(2 * m, p).value
+        return ball if b == 0 or valuation(b, p) + k >= 0 else None
+    s = max(k, -(valuation(m, p) // 2))
+    rho = -s - valuation(2 * m, p)
     x_star = -b / (2 * m)
-    if x_star != ball.center and valuation(x_star - ball.center, p).value < min(k, rho):
+    if x_star != ball.center and valuation(x_star - ball.center, p) < min(k, rho):
         return None
     return Ball(p, x_star, rho) if rho >= k else ball
 

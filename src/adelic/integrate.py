@@ -197,8 +197,8 @@ def _sphere_zero(p: int, va: int, vb: int | None, j: int) -> bool:
 def sphere_provably_zero(p: int, a: Fraction, b: Fraction, j: int) -> bool:
     """Oscillation-cancellation certificate for a sphere of the Gauss
     integrand: true only when the sphere integral is exactly zero."""
-    vb = None if b == 0 else valuation(b, p).value
-    return _sphere_zero(p, valuation(a, p).value, vb, j)
+    vb = None if b == 0 else valuation(b, p)
+    return _sphere_zero(p, valuation(a, p), vb, j)
 
 
 def integrate_qp(

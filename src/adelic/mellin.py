@@ -276,13 +276,13 @@ def _local_factor(phi_p: PAdicTestFunction) -> LocalMellinFactor:
                 # |x| is constant on the ball and the canonical modulation
                 # is a nontrivial character there: the integral vanishes
                 continue
-            vc = valuation(ball.center, p).value
+            vc = valuation(ball.center, p)
             n0.setdefault(vc, []).append((coeff, F(p) ** (vc - k) * norm))
         elif mod == 0:
             # int over p^k Z_p: (1-1/p) u^k/(1-u), normalized to u^k/(1-u)
             n1.setdefault(k, []).append((coeff, 1))
         else:
-            j0 = -valuation(mod, p).value  # > k for canonical modulation
+            j0 = -valuation(mod, p)  # > k for canonical modulation
             n1.setdefault(j0, []).append((coeff, 1))
             n0.setdefault(j0 - 1, []).append((coeff, -norm / p))
     # normalized factor: (1-u)/(1-1/p) * I(u) = [N0(u)(1-u) + N1(u)]/(1-1/p)

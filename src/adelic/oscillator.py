@@ -56,18 +56,17 @@ def _trig_series(t: PAdicApprox, odd_powers: bool) -> PAdicApprox:
     p, n = t.prime, t.precision
     vt = t.valuation()
     need = 2 if p == 2 else 1
-    if not vt.is_infinite and vt.value < need:
+    if vt is not None and vt < need:
         raise DomainError(
-            f"p-adic trig series needs |t|_p <= p^-{need}, got valuation {vt.value}"
+            f"p-adic trig series needs |t|_p <= p^-{need}, got valuation {vt}"
         )
     if n > TRIG_MAX_PRECISION:
         raise DomainError(
             f"p-adic trig series at precision {n} is over the bound "
             f"of {TRIG_MAX_PRECISION:,}"
         )
-    if vt.is_infinite:  # t = 0 at this precision: inside every domain
+    if vt is None:  # t = 0 at this precision: inside every domain
         return PAdicApprox(p, F(0) if odd_powers else F(1), n)
-    vt = vt.value
     # v(t^k/k!) >= k*vt - (k-1)/(p-1), monotone on the domain, so the first
     # k where that bound reaches N cuts off a tail that vanishes mod p^N
     k_cut = 1 if odd_powers else 2
@@ -112,9 +111,9 @@ def padic_cos(t: PAdicApprox) -> PAdicApprox:
 def _lambda_p_checked(p: int, z: PAdicApprox) -> UnitPhase:
     """lambda_p of an approximate value, verifying the class is pinned down."""
     v = z.valuation()
-    if v.is_infinite:
+    if v is None:
         raise PrecisionError("cannot take lambda of a value indistinguishable from 0")
-    need = v.value + lambda_class_depth(p)
+    need = v + lambda_class_depth(p)
     if z.precision < need:
         raise PrecisionError(
             f"lambda_{p} needs the unit class mod p^{need}, precision is {z.precision}"
@@ -140,7 +139,7 @@ def _kernel(p: int, t: PAdicApprox) -> tuple[Fraction, int, UnitPhase, Fraction,
     require_prime(p)
     sin_t = padic_sin(t)
     _require_nonzero_sin(t, sin_t)
-    s, v = sin_t.approximant, sin_t.valuation().value
+    s, v = sin_t.approximant, sin_t.valuation()
     a = -padic_cos(t).approximant / (2 * s)
     lam = _lambda_p_checked(p, sin_t * 2)
     return s, v, lam, a, lam.as_cyclo() * sqrt_prime_power(p, v)

@@ -4,79 +4,21 @@ Valuations, norms, canonical digit expansions and fractional parts are
 computed exactly with ``fractions.Fraction``; no completion of Q is ever
 constructed.  ``PAdicApprox`` models an element of Q_p known modulo p**N
 through a rational approximant, with conservative precision propagation.
+
+A valuation v(x) is a plain ``int``.  v(0) = +infinity is not one, so
+``valuation(0, p)`` raises ``ValueError`` and callers that can meet an
+exact 0 test for it first; ``PAdicApprox.valuation()`` returns None for
+an approximant that is 0 mod p**N.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 
 from .primes import require_prime
 
 Rat = Fraction
-
-
-@total_ordering
-class Valuation:
-    """A p-adic valuation: an integer, or +infinity for the zero element.
-
-    The infinite value is a tagged state, never a sentinel integer, so
-    accidental arithmetic on it raises instead of silently propagating.
-    """
-
-    __slots__ = ("_v",)
-
-    def __init__(self, v: int | None):
-        self._v = None if v is None else int(v)
-
-    @classmethod
-    def infinite(cls) -> "Valuation":
-        return cls(None)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self._v is None
-
-    @property
-    def value(self) -> int:
-        if self._v is None:
-            raise ValueError("valuation of 0 is infinite")
-        return self._v
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            return self if self.is_infinite else Valuation(self._v + other)
-        if isinstance(other, Valuation):
-            if self.is_infinite or other.is_infinite:
-                return Valuation.infinite()
-            return Valuation(self._v + other._v)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __eq__(self, other):
-        if isinstance(other, Valuation):
-            return self._v == other._v
-        if isinstance(other, int):
-            return self._v == other
-        return NotImplemented
-
-    def __lt__(self, other):
-        sv = float("inf") if self.is_infinite else self._v
-        if isinstance(other, Valuation):
-            ov = float("inf") if other.is_infinite else other._v
-        elif isinstance(other, (int, float)):
-            ov = other
-        else:
-            return NotImplemented
-        return sv < ov
-
-    def __hash__(self):
-        return hash(self._v)
-
-    def __repr__(self):
-        return "Valuation(+inf)" if self.is_infinite else f"Valuation({self._v})"
 
 
 def _split(n: int, p: int) -> tuple[int, int]:
@@ -88,21 +30,24 @@ def _split(n: int, p: int) -> tuple[int, int]:
     return v, n
 
 
-def valuation(r: Rat | int, p: int) -> Valuation:
-    """The exponent v with r = p**v * (s/t), p dividing neither s nor t."""
+def valuation(r: Rat | int, p: int) -> int:
+    """The exponent v with r = p**v * (s/t), p dividing neither s nor t.
+
+    v(0) = +infinity is no integer: r = 0 raises ``ValueError``."""
     require_prime(p)
     r = Fraction(r)
     if r == 0:
-        return Valuation.infinite()
-    return Valuation(_split(r.numerator, p)[0] - _split(r.denominator, p)[0])
+        raise ValueError("valuation of 0 is infinite")
+    return _split(r.numerator, p)[0] - _split(r.denominator, p)[0]
 
 
 def padic_norm(r: Rat | int, p: int) -> Fraction:
     """|r|_p = p**(-v_p(r)) as an exact rational; |0|_p = 0."""
-    v = valuation(r, p)
-    if v.is_infinite:
+    require_prime(p)
+    if Fraction(r) == 0:
         return Fraction(0)
-    return Fraction(1, p**v.value) if v.value >= 0 else Fraction(p ** (-v.value))
+    v = valuation(r, p)
+    return Fraction(1, p**v) if v >= 0 else Fraction(p**-v)
 
 
 def frac_part(r: Rat | int, p: int) -> Fraction:
@@ -133,7 +78,7 @@ def reduce_mod(c: Rat | int, p: int, k: int) -> Fraction:
     return Fraction(m, p**j)
 
 
-def digits(r: Rat | int, p: int, count: int) -> tuple[Valuation, list[int]]:
+def digits(r: Rat | int, p: int, count: int) -> tuple[int, list[int]]:
     """Leading digits of the canonical expansion r = p**v (x0 + x1 p + ...).
 
     Returns (v, [x0..x_{count-1}]) with x0 != 0.  Undefined for r = 0.
@@ -158,9 +103,10 @@ def unit_part_mod(r: Rat | int, p: int, modulus_exp: int) -> int:
     r = Fraction(r)
     if r == 0:
         raise ValueError("0 has no unit part")
-    unit = r / Fraction(p) ** valuation(r, p).value
+    require_prime(p)
     mod = p**modulus_exp
-    return unit.numerator * pow(unit.denominator, -1, mod) % mod
+    num, den = _split(r.numerator, p)[1], _split(r.denominator, p)[1]
+    return num * pow(den, -1, mod) % mod
 
 
 @dataclass(frozen=True)
@@ -181,14 +127,16 @@ class PAdicApprox:
         require_prime(self.prime)
         object.__setattr__(self, "approximant", Fraction(self.approximant))
 
-    def valuation(self) -> Valuation:
+    def valuation(self) -> int | None:
+        """v of the approximant, or None when it is 0 mod p**precision
+        (indistinguishable from 0 at this precision)."""
+        if self.approximant == 0:
+            return None
         v = valuation(self.approximant, self.prime)
-        if not v.is_infinite and v.value >= self.precision:
-            return Valuation.infinite()  # indistinguishable from 0 at this precision
-        return v
+        return None if v >= self.precision else v
 
     def is_zero_at_precision(self) -> bool:
-        return self.valuation().is_infinite
+        return self.valuation() is None
 
     def same_prime(self, other: "PAdicApprox"):
         if self.prime != other.prime:
@@ -213,28 +161,28 @@ class PAdicApprox:
         other = self._coerce(other)
         self.same_prime(other)
         va, vb = self.valuation(), other.valuation()
-        if va.is_infinite or vb.is_infinite:
+        if va is None or vb is None:
             # product indistinguishable from 0; precision is the best bound
             n = min(
-                self.precision + (0 if vb.is_infinite else vb.value),
-                other.precision + (0 if va.is_infinite else va.value),
+                self.precision + (vb or 0),
+                other.precision + (va or 0),
                 self.precision + other.precision,
             )
             return PAdicApprox(self.prime, Fraction(0), n)
-        n = min(self.precision + vb.value, other.precision + va.value)
+        n = min(self.precision + vb, other.precision + va)
         return PAdicApprox(self.prime, self.approximant * other.approximant, n)
 
     def __truediv__(self, other) -> "PAdicApprox":
         other = self._coerce(other)
         self.same_prime(other)
         vb = other.valuation()
-        if vb.is_infinite:
+        if vb is None:
             raise ZeroDivisionError("division by a value indistinguishable from 0")
         va = self.valuation()
-        if va.is_infinite:
-            return PAdicApprox(self.prime, Fraction(0), self.precision - vb.value)
-        rel = min(self.precision - va.value, other.precision - vb.value)
-        v = va.value - vb.value
+        if va is None:
+            return PAdicApprox(self.prime, Fraction(0), self.precision - vb)
+        rel = min(self.precision - va, other.precision - vb)
+        v = va - vb
         return PAdicApprox(self.prime, self.approximant / other.approximant, v + rel)
 
     def _coerce(self, x) -> "PAdicApprox":
@@ -247,9 +195,8 @@ class PAdicApprox:
         coarser of the two precisions."""
         other = self._coerce(other)
         self.same_prime(other)
-        n = min(self.precision, other.precision)
-        d = valuation(self.approximant - other.approximant, self.prime)
-        return d.is_infinite or d.value >= n
+        d = self.approximant - other.approximant
+        return d == 0 or valuation(d, self.prime) >= min(self.precision, other.precision)
 
     def frac_part(self) -> Fraction:
         """{x}_p, well defined only when the class mod p**N pins it down."""

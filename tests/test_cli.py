@@ -41,6 +41,10 @@ def test_frac_command():
     code, lines, _ = run_cli("frac", "-r=-9/8", "-p", "2")
     assert code == 0
     assert lines[0]["value"] == "7/8"
+    # r - {r}_p = 0 for r = 1/3 at p = 3: the check passes without v(0)
+    code, lines, _ = run_cli("frac", "-r", "1/3", "-p", "3")
+    assert code == 0
+    assert lines[0]["value"] == "1/3" and lines[0]["pass"] is True
 
 
 def test_chi_principal_command():

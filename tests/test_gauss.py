@@ -293,9 +293,9 @@ def _constancy_level(p, v, b, mod):
     """A level on whose cosets gamma_p(a, b) chi_p(mod a) is constant, for
     v(a) = v: the unit class of lambda_p, chi_p(beta/a) for beta = -b**2/4
     and the modulation."""
-    level = max(v + gauss.lambda_class_depth(p), -valuation(mod, p).value if mod else 0)
+    level = max(v + gauss.lambda_class_depth(p), -valuation(mod, p) if mod else 0)
     if b:
-        level = max(level, 2 * v - valuation(b * b / 4, p).value)
+        level = max(level, 2 * v - valuation(b * b / 4, p))
     return level
 
 
@@ -355,7 +355,7 @@ class TestLambdaCertificates:
             cells.append((p, ball.radius_exp, b, mod))
         assert any(k < 0 and m != 0 and m.denominator == 1 for _, k, _, m in cells)
         assert any(b == 0 for _, _, b, _ in cells)
-        assert any(b != 0 and valuation(b, p).value < 0 for p, _, b, _ in cells)
+        assert any(b != 0 and valuation(b, p) < 0 for p, _, b, _ in cells)
 
     def test_small_balls_and_deep_b_equal_the_definition(self):
         # radii up to 12 below the level where the closed form is constant

@@ -177,7 +177,7 @@ class TestBallCharacter:
                 p,
                 ball,
                 lambda x: phase(frac_part(a * x * x + b * x, p)),
-                k + valuation(den, p).value,
+                k + valuation(den, p),
             )
             case = (p, ball, a, b)
             assert summed.stabilized == direct.stabilized, case
@@ -256,9 +256,9 @@ class TestSphereSums:
         # valuation call and no checked Ball, and its one ball is the one
         # the Fraction walk over sphere_provably_zero gives
         def reference_ball(p, a, b):
-            va = valuation(a, p).value
+            va = valuation(a, p)
             v2a = va + (1 if p == 2 else 0)
-            vb = None if b == 0 else valuation(b, p).value
+            vb = None if b == 0 else valuation(b, p)
             k_inner = max(0, -(va // 2), (-vb if vb is not None else 0))
             j_stop = max(v2a - va // 2, 1)
             if vb is not None:

@@ -378,12 +378,12 @@ def chain_local_factor(f):
         k = ball.radius_exp
         if not ball.contains(F(0)):
             if mod == 0:
-                vc = valuation(ball.center, p).value
+                vc = valuation(ball.center, p)
                 acc(n0, vc, coeff * F(p) ** (vc - k))
         elif mod == 0:
             acc(n1, k, coeff * (1 - F(1, p)))
         else:
-            j0 = -valuation(mod, p).value
+            j0 = -valuation(mod, p)
             acc(n1, j0, coeff * (1 - F(1, p)))
             acc(n0, j0 - 1, coeff * F(-1, p))
     out = {}

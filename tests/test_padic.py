@@ -6,12 +6,12 @@ from hypothesis import given, strategies as st
 from adelic.padic import (
     PAdicApprox,
     PrecisionError,
-    Valuation,
     digits,
     frac_part,
     from_rational,
     padic_norm,
     reduce_mod,
+    unit_part_mod,
     valuation,
 )
 
@@ -25,28 +25,47 @@ class TestValuation:
     def test_examples(self):
         assert valuation(12, 2) == 2  # 12 = 2^2 * 3
         assert valuation(F(9, 8), 2) == -3  # 9/8 = 2^-3 * 9
-        assert valuation(0, 5).is_infinite
+        assert type(valuation(12, 2)) is int
 
     def test_non_prime_rejected(self):
         with pytest.raises(ValueError):
             valuation(12, 4)
 
-    def test_infinite_is_tagged(self):
-        v = valuation(0, 7)
-        with pytest.raises(ValueError):
-            v.value
-        assert v > 10**9
-        assert v + 3 == Valuation.infinite()
+    def test_zero_raises(self):
+        for p in (2, 7):
+            with pytest.raises(ValueError, match="^valuation of 0 is infinite$"):
+                valuation(0, p)
+            with pytest.raises(ValueError, match="^valuation of 0 is infinite$"):
+                valuation(F(0, 5), p)
+
+    def test_non_prime_is_reported_before_zero(self):
+        for call in (lambda: valuation(0, 4), lambda: padic_norm(0, 4),
+                     lambda: unit_part_mod(3, 4, 2), lambda: digits(3, 4, 2)):
+            with pytest.raises(ValueError, match="^expected a prime number, got 4$"):
+                call()
 
     @given(rationals, small_primes)
     def test_defining_property(self, r, p):
-        v = valuation(r, p)
         if r == 0:
-            assert v.is_infinite
+            with pytest.raises(ValueError):
+                valuation(r, p)
         else:
-            unit = r / F(p) ** v.value
+            unit = r / F(p) ** valuation(r, p)
             assert unit.numerator % p != 0
             assert unit.denominator % p != 0
+
+    @given(rationals.filter(lambda r: r != 0), rationals.filter(lambda r: r != 0),
+           small_primes)
+    def test_product_and_ultrametric(self, x, y, p):
+        vx, vy = valuation(x, p), valuation(y, p)
+        assert valuation(x * y, p) == vx + vy
+        if x + y != 0:
+            v = valuation(x + y, p)
+            assert v >= min(vx, vy)
+            if vx != vy:
+                assert v == min(vx, vy)
+        else:
+            assert vx == vy  # x + y = 0 forces v(x) = v(-x) = v(y)
 
 
 class TestNorm:
@@ -77,10 +96,9 @@ class TestFracPart:
         q = frac_part(r, p)
         assert 0 <= q < 1
         diff = r - q
-        assert valuation(diff, p) >= 0
-        v = valuation(r, p)
-        if not v.is_infinite and v.value < 0:
-            scaled = q * F(p) ** (-v.value)
+        assert diff == 0 or valuation(diff, p) >= 0
+        if r != 0 and valuation(r, p) < 0:
+            scaled = q * F(p) ** (-valuation(r, p))
             assert scaled.denominator == 1
 
 
@@ -94,7 +112,7 @@ class TestReduceMod:
     def test_contract(self, c, p, k):
         q = reduce_mod(c, p, k)
         assert 0 <= q < F(p) ** k or q == 0
-        assert valuation(c - q, p) >= k
+        assert c == q or valuation(c - q, p) >= k
         # q has only p-power denominator
         den = q.denominator
         while den % p == 0:
@@ -104,9 +122,10 @@ class TestReduceMod:
 
 class TestDigits:
     def test_examples(self):
-        assert digits(F(1, 3), 3, 3) == (Valuation(-1), [1, 0, 0])
-        assert digits(-1, 2, 4) == (Valuation(0), [1, 1, 1, 1])
-        assert digits(12, 2, 3) == (Valuation(2), [1, 1, 0])
+        assert digits(F(1, 3), 3, 3) == (-1, [1, 0, 0])
+        assert digits(-1, 2, 4) == (0, [1, 1, 1, 1])
+        assert digits(12, 2, 3) == (2, [1, 1, 0])
+        assert type(digits(12, 2, 3)[0]) is int
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -118,9 +137,8 @@ class TestDigits:
         v, ds = digits(r, p, count)
         assert ds[0] != 0
         assert all(0 <= d < p for d in ds)
-        recon = F(p) ** v.value * sum(F(d) * F(p) ** i for i, d in enumerate(ds))
-        err = valuation(r - recon, p)
-        assert err >= v.value + count
+        recon = F(p) ** v * sum(F(d) * F(p) ** i for i, d in enumerate(ds))
+        assert r == recon or valuation(r - recon, p) >= v + count
 
 
 class TestPAdicApprox:
@@ -137,6 +155,11 @@ class TestPAdicApprox:
         prod = a * b
         assert prod.precision == min(4 + (-1), 6 + 1) == 3
         assert prod.approximant == 1
+        # a factor 0 mod p^N still lends the other's valuation to the bound
+        z = from_rational(125, 5, 3)     # v = None at precision 3
+        c = from_rational(5, 5, 4)       # v = 1
+        assert (z * c).precision == (c * z).precision == min(3 + 1, 4 + 0, 3 + 4) == 4
+        assert (z * c).approximant == 0
 
     def test_division_relative_precision(self):
         a = from_rational(25, 5, 8)  # v = 2, rel = 6
@@ -151,6 +174,12 @@ class TestPAdicApprox:
         c = from_rational(2 + 7, 7, 2)
         assert a.congruent(b)
         assert not a.congruent(c)
+
+    def test_valuation_at_the_precision_boundary(self):
+        assert PAdicApprox(5, F(25), 2).valuation() is None
+        assert PAdicApprox(5, F(25), 3).valuation() == 2
+        assert PAdicApprox(5, F(0), 3).valuation() is None
+        assert type(PAdicApprox(5, F(25), 3).valuation()) is int
 
     def test_zero_detection_and_division_guard(self):
         z = from_rational(125, 5, 3)
