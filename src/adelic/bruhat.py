@@ -31,7 +31,7 @@ import numpy as np
 
 from .adeles import Adele
 from .cyclotomic import Cyclo, Scalar, _from_exponents, phase, phase_sum
-from .padic import _split, frac_part, reduce_mod, valuation
+from .padic import _split, reduce_mod, valuation
 from .primes import require_prime
 
 F = Fraction
@@ -139,17 +139,16 @@ class PAdicTestFunction:
     ):
         require_prime(prime)
         self.prime = prime
-        raw: list[tuple[Cyclo, Ball, Fraction]] = []
-        for item in terms:
-            coeff, ball, mod = item if len(item) == 3 else (*item, F(0))
-            if ball.prime != prime:
-                raise ValueError("mixed primes in one test function")
-            coeff = Cyclo(coeff)
-            if not coeff.is_zero():
-                raw.append((coeff, ball, Fraction(mod)))
-        self.terms: dict[TermKey, Cyclo] = _canonicalize(prime, raw)
+        self.terms: dict[TermKey, Cyclo] = _canonicalize(prime, terms)
         self._fourier: PAdicTestFunction | None = None
         self._mellin_local = None
+
+    @classmethod
+    def _of(cls, prime: int, terms: dict[TermKey, Cyclo]) -> "PAdicTestFunction":
+        """The function of a checked prime with these canonical terms."""
+        out = cls(prime)
+        out.terms = terms
+        return out
 
     # -- construction helpers ---------------------------------------------
 
@@ -174,19 +173,19 @@ class PAdicTestFunction:
     def __add__(self, other: "PAdicTestFunction") -> "PAdicTestFunction":
         if other.prime != self.prime:
             raise ValueError("mixed primes")
-        return PAdicTestFunction(self.prime, self._term_list() + other._term_list())
+        return _from_canonical(self.prime, self._term_list() + other._term_list())
 
-    def __sub__(self, other):
-        return self + other.scale(-1)
+    def __sub__(self, other: "PAdicTestFunction") -> "PAdicTestFunction":
+        return self + (-other)
 
     def scale(self, c: Scalar) -> "PAdicTestFunction":
         """c times the function; a nonzero multiple of a canonical form is
         canonical, so the terms are scaled without canonicalizing again."""
         c = Cyclo(c)
-        out = PAdicTestFunction(self.prime)
-        if not c.is_zero():
-            out.terms = {key: c * coeff for key, coeff in self.terms.items()}
-        return out
+        if c.is_zero():
+            return PAdicTestFunction._of(self.prime, {})
+        return PAdicTestFunction._of(
+            self.prime, {key: c * coeff for key, coeff in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, PAdicTestFunction):
@@ -206,10 +205,12 @@ class PAdicTestFunction:
                     terms.append((c1 * c2, b2, m1 + m2))
                 elif b2.contains_ball(b1):
                     terms.append((c1 * c2, b1, m1 + m2))
-        return PAdicTestFunction(self.prime, terms)
+        return _from_canonical(self.prime, terms)
 
     def __neg__(self):
-        return self.scale(-1)
+        """-f: each coefficient negated (``Cyclo.__neg__``); a canonical
+        form stays canonical."""
+        return PAdicTestFunction._of(self.prime, {key: -c for key, c in self.terms.items()})
 
     # -- evaluation ----------------------------------------------------------
 
@@ -283,22 +284,29 @@ class PAdicTestFunction:
 
         Transform of coeff*chi(m x)*1_{B(c,k)} is
         coeff * p^-k * chi(m c) * chi(c xi) * 1_{B(-m, -k)}(xi).
-        Each new coefficient is one weighted ``phase_sum`` part,
-        (coeff, s, d, p^-k) with {m c}_p = s/d.  A canonical modulation m
-        lies in [0, p^-k), so B(-m, -k) has the reduced center p^-k - m,
-        or 0 when m = 0, and is built without reducing it again.
+        Each image term is one integer row of ``_canonical_terms``, read
+        off m = mn/md and c = cn/cd: the part (coeff, s, d, p^-k) with
+        {m c}_p = s/d = (mn cn mod md cd) / (md cd) in lowest terms; the
+        center p^-k - m, which is -m modulo p^-k Z_p, as -mn pj/md; and
+        the modulation c, reduced already (it lies in [0, p^k)), as
+        cn pm/cd.
         The transform is built on the first call and returned afterwards.
         """
         if self._fourier is None:
-            p = self.prime
-            new_terms = []
-            for (ball, mod), coeff in self.terms.items():
-                c, k, measure = ball.center, ball.radius_exp, ball.measure
-                q = frac_part(mod * c, p)
-                newc = phase_sum([(coeff, q.numerator, q.denominator, measure)])
-                image = Ball._reduced(p, measure - mod if mod else mod, -k)
-                new_terms.append((newc, image, c))
-            self._fourier = PAdicTestFunction(p, new_terms)
+            p, terms = self.prime, self.terms
+            pm = max((ball.center.denominator for ball, _ in terms), default=1)
+            k_max = max((ball.radius_exp for ball, _ in terms), default=0)
+            pj = max(max((mod.denominator for _, mod in terms), default=1), p ** max(k_max, 0))
+            rows = []
+            for (ball, mod), coeff in terms.items():
+                c, k = ball.center, ball.radius_exp
+                mn, md, cn, cd = mod.numerator, mod.denominator, c.numerator, c.denominator
+                d = md * cd
+                s = mn * cn % d
+                g = math.gcd(s, d)
+                part = (coeff, s // g, d // g, p ** -k if k <= 0 else F(1, p**k))
+                rows.append((-mn * (pj // md), -k, part, cn * (pm // cd)))
+            self._fourier = PAdicTestFunction._of(p, _canonical_terms(p, pj, pm, rows))
         return self._fourier
 
     def reflect(self) -> "PAdicTestFunction":
@@ -306,7 +314,7 @@ class PAdicTestFunction:
 
         x -> -x maps the disjoint balls of the canonical form to disjoint
         balls, so each term only folds its negated modulation on the
-        mapped ball (``_fold``, as in ``_canonicalize``), without
+        mapped ball (``_fold``, as in ``_canonical_terms``), without
         canonicalizing again.  The image of the reduced center c of a
         level-k ball has the reduced center p**k - c, or 0 when c = 0, so
         the mapped ball is built without reducing it again.  Canonical
@@ -317,7 +325,7 @@ class PAdicTestFunction:
         dicts are equal.
         """
         p = self.prime
-        out = PAdicTestFunction(p)
+        terms = {}
         pj = max((ball.center.denominator for ball, _ in self.terms), default=1)
         pm = max((mod.denominator for _, mod in self.terms), default=1)
         e = valuation(pm, p)
@@ -326,8 +334,8 @@ class PAdicTestFunction:
             mc, s, n = _fold(-mod.numerator * (pm // mod.denominator), p ** max(e - k, 0),
                              -center.numerator * (pj // center.denominator), pm * pj)
             image = Ball._reduced(p, F(p) ** k - center if center else center, k)
-            out.terms[image, F(mc, pm)] = phase_sum([(c, s, n)])
-        return out
+            terms[image, F(mc, pm)] = phase_sum([(c, s, n)])
+        return PAdicTestFunction._of(p, terms)
 
     # -- comparison ------------------------------------------------------------
 
@@ -368,53 +376,106 @@ def _fold(a: int, r: int, addr: int, m: int) -> tuple[int, int, int]:
     return mc, s // g, m // g
 
 
-def _canonicalize(prime: int, raw: list) -> dict[TermKey, Cyclo]:
-    """Partition overlapping terms into disjoint balls and fold modulations.
+def _from_canonical(prime: int, terms: list) -> PAdicTestFunction:
+    """The function of (coeff, Ball, mod) terms on canonical balls, with
+    nonzero coefficients and modulations in Z[1/p]: those of canonical
+    terms, or their sums.  Their integer rows need no reduction, since a
+    numerator that differs from the reduced one by a multiple of pm pj
+    folds alike (``_canonical_terms``)."""
+    if not terms:
+        return PAdicTestFunction._of(prime, {})
+    k_min = min(ball.radius_exp for _, ball, _ in terms)
+    pj = max(max(ball.center.denominator for _, ball, _ in terms), prime ** max(-k_min, 0))
+    pm = max(mod.denominator for _, _, mod in terms)
+    rows = [(ball.center.numerator * (pj // ball.center.denominator), ball.radius_exp,
+             (coeff, 0, 1), mod.numerator * (pm // mod.denominator))
+            for coeff, ball, mod in terms]
+    return PAdicTestFunction._of(prime, _canonical_terms(prime, pj, pm, rows))
+
+
+def _canonicalize(prime: int, terms: Iterable) -> dict[TermKey, Cyclo]:
+    """The canonical terms of public (coeff, Ball, mod) rows (mod 0 when
+    left out), through ``_canonical_terms``: the one path that reduces a
+    modulation, since a public one may be any rational.
+
+    A modulation matters only modulo p**j Z_p, pj = p**j clearing every
+    center's denominator and p**(-k_min), so mod = n / (p**e u), u prime
+    to p, becomes the numerator n p**(E-e) u^-1 mod pm pj over
+    pm = p**E, the largest p**e.  A ``Cyclo`` coefficient and an int or
+    ``Fraction`` modulation are used as they are.
+    """
+    raw = []
+    for item in terms:
+        coeff, ball, mod = item if len(item) == 3 else (*item, 0)
+        if ball.prime != prime:
+            raise ValueError("mixed primes in one test function")
+        if not isinstance(coeff, Cyclo):
+            coeff = Cyclo(coeff)
+        if not coeff.is_zero():
+            if not isinstance(mod, (int, Fraction)):
+                mod = Fraction(mod)
+            raw.append((coeff, ball, mod, *_split(mod.denominator, prime)))
+    if not raw:
+        return {}
+    k_min = min(ball.radius_exp for _, ball, *_ in raw)
+    pj = max(max(ball.center.denominator for _, ball, *_ in raw), prime ** max(-k_min, 0))
+    pm = prime ** max(e for *_, e, _ in raw)
+    m = pm * pj
+    rows = [(ball.center.numerator * (pj // ball.center.denominator), ball.radius_exp,
+             (coeff, 0, 1), mod.numerator * (pm // (mod.denominator // u)) * pow(u, -1, m) % m)
+            for coeff, ball, mod, _, u in raw]
+    return _canonical_terms(prime, pj, pm, rows)
+
+
+def _canonical_terms(prime: int, pj: int, pm: int, rows: list) -> dict[TermKey, Cyclo]:
+    """Partition overlapping terms into disjoint balls and fold modulations,
+    all on integers.
+
+    Each row is (N, k, part, A): the ball c + p**k Z_p with N = c * pj,
+    the ``phase_sum`` part (coeff, s, d) or (coeff, s, d, w) that the term
+    adds to its leaves, s/d in lowest terms, and the modulation A / pm;
+    pj and pm are powers of p, pj clearing every center's denominator and
+    p**(-k_min), pm every modulation's.  Every constructor feeds this
+    core: ``__init__`` through ``_canonicalize``, which reduces the public
+    modulations; ``fourier``, ``+``, ``-`` and ``pointwise_product`` with
+    rows read off canonical terms, whose centers and modulations are
+    reduced already, so they skip ``reduce_mod``.  Numerators that agree
+    modulo pm pj fold alike, so no modulation is reduced here.
 
     The refinement walks integer residue addresses, not ``Ball`` objects:
-    with p**j clearing every center's denominator and p**(-k_min), the ball
-    c + p**k Z_p is the class of the integer N = c * p**j modulo p**(k+j).
-    Terms are grouped by N mod p**(k_min+j), the child t of a level-L
-    region has address addr + t * p**(L+j), and an inner term goes to the
-    child named by its digit N // p**(L+j) % p.
+    with pj = p**j, the ball c + p**k Z_p is the class of N modulo
+    p**(k+j).  Terms are grouped by N mod p**(k_min+j), the child t of a
+    level-L region has address addr + t * p**(L+j), and an inner term goes
+    to the child named by its digit N // p**(L+j) % p.
 
     Coarse balls are split only along the chains leading to finer terms
     (p-1 siblings per level), never into the full p**delta grid, so the
     canonical form stays linear in the input size.
 
-    Modulations live on an integer lattice too.  Every point of every ball
-    lies in p**(-j) Z_p, so a modulation matters only modulo p**j Z_p:
-    each raw one is reduced once (``reduce_mod(mod, p, j)``) and written
-    as an integer A over pm, the largest p-power denominator of the
-    reductions.  On the level-L leaf with address addr, the canonical
-    modulation is mc / pm with mc = A mod p**(E-L) for pm = p**E (0 when
-    E <= L), and the rest is the phase e(((A - mc) * addr mod m) / m),
-    m = pm * p**j (``_fold``).  Each leaf key (addr, L, mc) is all
-    integers; it collects (coefficient, shift, modulus) parts, summed into
-    one ``Cyclo`` at the end (``phase_sum``), and only a nonzero sum
-    builds its modulation F(mc, pm) and its ``Ball``, whose center
-    addr / p**j lies in [0, p**L) and so is already reduced
-    (``Ball._reduced``).
+    On the level-L leaf with address addr, the canonical modulation is
+    mc / pm with mc = A mod p**(E-L) for pm = p**E (0 when E <= L), and
+    the rest is the phase e(((A - mc) * addr mod m) / m), m = pm * pj
+    (``_fold``), added to the row's part in lowest terms.  Each leaf key
+    (addr, L, mc) is all integers; its parts are summed into one ``Cyclo``
+    at the end (``phase_sum``), and only a nonzero sum builds its
+    modulation F(mc, pm) and its ``Ball``, whose center addr / pj lies in
+    [0, p**L) and so is already reduced (``Ball._reduced``).
 
     Term order is part of the result: groups come in order of first
     appearance and children in digit order t = 0..p-1, a region with
     covering terms recurses into every child, and keys keep the order of
-    their first part.  ``mellin`` sums 50-digit coefficients in this
+    their first part.  Grouping, digits and folds are the same when pj
+    and pm carry extra powers of p, so the terms and their order depend
+    on the rows alone.  ``mellin`` sums 50-digit coefficients in this
     order, so its values depend on it.
     """
-    if not raw:
+    if not rows:
         return {}
-    k_min = min(ball.radius_exp for _, ball, _ in raw)
-    pj = max(max(ball.center.denominator for _, ball, _ in raw), prime ** max(-k_min, 0))
-    j = valuation(pj, prime)
-    mods = [reduce_mod(mod, prime, j) for _, _, mod in raw]
-    pm = max(q.denominator for q in mods)
-    step = prime ** (k_min + j)
+    k_min = min(row[1] for row in rows)
+    step = pj * prime**k_min if k_min >= 0 else pj // prime**-k_min
     groups: dict[int, list] = {}
-    for (coeff, ball, _), q in zip(raw, mods):
-        n = ball.center.numerator * (pj // ball.center.denominator)
-        a = q.numerator * (pm // q.denominator)
-        groups.setdefault(n % step, []).append((n, ball.radius_exp, coeff, a))
+    for row in rows:
+        groups.setdefault(row[0] % step, []).append(row)
     leaves: dict[tuple[int, int, int], list] = {}
     for addr, members in groups.items():
         _refine_region(prime, addr, k_min, step, members, pm * pj, leaves)
@@ -424,6 +485,17 @@ def _canonicalize(prime: int, raw: list) -> dict[TermKey, Cyclo]:
         if not coeff.is_zero():
             terms[Ball._reduced(prime, F(addr, pj), level), F(mc, pm)] = coeff
     return terms
+
+
+def _shifted(part: tuple, s: int, n: int) -> tuple:
+    """A ``phase_sum`` part times e(s / n), s / n in lowest terms, with the
+    summed phase kept in lowest terms."""
+    coeff, s0, d, *weight = part
+    if s0:
+        n, s = d * n, (s0 * n + s * d) % (d * n)
+        g = math.gcd(s, n)
+        s, n = s // g, n // g
+    return (coeff, s, n, *weight)
 
 
 def _refine_region(prime: int, addr: int, level: int, step: int, items: list,
@@ -441,9 +513,9 @@ def _refine_region(prime: int, addr: int, level: int, step: int, items: list,
             buckets.setdefault(term[0] // step % prime, []).append(term)
     if not buckets:
         r = m // step or 1
-        for _, _, coeff, a in covering:
+        for _, _, part, a in covering:
             mc, s, n = _fold(a, r, addr, m)
-            leaves.setdefault((addr, level, mc), []).append((coeff, s, n))
+            leaves.setdefault((addr, level, mc), []).append(_shifted(part, s, n) if s else part)
         return
     for t in range(prime) if covering else sorted(buckets):
         sub = covering + buckets.get(t, [])

@@ -18,7 +18,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .adeles import principal_adele, principal_idele
+from .adeles import principal_adele, principal_idele, zero_adele
 from .bruhat import PAdicTestFunction, parse_schwartz_bruhat
 from .characters import chi_p, chi_principal_phase
 from .cyclotomic import ONE_PHASE
@@ -45,7 +45,7 @@ from .oscillator import eigen_check
 from .padic import frac_part, from_rational, padic_norm, valuation
 from .primes import is_prime
 from .quadrature import fresnel_regularized, oracle_float
-from .suite import ALL_CHECKS, CheckReport, make_report, run_suite
+from .suite import ALL_CHECKS, CHI_PAIRING_TOLERANCE, CheckReport, make_report, run_suite
 
 F = Fraction
 
@@ -213,6 +213,18 @@ def cmd_pair(args) -> list[CheckReport]:
         value = pair(dist, args.phi)
     except Unstabilized as exc:
         return _inconclusive("pair", inputs, "n/a", str(exc), t0)
+    if args.dist == "chi":
+        # the oracle route against the Fourier calculus: (chi, phi) = phi-hat(1)
+        expected = args.phi.fourier().evaluate(principal_adele(1))
+        err = abs(value - expected)
+        return [make_report("pair", inputs, value, expected, t0,
+                            passed=err < CHI_PAIRING_TOLERANCE, error=err)]
+    if args.dist == "delta":
+        # sifting is exact: the same float as phi(0)
+        expected = args.phi.evaluate(zero_adele())
+        ok = value == expected
+        return [make_report("pair", inputs, value, expected, t0, passed=ok,
+                            error=0.0 if ok else abs(value - expected))]
     return [make_report("pair", inputs, value, "n/a", t0, passed=True)]
 
 

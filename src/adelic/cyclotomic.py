@@ -347,7 +347,10 @@ def phase_sum(parts: Sequence[tuple]) -> Cyclo:
     (a weight's denominator times its coefficient's), its exponents
     shifted by s and its numerators scaled by the weight's numerator, and
     the whole sum rewritten onto the basis once, with no Cyclo in between.
-    One unweighted part with s = 0 is returned as it is.
+    Only shifted exponents go through the expansion table: a basis
+    exponent lifted to a multiple of its conductor is a basis exponent,
+    so a part with s = 0 adds its lifted numerators as they are.  One
+    unweighted part with s = 0 is returned as it is.
     """
     if len(parts) == 1 and len(parts[0]) == 3 and parts[0][1] == 0:
         return parts[0][0]
@@ -356,10 +359,21 @@ def phase_sum(parts: Sequence[tuple]) -> Cyclo:
             for c, s, m, w in (x if len(x) == 4 else (*x, 1) for x in parts)]
     n = math.lcm(*(c._n for c, *_ in rows), *(m for _, _, m, _, _ in rows))
     den = math.lcm(*(d for *_, d in rows))
-    lifted = [(c._terms, n // c._n, s * (n // m), den // d * w) for c, s, m, w, d in rows]
-    return _from_exponents(n, den, (
-        ((j * lift + shift) % n, a * f)
-        for terms, lift, shift, f in lifted for j, a in terms.items()))
+    table = _EXPANSIONS[n]
+    acc: dict[int, int] = {}
+    for c, s, m, w, d in rows:
+        lift, f = n // c._n, den // d * w
+        if s:
+            shift = s * (n // m)
+            for j, a in c._terms.items():
+                for jj, sign in table[(j * lift + shift) % n]:
+                    acc[jj] = acc.get(jj, 0) + sign * a * f
+        else:
+            # a lifted basis exponent is a basis exponent: no rewrite
+            for j, a in c._terms.items():
+                j *= lift
+                acc[j] = acc.get(j, 0) + a * f
+    return Cyclo.from_coordinates(n, den, acc)
 
 
 _SQRT_CACHE: dict[int, Cyclo] = {}

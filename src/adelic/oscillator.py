@@ -28,7 +28,7 @@ import numpy as np
 
 from .bruhat import PAdicTestFunction, hermite_value, vacuum_state
 from .characters import chi_p
-from .cyclotomic import Cyclo, UnitPhase, phase, sqrt_prime_power
+from .cyclotomic import Cyclo, UnitPhase, phase_sum, sqrt_prime_power
 from .gauss import lambda_class_depth, lambda_inf_phase, lambda_p
 from .integrate import Unstabilized, integrate_qp
 from .mellin import DomainError
@@ -179,15 +179,19 @@ def eigen_check(
     character value that appears, so the approximant substitution is exact.
     """
     s, _, _, a, origin = _kernel(p, t)
-    phase_e = phase(frac_part(energy * t.approximant, p))
+    e_t = frac_part(energy * t.approximant, p)
     worst = 0.0
     for x in samples:
         integral = integrate_qp(p, test_function=psi_p, quad=(a, x / s))
         if not integral.stabilized:
             raise Unstabilized(f"eigen check integral did not stabilize at x={x}")
-        # K_t(x, y) = K_t(0, 0) chi_p(a x^2) chi_p(a y^2 + b y)
-        lhs = origin * phase(frac_part(a * x * x, p)) * integral.value
-        diff = lhs - phase_e * psi_p.evaluate(x)
+        # K_t(x, y) = K_t(0, 0) chi_p(a x^2) chi_p(a y^2 + b y): the phases
+        # chi_p(a x^2) and chi_p(E t) shift exponents in one phase_sum each
+        # (the second is no work when E t is p-integral), so the one
+        # multiply per sample is by K_t(0, 0)
+        q = frac_part(a * x * x, p)
+        lhs = origin * phase_sum([(integral.value, q.numerator, q.denominator)])
+        diff = lhs - phase_sum([(psi_p.evaluate(x), e_t.numerator, e_t.denominator)])
         if not diff.is_zero():
             # a nonzero deviation below the double range reads as the
             # smallest subnormal, never as 0.0

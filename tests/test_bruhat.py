@@ -352,6 +352,27 @@ class TestCanonicalOrder:
                        (f * g, product), (f.fourier(), transform)):
             assert_same_terms(h, reference_terms(p, raw))
 
+    @staticmethod
+    def transform_rows(f):
+        """The raw terms whose canonical form is the transform of f."""
+        p = f.prime
+        return [(c * F(p) ** -b.radius_exp * phase(frac_part(m * b.center, p)),
+                 Ball(p, -m, -b.radius_exp), b.center) for (b, m), c in f.terms.items()]
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(deep_raw_terms())
+    def test_transforms_negation_and_differences_equal_the_reference_in_order(self, raw):
+        p, terms = raw
+        f = PAdicTestFunction(p, terms)
+        fhat, reflected = f.fourier(), f.reflect()
+        negated = [(-c, b, m) for c, b, m in f._term_list()]
+        for h, rows in ((fhat.fourier(), self.transform_rows(fhat)),
+                        (-f, negated),
+                        (reflected.fourier(), self.transform_rows(reflected))):
+            assert_same_terms(h, reference_terms(p, rows))
+        assert reference_terms(p, f._term_list() + negated) == {}
+        assert (f - f).terms == {} and (fhat - fhat).terms == {}
+
     @pytest.mark.parametrize("p", [2, 3, 7])
     def test_center_deeper_than_its_radius(self, p):
         deep = Ball(p, F(1, p**3), -1)
@@ -464,6 +485,67 @@ class TestCanonicalWork:
         for terms, f in built:
             assert_same_terms(f, reference_terms(p, terms))
 
+    @staticmethod
+    def integer_rows(p, terms, extra_j, extra_m):
+        """The integer rows of public terms, each modulation reduced on the
+        test side, over pj and pm times p**extra_j and p**extra_m."""
+        k_min = min(ball.radius_exp for _, ball, _ in terms)
+        pj = max(max(b.center.denominator for _, b, _ in terms), p ** max(-k_min, 0))
+        mods = [reduce_mod(F(m), p, valuation(pj, p)) for _, _, m in terms]
+        pm = max(q.denominator for q in mods)
+        pj, pm = pj * p**extra_j, pm * p**extra_m
+        rows = [(b.center.numerator * (pj // b.center.denominator), b.radius_exp,
+                 (Cyclo(c), 0, 1), q.numerator * (pm // q.denominator))
+                for (c, b, _), q in zip(terms, mods) if not Cyclo(c).is_zero()]
+        return pj, pm, rows
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(deep_raw_terms(), st.integers(0, 3), st.integers(0, 3))
+    def test_the_core_is_the_same_over_finer_lattices(self, raw, extra_j, extra_m):
+        # grouping, digits and folds do not change when pj and pm carry
+        # extra powers of p, and the modulation numerators need no
+        # reduction: a numerator shifted by a multiple of pm * pj folds alike
+        p, terms = raw
+        want = PAdicTestFunction(p, terms).terms
+        pj, pm, rows = self.integer_rows(p, terms, extra_j, extra_m)
+        assert_same_terms(PAdicTestFunction._of(p, bruhat._canonical_terms(p, pj, pm, rows)),
+                          want)
+        shifted = [(n, k, part, a + (1 + i) * pm * pj) for i, (n, k, part, a) in enumerate(rows)]
+        assert_same_terms(PAdicTestFunction._of(p, bruhat._canonical_terms(p, pj, pm, shifted)),
+                          want)
+
+    def test_transforms_and_sums_reduce_and_multiply_nothing(self, monkeypatch):
+        # fourier, + and - write integer rows from canonical terms: no
+        # modulation or center is reduced, and no coefficient is multiplied
+        rng = random.Random(2034)
+        pairs = []
+        for p in (2, 3, 7):
+            for _ in range(8):
+                f, g = (PAdicTestFunction(p, [
+                    (F(rng.randint(1, 4), rng.randint(1, 3)) * phase(F(rng.randint(0, 5), 6)),
+                     Ball(p, F(rng.randint(-20, 20), p ** rng.randint(0, 3)), rng.randint(-3, 3)),
+                     F(rng.randint(-9, 9), rng.choice([1, 5, p, p * p, p**3])))
+                    for _ in range(rng.randint(1, 5))]) for _ in range(2))
+                pairs.append((f, g, f.fourier().fourier() - f.reflect()))
+        calls = []
+
+        def counted(name, real):
+            return lambda *args: calls.append(name) or real(*args)
+
+        monkeypatch.setattr(bruhat, "reduce_mod", counted("reduce_mod", reduce_mod))
+        monkeypatch.setattr(padic, "reduce_mod", counted("reduce_mod", reduce_mod))
+        for name in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(Cyclo, name, counted(name, getattr(Cyclo, name)))
+        built = [(f.fourier(), f + g, f - g, g - f, -f) for f, g, _ in pairs]
+        monkeypatch.undo()
+        assert calls == []
+        for (f, g, zero), (fhat, total, diff, back, neg) in zip(pairs, built):
+            assert zero.is_zero()
+            assert fhat.terms == PAdicTestFunction(
+                f.prime, TestCanonicalOrder.transform_rows(f)).terms
+            assert total.terms == PAdicTestFunction(f.prime, f._term_list() + g._term_list()).terms
+            assert diff.terms == (f + g.scale(-1)).terms and (diff + back).is_zero()
+            assert neg.terms == f.scale(-1).terms
 
 class TestExactSums:
     """``l2_norm_sq`` and ``integral`` are each one rewrite onto the basis,

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from adelic.adeles import principal_adele
+from adelic import cli
+from adelic.adeles import principal_adele, zero_adele
 from adelic.bruhat import parse_elementary
 from adelic.cli import build_parser, format_complex, main
 from adelic.mellin import phi_p
@@ -199,6 +200,36 @@ def test_pair_command(args, phi, expect, tol):
         assert lines[0]["value"] == format_complex(expected)
     else:
         assert abs(complex(lines[0]["value"].replace("i", "j")) - expected) < tol
+
+
+_PHI_5_MODULATED = json.dumps(
+    {"real": [[0, "1"]], "primes": {"5": [["1", "0", 0, "1/5"], ["1/2", "1/5", 1]]}})
+
+
+@pytest.mark.parametrize("dist, phi, expect", [
+    ("chi", _PHI_5_MODULATED, lambda phi: phi.fourier().evaluate(principal_adele(1))),
+    ("chi", _GAUSSIAN_2Z2, lambda phi: phi.fourier().evaluate(principal_adele(1))),
+    ("delta", _PHI_5_MODULATED, lambda phi: phi.evaluate(zero_adele())),
+    ("delta", _GAUSSIAN_OMEGA3, lambda phi: phi.evaluate(zero_adele())),
+], ids=["chi-modulated", "chi-2Z2", "delta-modulated", "delta-omega3"])
+def test_pair_rows_check_the_fourier_route_and_sifting(monkeypatch, dist, phi, expect):
+    # chi against phi-hat(1) within the suite's bound, delta against phi(0)
+    # exactly; a pairing off by 1e-9 or by one ulp fails its row
+    code, lines, _ = run_cli("pair", "--dist", dist, "--phi", phi)
+    (row,) = lines
+    expected = expect(parse_elementary(json.loads(phi)))
+    assert code == 0 and row["pass"] is True
+    assert row["expected"] == format_complex(expected)
+    value = complex(row["value"].replace("i", "j"))
+    if dist == "chi":
+        assert float(row["abs_error"]) < 1e-10
+    else:
+        assert row["abs_error"] == "0" and row["value"] == row["expected"]
+    real_pair = cli.pair
+    off = 1e-9 if dist == "chi" else complex(math.ulp(abs(value.real) or 1.0), 0)
+    monkeypatch.setattr(cli, "pair", lambda d, f: real_pair(d, f) + off)
+    code, lines, _ = run_cli("pair", "--dist", dist, "--phi", phi)
+    assert code == 1 and lines[0]["pass"] is False
 
 
 def test_mellin_command():

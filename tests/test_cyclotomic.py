@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adelic.cyclotomic import Cyclo, UnitPhase, phase, phase_sum, sqrt_prime
+from adelic.cyclotomic import Cyclo, UnitPhase, _from_exponents, phase, phase_sum, sqrt_prime
 from adelic.primes import primes_up_to
 
 F = Fraction
@@ -275,6 +275,28 @@ def test_weighted_phase_sum_is_the_sum_of_products(parts):
     # a weight of 1 gives what the unweighted part gives
     assert _stored(phase_sum([(c, s, m, 1) for c, s, m, _ in parts])) == _stored(
         phase_sum([(c, s, m) for c, s, m, _ in parts]))
+
+
+@_PROPERTY
+@given(st.lists(st.tuples(_MIXED, st.integers(min_value=-50, max_value=50),
+                          st.sampled_from([1, 2, 3, 4, 8, 9, 25, 49, 12, 63]),
+                          st.fractions(min_value=-20, max_value=20, max_denominator=250),
+                          st.booleans()),
+                min_size=2, max_size=5))
+def test_unshifted_parts_are_lifted_without_a_rewrite(parts):
+    # a part with s = 0 adds its lifted numerators as they are: the stored
+    # numerators, in insertion order too, are those of rewriting every
+    # lifted exponent through the expansion table
+    parts = [(c, s if shifted else 0, m, w) for c, s, m, w, shifted in parts]
+    got = phase_sum(parts)
+    n = math.lcm(*(c.coordinates()[0] for c, *_ in parts), *(m for _, _, m, _ in parts))
+    den = math.lcm(*(c.coordinates()[1] * w.denominator for c, _, _, w in parts))
+    want = _from_exponents(n, den, (
+        ((j * (n // cn) + s * (n // m)) % n, a * (den // (cden * w.denominator)) * w.numerator)
+        for c, s, m, w in parts
+        for cn, cden, numerators in [c.coordinates()] for j, a in numerators.items()))
+    assert list(got.coordinates()[2].items()) == list(want.coordinates()[2].items())
+    assert _stored(got) == _stored(want)
 
 
 def test_sqrt_prime_is_the_gauss_sum_of_its_phases():

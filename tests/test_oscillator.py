@@ -9,7 +9,7 @@ from adelic import oscillator
 from adelic.adeles import principal_adele
 from adelic.bruhat import Ball, PAdicTestFunction, vacuum_state
 from adelic.characters import chi_p
-from adelic.cyclotomic import phase, sqrt_prime_power
+from adelic.cyclotomic import Cyclo, phase, sqrt_prime_power
 from adelic.distributions import delta_distribution, pair
 from adelic.gauss import lambda_p
 from adelic.integrate import integrate_qp
@@ -234,6 +234,42 @@ class TestEigen:
                     assert got.hex() == want.hex(), (p, t.approximant, energy, samples)
                     nonzero += got != 0.0
         assert nonzero >= 10
+
+    @pytest.mark.parametrize("energy", [F(0), F(3), F(1, 25), F(2, 125)])
+    def test_one_multiply_per_sample_outside_the_oracle(self, monkeypatch, energy):
+        # chi_p(a x^2) and chi_p(E t) shift exponents in a phase_sum; the
+        # one Cyclo multiply per sample is K_t(0, 0) times the shifted value
+        p = 5
+        t = from_rational(5, p, 10)
+        psi = PAdicTestFunction(p, [(1, Ball(p, F(0), 0)), (F(-1, 2), Ball(p, F(1), 1))])
+        samples = [F(0), F(1), F(3, 5), F(7, 25)]
+        want = self._per_sample_chain(p, t, psi, energy, samples)
+        calls, inside = [], []
+
+        def oracle(*args, **kwargs):
+            inside.append(True)
+            try:
+                return integrate_qp(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def counted(name):
+            real = getattr(Cyclo, name)
+
+            def spy(x, y):
+                if not inside:
+                    calls.append(name)
+                return real(x, y)
+
+            return spy
+
+        monkeypatch.setattr(oscillator, "integrate_qp", oracle)
+        for name in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(Cyclo, name, counted(name))
+        got = eigen_check(p, t, psi, energy, samples)
+        monkeypatch.undo()
+        assert len(calls) <= len(samples)
+        assert got.hex() == want.hex()
 
     def test_repeat_call_rebuilds_no_kernel_constant(self, monkeypatch):
         p = 7
