@@ -183,7 +183,7 @@ class PAdicTestFunction:
         canonical, so the terms are scaled without canonicalizing again."""
         c = Cyclo(c)
         if c.is_zero():
-            return PAdicTestFunction._of(self.prime, {})
+            return PAdicTestFunction(self.prime)
         return PAdicTestFunction._of(
             self.prime, {key: c * coeff for key, coeff in self.terms.items()})
 
@@ -383,7 +383,7 @@ def _from_canonical(prime: int, terms: list) -> PAdicTestFunction:
     numerator that differs from the reduced one by a multiple of pm pj
     folds alike (``_canonical_terms``)."""
     if not terms:
-        return PAdicTestFunction._of(prime, {})
+        return PAdicTestFunction(prime)
     k_min = min(ball.radius_exp for _, ball, _ in terms)
     pj = max(max(ball.center.denominator for _, ball, _ in terms), prime ** max(-k_min, 0))
     pm = max(mod.denominator for _, _, mod in terms)
