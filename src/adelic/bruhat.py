@@ -173,7 +173,7 @@ class PAdicTestFunction:
     def __add__(self, other: "PAdicTestFunction") -> "PAdicTestFunction":
         if other.prime != self.prime:
             raise ValueError("mixed primes")
-        return _from_canonical(self.prime, self._term_list() + other._term_list())
+        return PAdicTestFunction(self.prime, self._term_list() + other._term_list())
 
     def __sub__(self, other: "PAdicTestFunction") -> "PAdicTestFunction":
         return self + (-other)
@@ -205,7 +205,7 @@ class PAdicTestFunction:
                     terms.append((c1 * c2, b2, m1 + m2))
                 elif b2.contains_ball(b1):
                     terms.append((c1 * c2, b1, m1 + m2))
-        return _from_canonical(self.prime, terms)
+        return PAdicTestFunction(self.prime, terms)
 
     def __neg__(self):
         """-f: each coefficient negated (``Cyclo.__neg__``); a canonical
@@ -376,27 +376,12 @@ def _fold(a: int, r: int, addr: int, m: int) -> tuple[int, int, int]:
     return mc, s // g, m // g
 
 
-def _from_canonical(prime: int, terms: list) -> PAdicTestFunction:
-    """The function of (coeff, Ball, mod) terms on canonical balls, with
-    nonzero coefficients and modulations in Z[1/p]: those of canonical
-    terms, or their sums.  Their integer rows need no reduction, since a
-    numerator that differs from the reduced one by a multiple of pm pj
-    folds alike (``_canonical_terms``)."""
-    if not terms:
-        return PAdicTestFunction(prime)
-    k_min = min(ball.radius_exp for _, ball, _ in terms)
-    pj = max(max(ball.center.denominator for _, ball, _ in terms), prime ** max(-k_min, 0))
-    pm = max(mod.denominator for _, _, mod in terms)
-    rows = [(ball.center.numerator * (pj // ball.center.denominator), ball.radius_exp,
-             (coeff, 0, 1), mod.numerator * (pm // mod.denominator))
-            for coeff, ball, mod in terms]
-    return PAdicTestFunction._of(prime, _canonical_terms(prime, pj, pm, rows))
-
-
 def _canonicalize(prime: int, terms: Iterable) -> dict[TermKey, Cyclo]:
-    """The canonical terms of public (coeff, Ball, mod) rows (mod 0 when
-    left out), through ``_canonical_terms``: the one path that reduces a
-    modulation, since a public one may be any rational.
+    """The canonical terms of (coeff, Ball, mod) rows (mod 0 when left
+    out), through ``_canonical_terms``: the rows of ``__init__``, and so of
+    ``+``, ``-`` and ``pointwise_product``, whose rows are canonical terms
+    or their sums.  A public modulation may be any rational, so each is
+    reduced here on integers, never through ``reduce_mod``.
 
     A modulation matters only modulo p**j Z_p, pj = p**j clearing every
     center's denominator and p**(-k_min), so mod = n / (p**e u), u prime
@@ -436,11 +421,12 @@ def _canonical_terms(prime: int, pj: int, pm: int, rows: list) -> dict[TermKey, 
     adds to its leaves, s/d in lowest terms, and the modulation A / pm;
     pj and pm are powers of p, pj clearing every center's denominator and
     p**(-k_min), pm every modulation's.  Every constructor feeds this
-    core: ``__init__`` through ``_canonicalize``, which reduces the public
-    modulations; ``fourier``, ``+``, ``-`` and ``pointwise_product`` with
-    rows read off canonical terms, whose centers and modulations are
-    reduced already, so they skip ``reduce_mod``.  Numerators that agree
-    modulo pm pj fold alike, so no modulation is reduced here.
+    core: ``__init__`` (and so ``+``, ``-`` and ``pointwise_product``)
+    through ``_canonicalize``, which reduces the modulations on integers;
+    ``fourier`` with rows written from the integers of canonical terms,
+    whose centers and modulations are reduced already, so it skips
+    ``reduce_mod``.  Numerators that agree modulo pm pj fold alike, so no
+    modulation is reduced here.
 
     The refinement walks integer residue addresses, not ``Ball`` objects:
     with pj = p**j, the ball c + p**k Z_p is the class of N modulo

@@ -232,6 +232,23 @@ def test_pair_rows_check_the_fourier_route_and_sifting(monkeypatch, dist, phi, e
     assert code == 1 and lines[0]["pass"] is False
 
 
+def test_the_chi_bound_moves_the_chi_rows_alone(monkeypatch):
+    # suite.CHI_PAIRING_TOLERANCE is the bound of the suite's
+    # chi-pairing-vs-fourier row and of `pair --dist chi`, and of no other row
+    from adelic import suite
+
+    monkeypatch.setattr(suite, "CHI_PAIRING_TOLERANCE", 0.0)
+    monkeypatch.setattr(cli, "CHI_PAIRING_TOLERANCE", 0.0)
+    rows = {r.check: r for r in suite.pairing_checks() + suite.functional_equation_checks()}
+    assert rows["chi-pairing-vs-fourier"].expected == "< 0"
+    assert rows["chi-pairing-vs-fourier"].passed is False
+    assert rows["zeta-functional-equation"].expected == "< 1e-10"
+    assert rows["zeta-functional-equation"].passed is True
+    phi = '{"real":[[0,"1"]],"primes":{"5":[["1","0",0,"1/5"],["1/2","1/5",1]]}}'
+    code, lines, _ = run_cli("pair", "--dist", "chi", "--phi", phi)
+    assert code == 1 and lines[0]["pass"] is False
+
+
 def test_mellin_command():
     phi = json.dumps({"real": [[0, "1"]], "primes": {"2": [["1", "0", 1]]}})
     code, lines, _ = run_cli("mellin", "--phi", phi, "--alpha", "2,0")
