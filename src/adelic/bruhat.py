@@ -80,18 +80,16 @@ class Ball:
         return F(self.prime) ** (-self.radius_exp)
 
     def contains(self, x: Fraction) -> bool:
-        x = Fraction(x)
-        return self._holds(x.numerator, x.denominator, _split(x.denominator, self.prime)[0])
-
-    def _holds(self, xn: int, xd: int, vd: int) -> bool:
-        """Whether x = xn / xd, with v_p(xd) = vd, lies in the ball.
+        """Whether x = xn / xd lies in the ball.
 
         x - c is the integer n = xn c_d - c_n xd over xd c_d, so
-        v(x - c) >= k reads v(n) >= k + vd + v(c_d) off one ``_split``
-        of n, with no ``Fraction`` and no ``valuation`` call."""
+        v(x - c) >= k reads v(n) >= k + v(xd) + v(c_d) off ``_split``,
+        with no ``Fraction`` arithmetic and no ``valuation`` call."""
+        x = Fraction(x)
         p, c = self.prime, self.center
-        n = xn * c.denominator - c.numerator * xd
-        return n == 0 or _split(n, p)[0] >= self.radius_exp + vd + _split(c.denominator, p)[0]
+        n = x.numerator * c.denominator - c.numerator * x.denominator
+        return n == 0 or (_split(n, p)[0] >= self.radius_exp + _split(x.denominator, p)[0]
+                          + _split(c.denominator, p)[0])
 
     def contains_ball(self, other: "Ball") -> bool:
         return self.radius_exp <= other.radius_exp and self.contains(other.center)
@@ -128,9 +126,15 @@ class PAdicTestFunction:
     Fourier transform, built by ``fourier`` on the first call, and its local
     Mellin factor, built by ``mellin.mellin_local``.  Each slot is written
     only by the function that computes it, for this function.
+
+    A function holds its canonical terms in ``_terms``, or, when it is a
+    Fourier transform whose terms no one has read yet, the integer rows
+    (pj, pm, rows) of ``_canonical_terms`` in ``_rows``.  The read-only
+    ``terms`` canonicalizes the held rows on the first read, keeps the
+    result and drops the rows; ``evaluate`` reads the rows as they are.
     """
 
-    __slots__ = ("prime", "terms", "_fourier", "_mellin_local")
+    __slots__ = ("prime", "_terms", "_rows", "_fourier", "_mellin_local")
 
     def __init__(
         self,
@@ -139,16 +143,28 @@ class PAdicTestFunction:
     ):
         require_prime(prime)
         self.prime = prime
-        self.terms: dict[TermKey, Cyclo] = _canonicalize(prime, terms)
+        self._terms: dict[TermKey, Cyclo] = _canonicalize(prime, terms)
+        self._rows: tuple[int, int, list] | None = None
         self._fourier: PAdicTestFunction | None = None
         self._mellin_local = None
 
     @classmethod
-    def _of(cls, prime: int, terms: dict[TermKey, Cyclo]) -> "PAdicTestFunction":
-        """The function of a checked prime with these canonical terms."""
+    def _of(cls, prime: int, terms: dict[TermKey, Cyclo] | None = None,
+            rows: tuple[int, int, list] | None = None) -> "PAdicTestFunction":
+        """The function of a checked prime with these canonical terms, or
+        with the integer rows (pj, pm, rows) of ``_canonical_terms`` that
+        give them."""
         out = cls(prime)
-        out.terms = terms
+        out._terms, out._rows = terms, rows
         return out
+
+    @property
+    def terms(self) -> dict[TermKey, Cyclo]:
+        """The canonical terms, {(ball, modulation): coefficient}."""
+        if self._rows is not None:
+            self._terms = _canonical_terms(self.prime, *self._rows)
+            self._rows = None
+        return self._terms
 
     # -- construction helpers ---------------------------------------------
 
@@ -218,27 +234,42 @@ class PAdicTestFunction:
         """phi(x), exactly.
 
         x is read once as an integer numerator xn over xd = p**vd * u, u
-        prime to p, and each ball tests it on those integers
-        (``Ball._holds``).  On a ball that holds x, a modulation mn / p**e
-        gives chi_p(m x) = e(s / p**(e+vd)) with s = mn xn u^-1 mod
-        p**(e+vd), kept in lowest terms, and no modulation gives e(0 / 1).
-        The terms that hold x are summed as one ``phase_sum``.
+        prime to p.  Each term is read as integers: a center cn / cd, a
+        level k, a ``phase_sum`` part and a modulation a / md; a canonical
+        term's part is (coeff, 0, 1), and a function that holds integer
+        rows reads each row as it is, over the rows' pj and pm, with no
+        canonical form built.  A term holds x when n = xn cd - cn xd is 0
+        or v(n) >= k + vd + v(cd), read off ``_split`` (as
+        ``Ball.contains``).  There a modulation gives chi_p(a x / md) =
+        e(s / p**(e+vd)) for md = p**e, s = a xn u^-1 mod p**(e+vd), added
+        to the part's phase in lowest terms (``_shifted``).  The terms
+        that hold x are summed as one ``phase_sum``: evaluation is linear
+        and the stored ``Cyclo`` is unique, so rows and canonical terms
+        give the same value.
         """
         x = Fraction(x)
         p = self.prime
         xn, xd = x.numerator, x.denominator
         vd, u = _split(xd, p)
+        if self._rows is None:
+            items = ((ball.center.numerator, ball.center.denominator, ball.radius_exp,
+                      (coeff, 0, 1), mod.numerator, mod.denominator)
+                     for (ball, mod), coeff in self._terms.items())
+        else:
+            pj, pm, rows = self._rows
+            items = ((n, pj, k, part, a, pm) for n, k, part, a in rows)
         parts = []
-        for (ball, mod), coeff in self.terms.items():
-            if not ball._holds(xn, xd, vd):
+        for cn, cd, k, part, a, md in items:
+            n = xn * cd - cn * xd
+            if n and _split(n, p)[0] < k + vd + _split(cd, p)[0]:
                 continue
-            if mod:
-                m = mod.denominator * p**vd
-                s = mod.numerator * xn * pow(u, -1, m) % m
-                g = math.gcd(s, m)
-                parts.append((coeff, s // g, m // g))
-            else:
-                parts.append((coeff, 0, 1))
+            if a:
+                m = md * p**vd
+                s = a * xn * pow(u, -1, m) % m
+                if s:
+                    g = math.gcd(s, m)
+                    part = _shifted(part, s // g, m // g)
+            parts.append(part)
         return phase_sum(parts)
 
     # -- exact integrals -----------------------------------------------------
@@ -290,7 +321,10 @@ class PAdicTestFunction:
         center p^-k - m, which is -m modulo p^-k Z_p, as -mn pj/md; and
         the modulation c, reduced already (it lies in [0, p^k)), as
         cn pm/cd.
-        The transform is built on the first call and returned afterwards.
+        The transform holds these rows, not their canonical form:
+        ``evaluate`` reads them as they are, and the first read of its
+        ``terms`` canonicalizes them.  The transform is built on the first
+        call and returned afterwards.
         """
         if self._fourier is None:
             p, terms = self.prime, self.terms
@@ -306,7 +340,7 @@ class PAdicTestFunction:
                 g = math.gcd(s, d)
                 part = (coeff, s // g, d // g, p ** -k if k <= 0 else F(1, p**k))
                 rows.append((-mn * (pj // md), -k, part, cn * (pm // cd)))
-            self._fourier = PAdicTestFunction._of(p, _canonical_terms(p, pj, pm, rows))
+            self._fourier = PAdicTestFunction._of(p, rows=(pj, pm, rows))
         return self._fourier
 
     def reflect(self) -> "PAdicTestFunction":
@@ -425,7 +459,8 @@ def _canonical_terms(prime: int, pj: int, pm: int, rows: list) -> dict[TermKey, 
     through ``_canonicalize``, which reduces the modulations on integers;
     ``fourier`` with rows written from the integers of canonical terms,
     whose centers and modulations are reduced already, so it skips
-    ``reduce_mod``.  Numerators that agree modulo pm pj fold alike, so no
+    ``reduce_mod``; the transform holds its rows until its ``terms`` are
+    first read.  Numerators that agree modulo pm pj fold alike, so no
     modulation is reduced here.
 
     The refinement walks integer residue addresses, not ``Ball`` objects:

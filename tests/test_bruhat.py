@@ -24,6 +24,7 @@ from adelic.bruhat import (
     vacuum_state,
 )
 from adelic.cyclotomic import Cyclo, phase
+from adelic.mellin import mellin_local
 from adelic.padic import frac_part, reduce_mod, valuation
 from adelic.quadrature import panel_nodes, real_fourier_transform
 
@@ -372,6 +373,18 @@ class TestCanonicalOrder:
             assert_same_terms(h, reference_terms(p, rows))
         assert reference_terms(p, f._term_list() + negated) == {}
         assert (f - f).terms == {} and (fhat - fhat).terms == {}
+        # a transform whose terms are first read after an evaluation: its
+        # own transform, its reflection, its norm and its Mellin factor
+        # equal those of the reference terms, in order
+        lazy = PAdicTestFunction(p, terms).fourier()
+        lazy.evaluate(1)
+        eager = PAdicTestFunction._of(p, reference_terms(p, self.transform_rows(f)))
+        assert_same_terms(lazy.fourier(), eager.fourier().terms)
+        assert_same_terms(lazy.reflect(), eager.reflect().terms)
+        assert_same_terms(lazy, eager.terms)
+        assert coordinates(lazy.l2_norm_sq()) == coordinates(eager.l2_norm_sq())
+        assert ([(e, coordinates(c)) for e, c in mellin_local(lazy).coeffs.items()]
+                == [(e, coordinates(c)) for e, c in mellin_local(eager).coeffs.items()])
 
     @pytest.mark.parametrize("p", [2, 3, 7])
     def test_center_deeper_than_its_radius(self, p):
@@ -537,6 +550,8 @@ class TestCanonicalWork:
         for name in ("__mul__", "__rmul__"):
             monkeypatch.setattr(Cyclo, name, counted(name, getattr(Cyclo, name)))
         built = [(f.fourier(), f + g, f - g, g - f, -f) for f, g, _ in pairs]
+        for fhat, *_ in built:
+            fhat.terms  # the transform canonicalizes its rows on this first read
         monkeypatch.undo()
         assert calls == []
         for (f, g, zero), (fhat, total, diff, back, neg) in zip(pairs, built):
@@ -670,10 +685,48 @@ class TestFourierP:
                 real_post_init = Ball.__post_init__
                 monkeypatch.setattr(Ball, "__post_init__",
                                     lambda ball: calls.append(ball) or real_post_init(ball))
-                fhat = f.fourier()
+                terms = f.fourier().terms
                 monkeypatch.undo()
                 assert calls == []
-                assert list(fhat.terms.items()) == list(want.terms.items())
+                assert list(terms.items()) == list(want.terms.items())
+
+    def test_transform_values_are_read_off_its_rows(self, monkeypatch):
+        # f.fourier() holds integer rows, and evaluating it builds no
+        # canonical form; the values equal those after its terms are read
+        rng = random.Random(2035)
+        cases = []
+        for p in (2, 3, 5, 7):
+            other = 3 if p == 2 else 2
+            for _ in range(30):
+                f = PAdicTestFunction(p, [
+                    (F(rng.randint(1, 4), rng.randint(1, 3)) * phase(F(rng.randint(0, 7), 8)),
+                     Ball(p, F(rng.randint(-20, 20), p ** rng.randint(0, 2)), rng.randint(-3, 2)),
+                     F(rng.randint(-9, 9), rng.choice([1, other, p, p * p])))
+                    for _ in range(rng.randint(1, 5))])
+                unit = rng.randint(1, p - 1) * rng.choice([1, -1])
+                xs = [F(0), F(1), F(1, p**20), F(unit, p ** rng.randint(1, 3)),
+                      F(rng.randint(-60, 60), p ** rng.randint(0, 2) * rng.choice([11, 13, 17]))]
+                cases.append((f, xs))
+        calls = []
+        real = bruhat._canonical_terms
+        monkeypatch.setattr(bruhat, "_canonical_terms",
+                            lambda *args: calls.append(args) or real(*args))
+        lazy = [[f.fourier().evaluate(x) for x in xs] for f, xs in cases]
+        monkeypatch.undo()
+        assert calls == []
+        seen = collections.Counter()
+        for (f, xs), values in zip(cases, lazy):
+            fhat = f.fourier()
+            seen["modulated"] += any(mod for _, mod in f.terms)
+            seen["negative radius"] += any(ball.radius_exp < 0 for ball, _ in f.terms)
+            terms = fhat.terms
+            assert [coordinates(fhat.evaluate(x)) for x in xs] == [coordinates(v) for v in values]
+            assert [coordinates(reference_value(fhat, x)) for x in xs] == [
+                coordinates(v) for v in values]
+            assert not any(ball.contains(xs[2]) for ball, _ in terms) and values[2].is_zero()
+            seen["nonzero"] += sum(not v.is_zero() for v in values)
+        assert min(seen["modulated"], seen["negative radius"]) >= 60, seen
+        assert seen["nonzero"] >= 240, seen
 
     def test_shifted_unit_ball(self):
         # transform of 1_{pZ_p} = p^-1 on |xi| <= p
