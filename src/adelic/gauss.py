@@ -38,7 +38,7 @@ from .adeles import Adele, Idele, principal_adele, principal_idele
 from .bruhat import Ball, ElementaryFunction, PAdicTestFunction, omega
 from .characters import chi_inf_phase
 from .cyclotomic import Cyclo, UnitPhase, phase_sum, sqrt_prime, sqrt_prime_power
-from .integrate import _COSET_BUDGET, Unstabilized, integrate_ball_character, integrate_qp
+from .integrate import _COSET_BUDGET, Unstabilized, _character_sum, integrate_qp
 from .padic import _split, padic_norm, unit_part_mod, valuation
 from .primes import legendre_symbol, require_prime
 from .quadrature import gauss_character_integral
@@ -261,22 +261,24 @@ def lambda_local_transform(p: int, f: PAdicTestFunction, b_p: Fraction) -> Cyclo
     term coeff chi_p(m y) 1_B(y) of fhat then contributes coeff times
     int chi_p(m x^2 + b x) dx over the balls {x : x^2 in B}
     (``_square_preimage``), each cut to the part around the stationary
-    point that carries it (``_stationary_part``) and then one
-    ``integrate_ball_character`` call.
+    point that carries it (``_stationary_part``).  The kept pieces are
+    summed as one ``integrate._character_sum``, as ``integrate_qp`` sums
+    a test function's balls.
     """
     require_prime(p)
     b_p = Fraction(b_p)
-    total = Cyclo()
-    for (ball, mod), coeff in f.fourier().terms.items():
-        for piece in _square_preimage(p, ball):
-            piece = _stationary_part(p, piece, mod, b_p)
-            if piece is None:
-                continue
-            part = integrate_ball_character(p, piece, mod, b_p)
-            if not part.stabilized:
-                raise Unstabilized("Lambda transform local integral did not stabilize")
-            total = total + coeff * part.value
-    return total
+
+    def pieces():
+        for (ball, mod), coeff in f.fourier().terms.items():
+            for piece in _square_preimage(p, ball):
+                piece = _stationary_part(p, piece, mod, b_p)
+                if piece is not None:
+                    yield coeff, piece, mod, b_p
+
+    res = _character_sum(p, pieces())
+    if not res.stabilized:
+        raise Unstabilized("Lambda transform local integral did not stabilize")
+    return res.value
 
 
 def lambda_transform(phi: ElementaryFunction, b: Adele) -> complex:

@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -59,6 +59,7 @@ F = Fraction
 
 _COSET_BUDGET = 1 << 23  # residues or cosets per ball: the one work bound
 _SLICE = 1 << 20  # residues counted per numpy pass
+_PY_CUT = 64  # periods of at most this many residues are counted without numpy
 _ZERO = F(0)  # the center of p**k Z_p, reduced at every level k
 
 
@@ -120,19 +121,27 @@ def integrate_ball_character(
     times the sum over one period, t = 0 .. p**d - 1, counted once as
     residues of bi t + ci t^2 mod p**d and folded onto the power basis;
     the front phase, the folded counts and p**(-k-d) are rewritten onto
-    the basis of conductor max(p**d, p**e) once.  A ball whose period is
-    over the coset budget is reported unstabilized without being
-    enumerated: p**max(d, 2) when a != 0, p**d when the character is
-    linear (see the module docstring for the 2); within it, int64 counts
-    are exact.
+    the basis of conductor max(p**d, p**e) once.  Every residue of the
+    period is counted, in one of three ways chosen by its size: a period
+    of at most ``_PY_CUT`` residues in a plain Python loop, one up to
+    ``_SLICE`` residues in one numpy pass with one reduction mod p**d,
+    and a longer one in slices of ``_SLICE`` with two reductions, since
+    (p**d)**3 would overflow int64 there.  A ball whose period is over
+    the coset budget is reported unstabilized without being enumerated:
+    p**max(d, 2) when a != 0, p**d when the character is linear (see the
+    module docstring for the 2); within it, int64 counts are exact.
     """
     require_prime(p)
-    return _ball_character(p, ball, Fraction(a), Fraction(b))
+    return _integral(_ball_character(p, ball, Fraction(a), Fraction(b)))
 
 
-def _ball_character(p: int, ball: Ball, a: Fraction, b: Fraction) -> QpIntegral:
+def _ball_character(
+    p: int, ball: Ball, a: Fraction, b: Fraction
+) -> tuple[int, int, list[tuple[int, int]]] | None:
     """``integrate_ball_character`` on a checked prime and ``Fraction``s
-    a and b, converted once by the public entry point."""
+    a and b, as rows: (n, den, [(exponent, count)]) for the sum of
+    count * e(exponent / n) / den, exponents in 0 .. n - 1 and not yet on
+    the basis, or None when the period is over the budget."""
     k, c = ball.radius_exp, ball.center
     # a = an / L, b = bn / L and c = cn / cd, cd a power of p
     L = math.lcm(a.denominator, b.denominator)
@@ -163,23 +172,89 @@ def _ball_character(p: int, ball: Ball, a: Fraction, b: Fraction) -> QpIntegral:
         # B t + C t^2 is p-integral: the character is chi_p(A) on the ball
         period = [(0, 1)]
     elif p ** (max(d, 2) if a else d) > _COSET_BUDGET:
-        return QpIntegral(Cyclo(), False)
+        return None
+    elif pd <= _PY_CUT:
+        period = _count_small(p, pd, bi, ci)
     else:
-        slices = (np.arange(lo, min(pd, lo + _SLICE), dtype=np.int64)
-                  for lo in range(0, pd, _SLICE))
-        counts = sum(np.bincount((ci * t % pd + bi) * t % pd, minlength=pd) for t in slices)
-        # fold onto the power basis j/p**d, 0 <= j < (p-1) p**(d-1): each
-        # phase of the top row is minus the sum of its column above it
-        rows = counts.reshape(p, -1)
-        coords = (rows[:-1] - rows[-1]).ravel()
-        period = [(int(j), int(coords[j])) for j in np.flatnonzero(coords)]
+        period = _count_numpy(p, pd, bi, ci)
 
     # one rewrite: e(s0/p**e) e(j/p**d) p**(-k-d) at conductor max(p**d, p**e)
     n = max(pd, pe)
     lift, shift = n // pd, s0 * (n // pe)
     scale, den = (p ** (-k - d), 1) if k + d <= 0 else (1, p ** (k + d))
-    return QpIntegral(_from_exponents(n, den, (
-        ((j * lift + shift) % n, count * scale) for j, count in period)), True)
+    return n, den, [((j * lift + shift) % n, count * scale) for j, count in period]
+
+
+def _integral(rows: tuple[int, int, list[tuple[int, int]]] | None) -> QpIntegral:
+    """One ball's rows rewritten onto the basis; None is unstabilized."""
+    if rows is None:
+        return QpIntegral(Cyclo(), False)
+    return QpIntegral(_from_exponents(*rows), True)
+
+
+def _count_small(p: int, pd: int, bi: int, ci: int) -> list[tuple[int, int]]:
+    """The residues of bi t + ci t^2 mod pd, pd = p**d, over t = 0 .. pd - 1,
+    counted in plain Python and folded onto the power basis j/pd,
+    0 <= j < (p-1) pd/p: each phase of the top row is minus the sum of
+    its column above it.  The nonzero (j, count) pairs, j ascending."""
+    counts = [0] * pd
+    for t in range(pd):
+        counts[(ci * t + bi) * t % pd] += 1
+    m = pd // p
+    top = counts[pd - m:]
+    return [(j, x) for j, c in enumerate(counts[:pd - m]) if (x := c - top[j % m])]
+
+
+def _count_numpy(p: int, pd: int, bi: int, ci: int) -> list[tuple[int, int]]:
+    """``_count_small`` in numpy, for pd > _PY_CUT.  Up to ``_SLICE``
+    residues, (ci t + bi) t < (pd - 1)**2 pd < 2**63, so one reduction
+    mod pd is exact; past it, each slice of ``_SLICE`` residues reduces
+    ci t first."""
+    if pd <= _SLICE:
+        t = np.arange(pd, dtype=np.int64)
+        x = t * ci
+        x += bi
+        x *= t
+        x %= pd
+        counts = np.bincount(x, minlength=pd)
+    else:
+        counts = np.zeros(pd, dtype=np.int64)
+        for lo in range(0, pd, _SLICE):
+            t = np.arange(lo, min(pd, lo + _SLICE), dtype=np.int64)
+            x = t * ci
+            x %= pd
+            x += bi
+            x *= t
+            x %= pd
+            counts += np.bincount(x, minlength=pd)
+    # fold onto the power basis j/p**d, 0 <= j < (p-1) p**(d-1), in place
+    rows = counts.reshape(p, -1)
+    coords = rows[:-1]
+    coords -= rows[-1]
+    coords = coords.ravel()
+    # a boolean mask first: nonzero() on the int64 counts is several times slower
+    nonzero = np.flatnonzero(coords != 0)
+    return list(zip(nonzero.tolist(), coords[nonzero].tolist()))
+
+
+def _character_sum(
+    p: int, pieces: Iterable[tuple[Cyclo, Ball, Fraction, Fraction]]
+) -> QpIntegral:
+    """sum coeff * int over ball of chi_p(a x^2 + b x) dx over the
+    (coeff, ball, a, b) pieces, coeff a ``Cyclo`` and a, b ``Fraction``s,
+    as one ``phase_sum`` of every ball's rows; the first ball over the
+    budget ends the sum unstabilized, reading no further piece."""
+    parts = []
+    for coeff, ball, a, b in pieces:
+        rows = _ball_character(p, ball, a, b)
+        if rows is None:
+            return QpIntegral(Cyclo(), False)
+        n, den, period = rows
+        # coeff / den, so that each row's count is an integer weight
+        cn, cden, numerators = coeff.coordinates()
+        scaled = Cyclo.from_coordinates(cn, cden * den, numerators)
+        parts += [(scaled, j, n, count) for j, count in period]
+    return QpIntegral(phase_sum(parts), True)
 
 
 def _sphere_zero(p: int, va: int, vb: int | None, j: int) -> bool:
@@ -218,13 +293,8 @@ def integrate_qp(
     b = Fraction(quad[1]) if quad else F(0)
 
     if test_function is not None:
-        total = Cyclo()
-        for (ball, mod), coeff in test_function.terms.items():
-            part = _ball_character(p, ball, a, b + mod)
-            if not part.stabilized:
-                return part
-            total = total + coeff * part.value
-        return QpIntegral(total, True)
+        return _character_sum(p, ((coeff, ball, a, b + mod)
+                                  for (ball, mod), coeff in test_function.terms.items()))
 
     if a == 0:
         raise ValueError("full-space integral needs a quadratic term (a != 0)")
@@ -244,7 +314,7 @@ def integrate_qp(
         j_stop -= 1
 
     # J = max(j_stop, -k_inner): the one ball that holds every nonzero sphere
-    return _ball_character(p, Ball._reduced(p, _ZERO, min(k_inner, -j_stop)), a, b)
+    return _integral(_ball_character(p, Ball._reduced(p, _ZERO, min(k_inner, -j_stop)), a, b))
 
 
 __all__ = [

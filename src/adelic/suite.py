@@ -31,7 +31,7 @@ from .gauss import (
     kernel_k_polar,
     lambda_product_check,
 )
-from .integrate import integrate_qp
+from .integrate import QpIntegral, integrate_qp
 from .mellin import (
     functional_equation_residual,
     gamma_fn,
@@ -119,6 +119,20 @@ def chi_principal_checks() -> list[CheckReport]:
 # -- 3. Gauss closed form vs oracle -------------------------------------------
 
 
+def gauss_cell(p: int, a: Fraction, b: Fraction) -> tuple[QpIntegral, str | None]:
+    """One Gauss cell: the residue oracle on int chi_p(a x^2 + b x) dx
+    against the exact closed form.  Returns the oracle's integral and
+    None on exact agreement, "inconclusive" when the oracle did not
+    stabilize (the closed form, whose sqrt(p) is a p-term sum, is then
+    not built) or "mismatch"."""
+    oracle = integrate_qp(p, quad=(a, b))
+    if not oracle.stabilized:
+        return oracle, "inconclusive"
+    if oracle.value != gauss_integral_p_exact(p, a, b):
+        return oracle, "mismatch"
+    return oracle, None
+
+
 def gauss_grid_checks() -> list[CheckReport]:
     out = []
     for p in (2, 3, 5, 7, 11, 13):
@@ -127,12 +141,9 @@ def gauss_grid_checks() -> list[CheckReport]:
         grid = [(a, b) for a in class_representatives(p)
                 for b in (F(0), F(1), F(1, p), F(3, p * p))]
         for cells, (a, b) in enumerate(grid, 1):
-            oracle = integrate_qp(p, quad=(a, b))
-            if not oracle.stabilized:
-                bad = f"inconclusive at {(a, b)}"
-                break
-            if oracle.value != gauss_integral_p_exact(p, a, b):
-                bad = f"mismatch at {(a, b)}"
+            _, verdict = gauss_cell(p, a, b)
+            if verdict is not None:
+                bad = f"{verdict} at {(a, b)}"
                 break
         out.append(
             make_report(

@@ -86,6 +86,22 @@ def test_gauss_command_padic():
     assert lines[0]["value"] == "0.447213595499958+0i"
 
 
+def test_gauss_rows_and_the_suite_judge_one_cell(monkeypatch):
+    # `gauss -p` and the suite's Gauss grid both read suite.gauss_cell: a
+    # wrong closed form fails both, with the same oracle value printed
+    from fractions import Fraction
+
+    from adelic import suite
+
+    real = suite.gauss_integral_p_exact
+    monkeypatch.setattr(suite, "gauss_integral_p_exact", lambda p, a, b: real(p, a, b) + 1)
+    code, lines, _ = run_cli("gauss", "-p", "5", "-a", "1/5", "-b", "1")
+    assert code == 1 and lines[0]["pass"] is False
+    assert lines[0]["expected"].startswith("0.447213595499958")
+    assert suite.gauss_cell(5, Fraction(1, 5), Fraction(1))[1] == "mismatch"
+    assert suite.gauss_grid_checks()[0].value.startswith("mismatch at ")
+
+
 def test_gauss_command_real():
     code, lines, _ = run_cli("gauss", "-a", "1", "-b", "0")
     assert code == 0

@@ -274,6 +274,33 @@ class TestLambdaTransform:
         assert abs(got - expect) < 1e-8
         assert abs(got.imag) < 1e-8
 
+    def test_equals_the_per_piece_sum(self):
+        # the kept pieces are one sum of ball rows; the reference adds
+        # coeff times each piece's integral as a Cyclo
+        rng = random.Random(20261021)
+        nonzero = 0
+        for _ in range(60):
+            p = rng.choice([2, 3, 5, 7])
+            rows = [(F(rng.randint(-6, 6), rng.randint(1, 4)) or 1,
+                     Ball(p, F(rng.randint(-p**2, p**2), p ** rng.randint(0, 2)),
+                          rng.randint(-2, 2)),
+                     F(rng.randint(0, 9), p ** rng.randint(0, 2)))
+                    for _ in range(rng.randint(1, 3))]
+            f = PAdicTestFunction(p, rows)
+            b = F(rng.randint(-9, 9), p ** rng.randint(0, 3))
+            want = Cyclo()
+            for (ball, mod), coeff in f.fourier().terms.items():
+                for piece in gauss._square_preimage(p, ball):
+                    piece = gauss._stationary_part(p, piece, mod, b)
+                    if piece is not None:
+                        part = integrate.integrate_ball_character(p, piece, mod, b)
+                        assert part.stabilized
+                        want = want + coeff * part.value
+            got = lambda_local_transform(p, f, b)
+            assert got.coordinates() == want.coordinates(), (p, rows, b)
+            nonzero += not got.is_zero()
+        assert nonzero >= 30
+
     def test_linearity_in_phi(self):
         p = 5
         f = PAdicTestFunction.omega(p)

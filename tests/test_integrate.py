@@ -8,7 +8,7 @@ import pytest
 from adelic import integrate, quadrature
 from adelic.bruhat import Ball, PAdicTestFunction
 from adelic.characters import chi_p
-from adelic.cyclotomic import Cyclo, phase
+from adelic.cyclotomic import Cyclo, phase, phase_sum
 from adelic.integrate import (
     integrate_ball_character,
     integrate_qp,
@@ -184,6 +184,127 @@ class TestBallCharacter:
             assert summed.value == direct.value, case
 
 
+class TestCountingRegimes:
+    """A period is counted in plain Python up to ``_PY_CUT`` residues, in
+    one numpy pass up to ``_SLICE`` and in slices past it; each regime
+    counts every residue of the period."""
+
+    def test_python_and_numpy_counts_agree_across_the_cut(self):
+        rng = random.Random(20261021)
+        seen = set()
+        for p in (2, 3, 5, 7, 11, 13):
+            for d in range(1, 5):
+                pd = p**d
+                seen.add(pd <= integrate._PY_CUT)
+                for quadratic in (False, True):
+                    for draw in range(6):
+                        # a reduced period: bi and ci not both divisible by p
+                        ci = rng.randrange(pd) if quadratic else 0
+                        bi = rng.randrange(pd)
+                        if ci % p == 0 and bi % p == 0:
+                            bi += 1
+                        cell = (p, pd, bi, ci)
+                        small = integrate._count_small(*cell)
+                        assert small == integrate._count_numpy(*cell), cell
+                        if draw == 0:
+                            # the folded counts are the period's phase sum
+                            direct = phase_sum([(Cyclo(1), (ci * t + bi) * t % pd, pd)
+                                                for t in range(pd)])
+                            folded = Cyclo.from_coordinates(pd, 1, dict(small))
+                            assert folded.coordinates() == direct.coordinates(), cell
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("b, period", [(F(1, 1024), 2**21), (F(1, 2048), 2**23)],
+                             ids=["2^21", "2^23"])
+    def test_periods_past_the_slice_equal_the_closed_form(self, monkeypatch, b, period):
+        from adelic.gauss import gauss_integral_p_exact
+
+        periods = []
+        count = integrate._count_numpy
+        monkeypatch.setattr(integrate, "_count_numpy",
+                            lambda p, pd, bi, ci: periods.append(pd) or count(p, pd, bi, ci))
+        res = integrate_qp(2, quad=(F(1, 2), b))
+        assert periods == [period] and period > integrate._SLICE
+        assert res.stabilized
+        assert res.value.coordinates() == gauss_integral_p_exact(2, F(1, 2), b).coordinates()
+
+    def test_an_odd_period_past_the_slice_is_the_sum_over_its_cosets(self):
+        # with ci near p**d, (ci t + bi) t overflows int64 past the slice
+        # unless ci t is reduced first; an overflow wraps mod 2**64, which
+        # keeps a period 2**d exact, so this cell is odd.  Each coset
+        # t + 13 Z_13 has a period of 13**4 residues, counted in one pass
+        p, a, b = 13, F(13**6 // 2, 13**6), F(5, 13**3)
+        whole = integrate_ball_character(p, Ball(p, F(0), 0), a, b)
+        assert whole.stabilized and 13**6 > integrate._SLICE
+        parts = [integrate_ball_character(p, Ball(p, F(t), 1), a, b) for t in range(p)]
+        assert all(part.stabilized for part in parts)
+        want = phase_sum([(part.value, 0, 1) for part in parts])
+        assert whole.value.coordinates() == want.coordinates()
+
+
+def _seeded_test_functions(seed, count):
+    """(p, f, a, b): test functions of one to four modulated balls with
+    Gaussian-rational coefficients, and a quadratic character."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = rng.choice([2, 3, 5, 7])
+        rows = [(complex(rng.randint(-4, 4), rng.randint(-4, 4)) / rng.randint(1, 3) or 1,
+                 Ball(p, F(rng.randint(-p**2, p**2), p ** rng.randint(0, 2)), rng.randint(-2, 2)),
+                 F(rng.randint(0, 9), p ** rng.randint(0, 2)))
+                for _ in range(rng.randint(1, 4))]
+        a = F(rng.randint(-9, 9), p ** rng.randint(0, 2))
+        b = F(rng.randint(-9, 9), p ** rng.randint(0, 3) * rng.choice([1, 1, 3]))
+        yield p, PAdicTestFunction(p, rows), a, b
+
+
+class TestOneSum:
+    """``integrate_qp`` over a test function is one ``phase_sum`` of every
+    ball's rows."""
+
+    def test_equals_the_sum_of_ball_characters_with_no_cyclo_arithmetic(self, monkeypatch):
+        from adelic import cyclotomic
+
+        cells = []
+        for p, f, a, b in _seeded_test_functions(20261021, 150):
+            parts = [(coeff, integrate_ball_character(p, ball, a, b + mod))
+                     for (ball, mod), coeff in f.terms.items()]
+            if all(part.stabilized for _, part in parts):
+                want = Cyclo()
+                for coeff, part in parts:
+                    want = want + coeff * part.value
+                cells.append((p, f, a, b, want))
+        assert len(cells) >= 100
+
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} called")
+            return call
+
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+            monkeypatch.setattr(Cyclo, name, forbidden(f"Cyclo.{name}"))
+        monkeypatch.setattr(cyclotomic, "_from_exponents", forbidden("_from_exponents"))
+        monkeypatch.setattr(integrate, "_from_exponents", forbidden("_from_exponents"))
+        for p, f, a, b, want in cells:
+            res = integrate_qp(p, test_function=f, quad=(a, b))
+            assert res.stabilized
+            assert res.value.coordinates() == want.coordinates(), (p, f, a, b)
+
+    def test_an_unstabilized_ball_ends_the_sum(self, monkeypatch):
+        # the second ball is over the budget: no further ball is counted
+        calls = []
+        ball_rows = integrate._ball_character
+
+        def second_over_budget(*args):
+            calls.append(args)
+            return None if len(calls) == 2 else ball_rows(*args)
+
+        monkeypatch.setattr(integrate, "_ball_character", second_over_budget)
+        f = PAdicTestFunction(5, [(1, Ball(5, F(t), 1), 0) for t in range(4)])
+        res = integrate_qp(5, test_function=f, quad=(F(1, 5), F(0)))
+        assert not res.stabilized
+        assert len(calls) == 2
+
+
 class TestSphereSums:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_omega_integrates_to_one(self, p):
@@ -231,13 +352,14 @@ class TestSphereSums:
          (F(1, 3**40), F(0))),
     ], ids=["one-ball", "test-function"])
     def test_stops_at_first_unstabilized_ball(self, monkeypatch, p, test_function, quad):
+        # the row function returns None for a ball over the budget
         flags = []
-        ball_integral = integrate._ball_character
+        ball_rows = integrate._ball_character
 
         def counted(*args):
-            res = ball_integral(*args)
-            flags.append(res.stabilized)
-            return res
+            rows = ball_rows(*args)
+            flags.append(rows is not None)
+            return rows
 
         monkeypatch.setattr(integrate, "_ball_character", counted)
         res = integrate_qp(p, test_function=test_function, quad=quad)
@@ -282,8 +404,7 @@ class TestSphereSums:
         monkeypatch.setattr(Ball, "__post_init__",
                             lambda ball: calls.append(ball) or real_post_init(ball))
         monkeypatch.setattr(integrate, "_ball_character",
-                            lambda p, ball, a, b: balls.append((ball, a, b))
-                            or integrate.QpIntegral(Cyclo(), True))
+                            lambda p, ball, a, b: balls.append((ball, a, b)) or (1, 1, []))
         for _ in range(300):
             p = rng.choice([2, 3, 5, 7, 11])
             a = draw(p)
@@ -492,7 +613,7 @@ class TestUnstabilized:
             return integrate.QpIntegral(Cyclo(), False)
 
         monkeypatch.setattr(gauss, "integrate_qp", unstabilized)
-        monkeypatch.setattr(gauss, "integrate_ball_character", unstabilized)
+        monkeypatch.setattr(gauss, "_character_sum", unstabilized)
         with pytest.raises(integrate.Unstabilized, match="oracle did not stabilize"):
             gauss.calibrate_lambda_p(3)
         away_from_0 = PAdicTestFunction.indicator(Ball(3, F(1), 1))
