@@ -10,7 +10,14 @@ common to bi and ci stripped.  Counting that one period of p**d residues
 gives the exact integral, and the front phase, the folded counts and the
 measure are rewritten onto the cyclotomic basis once, with no ``Fraction``
 or ``Cyclo`` arithmetic in between: the period is the certificate, and no
-float tolerance enters.  The only work bound is ``_COSET_BUDGET``:
+float tolerance enters.  Every residue of the period is counted, in one
+of three regimes chosen by its size: a plain Python loop up to
+``_PY_CUT`` residues, where a numpy call costs more than the count; one
+numpy pass with one reduction mod p**d up to ``_SLICE`` residues, where
+(p**d)**3 stays inside int64; and slices of ``_SLICE`` residues with two
+reductions past it.  A test function's integral is one ``phase_sum`` of
+coefficient times each ball's residue rows, with no ``Cyclo`` product
+or sum per ball.  The only work bound is ``_COSET_BUDGET``:
 a ball whose period is over it is reported unstabilized without being
 enumerated.  A quadratic character (a != 0) has its period read as
 p**max(d, 2).  The 2 is there because p**d alone does not bound the cost at
