@@ -136,15 +136,18 @@ def zero_adele() -> Adele:
     return principal_adele(0)
 
 
-def norm_product(r: Fraction | int) -> Fraction:
-    """|r|_inf * prod_p |r|_p over primes dividing numerator*denominator.
+def norm_product(r: Fraction | int, omit: int | None = None) -> Fraction:
+    """|r|_inf * prod_p |r|_p over primes dividing numerator*denominator,
+    without the place p = omit when one is given.
 
-    Exact rational arithmetic; equals 1 for every nonzero rational.
+    Exact rational arithmetic; equals 1 for every nonzero rational, so with
+    a prime omitted it is 1 / |r|_omit.
     """
     r = Fraction(r)
     if r == 0:
         raise ValueError("norm product needs r != 0")
     prod = abs(r)
     for p in rational_primes(r):
-        prod *= padic_norm(r, p)
+        if p != omit:
+            prod *= padic_norm(r, p)
     return prod

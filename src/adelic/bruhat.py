@@ -487,8 +487,8 @@ def _canonical_terms(prime: int, pj: int, pm: int, rows: list) -> dict[TermKey, 
     covering terms recurses into every child, and keys keep the order of
     their first part.  Grouping, digits and folds are the same when pj
     and pm carry extra powers of p, so the terms and their order depend
-    on the rows alone.  ``mellin`` sums 50-digit coefficients in this
-    order, so its values depend on it.
+    on the rows alone.  ``mellin`` sums its factors exactly, so its values
+    do not depend on it.
     """
     if not rows:
         return {}
@@ -592,8 +592,9 @@ class HermiteGaussian:
 
     Its Mellin transform is Gamma_R(alpha) sum_n c_n P_n(alpha) with
     integer polynomials P_n (``mellin.mellin_real_mp``).  The value is
-    immutable, so it keeps its even-degree c_n at the working precision
-    of ``mellin``, converted by ``mellin_real_mp`` on the first call.
+    immutable, so it keeps its even-degree c_n as the integer rows of
+    ``mellin``'s exact dot product, built by ``mellin_real_mp`` on the
+    first call.
     """
 
     __slots__ = ("coeffs", "_mellin_real")

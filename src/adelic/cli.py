@@ -18,7 +18,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .adeles import principal_adele, principal_idele, zero_adele
+from .adeles import norm_product, principal_adele, principal_idele, zero_adele
 from .bruhat import PAdicTestFunction, parse_schwartz_bruhat
 from .characters import chi_p, chi_principal_phase
 from .cyclotomic import ONE_PHASE
@@ -41,7 +41,7 @@ from .gauss import (
 from .integrate import Unstabilized
 from .mellin import functional_equation_residual, tate_check
 from .oscillator import eigen_check
-from .padic import frac_part, from_rational, padic_norm, valuation
+from .padic import _split, frac_part, from_rational, padic_norm, valuation
 from .primes import is_prime
 from .quadrature import fresnel_regularized, oracle_float
 from .suite import (
@@ -177,23 +177,33 @@ def _inconclusive(check: str, inputs: dict, value, reason: str,
 def cmd_norm(args) -> list[CheckReport]:
     t0 = time.perf_counter()
     value = padic_norm(args.r, args.p)
-    return [make_report("padic-norm", {"r": str(args.r), "p": args.p}, value, value,
-                        t0, passed=True)]
+    # the product formula: |r|_p is 1 over the product of r's other places
+    expected = 1 / norm_product(args.r, omit=args.p) if args.r else F(0)
+    return [make_report("padic-norm", {"r": str(args.r), "p": args.p}, value, expected,
+                        t0, passed=value == expected)]
+
+
+def _is_frac_part(r: F, p: int, q: F) -> bool:
+    """The defining property of q = {r}_p: 0 <= q < 1, q in Z[1/p] and
+    v_p(r - q) >= 0."""
+    in_z_1_p = _split(q.denominator, p)[1] == 1
+    return 0 <= q < 1 and in_z_1_p and (r == q or valuation(r - q, p) >= 0)
 
 
 def cmd_frac(args) -> list[CheckReport]:
     t0 = time.perf_counter()
     q = frac_part(args.r, args.p)
     return [make_report("frac-part", {"r": str(args.r), "p": args.p}, q, q, t0,
-                        passed=args.r == q or valuation(args.r - q, args.p) >= 0)]
+                        passed=_is_frac_part(args.r, args.p, q))]
 
 
 def cmd_chi(args) -> list[CheckReport]:
     t0 = time.perf_counter()
     if args.p is not None:
+        # chi_p(r) = e({r}_p): its phase is the fractional part
         ph = chi_p(args.r, args.p).phase
         return [make_report("chi-p", {"r": str(args.r), "p": args.p}, ph, ph, t0,
-                            passed=True)]
+                            passed=_is_frac_part(args.r, args.p, ph))]
     ph = chi_principal_phase(args.r).phase
     return [make_report("chi-principal", {"r": str(args.r)}, ph, F(0), t0,
                         passed=ph == 0)]

@@ -224,10 +224,6 @@ class Cyclo:
         n = self._n
         return _from_exponents(n, self._den, ((-j % n, c) for j, c in self._terms.items()))
 
-    def abs2(self) -> "Cyclo":
-        """|z|^2 as an exact Cyclo (z times its conjugate)."""
-        return self * self.conjugate()
-
     # -- canonical form and predicates ------------------------------------
 
     def canonical(self) -> Mapping[Fraction, Fraction]:
@@ -264,12 +260,6 @@ class Cyclo:
 
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    def as_fraction(self) -> Fraction | None:
-        """The exact rational value, or None if irrational."""
-        if self._n != 1:
-            return None
-        return Fraction(self._terms.get(0, 0), self._den)
 
     # -- numeric boundary --------------------------------------------------
 

@@ -22,28 +22,35 @@ zeta(s), Tate's real factor Gamma_R(s) = pi^(-s/2) Gamma(s/2), the Hermite
 polynomial P_n(s) of each degree and the powers p^(-e s) of each prime,
 each computed when first asked and then read.  A record keys on its
 working-precision argument's raw ``_mpc_`` tuple, or on a double argument
-itself, whose conversion is exact; a point is converted and checked once,
-and a value is computed by the same expression, in the same order, as
-without the record.  ``phi_p`` passes its point on to the factor readers,
-so none of them looks it up again.  Each function converts its exact
-coefficients to the working precision once and keeps them: a p-adic factor
-on its ``LocalMellinFactor``, a real factor on its ``_mellin_real`` slot;
-the roots of unity e(j/n) they are converted with are memoized too, as few
-occur.  A local factor's sum, the real factor's sum and the product over
-places run ``mpc_mul``/``mpc_add`` on raw (re, im) pairs: the operations
-that ``mpc`` arithmetic runs, so every value equals its ``mpc`` expression
-bit for bit, without a new object per step.
+itself, whose conversion is exact; a point is converted and checked once.
+``phi_p`` passes its point on to the factor readers, so none of them looks
+it up again.
+
+Every stored working-precision value is read exactly as a Gaussian integer
+times a power of two, (X + iY) 2^E (``_gaussian``): the powers and P_n(s)
+are kept in that form, and so are the roots of unity e(j/n), memoized per
+(j, n).  Each function keeps its exact coefficients once as integer rows
+over those roots (``_coefficient_rows``): a p-adic factor on its
+``LocalMellinFactor``, a real factor on its ``_mellin_real`` slot.  A local
+factor is then one exact integer dot product of its rows with the powers,
+the real factor one of its rows with the P_n times Gamma_R, each rounded
+once to the working precision (``_dot``, ``_rounded``), and ``phi_p``
+multiplies the factors' values and zeta as integers and rounds once to a
+double.  The sums are exact, but for parts far below the largest, which
+``_sum`` drops whatever their order, so no value depends on the order of
+a function's terms or coefficients.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
-from mpmath.libmp import from_rational, fzero, mpc_add, mpc_mul, mpc_to_complex, to_rational
+from mpmath.libmp import from_man_exp, from_rational, mpc_to_complex, to_rational
 
 from .bruhat import ElementaryFunction, HermiteGaussian, PAdicTestFunction, hermite_coefficients
 from .cyclotomic import Cyclo, phase_sum
@@ -65,6 +72,9 @@ _MEMO_SIZE = 256
 _CTX = mp.clone()
 _CTX.dps = WORKING_DPS
 
+# bits an exact sum keeps below its largest part (see ``_dot`` and ``_sum``)
+_GUARD = _CTX.prec + 20
+
 
 class DomainError(ValueError):
     """Evaluation requested at a pole or outside the supported domain."""
@@ -76,11 +86,114 @@ def _mpc(alpha):
     return alpha if type(alpha) is _CTX.mpc else _CTX.mpc(alpha)
 
 
-def _raw(x) -> tuple:
-    """The raw (re, im) pair of a working-context mpf or mpc, for
-    ``mpc_mul``/``mpc_add``: with a zero imaginary part they round as
-    ``mpc.__mul__``/``__add__`` do on a real operand."""
-    return x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
+def _gaussian(pair) -> tuple[int, int, int]:
+    """A raw working-context (re, im) pair read exactly as (X, Y, E): the
+    Gaussian integer X + iY times 2^E (see ``_aligned``).  Infinities and
+    NaN have no such form and raise."""
+    (xs, x, xe, xb), (ys, y, ye, yb) = pair
+    if (not x and xb) or (not y and yb):  # a zero has bit count 0
+        raise DomainError("a Mellin value is not finite")
+    return _aligned(-x if xs else x, xe, -y if ys else y, ye)
+
+
+def _aligned(x: int, xe: int, y: int, ye: int) -> tuple[int, int, int]:
+    """x 2^xe + i y 2^ye as (X, Y, E), on the lower exponent.  A part
+    wholly more than 64 ``_GUARD`` bits below the other is dropped: it is
+    below the double range relative to the other, and aligning it would
+    build an integer of that many bits."""
+    if x and y:
+        gap = x.bit_length() + xe - y.bit_length() - ye
+        if gap > 64 * _GUARD:
+            y = 0
+        elif -gap > 64 * _GUARD:
+            x = 0
+    if not y:
+        return x, 0, xe
+    if not x:
+        return 0, y, ye
+    if xe <= ye:
+        return x, y << (ye - xe), xe
+    return x << (xe - ye), y, ye
+
+
+def _times(z, w) -> tuple[int, int, int]:
+    """The exact product of two (X, Y, E) values."""
+    (x, y, e), (u, v, k) = z, w
+    return x * u - y * v, x * v + y * u, e + k
+
+
+def _dot(rows, values) -> tuple[int, int, int]:
+    """The sum over rows (key, z) of z times values[key], all (X, Y, E)
+    values, as one (X, Y, E) value: exact when the terms' exponents span
+    at most ``_GUARD`` bits, and otherwise summed part by part (``_sum``),
+    so a point far outside the strip, where the powers p^(-e alpha) span
+    millions of bits, builds no huge integer."""
+    terms = []
+    for key, (a, b, f) in rows:
+        x, y, e = values[key]
+        terms.append((f + e, a * x - b * y, a * y + b * x))
+    if not terms:
+        return 0, 0, 0
+    low = min([term[0] for term in terms])
+    if max([term[0] for term in terms]) - low > _GUARD:
+        return _aligned(*_sum([(k, x) for k, x, _ in terms]),
+                        *_sum([(k, y) for k, _, y in terms]))
+    x = y = 0
+    for k, re, im in terms:
+        x += re << (k - low)
+        y += im << (k - low)
+    return x, y, low
+
+
+def _sum(parts: list) -> tuple[int, int]:
+    """The sum of m 2^k over parts (k, m) as (M, K), M 2^K.  A part wholly
+    more than ``_GUARD`` bits below the largest is dropped: it is under
+    2^-20 ulp of the largest, so the rounded sum stays within an ulp of the
+    exact one unless the kept parts cancel by nearly 20 bits.  Which parts
+    are kept does not depend on their order."""
+    parts = [(k + m.bit_length(), k, m) for k, m in parts if m]
+    if not parts:
+        return 0, 0
+    cut = max(parts)[0] - _GUARD
+    parts = [part for part in parts if part[0] > cut]
+    low = min([part[1] for part in parts])
+    return sum([m << (k - low) for _, k, m in parts]), low
+
+
+def _rounded(z, den: int) -> tuple:
+    """The raw pair of (X + iY) 2^E / den, z = (X, Y, E), each part rounded
+    once to the working precision."""
+    x, y, e = z
+    prec, rnd = _CTX._prec_rounding
+    return _quotient(x, e, den, prec, rnd), _quotient(y, e, den, prec, rnd)
+
+
+def _quotient(m: int, e: int, den: int, prec: int, rnd: str) -> tuple:
+    """The raw mpf m 2^e / den rounded once: a quotient of at least
+    prec + 2 bits with a sticky bit for a nonzero remainder rounds as the
+    exact value does."""
+    if den == 1:
+        return from_man_exp(m, e, prec, rnd)
+    shift = max(prec + 2 + den.bit_length() - m.bit_length(), 0)
+    q, r = divmod(abs(m) << shift, den)
+    q = q << 1 | (r != 0)
+    return from_man_exp(-q if m < 0 else q, e - shift - 1, prec, rnd)
+
+
+def _coefficient_rows(coeffs) -> tuple[int, list]:
+    """Exact (key, Cyclo) coefficients as (den, rows) over the stored roots
+    of unity: den is the coefficients' common denominator, and the row
+    (key, z) of a coefficient sum_j a_j e(j/n) / d holds the (X, Y, E)
+    value z of sum_j a_j (den / d) e(j/n), exactly."""
+    coords = [(key, c.coordinates()) for key, c in coeffs]
+    den = math.lcm(*(d for _, (_, d, _) in coords))
+    rows = []
+    for key, (n, d, numerators) in coords:
+        roots = [(a * (den // d), *_root(j, n)) for j, a in numerators.items()]
+        low = min([root[3] for root in roots])
+        rows.append((key, (sum([a * x << (e - low) for a, x, _, e in roots]),
+                           sum([a * y << (e - low) for a, _, y, e in roots]), low)))
+    return den, rows
 
 
 class _Table(dict):
@@ -98,16 +211,16 @@ class _Table(dict):
 class _StripPoint:
     """One argument s at the working precision and the values that depend
     on s alone, each computed when first asked and then kept: zeta(s) and
-    Gamma_R(s) as cached properties, the raw P_n(s) per degree n in
-    ``polys``, and per prime p the raw powers (p^-s)^e per exponent e in
-    ``powers[p]``.  A value whose computation raises is not stored: the
-    DomainError is raised again on every call, and the point's other values
-    still fill."""
+    Gamma_R(s) as cached properties, P_n(s) per degree n in ``polys``, and
+    per prime p the powers (p^-s)^e per exponent e in ``powers[p]``, both
+    tables holding (X, Y, E) values (``_gaussian``).  A value whose
+    computation raises is not stored: the DomainError is raised again on
+    every call, and the point's other values still fill."""
 
     def __init__(self, s):
         self.s = s
         self.in_pairing_domain = False  # phi_p's checks passed
-        self.polys = _Table(lambda n: _hermite_poly(n, s)._mpc_)
+        self.polys = _Table(lambda n: _gaussian(_hermite_poly(n, s)._mpc_))
         self.powers = _Table(lambda p: _power_row(_CTX.power(p, -s)))
 
     def __complex__(self):
@@ -137,7 +250,7 @@ class _StripPoint:
 
 
 def _power_row(u):
-    return _Table(lambda e: _CTX.power(u, e)._mpc_)
+    return _Table(lambda e: _gaussian(_CTX.power(u, e)._mpc_))
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -197,18 +310,12 @@ def gamma_fn(alpha: complex) -> complex:
     return complex(gamma_mp(alpha))
 
 
-def _cyclo_mp(c: Cyclo):
-    """An exact Cyclo in the working context: the sum of numerator / den
-    times e(j/n) over its integer coordinates, with no double in between."""
-    n, den, numerators = c.coordinates()
-    return _CTX.fsum(_CTX.mpf(a) / den * _root_mp(j, n) for j, a in numerators.items())
-
-
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _root_mp(j: int, n: int):
-    """The root of unity e(j/n) in the working context, computed once per
-    (j, n): coefficients share a few conductors, so few roots occur."""
-    return _CTX.expjpi(_CTX.mpf(2 * j) / n)
+def _root(j: int, n: int) -> tuple[int, int, int]:
+    """The root of unity e(j/n) in the working context, as (X, Y, E),
+    computed once per (j, n): coefficients share a few conductors, so few
+    roots occur."""
+    return _gaussian(_CTX.expjpi(_CTX.mpf(2 * j) / n)._mpc_)
 
 
 # ---------------------------------------------------------------------------
@@ -225,20 +332,16 @@ class LocalMellinFactor:
     coeffs: dict[int, Cyclo]
 
     @functools.cached_property
-    def _coeffs_mp(self) -> list:
-        """The exact coefficients in the working context, converted once."""
-        return [(e, _raw(_cyclo_mp(c))) for e, c in self.coeffs.items()]
+    def _rows(self) -> tuple[int, list]:
+        """The exact coefficients as integer rows, built once."""
+        return _coefficient_rows(self.coeffs.items())
 
     def evaluate_mp(self, alpha):
-        """sum_e coeffs[e] * u**e, multiplied and added in the order of
-        ``coeffs`` on raw (re, im) pairs at the working precision: the
-        operations ``mpc`` arithmetic runs, with one mpc made at the end."""
-        powers = _point(alpha).powers[self.prime]
-        prec, rnd = _CTX._prec_rounding
-        total = (fzero, fzero)
-        for e, c in self._coeffs_mp:
-            total = mpc_add(total, mpc_mul(c, powers[e], prec, rnd), prec, rnd)
-        return _CTX.make_mpc(total)
+        """sum_e coeffs[e] * u**e: one exact integer dot product of the
+        coefficient rows with the stored powers u**e, rounded once to the
+        working precision."""
+        den, rows = self._rows
+        return _CTX.make_mpc(_rounded(_dot(rows, _point(alpha).powers[self.prime]), den))
 
 
 def mellin_local(phi_p: PAdicTestFunction) -> LocalMellinFactor:
@@ -307,20 +410,17 @@ def mellin_real_mp(phi_inf: HermiteGaussian, alpha):
     Per even degree n the integral is Gamma_R(alpha) P_n(alpha), with P_n
     the integer polynomial of ``_hermite_poly``, so the sum of c_n
     P_n(alpha) is taken times Gamma_R once; odd degrees vanish by parity.
-    Gamma_R and each P_n are read off alpha's strip point.
+    Gamma_R and each P_n are read off alpha's strip point; the sum is one
+    exact integer dot product of the coefficient rows with the P_n, times
+    Gamma_R exactly, rounded once to the working precision.
     """
     point = _point(alpha)
-    gamma_r = point.gamma_r  # raises off the domain
+    gamma_r = _gaussian(point.gamma_r._mpc_)  # raises off the domain
     if phi_inf._mellin_real is None:
-        phi_inf._mellin_real = [
-            (n, _raw(_cyclo_mp(c))) for n, c in phi_inf.coeffs.items() if n % 2 == 0
-        ]
-    prec, rnd = _CTX._prec_rounding
-    polys = point.polys
-    total = (fzero, fzero)
-    for n, c in phi_inf._mellin_real:
-        total = mpc_add(total, mpc_mul(c, polys[n], prec, rnd), prec, rnd)
-    return _CTX.make_mpc(mpc_mul(gamma_r._mpc_, total, prec, rnd))
+        phi_inf._mellin_real = _coefficient_rows(
+            (n, c) for n, c in phi_inf.coeffs.items() if n % 2 == 0)
+    den, rows = phi_inf._mellin_real
+    return _CTX.make_mpc(_rounded(_times(gamma_r, _dot(rows, point.polys)), den))
 
 
 def _hermite_poly(n, s):
@@ -356,7 +456,9 @@ def phi_p(phi: ElementaryFunction, alpha: complex) -> complex:
     p^-alpha, the real factor continues through its gamma closed form, and
     ``zeta_mp`` covers zeta on the strip.  alpha = 0 and alpha = 1 are
     the simple poles of the assembly.  A product outside the double range
-    is a domain error, so no inf or NaN leaves this function.
+    is a domain error, so no inf or NaN leaves this function.  The factors'
+    working-precision values and zeta are multiplied as exact integers and
+    rounded once to a double.
     """
     point = _point(alpha)
     if not point.in_pairing_domain:
@@ -366,12 +468,12 @@ def phi_p(phi: ElementaryFunction, alpha: complex) -> complex:
         if s.real <= 0:
             raise DomainError("Phi is evaluated on Re alpha > 0")
         point.in_pairing_domain = True
-    prec, rnd = _CTX._prec_rounding
-    product = mellin_real_mp(phi.real_factor, point)._mpc_
+    z = _gaussian(mellin_real_mp(phi.real_factor, point)._mpc_)
     for f in phi.prime_factors.values():
-        product = mpc_mul(product, mellin_local(f).evaluate_mp(point)._mpc_, prec, rnd)
-    product = mpc_mul(product, _raw(zeta_mp(point)), prec, rnd)
-    value = mpc_to_complex(product, rnd=rnd)
+        z = _times(z, _gaussian(mellin_local(f).evaluate_mp(point)._mpc_))
+    x, y, e = _times(z, _gaussian(zeta_mp(point)._mpc_))
+    # from_man_exp without a precision is exact: to_float rounds once
+    value = mpc_to_complex((from_man_exp(x, e), from_man_exp(y, e)), rnd=_CTX._prec_rounding[1])
     if not cmath.isfinite(value):
         raise DomainError(f"Phi(alpha) at alpha = {alpha} is outside the double range")
     return value

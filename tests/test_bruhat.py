@@ -28,6 +28,8 @@ from adelic.mellin import mellin_local
 from adelic.padic import frac_part, reduce_mod, valuation
 from adelic.quadrature import panel_nodes, real_fourier_transform
 
+from cyclo_helpers import abs2
+
 F = Fraction
 
 
@@ -570,7 +572,7 @@ class TestExactSums:
     def chains(f):
         norm, integral = Cyclo(), Cyclo()
         for (ball, mod), c in f.terms.items():
-            norm = norm + c.abs2() * ball.measure
+            norm = norm + abs2(c) * ball.measure
             if mod == 0:
                 integral = integral + c * ball.measure
         return norm, integral

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
 
@@ -11,6 +12,7 @@ from adelic import cli
 from adelic.adeles import principal_adele, zero_adele
 from adelic.bruhat import parse_elementary
 from adelic.cli import build_parser, format_complex, main
+from adelic.cyclotomic import UnitPhase
 from adelic.mellin import phi_p
 
 
@@ -36,6 +38,38 @@ def test_norm_command():
     assert code == 0
     assert lines[0]["value"] == "1/4"
     assert lines[0]["pass"] is True
+
+
+def test_norm_is_checked_by_the_product_formula(monkeypatch):
+    # |r|_p against 1 over the product of r's other places; a norm one
+    # power of p off fails the row
+    for r, p, want in (("12", 2, "1/4"), ("250/7", 5, "1/125"), ("-9/8", 3, "1/9"),
+                       ("7", 3, "1"), ("0", 5, "0")):
+        code, lines, _ = run_cli("norm", f"-r={r}", "-p", str(p))
+        assert code == 0 and lines[0]["pass"] is True
+        assert lines[0]["value"] == lines[0]["expected"] == want
+    real_norm = cli.padic_norm
+    monkeypatch.setattr(cli, "padic_norm", lambda r, p: real_norm(r, p) / p)
+    code, lines, _ = run_cli("norm", "-r", "12", "-p", "2")
+    assert code == 1
+    assert lines[0]["pass"] is False
+    assert lines[0]["value"] == "1/8" and lines[0]["expected"] == "1/4"
+
+
+def test_chi_phase_is_checked_as_the_fractional_part(monkeypatch):
+    # the phase q of chi_p(r) must satisfy 0 <= q < 1, q in Z[1/p] and
+    # v_p(r - q) >= 0
+    for r, p, want in (("5/6", 2, "1/2"), ("5/6", 3, "1/3"), ("-7/250", 5, "59/125"),
+                       ("0", 5, "0"), ("12", 7, "0")):
+        code, lines, _ = run_cli("chi", f"-r={r}", "-p", str(p))
+        assert code == 0 and lines[0]["pass"] is True
+        assert lines[0]["value"] == lines[0]["expected"] == want
+    real_chi = cli.chi_p
+    for wrong in (F(1, 2), F(1, 3)):  # off by 1/p, and outside Z[1/p]
+        monkeypatch.setattr(cli, "chi_p", lambda r, p: real_chi(r, p) * UnitPhase(wrong))
+        code, lines, _ = run_cli("chi", "-r", "5/6", "-p", "2")
+        assert code == 1
+        assert lines[0]["pass"] is False
 
 
 def test_frac_command():

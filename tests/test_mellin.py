@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath.libmp import from_rational, to_rational
+from mpmath.libmp import from_rational, fzero, to_rational
 
 from adelic.bruhat import (
     Ball,
@@ -17,6 +17,7 @@ from adelic.bruhat import (
     vacuum_state,
 )
 from adelic.cyclotomic import Cyclo, phase
+from adelic import mellin
 from adelic.padic import valuation
 from adelic.mellin import (
     _CTX,
@@ -24,7 +25,7 @@ from adelic.mellin import (
     _hermite_poly,
     _point,
     _record,
-    _root_mp,
+    _root,
     LocalMellinFactor,
     euler_product_zeta,
     functional_equation_residual,
@@ -39,6 +40,89 @@ from adelic.mellin import (
 )
 
 F = Fraction
+
+
+# -- the exact reference: stored working-precision values as Fractions -------
+
+
+def exact(x):
+    """A working-context mpf or mpc as its exact (re, im) Fraction pair."""
+    raw = x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
+    return tuple(F(*to_rational(v)) for v in raw)
+
+
+def gaussian_value(z):
+    """An (X, Y, E) table entry as its exact (re, im) Fraction pair."""
+    x, y, e = z
+    scale = F(2) ** e
+    return x * scale, y * scale
+
+
+def cadd(z, w):
+    return z[0] + w[0], z[1] + w[1]
+
+
+def cmul(z, w):
+    return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
+
+
+def exact_cyclo(c):
+    """A Cyclo's value over the stored roots e(j/n), as an exact (re, im) pair."""
+    n, den, numerators = c.coordinates()
+    total = (F(0), F(0))
+    for j, a in numerators.items():
+        root = exact(_CTX.expjpi(_CTX.mpf(2 * j) / n))
+        total = cadd(total, (root[0] * F(a, den), root[1] * F(a, den)))
+    return total
+
+
+def stored_poly(n, s):
+    """P_n(s) = h_0 + s (h_2 + (s + 2) (h_4 + ...)) on exact Fractions,
+    rounded once to the working precision."""
+    h = hermite_coefficients(n)
+    x, y = (F(*to_rational(v)) for v in s._mpc_)
+    re, im = F(h[n // 2 * 2]), F(0)
+    for r in range(n // 2 - 1, -1, -1):
+        re, im = h[2 * r] + (x + 2 * r) * re - y * im, (x + 2 * r) * im + y * re
+    return rounded((re, im))
+
+
+def exact_local(f, s):
+    """sum_e c_e u^e exactly, over the stored roots and the stored powers
+    (p^-s)^e, recomputed without any memo."""
+    u = _CTX.power(f.prime, -s)
+    total = (F(0), F(0))
+    for e, c in mellin_local(f).coeffs.items():
+        total = cadd(total, cmul(exact_cyclo(c), exact(_CTX.power(u, e))))
+    return total
+
+
+def exact_real(h, s):
+    """Gamma_R(s) sum_n c_n P_n(s) exactly, over the stored Gamma_R(s),
+    P_n(s) and roots, recomputed without any memo."""
+    total = (F(0), F(0))
+    for n, c in h.coeffs.items():
+        if n % 2 == 0:
+            total = cadd(total, cmul(exact_cyclo(c), exact(stored_poly(n, s))))
+    return cmul(exact(_CTX.power(_CTX.pi, -s / 2) * _CTX.gamma(s / 2)), total)
+
+
+def rounded(z):
+    """An exact (re, im) pair correctly rounded to the working precision."""
+    prec, rnd = _CTX._prec_rounding
+    return _CTX.make_mpc(tuple(from_rational(v.numerator, v.denominator, prec, rnd)
+                               for v in z))
+
+
+def exact_phi_p(phi, alpha):
+    """The product of the correctly rounded factors and the stored zeta(s),
+    exactly, rounded once to a double."""
+    s = _CTX.mpc(alpha)
+    product = exact(rounded(exact_real(phi.real_factor, s)))
+    for f in phi.prime_factors.values():
+        product = cmul(product, exact(rounded(exact_local(f, s))))
+    product = cmul(product, exact(_CTX.zeta(s)))
+    return complex(float(product[0]), float(product[1]))
 
 
 class TestZeta:
@@ -176,8 +260,8 @@ class TestMemo:
         assert sorted(built) == [2, 3, 5]
 
     # the strip-point memo, and the roots of unity that coefficients are
-    # converted with
-    MEMOS = (_record, _root_mp)
+    # read over
+    MEMOS = (_record, _root)
     ALPHAS = (0.3 + 1.5j, 0.7 - 4j, 0.5, _CTX.mpf(1) / 3 + _CTX.mpc(0, 2))
 
     @staticmethod
@@ -190,46 +274,6 @@ class TestMemo:
             7: PAdicTestFunction(7, [(F(-2, 3), Ball(7, F(2), -1), 0), (1, Ball(7, F(0), 2), 0)]),
         })
 
-    @staticmethod
-    def _fresh_cyclo(c):
-        n, den, numerators = c.coordinates()
-        return _CTX.fsum(_CTX.mpf(a) / den * _CTX.expjpi(_CTX.mpf(2 * j) / n)
-                         for j, a in numerators.items())
-
-    def _fresh_local(self, f, s):
-        u = _CTX.power(f.prime, -s)
-        total = _CTX.mpc(0)
-        for e, c in mellin_local(f).coeffs.items():
-            total += self._fresh_cyclo(c) * _CTX.power(u, e)
-        return total
-
-    @staticmethod
-    def _fresh_poly(n, s):
-        # P_n(s) = h_0 + s (h_2 + (s + 2) (h_4 + ...)) on exact Fractions,
-        # rounded once to the working precision
-        h = hermite_coefficients(n)
-        x, y = (F(*to_rational(v)) for v in s._mpc_)
-        re, im = F(h[n // 2 * 2]), F(0)
-        for r in range(n // 2 - 1, -1, -1):
-            re, im = h[2 * r] + (x + 2 * r) * re - y * im, (x + 2 * r) * im + y * re
-        prec, rnd = _CTX._prec_rounding
-        return _CTX.make_mpc(tuple(from_rational(v.numerator, v.denominator, prec, rnd)
-                                   for v in (re, im)))
-
-    def _fresh_real(self, h, s):
-        total = _CTX.mpc(0)
-        for n, c in h.coeffs.items():
-            if n % 2 == 0:
-                total += self._fresh_cyclo(c) * self._fresh_poly(n, s)
-        return _CTX.power(_CTX.pi, -s / 2) * _CTX.gamma(s / 2) * total
-
-    def _fresh_phi_p(self, phi, alpha):
-        s = _CTX.mpc(alpha)
-        product = self._fresh_real(phi.real_factor, s)
-        for f in phi.prime_factors.values():
-            product *= self._fresh_local(f, s)
-        return complex(product * _CTX.zeta(s))
-
     def _values(self, phi):
         return ([phi_p(phi, a) for a in self.ALPHAS]
                 + [phi_p(phi.fourier(), 1 - a) for a in self.ALPHAS]
@@ -241,8 +285,8 @@ class TestMemo:
         assert all(memo.cache_info().currsize for memo in self.MEMOS)
         for memo in self.MEMOS:
             memo.cache_clear()
-        # the same function, whose 50-digit coefficients are kept, and a
-        # fresh one that converts them again
+        # the same function, whose coefficient rows are kept, and a fresh
+        # one that builds them again
         assert self._values(phi) == before
         assert self._values(self._function()) == before
 
@@ -250,10 +294,10 @@ class TestMemo:
         phi = self._function()
         for _ in range(2):
             for a in self.ALPHAS:
-                assert phi_p(phi, a) == self._fresh_phi_p(phi, a)
-                assert phi_p(phi.fourier(), 1 - a) == self._fresh_phi_p(phi.fourier(), 1 - a)
-                lhs = self._fresh_phi_p(phi, complex(a))
-                rhs = self._fresh_phi_p(phi.fourier(), 1 - complex(a))
+                assert phi_p(phi, a) == exact_phi_p(phi, a)
+                assert phi_p(phi.fourier(), 1 - a) == exact_phi_p(phi.fourier(), 1 - a)
+                lhs = exact_phi_p(phi, complex(a))
+                rhs = exact_phi_p(phi.fourier(), 1 - complex(a))
                 assert tate_check(phi, complex(a)) == abs(lhs - rhs)
 
     def test_real_factor_of_every_degree_equals_its_unmemoized_sum(self):
@@ -261,7 +305,7 @@ class TestMemo:
             h = HermiteGaussian([(n, F(n + 1, 3)) for n in degrees])
             for a in self.ALPHAS:
                 s = _CTX.mpc(a)
-                assert mellin_real_mp(h, a) == self._fresh_real(h, s), (degrees, a)
+                assert mellin_real_mp(h, a) == rounded(exact_real(h, s)), (degrees, a)
         # the r > 0 terms are present: H_4 = 16x^4 - 48x^2 + 12
         assert hermite_coefficients(4)[2] and hermite_coefficients(4)[4]
         # P_4(s) = 12 - 48 s + 16 s (s + 2)
@@ -276,8 +320,8 @@ class TestMemo:
         for _ in range(2):
             for arg in (fine, coarse):
                 s = _CTX.mpc(arg)
-                assert lf.evaluate_mp(arg) == self._fresh_local(phi.prime_factors[7], s)
-                assert mellin_real_mp(h, arg) == self._fresh_real(h, s)
+                assert lf.evaluate_mp(arg) == rounded(exact_local(phi.prime_factors[7], s))
+                assert mellin_real_mp(h, arg) == rounded(exact_real(h, s))
             assert lf.evaluate_mp(fine) != lf.evaluate_mp(coarse)
             assert mellin_real_mp(h, fine) != mellin_real_mp(h, coarse)
 
@@ -302,7 +346,7 @@ class TestMemo:
         phi = self._function()
         h = phi.real_factor
         for alpha, real_first in ((0.5 + 2000j, True), (0.25 - 2000j, False)):
-            want = self._fresh_real(h, _CTX.mpc(alpha))
+            want = rounded(exact_real(h, _CTX.mpc(alpha)))
             for _ in range(2):
                 if real_first:
                     assert mellin_real_mp(h, alpha) == want
@@ -322,11 +366,12 @@ class TestMemo:
                 assert point.zeta == _CTX.zeta(s)
                 assert point.gamma_r == _CTX.power(_CTX.pi, -s / 2) * _CTX.gamma(s / 2)
                 for n in (0, 2, 4, 10):
-                    assert _CTX.make_mpc(point.polys[n]) == self._fresh_poly(n, s), n
+                    assert gaussian_value(point.polys[n]) == exact(stored_poly(n, s)), n
                 for p in (2, 3, 7):
                     u = _CTX.power(p, -s)
                     for e in (-2, 0, 1, 3):
-                        assert _CTX.make_mpc(point.powers[p][e]) == _CTX.power(u, e), (p, e)
+                        want = exact(_CTX.power(u, e))
+                        assert gaussian_value(point.powers[p][e]) == want, (p, e)
         # a fine argument and its double are distinct records
         assert _point(fine).zeta != _point(coarse).zeta
         assert _point(fine).gamma_r != _point(coarse).gamma_r
@@ -404,12 +449,149 @@ def _stored(c):
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(padic_test_functions())
 def test_local_factor_equals_the_chain_of_adds_in_order(f):
-    # evaluate_mp sums the coefficients in key order, so the order is
-    # part of the value
+    # the coefficients keep the assembly's order; the Mellin values no
+    # longer depend on it, since evaluate_mp sums them exactly
     for g in (f, f.fourier()):
         got, want = mellin_local(g).coeffs, chain_local_factor(g)
         assert list(got) == list(want)
         assert [_stored(c) for c in got.values()] == [_stored(c) for c in want.values()]
+
+
+def assert_within_an_ulp(got, want):
+    """Each part of a working-precision mpc within one ulp of its exact
+    (re, im) value."""
+    for part, w in zip(got._mpc_, want):
+        sign, man, exp, bc = part
+        if not man:
+            assert w == 0
+        else:
+            assert abs(F(*to_rational(part)) - w) <= F(2) ** (exp + bc - _CTX.prec)
+
+
+def reference_phi_p(phi, alpha):
+    """Phi_P(alpha) at 400 bits: pi^(-s/2) sum_n c_n sum_r h_2r 2^r
+    Gamma(s/2 + r), each local factor's Laurent polynomial and zeta(s)."""
+    with mpmath.workprec(400):
+        s = mpmath.mpc(alpha)
+
+        def cyclo(c):
+            n, den, numerators = c.coordinates()
+            return mpmath.fsum(mpmath.mpf(a) / den * mpmath.expjpi(mpmath.mpf(2 * j) / n)
+                               for j, a in numerators.items())
+
+        real = mpmath.fsum(
+            cyclo(c) * mpmath.fsum(h[2 * r] * 2**r * mpmath.gamma(s / 2 + r)
+                                   for r in range(n // 2 + 1))
+            for n, c in phi.real_factor.coeffs.items() if n % 2 == 0
+            for h in [hermite_coefficients(n)])
+        product = mpmath.pi ** (-s / 2) * real * mpmath.zeta(s)
+        for f in phi.prime_factors.values():
+            u = mpmath.power(f.prime, -s)
+            product *= mpmath.fsum(cyclo(c) * u**e for e, c in mellin_local(f).coeffs.items())
+        return product
+
+
+@st.composite
+def real_factors(draw):
+    """Up to three Hermite degrees with Gaussian-rational coefficients."""
+    degrees = draw(st.lists(st.sampled_from((0, 1, 2, 4, 6)), min_size=1, max_size=3))
+    return HermiteGaussian([
+        (n, Cyclo(F(draw(st.integers(-5, 5)), draw(st.integers(1, 4))))
+         + phase(F(1, 4)) * draw(st.integers(-2, 2)))
+        for n in degrees])
+
+
+strip_alphas = st.builds(complex, st.floats(0.05, 3.0), st.floats(-6.0, 6.0))
+
+
+class TestExactDotProducts:
+    """A factor is one exact integer dot product rounded once, and Phi_P
+    one exact product rounded once to a double."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(padic_test_functions(), real_factors(), strip_alphas, st.booleans())
+    def test_factors_lie_within_an_ulp_of_the_exact_value(self, f, h, alpha, fine):
+        s = _CTX.mpc(alpha)
+        if fine:  # a 50-digit argument that is no double
+            s += _CTX.mpf(1) / 3 * 2.0**-40
+        for g in (f, f.fourier()):
+            assert_within_an_ulp(mellin_local(g).evaluate_mp(s), exact_local(g, s))
+        assert_within_an_ulp(mellin_real_mp(h, s), exact_real(h, s))
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(st.lists(padic_test_functions(), min_size=1, max_size=3), real_factors(),
+           strip_alphas)
+    def test_phi_p_is_within_2_52_of_a_400_bit_reference(self, factors, h, alpha):
+        phi = ElementaryFunction(h, {f.prime: f for f in factors})
+        got = phi_p(phi, alpha)
+        ref = reference_phi_p(phi, alpha)
+        assert abs(mpmath.mpc(got) - ref) <= 2.0**-52 * abs(ref)
+
+    def test_reordered_terms_leave_phi_p_and_tate_bit_identical(self):
+        # the same term dicts in another insertion order: the local factors'
+        # coefficients come in another order, and every value is the same
+        rng = random.Random(38)
+        alphas = [complex(rng.uniform(0.1, 0.9), rng.uniform(-5, 5)) for _ in range(4)]
+        reordered = 0
+        for _ in range(40):
+            factors, flipped = {}, {}
+            for p in rng.sample((2, 3, 5, 7), rng.randint(1, 3)):
+                f = PAdicTestFunction(p, [
+                    (Cyclo(F(rng.randint(-4, 4), rng.randint(1, 3)))
+                     + phase(F(1, 4)) * rng.randint(-2, 2),
+                     Ball(p, F(rng.randint(-6, 6), p ** rng.randint(0, 2)), rng.randint(-2, 2)),
+                     F(rng.randint(-6, 6), p ** rng.randint(0, 2)))
+                    for _ in range(rng.randint(1, 4))])
+                if f.is_zero():
+                    continue
+                g = PAdicTestFunction(p, [(c, ball, mod) for (ball, mod), c
+                                          in reversed(list(f.terms.items()))])
+                assert g.terms == f.terms
+                reordered += (list(mellin_local(g).coeffs) != list(mellin_local(f).coeffs)
+                              or list(mellin_local(g.fourier()).coeffs)
+                              != list(mellin_local(f.fourier()).coeffs))
+                factors[p], flipped[p] = f, g
+            real = [(n, F(rng.randint(-3, 3), rng.randint(1, 3))) for n in (0, 2, 4)]
+            phi = ElementaryFunction(HermiteGaussian(real), factors)
+            phi_r = ElementaryFunction(HermiteGaussian(real[::-1]), flipped)
+            for a in alphas:
+                # the factors are the same to the last of their 169 bits
+                for p, f in factors.items():
+                    for g, h, b in ((flipped[p], f, a), (flipped[p].fourier(), f.fourier(), 1 - a)):
+                        assert mellin_local(g).evaluate_mp(b) == mellin_local(h).evaluate_mp(b)
+                assert mellin_real_mp(phi_r.real_factor, a) == mellin_real_mp(phi.real_factor, a)
+                for got, want in ((phi_p(phi_r, a), phi_p(phi, a)),
+                                  (phi_p(phi_r.fourier(), 1 - a), phi_p(phi.fourier(), 1 - a))):
+                    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+                assert tate_check(phi_r, a).hex() == tate_check(phi, a).hex()
+        assert reordered >= 10
+
+    @pytest.mark.parametrize("gap", [1, 60, 120, 168, 200, 400])
+    def test_a_term_far_below_the_largest(self, gap):
+        # 1 + c u with u = 2^-gap at alpha = gap: within the working
+        # precision the small term is kept exactly; beyond the guard it is
+        # dropped from the real part, under an ulp, and the imaginary part,
+        # which only it makes, stays exact
+        c = phase(F(1, 3)) * F(1, 3)
+        got = LocalMellinFactor(2, {0: Cyclo(1), 1: c}).evaluate_mp(gap)
+        re, im = exact_cyclo(c)
+        assert_within_an_ulp(got, (1 + re * F(2) ** -gap, im * F(2) ** -gap))
+
+    def test_a_point_far_outside_the_strip_builds_no_huge_integer(self, monkeypatch):
+        # at alpha = 10^6, 2^(-5 alpha) lies 5 million bits below 1: the
+        # term is dropped, not shifted into a 5-million-bit integer
+        seen = []
+        rounded_once = mellin._rounded
+
+        def spy(z, den):
+            seen.append(max(abs(z[0]), abs(z[1])).bit_length())
+            return rounded_once(z, den)
+
+        monkeypatch.setattr(mellin, "_rounded", spy)
+        lf = LocalMellinFactor(2, {0: Cyclo(1), 5: Cyclo(1)})
+        assert lf.evaluate_mp(10**6) == 1
+        assert lf.evaluate_mp(-10**6) == _CTX.power(_CTX.power(2, 10**6), 5)
+        assert max(seen) <= 2 * _CTX.prec
 
 
 class TestLocalMellin:
