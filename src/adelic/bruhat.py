@@ -154,9 +154,11 @@ class PAdicTestFunction:
             rows: tuple[int, int, list] | None = None) -> "PAdicTestFunction":
         """The function of a checked prime with these canonical terms, or
         with the integer rows (pj, pm, rows) of ``_canonical_terms`` that
-        give them."""
-        out = cls(prime)
-        out._terms, out._rows = terms, rows
+        give them.  It is built without ``__init__``: the prime needs no
+        check and there is no public input to convert."""
+        out = object.__new__(cls)
+        out.prime, out._terms, out._rows = prime, terms, rows
+        out._fourier = out._mellin_local = None
         return out
 
     @property

@@ -6,6 +6,12 @@ JSON line per check: {"check", "inputs", "value", "expected", "abs_error",
 digits and rationals exactly, so identical inputs give byte-identical
 output.  Exit code 0 means every check passed, 1 means a failed or flagged
 check, 2 a usage error.
+
+A command that checks an identity of ``adelic suite`` builds its row from
+that identity's cell in ``suite``, the cell that the suite row folds over
+its grid: this module parses the arguments and prints, and holds no
+comparison and no tolerance of its own.  ``--tolerance``, where a command
+takes it, replaces the cell's tolerance, which is inclusive.
 """
 
 from __future__ import annotations
@@ -13,44 +19,34 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
-import math
 import sys
 import time
 from fractions import Fraction
 
-from .adeles import norm_product, principal_adele, principal_idele, zero_adele
-from .bruhat import PAdicTestFunction, parse_schwartz_bruhat
-from .characters import chi_p, chi_principal_phase
-from .cyclotomic import ONE_PHASE
-from .distributions import (
-    chi_distribution,
-    chi_quadratic_distribution,
-    delta_distribution,
-    pair,
-    pi_alpha_distribution,
-)
-from .gauss import (
-    calibrate_lambda_p,
-    gauss_integral_inf,
-    gauss_polar,
-    kernel_k,
-    kernel_k_polar,
-    lambda_p,
-    lambda_product_check,
-)
-from .integrate import Unstabilized
-from .mellin import functional_equation_residual, tate_check
-from .oscillator import eigen_check
+from .adeles import norm_product, principal_adele, principal_idele
+from .bruhat import parse_schwartz_bruhat
+from .characters import chi_p
+from .distributions import chi_quadratic_distribution, pi_alpha_distribution
+from .gauss import calibrate_lambda_p, lambda_p
 from .padic import _split, frac_part, from_rational, padic_norm, valuation
 from .primes import is_prime
-from .quadrature import fresnel_regularized, oracle_float
 from .suite import (
     ALL_CHECKS,
-    CHI_PAIRING_TOLERANCE,
     CheckReport,
+    chi_pairing_cell,
+    chi_principal_cell,
+    delta_cell,
     gauss_cell,
+    gauss_product_cell,
+    gauss_real_cell,
+    judged,
+    lambda_product_cell,
     make_report,
+    pairing_cell,
     run_suite,
+    tate_cell,
+    vacuum_cell,
+    zeta_fe_cell,
 )
 
 F = Fraction
@@ -167,20 +163,13 @@ def _phi(source: str):
         raise argparse.ArgumentTypeError(f"not a test function: {exc}") from exc
 
 
-def _inconclusive(check: str, inputs: dict, value, reason: str,
-                  t0: float) -> list[CheckReport]:
-    """The row of an oracle that gave no verdict: never a pass, and told
-    apart from a mismatch by its ``expected``."""
-    return [make_report(check, inputs, value, f"inconclusive: {reason}", t0, passed=False)]
-
-
 def cmd_norm(args) -> list[CheckReport]:
     t0 = time.perf_counter()
     value = padic_norm(args.r, args.p)
     # the product formula: |r|_p is 1 over the product of r's other places
     expected = 1 / norm_product(args.r, omit=args.p) if args.r else F(0)
-    return [make_report("padic-norm", {"r": str(args.r), "p": args.p}, value, expected,
-                        t0, passed=value == expected)]
+    return [make_report("padic-norm", {"r": str(args.r), "p": args.p},
+                        judged(value, expected, value == expected), t0)]
 
 
 def _is_frac_part(r: F, p: int, q: F) -> bool:
@@ -193,8 +182,8 @@ def _is_frac_part(r: F, p: int, q: F) -> bool:
 def cmd_frac(args) -> list[CheckReport]:
     t0 = time.perf_counter()
     q = frac_part(args.r, args.p)
-    return [make_report("frac-part", {"r": str(args.r), "p": args.p}, q, q, t0,
-                        passed=_is_frac_part(args.r, args.p, q))]
+    return [make_report("frac-part", {"r": str(args.r), "p": args.p},
+                        judged(q, q, _is_frac_part(args.r, args.p, q)), t0)]
 
 
 def cmd_chi(args) -> list[CheckReport]:
@@ -202,113 +191,66 @@ def cmd_chi(args) -> list[CheckReport]:
     if args.p is not None:
         # chi_p(r) = e({r}_p): its phase is the fractional part
         ph = chi_p(args.r, args.p).phase
-        return [make_report("chi-p", {"r": str(args.r), "p": args.p}, ph, ph, t0,
-                            passed=_is_frac_part(args.r, args.p, ph))]
-    ph = chi_principal_phase(args.r).phase
-    return [make_report("chi-principal", {"r": str(args.r)}, ph, F(0), t0,
-                        passed=ph == 0)]
+        return [make_report("chi-p", {"r": str(args.r), "p": args.p},
+                            judged(ph, ph, _is_frac_part(args.r, args.p, ph)), t0)]
+    return [make_report("chi-principal", {"r": str(args.r)}, chi_principal_cell(args.r), t0)]
 
 
 def cmd_pair(args) -> list[CheckReport]:
     t0 = time.perf_counter()
     if args.dist == "delta":
-        dist = delta_distribution()
+        cell = delta_cell(args.phi)
     elif args.dist == "chi":
-        dist = chi_distribution()
+        cell = chi_pairing_cell(args.phi)
     elif args.dist == "chi-quad":
-        dist = chi_quadratic_distribution(
+        cell = pairing_cell(chi_quadratic_distribution(
             principal_idele(args.a if args.a is not None else F(1)),
             principal_adele(args.b if args.b is not None else F(0)),
-        )
+        ), args.phi)
     elif args.dist == "pi-alpha":
-        dist = pi_alpha_distribution(args.alpha if args.alpha is not None else 2.0)
+        alpha = args.alpha if args.alpha is not None else 2.0
+        cell = pairing_cell(pi_alpha_distribution(alpha), args.phi)
     else:  # pragma: no cover - argparse restricts choices
         raise SystemExit(2)
-    inputs = {"dist": args.dist}
-    try:
-        value = pair(dist, args.phi)
-    except Unstabilized as exc:
-        return _inconclusive("pair", inputs, "n/a", str(exc), t0)
-    if args.dist == "chi":
-        # the oracle route against the Fourier calculus: (chi, phi) = phi-hat(1)
-        expected = args.phi.fourier().evaluate(principal_adele(1))
-        err = abs(value - expected)
-        return [make_report("pair", inputs, value, expected, t0,
-                            passed=err < CHI_PAIRING_TOLERANCE, error=err)]
-    if args.dist == "delta":
-        # sifting is exact: the same float as phi(0)
-        expected = args.phi.evaluate(zero_adele())
-        ok = value == expected
-        return [make_report("pair", inputs, value, expected, t0, passed=ok,
-                            error=0.0 if ok else abs(value - expected))]
-    return [make_report("pair", inputs, value, "n/a", t0, passed=True)]
+    return [make_report("pair", {"dist": args.dist}, cell, t0)]
 
 
 def cmd_gauss(args) -> list[CheckReport]:
     t0 = time.perf_counter()
     if args.p is None:
-        oracle_float("-a", args.a)
-        if args.a:
-            # |2a|^-1, the closed form's squared modulus, must be a double too
-            oracle_float("-a", 1 / abs(2 * args.a))
-        value = gauss_integral_inf(args.a, args.b)
-        oracle, est = fresnel_regularized(args.a, args.b)
-        err = abs(value - oracle)
-        inputs = {"a": str(args.a), "b": str(args.b)}
-        if err > args.tolerance and est > args.tolerance:
-            # the oracle's own estimate is over tolerance too: no verdict
-            return _inconclusive("gauss-real", inputs, value, "oracle did not converge", t0)
-        return [make_report("gauss-real", inputs, value, oracle, t0,
-                            passed=err <= args.tolerance, error=err)]
-    oracle, verdict = gauss_cell(args.p, args.a, args.b)
-    ph, m2 = gauss_polar(args.p, args.a, args.b)
-    value = ph.value * math.sqrt(m2)
-    inputs = {"p": args.p, "a": str(args.a), "b": str(args.b)}
-    if verdict == "inconclusive":
-        # an oracle over its coset budget gives no verdict either way
-        return _inconclusive("gauss-p", inputs, value, "oracle did not stabilize", t0)
-    expected = oracle.value.to_complex()
-    ok = verdict is None
-    return [make_report("gauss-p", inputs, value, expected, t0, passed=ok,
-                        error=0.0 if ok else abs(value - expected))]
+        return [make_report("gauss-real", {"a": str(args.a), "b": str(args.b)},
+                            gauss_real_cell(args.a, args.b, args.tolerance), t0)]
+    return [make_report("gauss-p", {"p": args.p, "a": str(args.a), "b": str(args.b)},
+                        gauss_cell(args.p, args.a, args.b), t0)]
 
 
 def cmd_product_check(args) -> list[CheckReport]:
     t0 = time.perf_counter()
-    a, b = principal_idele(args.a), principal_adele(args.b)
-    exact = kernel_k_polar(a, b) == (ONE_PHASE, 1)
     return [make_report("product-check", {"a": str(args.a), "b": str(args.b)},
-                        kernel_k(a, b), 1 + 0j, t0, passed=exact)]
+                        gauss_product_cell(args.a, args.b), t0)]
 
 
 def cmd_lambda_check(args) -> list[CheckReport]:
     t0 = time.perf_counter()
-    ph = lambda_product_check(args.a)
-    return [make_report("lambda-check", {"a": str(args.a)}, ph.value, 1 + 0j, t0,
-                        passed=ph == ONE_PHASE)]
+    return [make_report("lambda-check", {"a": str(args.a)}, lambda_product_cell(args.a), t0)]
 
 
 def cmd_mellin(args) -> list[CheckReport]:
     t0 = time.perf_counter()
-    total = pair(pi_alpha_distribution(args.alpha), args.phi)
-    return [make_report("mellin", {"alpha": format_complex(args.alpha)}, total, "n/a",
-                        t0, passed=True)]
+    return [make_report("mellin", {"alpha": format_complex(args.alpha)},
+                        pairing_cell(pi_alpha_distribution(args.alpha), args.phi), t0)]
 
 
 def cmd_tate(args) -> list[CheckReport]:
     t0 = time.perf_counter()
-    worst = 0.0
-    for _, elem in args.phi.elements:
-        worst = max(worst, tate_check(elem, args.alpha))
-    return [make_report("tate", {"alpha": format_complex(args.alpha)}, worst, 0.0, t0,
-                        passed=worst <= args.tolerance, error=worst)]
+    cell = tate_cell([e for _, e in args.phi.elements], args.alpha, args.tolerance)
+    return [make_report("tate", {"alpha": format_complex(args.alpha)}, cell, t0)]
 
 
 def cmd_zeta_fe(args) -> list[CheckReport]:
     t0 = time.perf_counter()
-    residual = functional_equation_residual(args.alpha)
-    return [make_report("zeta-fe", {"alpha": format_complex(args.alpha)}, residual,
-                        0.0, t0, passed=residual <= args.tolerance, error=residual)]
+    return [make_report("zeta-fe", {"alpha": format_complex(args.alpha)},
+                        zeta_fe_cell(args.alpha, args.tolerance), t0)]
 
 
 def cmd_oscillator_check(args) -> list[CheckReport]:
@@ -317,12 +259,8 @@ def cmd_oscillator_check(args) -> list[CheckReport]:
     samples = args.samples or [F(0), F(1), F(1, args.p), F(args.p)]
     inputs = {"p": args.p, "t": str(args.t), "precision": args.precision,
               "energy": str(args.energy)}
-    try:
-        dev = eigen_check(args.p, t, PAdicTestFunction.omega(args.p), args.energy, samples)
-    except Unstabilized as exc:
-        return _inconclusive("oscillator-check", inputs, "n/a", str(exc), t0)
-    return [make_report("oscillator-check", inputs, dev, 0.0, t0,
-                        passed=dev <= args.tolerance, error=dev)]
+    return [make_report("oscillator-check", inputs,
+                        vacuum_cell(args.p, t, args.energy, samples, args.tolerance), t0)]
 
 
 def cmd_calibrate_lambda(args) -> list[CheckReport]:
@@ -334,10 +272,9 @@ def cmd_calibrate_lambda(args) -> list[CheckReport]:
         reports.append(make_report(
             "calibrate-lambda",
             {"p": args.p, "a": str(a)},
-            format_complex(measured.to_complex()),
-            format_complex(frozen.to_complex()),
+            judged(format_complex(measured.to_complex()), format_complex(frozen.to_complex()),
+                   measured == frozen),
             t0,
-            passed=measured == frozen,
         ))
         t0 = time.perf_counter()
     return reports
@@ -354,9 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, tol=None):
-        if tol is not None:  # the commands that compare floats
-            sp.add_argument("--tolerance", type=_tolerance, default=tol)
+    def common(sp, tolerance=False):
+        if tolerance:  # the commands that compare floats; None: the cell's own
+            sp.add_argument("--tolerance", type=_tolerance, default=None)
         sp.add_argument("--timings", action="store_true",
                         help="include runtime_ms (breaks byte-determinism)")
 
@@ -393,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-p", type=_prime, default=None, help="prime; omit for the real place")
     sp.add_argument("-a", type=_rational, required=True)
     sp.add_argument("-b", type=_rational, default=F(0))
-    common(sp, tol=1e-6)
+    common(sp, tolerance=True)
     sp.set_defaults(fn=cmd_gauss)
 
     sp = sub.add_parser("product-check", help="adelic Gauss product formula")
@@ -416,12 +353,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("tate", help="Tate formula residual")
     sp.add_argument("--phi", type=_phi, required=True)
     sp.add_argument("--alpha", type=_alpha, required=True)
-    common(sp, tol=1e-6)
+    common(sp, tolerance=True)
     sp.set_defaults(fn=cmd_tate)
 
     sp = sub.add_parser("zeta-fe", help="Riemann functional equation residual")
     sp.add_argument("--alpha", type=_alpha, required=True)
-    common(sp, tol=1e-10)
+    common(sp, tolerance=True)
     sp.set_defaults(fn=cmd_zeta_fe)
 
     sp = sub.add_parser("oscillator-check", help="p-adic vacuum invariance")
@@ -431,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--energy", type=_rational, default=F(0))
     sp.add_argument("--samples", type=_rationals, default=None,
                     help="comma-separated rational sample points")
-    common(sp, tol=0.0)
+    common(sp, tolerance=True)
     sp.set_defaults(fn=cmd_oscillator_check)
 
     sp = sub.add_parser("calibrate-lambda", help="re-derive the lambda table")

@@ -1,19 +1,25 @@
-"""The acceptance grid as reusable check runners.
+"""The acceptance grid as reusable check runners, judged cell by cell.
 
-Each runner produces ``CheckReport`` rows that the CLI emits as JSON lines
-and the test suite asserts on.  Tolerances are pinned here, next to the
-checks, and every expected value is either exact or produced by an
-independent oracle (residue sums, quadrature, higher-precision series).
+A *cell* judges one input of one identity: its value, the reference it is
+checked against, their error and a verdict, "pass", "mismatch" or
+"inconclusive" (an oracle that did not stabilize or converge gives no
+verdict either way).  Every identity that the CLI checks too has one cell
+function here and, if it compares floats, one tolerance: the CLI row is one
+cell, and the suite row folds the cells of a seeded grid (``fold``).  A
+float cell passes when its error is at most its tolerance.  Every expected
+value is either exact or produced by an independent oracle (residue sums,
+quadrature, higher-precision series).
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .adeles import norm_product, principal_adele, principal_idele
+from .adeles import norm_product, principal_adele, principal_idele, zero_adele
 from .bruhat import (
     Ball,
     ElementaryFunction,
@@ -28,10 +34,11 @@ from .gauss import (
     class_representatives,
     gauss_integral_inf,
     gauss_integral_p_exact,
+    gauss_polar,
     kernel_k_polar,
     lambda_product_check,
 )
-from .integrate import QpIntegral, integrate_qp
+from .integrate import Unstabilized, integrate_qp
 from .mellin import (
     functional_equation_residual,
     gamma_fn,
@@ -49,15 +56,19 @@ from .oscillator import (
     vacuum_fourier_check,
 )
 from .padic import from_rational
-from .quadrature import fresnel_regularized
+from .quadrature import fresnel_regularized, oracle_float
 
 F = Fraction
 
 SEED = 20260810
 
-# the bound on |(chi, phi) - phi-hat(1)|, the oracle route against the
-# Fourier calculus (the suite row and ``adelic pair --dist chi``)
-CHI_PAIRING_TOLERANCE = 1e-10
+# the tolerances of the float identities, each read by the identity's suite
+# row and by its CLI row unless ``--tolerance`` is given
+GAUSS_REAL_TOLERANCE = 1e-6  # |closed form - Fresnel oracle| at the real place
+TATE_TOLERANCE = 1e-6  # the Tate formula residual
+ZETA_FE_TOLERANCE = 1e-10  # the Riemann functional equation residual
+VACUUM_TOLERANCE = 0.0  # the p-adic vacuum's deviation from U(t)-invariance
+CHI_PAIRING_TOLERANCE = 1e-10  # |(chi, phi) - phi-hat(1)|
 
 
 @dataclass
@@ -71,38 +82,186 @@ class CheckReport:
     runtime_ms: float = 0.0
 
 
-def make_report(check: str, inputs: dict, value, expected, t0: float, *,
-                passed: bool, error: float | None = None) -> CheckReport:
-    """The one constructor of report rows, timed from ``t0``.
+@dataclass(frozen=True)
+class Cell:
+    """One judged input: an inconclusive cell's ``expected`` reads
+    "inconclusive: <reason>" and its error is inf."""
 
-    The caller decides ``passed`` with the row's own comparison.  Without an
-    ``error`` the row is exact: its error is 0.0 on pass and inf on fail.
-    """
+    value: object
+    expected: object
+    error: float
+    verdict: str  # "pass", "mismatch" or "inconclusive"
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict == "pass"
+
+
+def judged(value, expected, ok: bool, error: float | None = None) -> Cell:
+    """The cell of a comparison made by the caller.  Without an ``error``
+    it is exact: its error is 0.0 on pass and inf on mismatch."""
     if error is None:
-        error = 0.0 if passed else float("inf")
-    return CheckReport(check, inputs, value, expected, error, passed,
+        error = 0.0 if ok else math.inf
+    return Cell(value, expected, error, "pass" if ok else "mismatch")
+
+
+def _within(value, expected, error: float, tolerance: float) -> Cell:
+    return judged(value, expected, error <= tolerance, error)
+
+
+def _inconclusive(value, reason: str) -> Cell:
+    return Cell(value, f"inconclusive: {reason}", math.inf, "inconclusive")
+
+
+def make_report(check: str, inputs: dict, cell: Cell, t0: float) -> CheckReport:
+    """The one constructor of report rows: a judged cell, timed from ``t0``."""
+    return CheckReport(check, inputs, cell.value, cell.expected, cell.error, cell.passed,
                        (time.perf_counter() - t0) * 1000.0)
+
+
+def fold(check: str, inputs: dict, cells, expected: str, passing: str,
+         t0: float) -> CheckReport:
+    """One suite row from the (label, cell) pairs of an identity's grid.
+
+    The row passes when every cell passes, and its value is then
+    ``passing`` formatted with the worst error.  Otherwise the value names
+    the first cell that did not pass, "mismatch at <label>" or
+    "inconclusive at <label>".  The row's error is the worst cell error.
+    """
+    first, worst = None, 0.0
+    for label, cell in cells:
+        worst = max(worst, cell.error)
+        if first is None and not cell.passed:
+            first = f"{cell.verdict} at {label}"
+    return make_report(check, inputs,
+                       judged(first or passing.format(worst), expected, first is None, worst), t0)
+
+
+def _at_most(tolerance: float) -> str:
+    return f"<= {tolerance:g}".replace("e-0", "e-")
+
+
+# -- the cells of the identities that the CLI checks too ------------------------
+
+
+def chi_principal_cell(r: Fraction) -> Cell:
+    """chi is trivial on principal adeles: the phase of chi(r) is exactly 0."""
+    ph = chi_principal_phase(r).phase
+    return judged(ph, F(0), ph == 0)
+
+
+def gauss_cell(p: int, a: Fraction, b: Fraction) -> Cell:
+    """int_{Q_p} chi_p(a x^2 + b x) dx: the closed form, read from its
+    exact polar form, against the residue oracle.  The exact cyclotomic
+    closed form, whose sqrt(p) is a p-term sum, is built only to compare
+    with an oracle that stabilized."""
+    oracle = integrate_qp(p, quad=(a, b))
+    ph, m2 = gauss_polar(p, a, b)
+    value = ph.value * math.sqrt(m2)
+    if not oracle.stabilized:
+        return _inconclusive(value, "oracle did not stabilize")
+    expected = oracle.value.to_complex()
+    ok = oracle.value == gauss_integral_p_exact(p, a, b)
+    return judged(value, expected, ok, 0.0 if ok else abs(value - expected))
+
+
+def gauss_real_cell(a, b, tolerance: float | None = None) -> Cell:
+    """int_R chi_inf(a x^2 + b x) dx: the closed form against the Fresnel
+    oracle.  A deviation over tolerance with the oracle's own estimate over
+    it too is inconclusive: the oracle has not converged."""
+    tolerance = GAUSS_REAL_TOLERANCE if tolerance is None else tolerance
+    oracle_float("-a", a)
+    if a:
+        # |2a|^-1, the closed form's squared modulus, must be a double too
+        oracle_float("-a", 1 / abs(2 * a))
+    value = gauss_integral_inf(a, b)
+    oracle, est = fresnel_regularized(a, b)
+    err = abs(value - oracle)
+    if err > tolerance and est > tolerance:
+        return _inconclusive(value, "oracle did not converge")
+    return _within(value, oracle, err, tolerance)
+
+
+def gauss_product_cell(a: Fraction, b: Fraction) -> Cell:
+    """The adelic Gauss product formula K(a, b) = 1 on principal a != 0
+    and b, exact in polar form."""
+    ph, m2 = kernel_k_polar(principal_idele(a), principal_adele(b))
+    return judged(ph.value * math.sqrt(m2), 1 + 0j, (ph, m2) == (ONE_PHASE, 1))
+
+
+def lambda_product_cell(a: Fraction) -> Cell:
+    """The lambda product over all places, the phase of K(a, 0), is 1."""
+    ph = lambda_product_check(a)
+    return judged(ph.value, 1 + 0j, ph == ONE_PHASE)
+
+
+def tate_cell(functions, alpha: complex, tolerance: float | None = None) -> Cell:
+    """The worst Tate formula residual of elementary functions at alpha."""
+    worst = max((tate_check(f, alpha) for f in functions), default=0.0)
+    return _within(worst, 0.0, worst, TATE_TOLERANCE if tolerance is None else tolerance)
+
+
+def zeta_fe_cell(alpha: complex, tolerance: float | None = None) -> Cell:
+    """The residual of the Riemann functional equation at alpha."""
+    residual = functional_equation_residual(alpha)
+    return _within(residual, 0.0, residual,
+                   ZETA_FE_TOLERANCE if tolerance is None else tolerance)
+
+
+def vacuum_cell(p: int, t, energy: Fraction, samples: list[Fraction],
+                tolerance: float | None = None) -> Cell:
+    """The p-adic vacuum Omega_p against U(t) Omega_p = chi_p(E t) Omega_p
+    at the samples (``oscillator.eigen_check``)."""
+    try:
+        dev = eigen_check(p, t, PAdicTestFunction.omega(p), energy, samples)
+    except Unstabilized as exc:
+        return _inconclusive("n/a", str(exc))
+    return _within(dev, 0.0, dev, VACUUM_TOLERANCE if tolerance is None else tolerance)
+
+
+def pairing_cell(dist, phi, reference=None, tolerance: float = 0.0) -> Cell:
+    """(dist, phi) against ``reference()`` within ``tolerance``.  With no
+    reference the pairing is only computed and expects "n/a": the Mellin
+    pairing of ``mellin`` and ``pair --dist pi-alpha``, and ``chi-quad``."""
+    try:
+        value = pair(dist, phi)
+    except Unstabilized as exc:
+        return _inconclusive("n/a", str(exc))
+    if reference is None:
+        return judged(value, "n/a", True)
+    expected = reference()
+    return _within(value, expected, abs(value - expected), tolerance)
+
+
+def chi_pairing_cell(phi) -> Cell:
+    """The oracle route against the Fourier calculus: (chi, phi) = phi-hat(1)."""
+    return pairing_cell(chi_distribution(), phi,
+                        lambda: phi.fourier().evaluate(principal_adele(1)),
+                        CHI_PAIRING_TOLERANCE)
+
+
+def delta_cell(phi) -> Cell:
+    """Sifting is exact: (delta, phi) is the same float as phi(0)."""
+    return pairing_cell(delta_distribution(), phi, lambda: phi.evaluate(zero_adele()))
 
 
 # -- 1. norm product formula -------------------------------------------------
 
 
-def _first_failing_rational(holds) -> Fraction | None:
-    """The first of 1000 seeded nonzero rationals r without holds(r)."""
+def _seeded_rationals():
+    """1000 seeded nonzero rationals, labelled."""
     rng = random.Random(SEED)
     for _ in range(1000):
         r = F(rng.randint(1, 10**6) * rng.choice([-1, 1]), rng.randint(1, 10**6))
-        if not holds(r):
-            return r
-    return None
+        yield f"r={r}", r
 
 
 def norm_product_checks() -> list[CheckReport]:
     t0 = time.perf_counter()
-    worst = _first_failing_rational(lambda r: norm_product(r) == 1)
-    return [make_report("norm-product-formula", {"count": 1000, "seed": SEED},
-                        "1 (exact)" if worst is None else f"failed at r={worst}",
-                        "1", t0, passed=worst is None)]
+    cells = ((label, judged(None, None, norm_product(r) == 1))
+             for label, r in _seeded_rationals())
+    return [fold("norm-product-formula", {"count": 1000, "seed": SEED}, cells,
+                 "1", "1 (exact)", t0)]
 
 
 # -- 2. principal character triviality ----------------------------------------
@@ -110,51 +269,23 @@ def norm_product_checks() -> list[CheckReport]:
 
 def chi_principal_checks() -> list[CheckReport]:
     t0 = time.perf_counter()
-    worst = _first_failing_rational(lambda r: chi_principal_phase(r).phase == 0)
-    return [make_report("chi-principal-trivial", {"count": 1000, "seed": SEED},
-                        "phase 0 (exact)" if worst is None else f"failed at r={worst}",
-                        "phase 0", t0, passed=worst is None)]
+    cells = ((label, chi_principal_cell(r)) for label, r in _seeded_rationals())
+    return [fold("chi-principal-trivial", {"count": 1000, "seed": SEED}, cells,
+                 "phase 0", "phase 0 (exact)", t0)]
 
 
 # -- 3. Gauss closed form vs oracle -------------------------------------------
-
-
-def gauss_cell(p: int, a: Fraction, b: Fraction) -> tuple[QpIntegral, str | None]:
-    """One Gauss cell: the residue oracle on int chi_p(a x^2 + b x) dx
-    against the exact closed form.  Returns the oracle's integral and
-    None on exact agreement, "inconclusive" when the oracle did not
-    stabilize (the closed form, whose sqrt(p) is a p-term sum, is then
-    not built) or "mismatch"."""
-    oracle = integrate_qp(p, quad=(a, b))
-    if not oracle.stabilized:
-        return oracle, "inconclusive"
-    if oracle.value != gauss_integral_p_exact(p, a, b):
-        return oracle, "mismatch"
-    return oracle, None
 
 
 def gauss_grid_checks() -> list[CheckReport]:
     out = []
     for p in (2, 3, 5, 7, 11, 13):
         t0 = time.perf_counter()
-        bad = None
         grid = [(a, b) for a in class_representatives(p)
                 for b in (F(0), F(1), F(1, p), F(3, p * p))]
-        for cells, (a, b) in enumerate(grid, 1):
-            _, verdict = gauss_cell(p, a, b)
-            if verdict is not None:
-                bad = f"{verdict} at {(a, b)}"
-                break
-        out.append(
-            make_report(
-                f"gauss-oracle-p{p}",
-                {"p": p, "cells": cells},
-                bad or "exact agreement",
-                "exact agreement",
-                t0,
-                passed=bad is None,
-            )
-        )
+        cells = (((a, b), gauss_cell(p, a, b)) for a, b in grid)
+        out.append(fold(f"gauss-oracle-p{p}", {"p": p, "cells": len(grid)}, cells,
+                        "exact agreement", "exact agreement", t0))
     out.append(gauss_real_check())
     return out
 
@@ -163,20 +294,10 @@ def gauss_real_check() -> CheckReport:
     """The real row of the Gauss grid: the Fresnel oracle against the closed
     form on 12 (a, b) pairs."""
     t0 = time.perf_counter()
-    worst = 0.0
-    for a in (1.0, -1.0, 2.0, 0.5):
-        for b in (0.0, 1.0, 0.5):
-            oracle, _ = fresnel_regularized(a, b)
-            worst = max(worst, abs(oracle - gauss_integral_inf(a, b)))
-    return make_report(
-        "gauss-oracle-real",
-        {"cases": 12},
-        f"max deviation {worst:.3e}",
-        "<= 1e-6",
-        t0,
-        passed=worst <= 1e-6,
-        error=worst,
-    )
+    cells = (((a, b), gauss_real_cell(a, b))
+             for a in (1.0, -1.0, 2.0, 0.5) for b in (0.0, 1.0, 0.5))
+    return fold("gauss-oracle-real", {"cases": 12}, cells,
+                _at_most(GAUSS_REAL_TOLERANCE), "max deviation {:.3e}", t0)
 
 
 # -- 4. product formulas -------------------------------------------------------
@@ -184,23 +305,24 @@ def gauss_real_check() -> CheckReport:
 
 def product_formula_checks() -> list[CheckReport]:
     rng = random.Random(SEED)
+
+    def products():
+        for _ in range(100):
+            a = F(rng.randint(1, 60) * rng.choice([-1, 1]), rng.randint(1, 60))
+            b = F(rng.randint(0, 60) * rng.choice([-1, 1]), rng.randint(1, 60))
+            yield f"a={a}, b={b}", gauss_product_cell(a, b)
+
+    def lambdas():
+        for _ in range(100):
+            a = F(rng.randint(1, 80) * rng.choice([-1, 1]), rng.randint(1, 80))
+            yield f"a={a}", lambda_product_cell(a)
+
     t0 = time.perf_counter()
-    bad = None
-    for _ in range(100):
-        a = F(rng.randint(1, 60) * rng.choice([-1, 1]), rng.randint(1, 60))
-        b = F(rng.randint(0, 60) * rng.choice([-1, 1]), rng.randint(1, 60))
-        if kernel_k_polar(principal_idele(a), principal_adele(b)) != (ONE_PHASE, 1):
-            bad = bad or f"failed at a={a}, b={b}"
-    out = [make_report("gauss-product-formula", {"count": 100, "seed": SEED},
-                       bad or "1 (exact)", "1", t0, passed=bad is None)]
+    out = [fold("gauss-product-formula", {"count": 100, "seed": SEED}, products(),
+                "1", "1 (exact)", t0)]
     t0 = time.perf_counter()
-    bad = None
-    for _ in range(100):
-        a = F(rng.randint(1, 80) * rng.choice([-1, 1]), rng.randint(1, 80))
-        if lambda_product_check(a) != ONE_PHASE:
-            bad = bad or f"failed at a={a}"
-    out.append(make_report("lambda-product-formula", {"count": 100, "seed": SEED},
-                           bad or "1 (exact)", "1", t0, passed=bad is None))
+    out.append(fold("lambda-product-formula", {"count": 100, "seed": SEED}, lambdas(),
+                    "1", "1 (exact)", t0))
     return out
 
 
@@ -233,27 +355,16 @@ def fourier_checks() -> list[CheckReport]:
         if f.l2_norm_sq() != f.fourier().l2_norm_sq():
             bad = ("plancherel", i)
             break
-    rep1 = make_report(
-        "fourier-involution-plancherel",
-        {"count": 100, "seed": SEED},
-        "exact" if bad is None else f"failed: {bad}",
-        "exact",
-        t0,
-        passed=bad is None,
-    )
+    rep1 = make_report("fourier-involution-plancherel", {"count": 100, "seed": SEED},
+                       judged("exact" if bad is None else f"failed: {bad}", "exact",
+                              bad is None), t0)
     t0 = time.perf_counter()
     ok = all(
         PAdicTestFunction.omega(p).fourier() == PAdicTestFunction.omega(p)
         for p in (2, 3, 5, 7, 11)
     )
-    rep2 = make_report(
-        "omega-self-dual",
-        {"primes": [2, 3, 5, 7, 11]},
-        "exact" if ok else "failed",
-        "exact",
-        t0,
-        passed=ok,
-    )
+    rep2 = make_report("omega-self-dual", {"primes": [2, 3, 5, 7, 11]},
+                       judged("exact" if ok else "failed", "exact", ok), t0)
     return [rep1, rep2]
 
 
@@ -284,22 +395,11 @@ def tate_checks() -> list[CheckReport]:
     alphas = [
         complex(rng.uniform(0.1, 0.9), rng.uniform(-5, 5)) for _ in range(10)
     ]
-    worst = 0.0
-    for _ in range(20):
-        phi = _random_elementary(rng)
-        for alpha in alphas:
-            worst = max(worst, tate_check(phi, alpha))
-    return [
-        make_report(
-            "tate-formula",
-            {"functions": 20, "alphas": 10, "seed": SEED},
-            f"max residual {worst:.3e}",
-            "< 1e-6",
-            t0,
-            passed=worst < 1e-6,
-            error=worst,
-        )
-    ]
+    cells = ((f"phi {i}, alpha {alpha}", tate_cell([phi], alpha))
+             for i, phi in enumerate(_random_elementary(rng) for _ in range(20))
+             for alpha in alphas)
+    return [fold("tate-formula", {"functions": 20, "alphas": 10, "seed": SEED}, cells,
+                 _at_most(TATE_TOLERANCE), "max residual {:.3e}", t0)]
 
 
 # -- 7. Riemann functional equation ----------------------------------------------
@@ -308,30 +408,14 @@ def tate_checks() -> list[CheckReport]:
 def functional_equation_checks() -> list[CheckReport]:
     rng = random.Random(SEED)
     t0 = time.perf_counter()
-    worst = 0.0
-    for _ in range(20):
-        alpha = complex(rng.uniform(0.05, 0.95), rng.uniform(-5, 5))
-        worst = max(worst, functional_equation_residual(alpha))
-    rep1 = make_report(
-        "zeta-functional-equation",
-        {"count": 20, "seed": SEED},
-        f"max residual {worst:.3e}",
-        "< 1e-10",
-        t0,
-        passed=worst < 1e-10,
-        error=worst,
-    )
+    alphas = (complex(rng.uniform(0.05, 0.95), rng.uniform(-5, 5)) for _ in range(20))
+    rep1 = fold("zeta-functional-equation", {"count": 20, "seed": SEED},
+                ((f"alpha {alpha}", zeta_fe_cell(alpha)) for alpha in alphas),
+                _at_most(ZETA_FE_TOLERANCE), "max residual {:.3e}", t0)
     t0 = time.perf_counter()
     z = abs(zeta(0.5 + 14.134725j))
-    rep2 = make_report(
-        "zeta-first-zero-probe",
-        {"alpha": "0.5 + 14.134725i"},
-        f"|zeta| = {z:.3e}",
-        "< 1e-3",
-        t0,
-        passed=z < 1e-3,
-        error=z,
-    )
+    rep2 = make_report("zeta-first-zero-probe", {"alpha": "0.5 + 14.134725i"},
+                       judged(f"|zeta| = {z:.3e}", "< 1e-3", z < 1e-3, z), t0)
     return [rep1, rep2]
 
 
@@ -339,8 +423,6 @@ def functional_equation_checks() -> list[CheckReport]:
 
 
 def vacuum_mellin_checks() -> list[CheckReport]:
-    import math
-
     t0 = time.perf_counter()
     psi0 = vacuum_state()
     consts = []
@@ -349,17 +431,13 @@ def vacuum_mellin_checks() -> list[CheckReport]:
         consts.append(phi_p(psi0, alpha) / denom)
     c0 = consts[0]
     spread = max(abs(c - c0) / abs(c0) for c in consts)
-    return [
-        make_report(
-            "vacuum-mellin-constant",
-            {"alphas": [2, 3, 4]},
-            f"measured c = {c0.real:.12f} (2^0.25 = {2**0.25:.12f}), spread {spread:.2e}",
-            "single constant within 1e-8 relative",
-            t0,
-            passed=spread < 1e-8,
-            error=spread,
-        )
-    ]
+    return [make_report(
+        "vacuum-mellin-constant",
+        {"alphas": [2, 3, 4]},
+        judged(f"measured c = {c0.real:.12f} (2^0.25 = {2**0.25:.12f}), spread {spread:.2e}",
+               "single constant within 1e-8 relative", spread < 1e-8, spread),
+        t0,
+    )]
 
 
 # -- 9. oscillator -------------------------------------------------------------------
@@ -376,61 +454,34 @@ def oscillator_checks() -> list[CheckReport]:
             ident = s * s + c * c
             if not ident.congruent(from_rational(1, p, ident.precision)):
                 bad = (p, tval)
-    out.append(
-        make_report(
-            "oscillator-trig-identity",
-            {"primes": [3, 5, 7], "precision": 12},
-            "exact mod p^N" if bad is None else f"failed {bad}",
-            "exact",
-            t0,
-            passed=bad is None,
-        )
-    )
+    out.append(make_report(
+        "oscillator-trig-identity", {"primes": [3, 5, 7], "precision": 12},
+        judged("exact mod p^N" if bad is None else f"failed {bad}", "exact", bad is None),
+        t0,
+    ))
     t0 = time.perf_counter()
-    worst = 0.0
-    for p in (3, 5, 7):
-        t = from_rational(p, p, 10)
-        dev = eigen_check(
-            p, t, PAdicTestFunction.omega(p), F(0), [F(1, p), F(1), F(p), F(0)]
-        )
-        worst = max(worst, dev)
-    out.append(
-        make_report(
-            "oscillator-vacuum-invariance",
-            {"primes": [3, 5, 7], "|t|": "1/p"},
-            f"max deviation {worst}",
-            "exactly 0",
-            t0,
-            passed=worst == 0.0,
-            error=worst,
-        )
-    )
+    cells = ((f"p={p}", vacuum_cell(p, from_rational(p, p, 10), F(0),
+                                    [F(1, p), F(1), F(p), F(0)]))
+             for p in (3, 5, 7))
+    out.append(fold("oscillator-vacuum-invariance", {"primes": [3, 5, 7], "|t|": "1/p"},
+                    cells, "exactly 0", "max deviation {}", t0))
     t0 = time.perf_counter()
     exact_ok, sup_err = vacuum_fourier_check()
-    out.append(
-        make_report(
-            "oscillator-vacuum-fourier",
-            {"primes": list(VACUUM_PRIMES), "grid": VACUUM_GRID_POINTS},
-            f"p-adic exact: {exact_ok}, real sup-error {sup_err:.3e}",
-            "exact and < 1e-10",
-            t0,
-            passed=exact_ok and sup_err < 1e-10,
-            error=sup_err if exact_ok else float("inf"),
-        )
-    )
+    out.append(make_report(
+        "oscillator-vacuum-fourier",
+        {"primes": list(VACUUM_PRIMES), "grid": VACUUM_GRID_POINTS},
+        judged(f"p-adic exact: {exact_ok}, real sup-error {sup_err:.3e}",
+               "exact and < 1e-10", exact_ok and sup_err < 1e-10,
+               sup_err if exact_ok else math.inf),
+        t0,
+    ))
     t0 = time.perf_counter()
     gram_dev = real_state_orthonormality(8)
-    out.append(
-        make_report(
-            "oscillator-hermite-gram",
-            {"max_degree": 8},
-            f"max |G - I| = {gram_dev:.3e}",
-            "< 1e-9",
-            t0,
-            passed=gram_dev < 1e-9,
-            error=gram_dev,
-        )
-    )
+    out.append(make_report(
+        "oscillator-hermite-gram", {"max_degree": 8},
+        judged(f"max |G - I| = {gram_dev:.3e}", "< 1e-9", gram_dev < 1e-9, gram_dev),
+        t0,
+    ))
     return out
 
 
@@ -438,42 +489,15 @@ def oscillator_checks() -> list[CheckReport]:
 
 
 def pairing_checks() -> list[CheckReport]:
-    from .adeles import zero_adele
-
     rng = random.Random(SEED)
     t0 = time.perf_counter()
-    delta = delta_distribution()
-    bad = None
-    for i in range(50):
-        phi = _random_elementary(rng)
-        if pair(delta, phi) != phi.evaluate(zero_adele()):
-            bad = i
-            break
-    rep1 = make_report(
-        "delta-sifting",
-        {"count": 50, "seed": SEED},
-        "exact" if bad is None else f"failed at {bad}",
-        "exact",
-        t0,
-        passed=bad is None,
-    )
+    rep1 = fold("delta-sifting", {"count": 50, "seed": SEED},
+                ((i, delta_cell(_random_elementary(rng))) for i in range(50)),
+                "exact", "exact", t0)
     t0 = time.perf_counter()
-    chi_d = chi_distribution()
-    worst = 0.0
-    for _ in range(15):
-        phi = _random_elementary(rng)
-        got = pair(chi_d, phi)
-        expect = phi.fourier().evaluate(principal_adele(1))
-        worst = max(worst, abs(got - expect))
-    rep2 = make_report(
-        "chi-pairing-vs-fourier",
-        {"count": 15, "seed": SEED},
-        f"max deviation {worst:.3e}",
-        f"< {CHI_PAIRING_TOLERANCE:g}",
-        t0,
-        passed=worst < CHI_PAIRING_TOLERANCE,
-        error=worst,
-    )
+    rep2 = fold("chi-pairing-vs-fourier", {"count": 15, "seed": SEED},
+                ((i, chi_pairing_cell(_random_elementary(rng))) for i in range(15)),
+                _at_most(CHI_PAIRING_TOLERANCE), "max deviation {:.3e}", t0)
     return [rep1, rep2]
 
 

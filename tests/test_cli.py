@@ -1,4 +1,5 @@
 import cmath
+import functools
 import json
 import math
 import os
@@ -8,11 +9,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from adelic import cli
+from adelic import cli, suite
 from adelic.adeles import principal_adele, zero_adele
 from adelic.bruhat import parse_elementary
 from adelic.cli import build_parser, format_complex, main
 from adelic.cyclotomic import UnitPhase
+from adelic.integrate import Unstabilized
 from adelic.mellin import phi_p
 
 
@@ -123,16 +125,13 @@ def test_gauss_command_padic():
 def test_gauss_rows_and_the_suite_judge_one_cell(monkeypatch):
     # `gauss -p` and the suite's Gauss grid both read suite.gauss_cell: a
     # wrong closed form fails both, with the same oracle value printed
-    from fractions import Fraction
-
-    from adelic import suite
-
     real = suite.gauss_integral_p_exact
+    monkeypatch.setattr(suite, "integrate_qp", _ORACLE)
     monkeypatch.setattr(suite, "gauss_integral_p_exact", lambda p, a, b: real(p, a, b) + 1)
     code, lines, _ = run_cli("gauss", "-p", "5", "-a", "1/5", "-b", "1")
     assert code == 1 and lines[0]["pass"] is False
     assert lines[0]["expected"].startswith("0.447213595499958")
-    assert suite.gauss_cell(5, Fraction(1, 5), Fraction(1))[1] == "mismatch"
+    assert suite.gauss_cell(5, F(1, 5), F(1)).verdict == "mismatch"
     assert suite.gauss_grid_checks()[0].value.startswith("mismatch at ")
 
 
@@ -275,28 +274,122 @@ def test_pair_rows_check_the_fourier_route_and_sifting(monkeypatch, dist, phi, e
         assert float(row["abs_error"]) < 1e-10
     else:
         assert row["abs_error"] == "0" and row["value"] == row["expected"]
-    real_pair = cli.pair
+    real_pair = suite.pair
     off = 1e-9 if dist == "chi" else complex(math.ulp(abs(value.real) or 1.0), 0)
-    monkeypatch.setattr(cli, "pair", lambda d, f: real_pair(d, f) + off)
+    monkeypatch.setattr(suite, "pair", lambda d, f: real_pair(d, f) + off)
     code, lines, _ = run_cli("pair", "--dist", dist, "--phi", phi)
     assert code == 1 and lines[0]["pass"] is False
 
 
-def test_the_chi_bound_moves_the_chi_rows_alone(monkeypatch):
-    # suite.CHI_PAIRING_TOLERANCE is the bound of the suite's
-    # chi-pairing-vs-fourier row and of `pair --dist chi`, and of no other row
-    from adelic import suite
+_PHI_2Z2_TATE = ["--phi", _GAUSSIAN_2Z2, "--alpha", "0.3,2"]
+_HALF = UnitPhase(F(1, 2))
 
-    monkeypatch.setattr(suite, "CHI_PAIRING_TOLERANCE", 0.0)
-    monkeypatch.setattr(cli, "CHI_PAIRING_TOLERANCE", 0.0)
+
+def _off_by_half(name):
+    """Patch ``suite.<name>`` to return its phase, or the phase of its
+    polar form, times e(1/2)."""
+    def patch(monkeypatch):
+        real = getattr(suite, name)
+
+        def wrong(*args):
+            got = real(*args)
+            return (got[0] * _HALF, got[1]) if isinstance(got, tuple) else got * _HALF
+
+        monkeypatch.setattr(suite, name, wrong)
+    return patch
+
+
+def _setting(name, value):
+    return lambda monkeypatch: monkeypatch.setattr(suite, name, value)
+
+
+# each identity that a CLI row and the suite both check: the CLI row, the
+# suite rows, and a patch in ``suite`` alone that breaks its one cell, by
+# its tolerance (a residual that is not 0 then fails) or by its reference
+_SHARED_CELLS = {
+    "chi-principal": (["chi", "-r", "5/6"], ["chi-principal-trivial"],
+                      _off_by_half("chi_principal_phase")),
+    "gauss-p": (["gauss", "-p", "5", "-a", "1/5", "-b", "1"],
+                [f"gauss-oracle-p{p}" for p in (2, 3, 5, 7, 11, 13)],
+                lambda monkeypatch: monkeypatch.setattr(
+                    suite, "gauss_integral_p_exact",
+                    lambda p, a, b, real=suite.gauss_integral_p_exact: real(p, a, b) + 1)),
+    "gauss-real": (["gauss", "-a", "1"], ["gauss-oracle-real"],
+                   _setting("GAUSS_REAL_TOLERANCE", 0.0)),
+    "gauss-product": (["product-check", "-a", "3/4", "-b", "1/2"], ["gauss-product-formula"],
+                      _off_by_half("kernel_k_polar")),
+    "lambda-product": (["lambda-check", "-a", "6"], ["lambda-product-formula"],
+                       _off_by_half("lambda_product_check")),
+    "tate": (["tate", *_PHI_2Z2_TATE], ["tate-formula"], _setting("TATE_TOLERANCE", 0.0)),
+    "zeta-fe": (["zeta-fe", "--alpha", "0.3,2"], ["zeta-functional-equation"],
+                _setting("ZETA_FE_TOLERANCE", 0.0)),
+    "vacuum": (["oscillator-check", "-p", "5", "--t", "5", "--samples", "0,1,1/5,5"],
+               ["oscillator-vacuum-invariance"],
+               lambda monkeypatch: monkeypatch.setattr(
+                   suite, "eigen_check",
+                   lambda *args, real=suite.eigen_check: real(*args) + 1e-3)),
+    "chi-pairing": (["pair", "--dist", "chi", "--phi", _PHI_5_MODULATED],
+                    ["chi-pairing-vs-fourier"], _setting("CHI_PAIRING_TOLERANCE", 0.0)),
+    "delta": (["pair", "--dist", "delta", "--phi", _PHI_5_MODULATED], ["delta-sifting"],
+              _setting("zero_adele", lambda: principal_adele(1))),
+}
+
+# the residue oracle, memoized across cases: no patch above touches it, and
+# the p = 13 cells of the Gauss grid would cost over a second a case
+_ORACLE = functools.lru_cache(maxsize=None)(suite.integrate_qp)
+
+
+@pytest.mark.parametrize("identity", list(_SHARED_CELLS))
+def test_each_shared_cell_moves_its_two_rows_alone(monkeypatch, identity):
+    # a patch to one cell in ``suite`` fails that identity's CLI row and its
+    # suite rows, and no other CLI row or suite row
+    monkeypatch.setattr(suite, "integrate_qp", _ORACLE)
+    _, suite_rows, cell = _SHARED_CELLS[identity]
+    cell(monkeypatch)
+    for other, (argv, _, _) in _SHARED_CELLS.items():
+        code, lines, _ = run_cli(*argv)
+        assert (code, lines[0]["pass"]) == ((1, False) if other == identity else (0, True)), other
+    code, lines, _ = run_cli("suite")
+    assert code == 1
+    assert sorted(l["check"] for l in lines if not l["pass"]) == sorted(suite_rows)
+
+
+def test_the_inclusive_tolerances_read_in_the_expected_strings(monkeypatch):
     rows = {r.check: r for r in suite.pairing_checks() + suite.functional_equation_checks()}
-    assert rows["chi-pairing-vs-fourier"].expected == "< 0"
-    assert rows["chi-pairing-vs-fourier"].passed is False
-    assert rows["zeta-functional-equation"].expected == "< 1e-10"
-    assert rows["zeta-functional-equation"].passed is True
-    phi = '{"real":[[0,"1"]],"primes":{"5":[["1","0",0,"1/5"],["1/2","1/5",1]]}}'
-    code, lines, _ = run_cli("pair", "--dist", "chi", "--phi", phi)
-    assert code == 1 and lines[0]["pass"] is False
+    assert rows["chi-pairing-vs-fourier"].expected == "<= 1e-10"
+    assert rows["zeta-functional-equation"].expected == "<= 1e-10"
+    monkeypatch.setattr(suite, "CHI_PAIRING_TOLERANCE", 0.0)
+    assert suite.pairing_checks()[1].expected == "<= 0"
+    # an exact zero passes at tolerance 0
+    code, lines, _ = run_cli("zeta-fe", "--alpha", "0.5,0", "--tolerance", "0")
+    assert code == 0 and lines[0]["abs_error"] == "0"
+
+
+def test_an_unstabilized_oracle_in_the_suite_gives_an_inconclusive_row(monkeypatch):
+    # Unstabilized inside the chi pairing and the vacuum eigen check: their
+    # rows read inconclusive and fail, and every other row still prints
+    real_pair = suite.pair
+
+    def pair(dist, phi):
+        if dist.name == "chi":
+            raise Unstabilized("local character pairing did not stabilize")
+        return real_pair(dist, phi)
+
+    def eigen_check(*args):
+        raise Unstabilized("eigen check integral did not stabilize at x=0")
+
+    monkeypatch.setattr(suite, "integrate_qp", _ORACLE)
+    monkeypatch.setattr(suite, "pair", pair)
+    monkeypatch.setattr(suite, "eigen_check", eigen_check)
+    code, lines, err = run_cli("suite")
+    assert code == 1
+    assert "error:" not in err
+    assert len(lines) == 23
+    failed = {l["check"]: l for l in lines if not l["pass"]}
+    assert sorted(failed) == ["chi-pairing-vs-fourier", "oscillator-vacuum-invariance"]
+    assert failed["chi-pairing-vs-fourier"]["value"] == "inconclusive at 0"
+    assert failed["oscillator-vacuum-invariance"]["value"] == "inconclusive at p=3"
+    assert all(l["abs_error"] == "inf" for l in failed.values())
 
 
 def test_mellin_command():
@@ -475,8 +568,8 @@ def test_unstabilized_oracle_prints_an_inconclusive_row(argv, reason):
 
 
 @pytest.mark.parametrize("module, name, argv", [
-    ("adelic.cli", "pair", ["pair", "--dist", "delta", "--phi", _GAUSSIAN]),
-    ("adelic.cli", "eigen_check",
+    ("adelic.suite", "pair", ["pair", "--dist", "delta", "--phi", _GAUSSIAN]),
+    ("adelic.suite", "eigen_check",
      ["oscillator-check", "-p", "5", "--t", "5", "--samples", "0"]),
 ], ids=["pair", "oscillator-check"])
 def test_other_arithmetic_errors_stay_error_lines(monkeypatch, module, name, argv):

@@ -246,13 +246,13 @@ class TestMemo:
         }
         phi = ElementaryFunction(HermiteGaussian.gaussian(), factors)
         built = []
-        init = PAdicTestFunction.__init__
+        of = PAdicTestFunction._of.__func__
 
-        def counting_init(self, *args, **kwargs):
-            built.append(args[0] if args else kwargs["prime"])
-            init(self, *args, **kwargs)
+        def counting_of(cls, prime, *args, **kwargs):
+            built.append(prime)
+            return of(cls, prime, *args, **kwargs)
 
-        monkeypatch.setattr(PAdicTestFunction, "__init__", counting_init)
+        monkeypatch.setattr(PAdicTestFunction, "_of", classmethod(counting_of))
         rng = random.Random(11)
         for _ in range(10):
             alpha = complex(rng.uniform(0.1, 0.9), rng.uniform(-5, 5))
