@@ -1,11 +1,17 @@
 import cmath
 import math
+import operator
+import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adelic.cyclotomic import Cyclo, UnitPhase, _from_exponents, phase, phase_sum, sqrt_prime
+from adelic.cyclotomic import (Cyclo, UnitPhase, _fractions, _from_exponents, phase, phase_sum,
+                               sqrt_prime)
+from adelic.gauss import gauss_integral_p_exact
+from adelic.integrate import integrate_qp
 from adelic.primes import primes_up_to
 
 from cyclo_helpers import abs2, as_fraction
@@ -171,6 +177,8 @@ def test_equal_values_hash_alike_across_types():
     # -1 reached through phases, and a Gaussian rational against its complex
     minus_one = phase(F(1, 3)) + phase(F(2, 3))
     assert minus_one == -1 and hash(minus_one) == hash(-1)
+    for x in (-1, F(-1), -1.0, complex(-1, 0)):
+        assert minus_one == x and hash(minus_one) == hash(x)
     z = Cyclo(F(3, 2)) + phase(F(1, 4)) * F(1, 4)
     assert z == 1.5 + 0.25j and hash(z) == hash(1.5 + 0.25j)
     assert hash(phase(F(3, 4))) == hash(-1j)
@@ -253,8 +261,9 @@ def test_a_dict_of_phases_is_their_sum(terms):
     assert _stored(Cyclo(shifted)) == _stored(cyclo_sum(phase(q) * c for q, c in shifted.items()))
 
 
+# a string is no scalar either, "1" no more than NaN
 @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf"),
-                               complex(float("nan"), 0), complex(0, float("inf"))])
+                               complex(float("nan"), 0), complex(0, float("inf")), "1"])
 def test_non_finite_numbers_equal_no_cyclo(x):
     for c in (Cyclo(1), Cyclo(), phase(F(1, 4))):
         assert not c == x and c != x
@@ -332,3 +341,175 @@ def test_sqrt_prime_is_the_gauss_sum_of_its_phases():
         assert _stored(sqrt_prime(p)) == _stored(want), p
     s = sqrt_prime(2887)
     assert s * s == 2887
+
+
+def test_equality_compares_stored_forms_through_one_canonical_call(monkeypatch):
+    # gauss-grid's heaviest cell ends in this equality: the oracle value
+    # against the closed form
+    a, b = 245, F(3, 49)
+    oracle = integrate_qp(7, quad=(a, b)).value
+    closed = gauss_integral_p_exact(7, a, b)
+    pairs = [
+        (oracle, closed, True),
+        (closed, oracle, True),
+        (oracle, closed * phase(F(1, 7)), False),
+        (oracle, closed + F(1, 2), False),
+        (oracle, -closed, False),
+        (Cyclo(), Cyclo(0), True),
+        (Cyclo(1), Cyclo(), False),
+        (Cyclo(F(3, 2)), Cyclo(F(3, 2)), True),
+        (Cyclo(F(3, 2)), Cyclo(F(3, 4)), False),
+        (phase(F(1, 4)), Cyclo(1j), True),
+        (phase(F(1, 6)), -phase(F(2, 3)), True),
+        (phase(F(1, 3)), phase(F(2, 3)), False),
+        (sqrt_prime(5), phase_sum([(Cyclo(1), t * t, 5) for t in range(5)]), True),
+    ]
+    built, canonical_calls = [], []
+    new, canonical = Fraction.__new__, Cyclo.canonical
+
+    def counted_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    def counted_canonical(self):
+        canonical_calls.append(self)
+        return canonical(self)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    monkeypatch.setattr(Cyclo, "canonical", counted_canonical)
+    F(1, 3)
+    assert len(built) == 1  # the spy sees a Fraction being built
+    results = []
+    for x, y, equal in pairs:
+        for op, want in ((operator.eq, equal), (operator.ne, not equal)):
+            built.clear()
+            canonical_calls.clear()
+            got = op(x, y)
+            results.append((got is want, len(built), len(canonical_calls),
+                            canonical_calls[0] is x if canonical_calls else None))
+    monkeypatch.undo()
+    assert results == [(True, 0, 1, True)] * 2 * len(pairs)
+
+
+# phases over conductors 1 to 12, with their shifts past 1
+_ROUTE_PHASES = [F(j, n) for n in (1, 2, 3, 4, 5, 6, 8, 9, 12) for j in range(n)]
+
+
+def _draw_terms(rng, phases, coeffs):
+    return [(rng.choice(phases) + rng.randrange(2), rng.choice(coeffs))
+            for _ in range(rng.randrange(4))]
+
+
+def _rewritten(rng, terms):
+    """The same value with one term rewritten through
+    e(q) = -sum_{i=1}^{p-1} e(q + i/p), in shuffled order."""
+    terms = list(terms)
+    if terms:
+        k, p = rng.randrange(len(terms)), rng.choice([2, 3, 5])
+        q, c = terms.pop(k)
+        terms += [(q + F(i, p), -c) for i in range(1, p)]
+    rng.shuffle(terms)
+    return terms
+
+
+def _by_add(terms, rng):
+    return sum((Cyclo({q: c}) for q, c in terms), Cyclo())
+
+
+def _by_mul(terms, rng):
+    return sum((phase(q / 2) * phase(q / 2) * c for q, c in terms), Cyclo())
+
+
+def _by_phase_sum(terms, rng):
+    return phase_sum([(Cyclo(1), q.numerator, q.denominator, c) for q, c in terms])
+
+
+def _by_dict(terms, rng):
+    merged: dict = {}
+    for q, c in terms:
+        merged[q] = merged.get(q, 0) + c
+    return Cyclo(merged)
+
+
+def _by_coordinates(terms, rng):
+    # the stored form scaled up, with zero numerators: not normalized
+    n, den, numerators = _by_add(terms, rng).coordinates()
+    k, g = rng.choice([1, 2, 3, 6]), rng.choice([1, 2, 5])
+    raw = {j * k: c * g for j, c in numerators.items()}
+    for j in (1, 2):
+        raw.setdefault(j, 0)
+    return Cyclo.from_coordinates(n * k, den * g, raw)
+
+
+_ROUTES = (_by_add, _by_mul, _by_phase_sum, _by_dict, _by_coordinates)
+
+
+def test_equality_is_equality_of_the_canonical_dicts_over_every_route():
+    rng = random.Random("cyclo-equality")
+    coeffs = [F(k, d) for k in range(-3, 4) if k for d in (1, 2, 3)]
+    verdicts = []
+    for _ in range(300):
+        terms = _draw_terms(rng, _ROUTE_PHASES, coeffs)
+        route = rng.randrange(3)
+        if route == 0:
+            other = _rewritten(rng, terms)
+        elif route == 1:  # one more term: most such pairs differ
+            other = list(terms) + [(rng.choice(_ROUTE_PHASES), rng.choice(coeffs))]
+        else:  # rescaled: the same numerators over another denominator, or negated
+            r = rng.choice([F(1, 2), F(2), F(3, 2), F(-1)])
+            other = _rewritten(rng, [(q, c * r) for q, c in terms])
+        x = rng.choice(_ROUTES)(terms, rng)
+        y = rng.choice(_ROUTES)(other, rng)
+        equal = dict(x.canonical()) == dict(y.canonical())
+        assert (x == y) is equal and (y == x) is equal and (x != y) is not equal
+        assert (x.canonical() == y.canonical()) is equal
+        assert (x.canonical() == dict(y.canonical())) is equal
+        if equal:
+            assert hash(x) == hash(y)
+        verdicts.append(equal)
+    assert verdicts.count(True) >= 90 and verdicts.count(False) >= 90
+
+
+def test_equal_values_hash_alike_against_python_scalars():
+    # Gaussian rationals with dyadic coefficients, so that floats and
+    # complexes hold them exactly
+    rng = random.Random("cyclo-scalars")
+    quarters = [F(j, 4) for j in range(4)]
+    coeffs = [F(k, 2**e) for k in range(-9, 10) if k for e in range(4)]
+    units = {F(0): (1, 0), F(1, 4): (0, 1), F(1, 2): (-1, 0), F(3, 4): (0, -1)}
+    for _ in range(200):
+        terms = _draw_terms(rng, quarters, coeffs)
+        re = sum((c * units[q % 1][0] for q, c in terms), F(0))
+        im = sum((c * units[q % 1][1] for q, c in terms), F(0))
+        x = rng.choice(_ROUTES)(_rewritten(rng, terms), rng)
+        scalars = [complex(float(re), float(im))]
+        if not im:
+            scalars += [re, float(re)] + ([int(re)] if re.denominator == 1 else [])
+        for s in scalars:
+            assert x == s and s == x and not x != s and hash(x) == hash(s)
+            assert x != s + 1 and s + 1 != x
+
+
+def test_the_canonical_view_is_a_read_only_mapping():
+    rng = random.Random("cyclo-view")
+    coeffs = [F(k, d) for k in range(-3, 4) if k for d in (1, 2, 3)]
+    missing = F(1, 10**9 + 7)  # no basis phase of any drawn value
+    for _ in range(60):
+        x = rng.choice(_ROUTES)(_draw_terms(rng, _ROUTE_PHASES, coeffs), rng)
+        view, d = x.canonical(), _fractions(x)
+        assert view == d and d == view
+        assert view == MappingProxyType(d) and MappingProxyType(d) == view
+        assert list(view) == list(d) and list(view.items()) == list(d.items())
+        assert len(view) == len(d) == len(x.coordinates()[2])
+        for q, c in d.items():
+            assert view.get(q) == view[q] == c and q in view
+        assert view.get(missing) is None and missing not in view
+        with pytest.raises(KeyError):
+            view[missing]
+        with pytest.raises(TypeError):
+            view[F(0)] = F(1)
+        with pytest.raises(TypeError):
+            del view[F(0)]
+        with pytest.raises(TypeError):
+            hash(view)
+        assert view != {**d, missing: F(1)} and view != MappingProxyType({**d, missing: F(1)})
