@@ -176,7 +176,6 @@ def test_a_rational_cyclo_hashes_as_its_value(x):
 def test_equal_values_hash_alike_across_types():
     # -1 reached through phases, and a Gaussian rational against its complex
     minus_one = phase(F(1, 3)) + phase(F(2, 3))
-    assert minus_one == -1 and hash(minus_one) == hash(-1)
     for x in (-1, F(-1), -1.0, complex(-1, 0)):
         assert minus_one == x and hash(minus_one) == hash(x)
     z = Cyclo(F(3, 2)) + phase(F(1, 4)) * F(1, 4)
